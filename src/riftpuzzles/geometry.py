@@ -8,13 +8,18 @@ neighbor shared by both) are impassable points.
 Three distance notions live here:
 
 * ``grid_distance``    -- orthogonal tile steps (BFS between tiles),
-* ``euclidean_geodesic`` -- true shortest path length, via a visibility graph
-  over the region's reflex corners,
+* ``euclidean_geodesic`` -- true shortest path length, via Dijkstra over a
+  reduced visibility graph: the query points plus the region's reflex
+  corners, keeping only corner pairs that can be bitangent,
 * ``fine_grid_distance`` -- 8-connected shortest path on a 1/k sublattice,
   an upper distance oracle used to sanity-check the geodesics.
 
-Unreachable queries return ``math.inf``.  Comparisons use an absolute
-epsilon of 1e-9.
+Point membership and segment visibility are exact integer predicates: every
+float is a dyadic rational, so scaling by the common power-of-two
+denominator puts all coordinates and cell walls on integers, and the
+segment test walks the crossed cells without rounding.  Unreachable queries
+return ``math.inf``.  The absolute epsilon of 1e-9 is used only where
+``sqrt`` lengths are summed.
 """
 
 from __future__ import annotations
@@ -58,67 +63,88 @@ def tile_center(tile: Tile) -> Point:
     return (tile[0] + 0.5, tile[1] + 0.5)
 
 
-def pinch_corners(region: TileRegion) -> frozenset[Tile]:
-    """Lattice corners where exactly two tiles meet only diagonally."""
-    tiles = region.tiles
-    pinches = set()
+def _classify_corners(
+    tiles: frozenset[Tile],
+) -> tuple[frozenset[Tile], list[tuple[Tile, Tile]]]:
+    """One pass over the lattice corners of the region.
+
+    Returns the pinch corners and, in sorted order, each reflex corner
+    (exactly three surrounding tiles, the only possible bend points) with
+    the direction (mx, my) of its missing quadrant.
+    """
     corners = set()
     for x, y in tiles:
         corners.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
-    for cx, cy in corners:
+    pinches = set()
+    reflex = []
+    for cx, cy in sorted(corners):
         sw = (cx - 1, cy - 1) in tiles
         se = (cx, cy - 1) in tiles
         nw = (cx - 1, cy) in tiles
         ne = (cx, cy) in tiles
-        if (sw and ne and not se and not nw) or (se and nw and not sw and not ne):
-            pinches.add((cx, cy))
-    return frozenset(pinches)
-
-
-def _reflex_corners(region: TileRegion) -> list[Tile]:
-    """Corners with exactly three surrounding tiles: the only bend points."""
-    tiles = region.tiles
-    corners = set()
-    for x, y in tiles:
-        corners.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
-    out = []
-    for cx, cy in sorted(corners):
-        count = sum(
-            1
-            for cell in ((cx - 1, cy - 1), (cx, cy - 1), (cx - 1, cy), (cx, cy))
-            if cell in tiles
-        )
+        count = sw + se + nw + ne
         if count == 3:
-            out.append((cx, cy))
-    return out
+            mx = -1 if not (sw and nw) else 1
+            my = -1 if not (sw and se) else 1
+            reflex.append(((cx, cy), (mx, my)))
+        elif count == 2 and sw == ne:
+            pinches.add((cx, cy))
+    return frozenset(pinches), reflex
 
 
-def _cells_containing(p: Point) -> list[Tile]:
-    """Up to four lattice cells whose closed square contains the point."""
-    x, y = p
-    xs = []
-    fx = math.floor(x)
-    if abs(x - round(x)) < EPS:
-        xs = [round(x) - 1, round(x)]
-    else:
-        xs = [fx]
-    if abs(y - round(y)) < EPS:
-        ys = [round(y) - 1, round(y)]
-    else:
-        ys = [math.floor(y)]
-    return [(cx, cy) for cx in xs for cy in ys]
+def pinch_corners(region: TileRegion) -> frozenset[Tile]:
+    """Lattice corners where exactly two tiles meet only diagonally."""
+    return _classify_corners(region.tiles)[0]
+
+
+def _scaled(*coords: float) -> tuple[int, list[int]]:
+    """(s, ints) with every coordinate equal to its int over s, exactly.
+
+    Cell walls then sit at the multiples of s.
+    """
+    ratios = [c.as_integer_ratio() for c in coords]
+    s = math.lcm(*(d for _, d in ratios))
+    return s, [n * (s // d) for n, d in ratios]
+
+
+def _cells_at(v: int, s: int) -> tuple[int, ...]:
+    """Cell indices whose closed span [c*s, (c+1)*s] holds coordinate v."""
+    c, r = divmod(v, s)
+    return (c - 1, c) if r == 0 else (c,)
+
+
+def _point_in(tiles: frozenset[Tile], x: int, y: int, s: int) -> bool:
+    return any((cx, cy) in tiles for cx in _cells_at(x, s) for cy in _cells_at(y, s))
 
 
 def region_contains_point(region: TileRegion, p: Point) -> bool:
-    return any(cell in region.tiles for cell in _cells_containing(p))
+    s, (x, y) = _scaled(*p)
+    return _point_in(region.tiles, x, y, s)
 
 
-def _point_admissible(region: TileRegion, pinches: frozenset[Tile], p: Point) -> bool:
-    x, y = p
-    if abs(x - round(x)) < EPS and abs(y - round(y)) < EPS:
-        if (round(x), round(y)) in pinches:
+def _line_walk(
+    tiles: frozenset[Tile],
+    pinches: frozenset[Tile],
+    u0: int,
+    u1: int,
+    line: int,
+    s: int,
+    flip: bool,
+) -> bool:
+    """Segment from u0 to u1 (scaled) along grid line number `line`.
+
+    The line runs along x, or along y when flip is set.  Either cell beside
+    the line covers a piece, and no lattice point on it may be a pinch.
+    """
+    lo, hi = min(u0, u1), max(u0, u1)
+    for cu in range(lo // s, (hi - 1) // s + 1):
+        below, above = ((line - 1, cu), (line, cu)) if flip else ((cu, line - 1), (cu, line))
+        if below not in tiles and above not in tiles:
             return False
-    return region_contains_point(region, p)
+    for lu in range(-(-lo // s), hi // s + 1):
+        if ((line, lu) if flip else (lu, line)) in pinches:
+            return False
+    return True
 
 
 def segment_admissible(
@@ -126,47 +152,68 @@ def segment_admissible(
 ) -> bool:
     """True when the closed segment p-q stays in the region and avoids pinches.
 
-    The segment is cut at every crossing of an integer grid line; each open
-    piece lies inside a single cell column/row, so a midpoint test is exact
-    up to epsilon.
+    Exact: coordinates are scaled to integers, and the cells the segment
+    crosses are walked in order (Amanatides & Woo 1987), comparing the next
+    x- and y-wall crossings by cross-multiplication.  The walk stops at the
+    first cell that is not a tile; a lattice point crossed on both axes at
+    once must not be a pinch.
     """
-    px, py = p
-    qx, qy = q
-    if not _point_admissible(region, pinches, p):
-        return False
-    if not _point_admissible(region, pinches, q):
-        return False
-    dx = qx - px
-    dy = qy - py
-    length = math.hypot(dx, dy)
-    if length < EPS:
-        return True
-    ts = [0.0, 1.0]
-    if abs(dx) > EPS:
-        lo, hi = sorted((px, qx))
-        for gx in range(math.ceil(lo - EPS), math.floor(hi + EPS) + 1):
-            t = (gx - px) / dx
-            if EPS < t < 1 - EPS:
-                ts.append(t)
-    if abs(dy) > EPS:
-        lo, hi = sorted((py, qy))
-        for gy in range(math.ceil(lo - EPS), math.floor(hi + EPS) + 1):
-            t = (gy - py) / dy
-            if EPS < t < 1 - EPS:
-                ts.append(t)
-    ts.sort()
-    t_eps = EPS / max(length, 1.0)
-    for i in range(len(ts) - 1):
-        t1, t2 = ts[i], ts[i + 1]
-        if t2 - t1 <= t_eps:
-            continue
-        tm = (t1 + t2) / 2
-        if not region_contains_point(region, (px + tm * dx, py + tm * dy)):
+    tiles = region.tiles
+    s, (x0, y0, x1, y1) = _scaled(p[0], p[1], q[0], q[1])
+    for x, y in ((x0, y0), (x1, y1)):
+        if x % s == 0 and y % s == 0 and (x // s, y // s) in pinches:
             return False
-    # crossing points themselves: wall points need a neighboring tile, lattice
-    # points must not be pinches
-    for t in ts[1:-1]:
-        if not _point_admissible(region, pinches, (px + t * dx, py + t * dy)):
+    dx = x1 - x0
+    dy = y1 - y0
+    if dx == 0 and dy == 0:
+        return _point_in(tiles, x0, y0, s)
+    if dy == 0 and y0 % s == 0:
+        return _line_walk(tiles, pinches, x0, x1, y0 // s, s, False)
+    if dx == 0 and x0 % s == 0:
+        return _line_walk(tiles, pinches, y0, y1, x0 // s, s, True)
+    # first cell entered and the distance from p to its next wall on each axis;
+    # an axis the segment does not move along gets no wall count below
+    if dx > 0:
+        sx, cx = 1, x0 // s
+        ax = (cx + 1) * s - x0
+    else:
+        sx, cx = -1, (x0 - 1) // s
+        ax = x0 - cx * s
+    if dy > 0:
+        sy, cy = 1, y0 // s
+        ay = (cy + 1) * s - y0
+    else:
+        sy, cy = -1, (y0 - 1) // s
+        ay = y0 - cy * s
+    adx = abs(dx)
+    ady = abs(dy)
+    # walls crossed strictly before q on each axis
+    nx = -(-(adx - ax) // s) if adx > ax else 0
+    ny = -(-(ady - ay) // s) if ady > ay else 0
+    # sign of (x-crossing time - y-crossing time), kept incrementally
+    e = ax * ady - ay * adx
+    step_x = s * ady
+    step_y = s * adx
+    if (cx, cy) not in tiles:
+        return False
+    while nx or ny:
+        if e < 0:
+            cx += sx
+            e += step_x
+            nx -= 1
+        elif e > 0:
+            cy += sy
+            e -= step_y
+            ny -= 1
+        else:
+            if (cx + (sx > 0), cy + (sy > 0)) in pinches:
+                return False
+            cx += sx
+            cy += sy
+            e += step_x - step_y
+            nx -= 1
+            ny -= 1
+        if (cx, cy) not in tiles:
             return False
     return True
 
@@ -175,20 +222,31 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
     """Pairwise geodesic distances between query points.
 
     Builds one visibility graph over the query points plus the region's
-    reflex corners and runs Dijkstra from each query point.
+    reflex corners and runs Dijkstra from each query point.  A pair is not
+    tested when it meets a corner head-on, from the quadrant opposite the
+    missing one (or from inside it): a shortest path never bends there, so
+    only pairs that can be bitangent at their corner ends are kept
+    (Lozano-Pérez & Wesley 1979).
     """
-    pinches = pinch_corners(region)
+    pinches, reflex = _classify_corners(region.tiles)
     for p in points:
         if not region_contains_point(region, p):
             raise PointOutsideRegion(f"point {p} is outside the region")
-    corners = [(float(cx), float(cy)) for cx, cy in _reflex_corners(region)]
-    nodes: list[Point] = list(points) + corners
+    nodes: list[Point] = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
+    # mx*my of each node's missing quadrant; 0 for query points
+    quadrant = [0] * len(points) + [mx * my for _, (mx, my) in reflex]
     n = len(nodes)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for i in range(n):
+        xi, yi = nodes[i]
+        mi = quadrant[i]
         for j in range(i + 1, n):
+            xj, yj = nodes[j]
+            dxdy = (xj - xi) * (yj - yi)
+            if dxdy * mi > 0 or dxdy * quadrant[j] > 0:
+                continue
             if segment_admissible(region, pinches, nodes[i], nodes[j]):
-                w = math.hypot(nodes[i][0] - nodes[j][0], nodes[i][1] - nodes[j][1])
+                w = math.hypot(xi - xj, yi - yj)
                 adj[i].append((j, w))
                 adj[j].append((i, w))
     k = len(points)
@@ -271,6 +329,10 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
     tile size), so admissibility is exact integer arithmetic.  Any returned
     length is the length of a real admissible path, hence an upper bound on
     the Euclidean geodesic.  Both endpoints must lie on the sublattice.
+
+    A tile-level BFS answers unreachable queries first; otherwise A* with
+    the octile heuristic (consistent, so the result stays exact) searches
+    a flat distance table over the sublattice of the bounding box.
     """
     if k < 2:
         raise ValueError("subdivision k must be at least 2")
@@ -285,18 +347,13 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
 
     tiles = region.tiles
 
+    def node_tiles(i: int, j: int) -> list[Tile]:
+        return [(cx, cy) for cx in _cells_at(i, k) for cy in _cells_at(j, k) if (cx, cy) in tiles]
+
     def node_ok(i: int, j: int) -> bool:
         if i % k == 0 and j % k == 0 and (i // k, j // k) in pinches:
             return False
-        if i % k == 0:
-            xs = (i // k - 1, i // k)
-        else:
-            xs = (i // k,)
-        if j % k == 0:
-            ys = (j // k - 1, j // k)
-        else:
-            ys = (j // k,)
-        return any((cx, cy) in tiles for cx in xs for cy in ys)
+        return bool(node_tiles(i, j))
 
     def h_step_ok(i: int, j: int) -> bool:
         # interior of the step from (i,j) to (i+1,j)
@@ -317,15 +374,31 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
         return math.inf
     if src == dst:
         return 0.0
+    # a node off the pinches lies in tiles of one edge-connected component
+    # (a diagonal pair meeting at a non-pinch corner shares a third tile)
+    if math.isinf(grid_distance(region, node_tiles(*src)[0], node_tiles(*dst)[0])):
+        return math.inf
 
+    i0 = k * min(x for x, _ in tiles)
+    j0 = k * min(y for _, y in tiles)
+    height = k * (max(y for _, y in tiles) + 1) - j0 + 1
+    width = k * (max(x for x, _ in tiles) + 1) - i0 + 1
+    ti, tj = dst
     sqrt2 = math.sqrt(2.0)
-    dist = {src: 0.0}
-    heap = [(0.0, src)]
+
+    def octile(i: int, j: int) -> float:
+        a = abs(i - ti)
+        b = abs(j - tj)
+        return abs(a - b) + sqrt2 * min(a, b)
+
+    dist = [math.inf] * (width * height)
+    dist[(src[0] - i0) * height + src[1] - j0] = 0.0
+    heap = [(octile(*src), 0.0, src[0], src[1])]
     while heap:
-        d, (i, j) = heapq.heappop(heap)
-        if (i, j) == dst:
+        _, d, i, j = heapq.heappop(heap)
+        if i == ti and j == tj:
             return d / k
-        if d > dist[(i, j)] + EPS:
+        if d > dist[(i - i0) * height + j - j0] + EPS:
             continue
         moves = []
         if h_step_ok(i, j):
@@ -349,9 +422,10 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
             if not node_ok(ni, nj):
                 continue
             nd = d + w
-            if nd < dist.get((ni, nj), math.inf) - EPS:
-                dist[(ni, nj)] = nd
-                heapq.heappush(heap, (nd, (ni, nj)))
+            at = (ni - i0) * height + nj - j0
+            if nd < dist[at] - EPS:
+                dist[at] = nd
+                heapq.heappush(heap, (nd + octile(ni, nj), nd, ni, nj))
     return math.inf
 
 

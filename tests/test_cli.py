@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from riftpuzzles.cli import main
@@ -222,3 +224,30 @@ def test_bad_box_exits_3(capsys):
     code, _, err = run(capsys, "sweep", "geo-oracle", "--box", "four")
     assert code == 3
     assert "WxH" in err
+
+
+# `solve dcb` stdout on seeded Euclidean boards, pinned byte for byte:
+# (seed, box side, crystals, first line, sha256 of the whole output)
+EUCLID_SOLVE_PINS = [
+    (1, 30, 40, "length 537.2316915289106",
+     "04229ba74ea0976d78d8c8431d62e3baac39a41babdda4afa9d66b8777cf1bd9"),
+    (2, 50, 60, "length 1201.9747855247915",
+     "9b8f034dd1f031d9dfd954f06c95d56bee3dcc6084b2a9e6df06fe7fa1c896c7"),
+    (2026, 80, 80, "length 2931.0234413988574",
+     "c472712c065b5137a771ef7e54075221a168cb0a7dce88ee467456ecbeec4324"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,side,crystals,first,digest", EUCLID_SOLVE_PINS, ids=("30x30", "50x50", "80x80")
+)
+def test_solve_dcb_euclid_output_pinned(tmp_path, capsys, seed, side, crystals, first, digest):
+    code, board, _ = run(
+        capsys, "gen", "bond-board", "--seed", str(seed), "--box", f"{side}x{side}",
+        "--max-v", str(crystals), "--model", "euclid",
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "solve", "dcb", doc(tmp_path, "b.bond", board))
+    assert code == 0
+    assert out.splitlines()[0] == first
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from riftpuzzles.geometry import (
     grid_distance_matrix,
     pinch_corners,
     region_contains_point,
+    segment_admissible,
     tile_center,
 )
 
@@ -186,3 +187,173 @@ def test_gen_random_region_connected_and_seeded():
     tiles = sorted(r1.tiles)
     m = grid_distance_matrix(r1, tiles)
     assert all(m[0][j] < math.inf for j in range(len(tiles)))  # connected
+
+
+# Reference segment oracle: cut the segment at every grid-line crossing,
+# probe each piece's midpoint and each crossing point with an EPS tolerance.
+# Floating point throughout, and shares no code with the integer cell walk.
+
+ORACLE_EPS = 1e-9
+
+
+def _float_cells(p):
+    def span(v):
+        if abs(v - round(v)) < ORACLE_EPS:
+            return [round(v) - 1, round(v)]
+        return [math.floor(v)]
+
+    return [(cx, cy) for cx in span(p[0]) for cy in span(p[1])]
+
+
+def _float_point_ok(tiles, pinches, p):
+    x, y = p
+    if abs(x - round(x)) < ORACLE_EPS and abs(y - round(y)) < ORACLE_EPS:
+        if (round(x), round(y)) in pinches:
+            return False
+    return any(cell in tiles for cell in _float_cells(p))
+
+
+def float_segment_admissible(tiles, pinches, p, q):
+    (px, py), (qx, qy) = p, q
+    if not _float_point_ok(tiles, pinches, p) or not _float_point_ok(tiles, pinches, q):
+        return False
+    dx, dy = qx - px, qy - py
+    length = math.hypot(dx, dy)
+    if length < ORACLE_EPS:
+        return True
+    ts = [0.0, 1.0]
+    for d, start, end in ((dx, px, qx), (dy, py, qy)):
+        if abs(d) > ORACLE_EPS:
+            lo, hi = sorted((start, end))
+            for g in range(math.ceil(lo - ORACLE_EPS), math.floor(hi + ORACLE_EPS) + 1):
+                t = (g - start) / d
+                if ORACLE_EPS < t < 1 - ORACLE_EPS:
+                    ts.append(t)
+    ts.sort()
+    t_eps = ORACLE_EPS / max(length, 1.0)
+    for t1, t2 in zip(ts, ts[1:]):
+        if t2 - t1 > t_eps:
+            tm = (t1 + t2) / 2
+            if not any(c in tiles for c in _float_cells((px + tm * dx, py + tm * dy))):
+                return False
+    return all(_float_point_ok(tiles, pinches, (px + t * dx, py + t * dy)) for t in ts[1:-1])
+
+
+def _centres_and_corners(r):
+    corners = {(x + a, y + b) for x, y in r.tiles for a in (0, 1) for b in (0, 1)}
+    return [tile_center(t) for t in sorted(r.tiles)] + [
+        (float(x), float(y)) for x, y in sorted(corners)
+    ]
+
+
+def test_segment_walk_matches_float_oracle():
+    rng = random.Random(2)
+    pairs = 0
+    seen = set()
+    for n in range(300):
+        w = rng.choice((5, 6))
+        if n % 2:
+            r = gen_random_region(rng.randrange(1 << 30), w, w, rng.randint(3, 9))
+        else:
+            # scattered tiles: pinches everywhere
+            cells = [(x, y) for x in range(w) for y in range(w)]
+            r = TileRegion(frozenset(rng.sample(cells, rng.randint(3, 7))))
+        pinches = pinch_corners(r)
+        pts = _centres_and_corners(r)
+        for i, p in enumerate(pts):
+            for q in pts[i:]:
+                want = float_segment_admissible(r.tiles, pinches, p, q)
+                assert segment_admissible(r, pinches, p, q) == want, (sorted(r.tiles), p, q)
+                assert segment_admissible(r, pinches, q, p) == want, (sorted(r.tiles), q, p)
+                pairs += 1
+                seen.add((bool(pinches), want))
+    assert pairs > 60_000
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_segment_hand_cases():
+    pinched = region((0, 0), (1, 1))
+    ell = region((0, 0), (1, 0), (1, 1))  # corner (1,1) is reflex, (0,1) missing
+    cases = [
+        # diagonal through a pinch, and the same diagonal with the pinch filled
+        (pinched, (0.5, 0.5), (1.5, 1.5), False),
+        (pinched, (0.0, 0.0), (2.0, 2.0), False),
+        (ell, (0.5, 0.5), (1.5, 1.5), True),
+        # along the grid line y=1 through the pinch (1,1), then with it filled
+        (pinched, (0.0, 1.0), (2.0, 1.0), False),
+        (ell, (0.0, 1.0), (2.0, 1.0), True),
+        (region((0, 0), (1, 1), (0, 1)), (1.0, 0.0), (1.0, 2.0), True),
+        (pinched, (1.0, 0.0), (1.0, 2.0), False),
+        # grazing a boundary wall, and crossing it
+        (region((0, 0), (1, 0)), (0.0, 0.0), (2.0, 0.0), True),
+        (region((0, 0), (1, 0)), (0.5, 1.0), (2.0, 1.0), True),
+        (region((0, 0), (1, 0)), (0.5, 1.0), (1.5, 1.5), False),
+        (ell, (0.0, 1.0), (1.0, 2.0), False),
+        # p == q: inside, on a wall, on a pinch, outside
+        (ell, (0.5, 0.5), (0.5, 0.5), True),
+        (ell, (1.0, 2.0), (1.0, 2.0), True),
+        (pinched, (1.0, 1.0), (1.0, 1.0), False),
+        (ell, (0.5, 1.5), (0.5, 1.5), False),
+        # reflex corner (1,1) met head-on from the quadrant opposite the
+        # missing one: ending there is fine, going on enters the hole
+        (ell, (1.5, 0.5), (1.0, 1.0), True),
+        (ell, (2.0, 0.0), (1.0, 1.0), True),
+        (ell, (1.5, 0.5), (0.5, 1.5), False),
+        (ell, (2.0, 0.0), (0.0, 2.0), False),
+    ]
+    for r, p, q, want in cases:
+        pinches = pinch_corners(r)
+        assert float_segment_admissible(r.tiles, pinches, p, q) == want, (p, q)
+        assert segment_admissible(r, pinches, p, q) == want, (p, q)
+        assert segment_admissible(r, pinches, q, p) == want, (q, p)
+
+
+def test_segment_exact_off_half_lattice():
+    # dyadic points are scaled exactly; no tolerance moves a point onto a wall
+    r = region((0, 0))
+    assert region_contains_point(r, (1.0, 0.25))
+    assert not region_contains_point(r, (1.0 + 2.0**-40, 0.25))
+    assert segment_admissible(r, frozenset(), (0.0, 0.0), (1.0, 1.0 - 2.0**-40))
+    assert not segment_admissible(r, frozenset(), (0.0, 0.0), (1.0, 1.0 + 2.0**-40))
+
+
+def _criterion_7_region(seed):
+    return gen_random_region(seed, 5, 5, 16)
+
+
+def test_fine_grid_twin_cluster_is_unreachable():
+    base = _criterion_7_region(4)
+    far = [(x + 7, y) for x, y in sorted(gen_random_region(5, 5, 5, 8).tiles)]
+    r = TileRegion(base.tiles | frozenset(far))
+    p, q = tile_center(sorted(base.tiles)[0]), tile_center(far[0])
+    assert fine_grid_distance(r, p, q, 16) == math.inf
+    assert euclidean_geodesic(r, p, q) == math.inf
+
+
+def test_fine_grid_hand_values_on_criterion_7_regions():
+    cases = [
+        # straight runs along a full row or column
+        (0, (0, 4), (4, 4), 4.0),
+        (0, (4, 2), (4, 4), 2.0),
+        (2, (0, 0), (4, 0), 4.0),
+        # L-shaped: a straight leg and a diagonal leg
+        (0, (1, 1), (4, 2), 2.0 + SQRT2),
+        (2, (0, 3), (3, 2), 2.0 + SQRT2),
+        (1, (0, 0), (3, 3), 3.0 * SQRT2),
+    ]
+    for seed, a, b, want in cases:
+        r = _criterion_7_region(seed)
+        got = fine_grid_distance(r, tile_center(a), tile_center(b), 16)
+        assert abs(got - want) <= 1e-12 * want, (seed, a, b, got)
+
+
+def test_fine_grid_hand_values_around_holes():
+    # the path must bend at two reflex corners, each leg octile-straight
+    ring = region(*[(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)])
+    cup = region((0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2))
+    for r, p, q, want in [
+        (ring, (0.5, 1.5), (2.5, 1.5), 1.0 + SQRT2),
+        (cup, (0.5, 2.5), (2.5, 2.5), 3.0 + SQRT2),
+    ]:
+        got = fine_grid_distance(r, p, q, 16)
+        assert abs(got - want) <= 1e-12 * want, (p, q, got)
