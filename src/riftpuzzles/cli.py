@@ -34,8 +34,10 @@ from .geometry import (
     fine_grid_distance,
     gen_random_region,
     tile_center,
+    tile_of,
 )
 from .graphs import (
+    BudgetExhausted,
     GridGraph,
     InstanceTooLarge,
     enumerate_grid_graphs,
@@ -44,7 +46,6 @@ from .graphs import (
     has_ham_path_grid,
 )
 from .hands_of_time import (
-    BudgetExhausted,
     audit_certificate,
     clock_to_digraph,
     evaluate_certificate,
@@ -56,7 +57,6 @@ from .hands_of_time import (
 )
 from .instance_io import ParseError, parse, serialize
 from .tile_trial import (
-    SearchBudgetExceeded,
     reduce_grid_to_tile_trial,
     solve_tile_trial,
     verify_tile_path,
@@ -225,31 +225,21 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     if args.solution is None:
         raise CliError(f"verify {args.kind} needs a solution document")
-    if args.kind == "tile":
-        board = parse("tile-board", _read(args.instance))
-        path = parse("tile-path", _read(args.solution))
-        report = verify_tile_path(board, path)
-        if report.ok:
-            print("ok")
-            return EXIT_OK
-        print(f"violation: {report.rule} at {report.where}")
-        return EXIT_COUNTEREXAMPLE
-    if args.kind == "dcb":
-        board = parse("bond-board", _read(args.instance))
-        walk = parse("bond-walk", _read(args.solution))
-        report = verify_bond_walk(board, walk)
-        if report.ok:
-            print("ok")
-            return EXIT_OK
-        print(f"violation: {report.rule} ({report.detail})")
-        return EXIT_COUNTEREXAMPLE
-    instance = parse("clock", _read(args.instance))
-    solution = parse("clock-solution", _read(args.solution))
-    report = verify_clock_solution(instance, solution)
-    if report.ok:
+    # (instance kind, solution kind, verifier, violation line); built per
+    # call, so a verifier rebound on this module after import is the one
+    # that runs
+    instance_kind, solution_kind, verify, violation = {
+        "tile": ("tile-board", "tile-path", verify_tile_path, "violation: {} at {}"),
+        "dcb": ("bond-board", "bond-walk", verify_bond_walk, "violation: {} ({})"),
+        "clock": ("clock", "clock-solution", verify_clock_solution, "violation: {} ({})"),
+    }[args.kind]
+    instance = parse(instance_kind, _read(args.instance))
+    solution = parse(solution_kind, _read(args.solution))
+    verdict = verify(instance, solution)
+    if verdict.ok:
         print("ok")
         return EXIT_OK
-    print(f"violation: {report.rule} ({report.detail})")
+    print(violation.format(verdict.rule, verdict.detail))
     return EXIT_COUNTEREXAMPLE
 
 
@@ -420,12 +410,8 @@ def _cmd_render(args) -> int:
         return EXIT_OK
     if args.kind == "bond-board":
         board = parse("bond-board", text)
-        crystal_tile = {
-            (math.floor(px), math.floor(py)): i for i, (px, py) in enumerate(board.crystals)
-        }
-        start_tile = None
-        if board.start is not None:
-            start_tile = (math.floor(board.start[0]), math.floor(board.start[1]))
+        crystal_tile = {tile_of(p): i for i, p in enumerate(board.crystals)}
+        start_tile = None if board.start is None else tile_of(board.start)
 
         def mark(t):
             if t not in board.region.tiles:
@@ -474,7 +460,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InstanceTooLarge, BudgetExhausted, SearchBudgetExceeded) as exc:
+    except (InstanceTooLarge, BudgetExhausted) as exc:
         print(f"gave up: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

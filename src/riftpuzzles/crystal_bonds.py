@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .geometry import (
     Point,
-    Tile,
     TileRegion,
     euclidean_geodesic_matrix,
     grid_distance_matrix,
     gen_random_region,
     tile_center,
+    tile_of,
 )
-from .graphs import GridGraph, InstanceTooLarge
+from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges
 
 MODELS = ("grid", "euclid")
 
@@ -34,10 +35,6 @@ ODD_SET_LIMIT = 16
 
 class UnreachableCrystal(ValueError):
     """Some crystal (or the start) cannot be walked to within the region."""
-
-
-def _point_tile(p: Point) -> Tile:
-    return (int(math.floor(p[0])), int(math.floor(p[1])))
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,7 @@ class BondBoard:
         if self.distance_model not in MODELS:
             raise ValueError(f"distance model must be one of {MODELS}")
         for p in self.crystals + (() if self.start is None else (self.start,)):
-            t = _point_tile(p)
+            t = tile_of(p)
             if t not in self.region.tiles or p != tile_center(t):
                 raise ValueError(f"point {p} is not a region tile center")
         if len(set(self.crystals)) != len(self.crystals):
@@ -112,16 +109,6 @@ class BondWalk:
             raise ValueError("walk length cannot be negative")
 
 
-@dataclass(frozen=True)
-class BondVerifyResult:
-    ok: bool
-    rule: str = ""
-    detail: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def crystal_metric(board: BondBoard) -> list[list[float]]:
     """Pairwise walking distances over the crystals, start appended last.
 
@@ -133,7 +120,7 @@ def crystal_metric(board: BondBoard) -> list[list[float]]:
     if board.start is not None:
         points.append(board.start)
     if board.distance_model == "grid":
-        matrix = grid_distance_matrix(board.region, [_point_tile(p) for p in points])
+        matrix = grid_distance_matrix(board.region, [tile_of(p) for p in points])
     else:
         matrix = euclidean_geodesic_matrix(board.region, points)
     for row in matrix:
@@ -143,13 +130,14 @@ def crystal_metric(board: BondBoard) -> list[list[float]]:
     return matrix
 
 
-def _min_matching(metric: list[list[float]], members: list[int]) -> dict[int, float]:
-    """Exact minimum-weight perfect matching costs for every even subset.
+def _min_matching(metric: list[list[float]], members: list[int]) -> Callable[[int], float]:
+    """Exact minimum-weight perfect matching cost of an even subset.
 
-    Returns a table keyed by bitmask over `members`; entry = cheapest way to
-    pair up exactly the set bits.  Subset DP, so len(members) stays small.
+    The returned function takes a bitmask over `members` and gives the
+    cheapest way to pair up exactly the set bits.  Subset DP, solved on
+    demand, so only the masks a caller reaches are filled; len(members)
+    stays small.
     """
-    n = len(members)
     table = {0: 0.0}
 
     def solve(mask: int) -> float:
@@ -168,15 +156,11 @@ def _min_matching(metric: list[list[float]], members: list[int]) -> dict[int, fl
         table[mask] = best
         return best
 
-    solve((1 << n) - 1)
-    for mask in range(0, 1 << n, 1):
-        if bin(mask).count("1") % 2 == 0 and mask not in table:
-            solve(mask)
-    return table
+    return solve
 
 
 def _matching_pairs(
-    metric: list[list[float]], members: list[int], table: dict[int, float], mask: int
+    metric: list[list[float]], members: list[int], matching: Callable[[int], float], mask: int
 ) -> list[tuple[int, int]]:
     """Recover one optimal pairing for the given subset mask."""
     pairs = []
@@ -187,8 +171,8 @@ def _matching_pairs(
         while m:
             j = (m & -m).bit_length() - 1
             nxt = rest & ~(1 << j)
-            cost = metric[members[low]][members[j]] + table[nxt]
-            if abs(cost - table[mask]) <= 1e-12 * max(1.0, abs(cost)):
+            cost = metric[members[low]][members[j]] + matching(nxt)
+            if abs(cost - matching(mask)) <= 1e-12 * max(1.0, abs(cost)):
                 pairs.append((members[low], members[j]))
                 mask = nxt
                 break
@@ -274,7 +258,7 @@ def rural_postman_connected(
         raise InstanceTooLarge(f"{len(odd)} odd-degree crystals exceed {ODD_SET_LIMIT}")
     required_weight = sum(metric[a][b] for a, b in required_edges)
 
-    table = _min_matching(metric, odd)
+    matching = _min_matching(metric, odd)
     pos = {v: i for i, v in enumerate(odd)}
     full = (1 << len(odd)) - 1
     best = None
@@ -283,20 +267,20 @@ def rural_postman_connected(
             if a == b:
                 continue
             mask = full & ~(1 << pos[a]) & ~(1 << pos[b])
-            cost = required_weight + table[mask]
+            cost = required_weight + matching(mask)
             if start_index is not None:
                 cost += metric[start_index][a]
             if best is None or cost < best[0]:
                 best = (cost, a, mask)
     closed_entries = touched if start_index is not None else touched[:1]
     for u in closed_entries:
-        cost = required_weight + table[full]
+        cost = required_weight + matching(full)
         if start_index is not None:
             cost += metric[start_index][u]
         if best is None or cost < best[0]:
             best = (cost, u, full)
     cost, a, mask = best
-    deadheads = _matching_pairs(metric, odd, table, mask)
+    deadheads = _matching_pairs(metric, odd, matching, mask)
     trail = _euler_trail(touched, list(required_edges) + deadheads, a)
     total = sum(metric[u][w] for u, w in zip(trail, trail[1:]))
     if start_index is not None:
@@ -365,19 +349,19 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     return BondWalk(tuple(seq), best[0])
 
 
-def verify_bond_walk(board: BondBoard, walk: BondWalk) -> BondVerifyResult:
+def verify_bond_walk(board: BondBoard, walk: BondWalk) -> Verdict:
     """Check bond coverage and the claimed total length (1e-9 tolerance)."""
     r = len(board.crystals)
     for i in walk.visit_sequence:
         if not (0 <= i < r):
-            return BondVerifyResult(False, "bad crystal index", i)
+            return Verdict(False, "bad crystal index", i)
     pairs = {
         (min(a, b), max(a, b))
         for a, b in zip(walk.visit_sequence, walk.visit_sequence[1:])
     }
     for bond in board.required_bonds:
         if bond not in pairs:
-            return BondVerifyResult(False, "missing bond", bond)
+            return Verdict(False, "missing bond", bond)
     metric = crystal_metric(board)
     total = sum(
         metric[a][b] for a, b in zip(walk.visit_sequence, walk.visit_sequence[1:])
@@ -385,8 +369,8 @@ def verify_bond_walk(board: BondBoard, walk: BondWalk) -> BondVerifyResult:
     if board.start is not None and walk.visit_sequence:
         total += metric[len(board.crystals)][walk.visit_sequence[0]]
     if abs(total - walk.total_length) > 1e-9:
-        return BondVerifyResult(False, "length mismatch", total)
-    return BondVerifyResult(True)
+        return Verdict(False, "length mismatch", total)
+    return Verdict(True)
 
 
 def reduce_grid_to_dcb(g: GridGraph) -> tuple[BondBoard, int]:
@@ -407,9 +391,8 @@ def reduce_grid_to_dcb(g: GridGraph) -> tuple[BondBoard, int]:
     tiles = set()
     for x, y in g.vertices:
         tiles.add((scale * x, scale * y))
-    for (ax, ay), (bx, by) in _sorted_edges(g):
-        dx = (bx - ax) // abs(bx - ax) if bx != ax else 0
-        dy = (by - ay) // abs(by - ay) if by != ay else 0
+    for (ax, ay), (bx, by) in grid_edges(g):
+        dx, dy = bx - ax, by - ay
         for step in range(1, scale):
             tiles.add((scale * ax + dx * step, scale * ay + dy * step))
     region = TileRegion(frozenset(tiles))
@@ -427,15 +410,6 @@ def reduce_grid_to_dcb(g: GridGraph) -> tuple[BondBoard, int]:
     bonds = tuple((i, v + i) for i in range(v))
     board = BondBoard(region, tuple(crystals), None, bonds, "grid")
     return board, (v - 1) * scale + 2 * v
-
-
-def _sorted_edges(g: GridGraph) -> list[tuple[Tile, Tile]]:
-    edges = []
-    for a in g.sorted_vertices():
-        for b in g.neighbors(a):
-            if a < b:
-                edges.append((a, b))
-    return edges
 
 
 def apply_start_gadget(board: BondBoard, g: GridGraph) -> tuple[BondBoard, int, str]:

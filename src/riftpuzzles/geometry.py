@@ -27,8 +27,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
+
+from .graphs import _grid_bfs
 
 Tile = tuple[int, int]
 Point = tuple[float, float]
@@ -61,6 +62,12 @@ class TileRegion:
 
 def tile_center(tile: Tile) -> Point:
     return (tile[0] + 0.5, tile[1] + 0.5)
+
+
+def tile_of(p: Point) -> Tile:
+    """The tile whose half-open square [x, x+1) x [y, y+1) holds p; the
+    inverse of tile_center."""
+    return (math.floor(p[0]), math.floor(p[1]))
 
 
 def _classify_corners(
@@ -279,20 +286,7 @@ def grid_distance(region: TileRegion, a: Tile, b: Tile) -> float:
     """Orthogonal tile steps between two tiles of the region (inf if cut off)."""
     if a not in region.tiles or b not in region.tiles:
         raise PointOutsideRegion(f"tile {a if a not in region.tiles else b} not in region")
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        x, y = queue.popleft()
-        d = dist[(x, y)]
-        for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nxt in region.tiles and nxt not in dist:
-                if nxt == b:
-                    return d + 1
-                dist[nxt] = d + 1
-                queue.append(nxt)
-    return math.inf
+    return _grid_bfs(region.tiles, a, b).get(b, math.inf)
 
 
 def grid_distance_matrix(region: TileRegion, tiles: list[Tile]) -> list[list[float]]:
@@ -300,24 +294,10 @@ def grid_distance_matrix(region: TileRegion, tiles: list[Tile]) -> list[list[flo
     for t in tiles:
         if t not in region.tiles:
             raise PointOutsideRegion(f"tile {t} not in region")
-    n = len(tiles)
-    result = [[math.inf] * n for _ in range(n)]
-    index = {}
-    for i, t in enumerate(tiles):
-        index.setdefault(t, []).append(i)
-    for i, src in enumerate(tiles):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x, y = queue.popleft()
-            d = dist[(x, y)]
-            for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if nxt in region.tiles and nxt not in dist:
-                    dist[nxt] = d + 1
-                    queue.append(nxt)
-        for j, dst in enumerate(tiles):
-            if dst in dist:
-                result[i][j] = dist[dst]
+    result = []
+    for src in tiles:
+        dist = _grid_bfs(region.tiles, src)
+        result.append([dist.get(dst, math.inf) for dst in tiles])
     return result
 
 

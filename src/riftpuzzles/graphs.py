@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
@@ -26,6 +26,22 @@ ENUM_BOX_LIMIT = 12
 
 class InstanceTooLarge(ValueError):
     """An exact oracle was asked to search beyond its documented limit."""
+
+
+class BudgetExhausted(RuntimeError):
+    """A search ran out of its node budget before reaching a verdict."""
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A verifier's answer: ok, or the first broken rule and its detail."""
+
+    ok: bool
+    rule: str = ""
+    detail: object = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 @dataclass(frozen=True)
@@ -57,20 +73,32 @@ class GridGraph:
         return sorted(self.vertices)
 
 
+def _grid_bfs(
+    cells: frozenset[Vertex] | set[Vertex], start: Vertex, goal: Vertex | None = None
+) -> dict[Vertex, int]:
+    """Orthogonal-step distances from `start` through `cells`.
+
+    Stops once `goal`, when given, leaves the queue.
+    """
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        x, y = v = queue.popleft()
+        if v == goal:
+            break
+        d = dist[v] + 1
+        for dx, dy in ORTHO_STEPS:
+            nxt = (x + dx, y + dy)
+            if nxt in cells and nxt not in dist:
+                dist[nxt] = d
+                queue.append(nxt)
+    return dist
+
+
 def _connected(cells: frozenset[Vertex] | set[Vertex]) -> bool:
     if not cells:
         return False
-    start = next(iter(cells))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x, y = queue.popleft()
-        for dx, dy in ORTHO_STEPS:
-            nxt = (x + dx, y + dy)
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(cells)
+    return len(_grid_bfs(cells, next(iter(cells)))) == len(cells)
 
 
 def grid_edges(g: GridGraph) -> set[tuple[Vertex, Vertex]]:
@@ -85,19 +113,37 @@ def grid_edges(g: GridGraph) -> set[tuple[Vertex, Vertex]]:
 
 def has_ham_cycle_grid(g: GridGraph) -> bool:
     """Exhaustive Hamiltonian-cycle test; graphs on fewer than 4 vertices fail."""
-    n = len(g)
-    if n < 4:
+    if len(g) < 4:
         return False
     if any(g.degree(v) < 2 for v in g.vertices):
         return False
     start = min(g.vertices)
+    return _ham_search(g, start, start)
+
+
+def has_ham_path_grid(g: GridGraph) -> bool:
+    """Exhaustive Hamiltonian-path test; a single vertex counts as a path."""
+    if len(g) == 1:
+        return True
+    if not g.is_connected():
+        return False
+    return any(_ham_search(g, start, None) for start in g.sorted_vertices())
+
+
+def _ham_search(g: GridGraph, start: Vertex, anchor: Vertex | None) -> bool:
+    """Backtracking search for a Hamiltonian path beginning at `start`.
+
+    With an anchor the path must end beside it, closing a cycle through the
+    anchor; without one any covering path counts.
+    """
+    n = len(g)
     path = [start]
     visited = {start}
 
     def extend() -> bool:
         if len(path) == n:
-            return start in g.neighbors(path[-1])
-        if not _remainder_connected(g, visited, path[-1], start):
+            return anchor is None or anchor in g.neighbors(path[-1])
+        if not _remainder_connected(g, visited, path[-1], anchor):
             return False
         for nxt in g.neighbors(path[-1]):
             if nxt not in visited:
@@ -112,37 +158,6 @@ def has_ham_cycle_grid(g: GridGraph) -> bool:
     return extend()
 
 
-def has_ham_path_grid(g: GridGraph) -> bool:
-    """Exhaustive Hamiltonian-path test; a single vertex counts as a path."""
-    n = len(g)
-    if n == 1:
-        return True
-    if not g.is_connected():
-        return False
-    for start in g.sorted_vertices():
-        path = [start]
-        visited = {start}
-        if _ham_path_from(g, path, visited, n):
-            return True
-    return False
-
-
-def _ham_path_from(g: GridGraph, path: list[Vertex], visited: set[Vertex], n: int) -> bool:
-    if len(path) == n:
-        return True
-    if not _remainder_connected(g, visited, path[-1], None):
-        return False
-    for nxt in g.neighbors(path[-1]):
-        if nxt not in visited:
-            visited.add(nxt)
-            path.append(nxt)
-            if _ham_path_from(g, path, visited, n):
-                return True
-            path.pop()
-            visited.remove(nxt)
-    return False
-
-
 def _remainder_connected(
     g: GridGraph, visited: set[Vertex], current: Vertex, must_reach: Vertex | None
 ) -> bool:
@@ -155,15 +170,7 @@ def _remainder_connected(
     allowed.add(current)
     if must_reach is not None:
         allowed.add(must_reach)
-    seen = {current}
-    queue = deque([current])
-    while queue:
-        x, y = queue.popleft()
-        for dx, dy in ORTHO_STEPS:
-            nxt = (x + dx, y + dy)
-            if nxt in allowed and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    seen = _grid_bfs(allowed, current).keys()
     if must_reach is not None and must_reach not in seen:
         return False
     return remaining <= seen
@@ -194,12 +201,14 @@ class Digraph:
 
     vertex_count: int
     arcs: tuple[tuple[int, int], ...]
+    _succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("digraph must have at least one vertex")
         object.__setattr__(self, "arcs", tuple((int(s), int(t)) for s, t in self.arcs))
         seen = set()
+        succ = [[] for _ in range(self.vertex_count)]
         for s, t in self.arcs:
             if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
                 raise ValueError(f"arc ({s},{t}) outside vertex range")
@@ -208,17 +217,17 @@ class Digraph:
             if (s, t) in seen:
                 raise ValueError(f"duplicate arc ({s},{t})")
             seen.add((s, t))
+            succ[s].append(t)
+        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
 
-    def out_neighbors(self, v: int) -> list[int]:
-        return [t for s, t in self.arcs if s == v]
+    def out_neighbors(self, v: int) -> tuple[int, ...]:
+        """Heads of v's arcs, in arc order."""
+        return self._succ[v]
 
     @property
     def outdeg12(self) -> bool:
         """True when every vertex has outdegree 1 or 2."""
-        degs = [0] * self.vertex_count
-        for s, _ in self.arcs:
-            degs[s] += 1
-        return all(d in (1, 2) for d in degs)
+        return all(len(heads) in (1, 2) for heads in self._succ)
 
 
 def has_directed_ham_path(d: Digraph) -> bool:

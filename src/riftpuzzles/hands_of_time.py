@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .graphs import Digraph
+from .graphs import BudgetExhausted, Digraph, Verdict
 
 # subset DP is exact and fast up to here; larger instances fall back to
 # budgeted backtracking which may give up instead of deciding
@@ -24,10 +24,6 @@ SUBSET_DP_LIMIT = 22
 DEFAULT_NODE_BUDGET = 2_000_000
 
 DIRECTIONS = ("cw", "ccw")
-
-
-class BudgetExhausted(RuntimeError):
-    """Backtracking ran out of nodes before finding or refuting a solution."""
 
 
 def repunit(k: int) -> int:
@@ -111,16 +107,6 @@ class ClockSolution:
                 raise ValueError(f"direction must be cw or ccw, got {d!r}")
             norm.append((int(p), d))
         object.__setattr__(self, "moves", tuple(norm))
-
-
-@dataclass(frozen=True)
-class ClockVerifyResult:
-    ok: bool
-    rule: str = ""
-    detail: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -246,11 +232,8 @@ def solve_clock(c: ClockInstance, budget: int | None = None) -> ClockSolution | 
     count = len(c.occupied)
     if count == 0:
         return ClockSolution(())
-    n = c.circumference
-    index = {p: i for i, p in enumerate(c.positions)}
-    succs = []
-    for p, m in c.occupied:
-        succs.append(tuple(index[q] for q in sorted({(p + m) % n, (p - m) % n}) if q in index))
+    graph = clock_to_digraph(c)
+    succs = [graph.out_neighbors(i) for i in range(count)]
 
     if count <= SUBSET_DP_LIMIT:
         full = (1 << count) - 1
@@ -304,7 +287,7 @@ def solve_clock(c: ClockInstance, budget: int | None = None) -> ClockSolution | 
     return None
 
 
-def verify_clock_solution(c: ClockInstance, s: ClockSolution) -> ClockVerifyResult:
+def verify_clock_solution(c: ClockInstance, s: ClockSolution) -> Verdict:
     """Check the selection order against the rules.
 
     Rules reported: "empty-node selection" (never-occupied or already
@@ -317,18 +300,18 @@ def verify_clock_solution(c: ClockInstance, s: ClockSolution) -> ClockVerifyResu
     prev: tuple[int, str] | None = None
     for p, direction in s.moves:
         if p not in occ or p in consumed:
-            return ClockVerifyResult(False, "empty-node selection", p)
+            return Verdict(False, "empty-node selection", p)
         if prev is not None:
             pp, dd = prev
             m = occ[pp]
             want = (pp + m) % n if dd == "cw" else (pp - m) % n
             if p != want:
-                return ClockVerifyResult(False, "illegal move", (pp, p))
+                return Verdict(False, "illegal move", (pp, p))
         consumed.add(p)
         prev = (p, direction)
     if len(consumed) != len(occ):
-        return ClockVerifyResult(False, "incomplete", len(occ) - len(consumed))
-    return ClockVerifyResult(True)
+        return Verdict(False, "incomplete", len(occ) - len(consumed))
+    return Verdict(True)
 
 
 def gen_random_clock(n: int, seed: int) -> ClockInstance:

@@ -30,7 +30,7 @@ certificate     `vertices v`; `arc s t` per source arc; `circumference N`;
 from __future__ import annotations
 
 from .crystal_bonds import BondBoard, BondWalk
-from .geometry import TileRegion, tile_center
+from .geometry import TileRegion, tile_center, tile_of
 from .graphs import Digraph, GridGraph
 from .hands_of_time import ClockInstance, ClockSolution, ReductionCertificate
 from .tile_trial import TileBoard, TilePath
@@ -223,21 +223,15 @@ def _parse_tile_path(text: str) -> TilePath:
 # bond-board
 
 
-def _point_to_tile(p) -> tuple[int, int]:
-    import math
-
-    return (int(math.floor(p[0])), int(math.floor(p[1])))
-
-
 def _serialize_bond_board(b: BondBoard) -> str:
     out = [f"model {b.distance_model}\n"]
     if b.start is None:
         out.append("start free\n")
     else:
-        sx, sy = _point_to_tile(b.start)
+        sx, sy = tile_of(b.start)
         out.append(f"start {sx} {sy}\n")
     out.extend(f"tile {x} {y}\n" for x, y in sorted(b.region.tiles))
-    out.extend(f"crystal {x} {y}\n" for x, y in map(_point_to_tile, b.crystals))
+    out.extend(f"crystal {x} {y}\n" for x, y in map(tile_of, b.crystals))
     out.extend(f"bond {i} {j}\n" for i, j in b.required_bonds)
     return "".join(out)
 

@@ -9,27 +9,28 @@ at most its capacity, and must touch every crystal tile at least once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .graphs import ORTHO_STEPS, GridGraph
+from .graphs import ORTHO_STEPS, BudgetExhausted, GridGraph, Verdict
 
 Tile = tuple[int, int]
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """The backtracking solver ran out of its node budget (result unknown)."""
-
-
 @dataclass(frozen=True)
 class TileBoard:
-    """Capacities map tiles to 1 or 2; start and finish are plain tiles."""
+    """Capacities map tiles to 1 or 2; start and finish are plain tiles.
 
-    capacities: dict[Tile, int]
+    The board keeps its own copy of the capacities, so later edits to the
+    caller's dict cannot reach a validated board.
+    """
+
+    capacities: dict[Tile, int] = field(hash=False)
     crystals: frozenset[Tile]
     start: Tile
     finish: Tile
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "capacities", dict(self.capacities))
         if not isinstance(self.crystals, frozenset):
             object.__setattr__(self, "crystals", frozenset(self.crystals))
         tiles = self.capacities
@@ -65,52 +66,37 @@ class TilePath:
             raise ValueError("path must be nonempty")
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    rule: str | None = None
-    where: object = None
-
-    @classmethod
-    def passed(cls) -> "VerifyResult":
-        return cls(True)
-
-    @classmethod
-    def failed(cls, rule: str, where: object = None) -> "VerifyResult":
-        return cls(False, rule, where)
-
-
-def verify_tile_path(board: TileBoard, path: TilePath) -> VerifyResult:
+def verify_tile_path(board: TileBoard, path: TilePath) -> Verdict:
     """Check a path against all board rules; report the first violation."""
     steps = path.steps
     if steps[0] != board.start:
-        return VerifyResult.failed("path must begin at the start tile", steps[0])
+        return Verdict(False, "path must begin at the start tile", steps[0])
     used: dict[Tile, int] = {}
     prev = None
     for i, t in enumerate(steps):
         if t not in board.capacities:
-            return VerifyResult.failed("step leaves the board", t)
+            return Verdict(False, "step leaves the board", t)
         if prev is not None:
             dx, dy = t[0] - prev[0], t[1] - prev[1]
             if (dx, dy) not in ORTHO_STEPS:
-                return VerifyResult.failed("consecutive steps must be orthogonally adjacent", t)
+                return Verdict(False, "consecutive steps must be orthogonally adjacent", t)
         used[t] = used.get(t, 0) + 1
         if used[t] > board.capacities[t]:
-            return VerifyResult.failed("capacity exceeded", t)
+            return Verdict(False, "capacity exceeded", t)
         prev = t
     if steps[-1] != board.finish:
-        return VerifyResult.failed("path must end at the finish tile", steps[-1])
+        return Verdict(False, "path must end at the finish tile", steps[-1])
     for c in sorted(board.crystals):
         if c not in used:
-            return VerifyResult.failed("crystal never visited", c)
-    return VerifyResult.passed()
+            return Verdict(False, "crystal never visited", c)
+    return Verdict(True)
 
 
 def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePath | None:
     """Exact backtracking solver.
 
     Returns a valid path or None when provably unsolvable.  Raises
-    SearchBudgetExceeded when the budget runs out first.  Prunes branches
+    BudgetExhausted when the budget runs out first.  Prunes branches
     where the finish or any untouched crystal is no longer reachable through
     residual capacity.
     """
@@ -143,7 +129,7 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
         nonlocal nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            raise SearchBudgetExceeded(f"no verdict within {node_budget} nodes")
+            raise BudgetExhausted(f"no verdict within {node_budget} nodes")
         if not reachable_ok(pos):
             return False
         x, y = pos

@@ -251,3 +251,90 @@ def test_solve_dcb_euclid_output_pinned(tmp_path, capsys, seed, side, crystals, 
     assert code == 0
     assert out.splitlines()[0] == first
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# CLI bytes pinned exactly, captured before the verdict, tile-helper and
+# grid-BFS merges: every verify kind's violation line, a full bond-board
+# rendering with a start tile, and a 16-odd-crystal grid-model solve.
+
+PATH6_WALK = "".join(f"visit {i}\n" for i in (0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 11, 5))
+
+
+@pytest.mark.parametrize(
+    "kind,instance,solution,line",
+    [
+        ("tile", "S*F\n", "0 0\n2 0\n",
+         "violation: consecutive steps must be orthogonally adjacent at (2, 0)\n"),
+        ("clock", "4\n0 1\n1 1\n", "0 cw\n0 cw\n", "violation: empty-node selection (0)\n"),
+        ("clock", "4\n0 1\n1 1\n2 1\n", "0 cw\n2 cw\n", "violation: illegal move ((0, 2))\n"),
+    ],
+    ids=("tile", "clock-empty", "clock-illegal"),
+)
+def test_verify_violation_lines_pinned(tmp_path, capsys, kind, instance, solution, line):
+    code, out, _ = run(
+        capsys, "verify", kind, doc(tmp_path, "i.doc", instance), doc(tmp_path, "s.doc", solution)
+    )
+    assert (code, out) == (2, line)
+
+
+@pytest.mark.parametrize(
+    "walk,line",
+    [
+        ("length 65.0\nvisit 0\nvisit 6\nvisit 1\n", "violation: missing bond ((1, 7))\n"),
+        ("length 64.0\n" + PATH6_WALK, "violation: length mismatch (65)\n"),
+    ],
+    ids=("missing-bond", "length-mismatch"),
+)
+def test_verify_dcb_violation_lines_pinned(tmp_path, capsys, walk, line):
+    code, out, _ = run(capsys, "reduce", "dcb", doc(tmp_path, "p.grid", PATH6))
+    board = doc(tmp_path, "p.bond", out.split("\n", 1)[1])
+    code, out, _ = run(capsys, "verify", "dcb", board, doc(tmp_path, "p.walk", walk))
+    assert (code, out) == (2, line)
+    code, out, _ = run(
+        capsys, "verify", "dcb", board, doc(tmp_path, "ok.walk", "length 65.0\n" + PATH6_WALK)
+    )
+    assert (code, out) == (0, "ok\n")
+
+
+def test_render_bond_board_pinned(tmp_path, capsys):
+    code, out, _ = run(capsys, "reduce", "dcb", doc(tmp_path, "sq.grid", SQUARE), "--gadget")
+    board = doc(tmp_path, "g.bond", out.split("\n", 2)[2])
+    code, out, _ = run(capsys, "render", "bond-board", board)
+    assert code == 0
+    assert out == (
+        "#Sbf......hd\n"
+        "###########.\n"
+        "ji.########.\n"
+        "##.########.\n"
+        "##.########.\n"
+        "##.########.\n"
+        "##.########.\n"
+        "##.########.\n"
+        "##.########g\n"
+        "##ae.......c\n"
+        "bond 0-4\nbond 1-5\nbond 2-6\nbond 3-7\nbond 8-9\n"
+    )
+
+
+def test_solve_dcb_grid_spider_output_pinned(tmp_path, capsys):
+    # one hub with 15 two-crystal legs: 16 odd-degree crystals, the
+    # matching limit
+    import random
+
+    from riftpuzzles.crystal_bonds import BondBoard
+    from riftpuzzles.geometry import gen_random_region, tile_center
+    from riftpuzzles.instance_io import serialize
+
+    rng = random.Random(7)
+    region = gen_random_region(rng.randrange(2**32), 30, 30, 600)
+    picks = rng.sample(sorted(region.tiles), 32)
+    bonds = [(0 if s == 0 else 2 * leg + 1, 2 * leg + 1 + s) for leg in range(15) for s in range(2)]
+    board = BondBoard(
+        region, tuple(map(tile_center, picks[:31])), tile_center(picks[31]), tuple(bonds), "grid"
+    )
+    code, out, _ = run(capsys, "solve", "dcb", doc(tmp_path, "s.bond", serialize(board)))
+    assert code == 0
+    assert out.splitlines()[0] == "length 573.0"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5472d50987424e52834150d8ed14a9efd9954bb9266898415bda51dfd384141f"
+    )

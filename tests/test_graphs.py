@@ -57,6 +57,26 @@ def test_ham_path_small_cases():
     assert not has_ham_path_grid(plus)
 
 
+def test_ham_cycle_matches_permutation_brute_force():
+    # fix the minimum vertex, try every order of the rest, close the loop
+    def naive(g):
+        first, *rest = g.sorted_vertices()
+        if len(g) < 3:
+            return False
+        edges = grid_edges(g)
+        for perm in itertools.permutations(rest):
+            ring = (first, *perm, first)
+            if all((min(a, b), max(a, b)) in edges for a, b in zip(ring, ring[1:])):
+                return True
+        return False
+
+    graphs = list(enumerate_grid_graphs(3, 3, 8))
+    assert len(graphs) > 200
+    assert sum(has_ham_cycle_grid(g) for g in graphs) > 5
+    for g in graphs:
+        assert has_ham_cycle_grid(g) == naive(g), sorted(g.vertices)
+
+
 def test_cycle_implies_path():
     for g in enumerate_grid_graphs(3, 3, 7):
         if has_ham_cycle_grid(g):

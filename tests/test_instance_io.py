@@ -162,7 +162,7 @@ def test_syntax_errors_carry_line_numbers():
 
 def random_values(kind, count):
     """Seeded sample of serializable values of one kind."""
-    rng = random.Random(hash(kind) & 0xFFFF)
+    rng = random.Random(KINDS.index(kind))
     out = []
     for i in range(count):
         if kind == "grid-graph":

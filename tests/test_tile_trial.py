@@ -1,8 +1,12 @@
 import pytest
 
-from riftpuzzles.graphs import GridGraph, enumerate_grid_graphs, has_ham_cycle_grid
+from riftpuzzles.graphs import (
+    BudgetExhausted,
+    GridGraph,
+    enumerate_grid_graphs,
+    has_ham_cycle_grid,
+)
 from riftpuzzles.tile_trial import (
-    SearchBudgetExceeded,
     TileBoard,
     TilePath,
     reduce_grid_to_tile_trial,
@@ -28,6 +32,20 @@ def test_board_validation():
         TileBoard({(0, 0): 1, (1, 0): 1}, frozenset({(0, 0)}), (0, 0), (1, 0))
 
 
+def test_board_is_hashable_and_owns_its_capacities():
+    import pickle
+
+    caps = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    board = TileBoard(caps, frozenset({(1, 0)}), (0, 0), (2, 0))
+    assert hash(board) == hash(straight_board())
+    assert board == straight_board()
+    caps[(1, 0)] = 7
+    assert board.capacities[(1, 0)] == 1
+    assert board == straight_board()
+    back = pickle.loads(pickle.dumps(board))
+    assert back == board and hash(back) == hash(board)
+
+
 def test_verify_accepts_simple_path():
     b = straight_board()
     assert verify_tile_path(b, TilePath(((0, 0), (1, 0), (2, 0)))).ok
@@ -44,7 +62,7 @@ def test_verify_first_violation_is_reported():
     res = verify_tile_path(b, TilePath(((0, 0), (1, 0), (0, 0), (1, 0), (2, 0))))
     assert not res.ok
     assert res.rule == "capacity exceeded"
-    assert res.where == (0, 0)
+    assert res.detail == (0, 0)
 
 
 def test_verify_rejects_teleport_and_wrong_ends():
@@ -63,7 +81,7 @@ def test_verify_missed_crystal():
     caps = {(0, 0): 1, (1, 0): 1, (2, 0): 1, (1, 1): 1}
     b = TileBoard(caps, frozenset({(1, 1)}), (0, 0), (2, 0))
     res = verify_tile_path(b, TilePath(((0, 0), (1, 0), (2, 0))))
-    assert not res.ok and res.rule == "crystal never visited" and res.where == (1, 1)
+    assert not res.ok and res.rule == "crystal never visited" and res.detail == (1, 1)
 
 
 def test_solver_finds_path_and_it_verifies():
@@ -89,7 +107,7 @@ def test_solver_detects_unsolvable():
 def test_solver_budget():
     g = GridGraph(frozenset((x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)))
     board = reduce_grid_to_tile_trial(g)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(BudgetExhausted):
         solve_tile_trial(board, node_budget=2)
 
 
