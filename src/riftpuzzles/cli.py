@@ -132,7 +132,7 @@ def _build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="run an equivalence family")
     sweep.add_argument(
         "family",
-        choices=("tile-trial", "dcb", "clock", "cb-oracle", "geo-oracle"),
+        choices=tuple(_SWEEPS),
     )
     sweep.add_argument("--box", type=_box, default=(3, 3))
     sweep.add_argument("--max-v", type=int, default=6)
@@ -345,26 +345,39 @@ def _run_items(worker, items, jobs: int) -> list[tuple[bool, str]]:
     return [worker(item) for item in items]
 
 
-def _cmd_sweep(args) -> int:
+def _box_graph_items(args) -> list[GridGraph]:
     w, h = args.box
-    if args.family == "tile-trial":
-        items = [g for g in enumerate_grid_graphs(w, h, args.max_v) if len(g) >= 2]
-        results = _run_items(_sweep_tile_item, items, args.jobs)
-    elif args.family == "dcb":
-        items = [g for g in enumerate_grid_graphs(w, h, args.max_v) if len(g) >= 2]
-        results = _run_items(_sweep_dcb_item, items, args.jobs)
-    elif args.family == "clock":
-        span = max(1, args.max_v - 1)
-        items = [(2 + i % span, args.seed + i, args.budget) for i in range(args.count)]
-        results = _run_items(_sweep_clock_item, items, args.jobs)
-    elif args.family == "cb-oracle":
-        models = (args.model,) if args.model else ("grid", "euclid")
-        items = [(args.seed + i, models[i % len(models)]) for i in range(args.count)]
-        results = _run_items(_sweep_cb_item, items, args.jobs)
-    else:
-        items = [(args.seed + i, w, h) for i in range(args.count)]
-        results = _run_items(_sweep_geo_item, items, args.jobs)
+    return [g for g in enumerate_grid_graphs(w, h, args.max_v) if len(g) >= 2]
 
+
+def _clock_items(args) -> list[tuple[int, int, int | None]]:
+    span = max(1, args.max_v - 1)
+    return [(2 + i % span, args.seed + i, args.budget) for i in range(args.count)]
+
+
+def _cb_items(args) -> list[tuple[int, str]]:
+    models = (args.model,) if args.model else ("grid", "euclid")
+    return [(args.seed + i, models[i % len(models)]) for i in range(args.count)]
+
+
+def _geo_items(args) -> list[tuple[int, int, int]]:
+    w, h = args.box
+    return [(args.seed + i, w, h) for i in range(args.count)]
+
+
+# family -> (items built from the arguments, worker run on each item)
+_SWEEPS = {
+    "tile-trial": (_box_graph_items, _sweep_tile_item),
+    "dcb": (_box_graph_items, _sweep_dcb_item),
+    "clock": (_clock_items, _sweep_clock_item),
+    "cb-oracle": (_cb_items, _sweep_cb_item),
+    "geo-oracle": (_geo_items, _sweep_geo_item),
+}
+
+
+def _cmd_sweep(args) -> int:
+    items, worker = _SWEEPS[args.family]
+    results = _run_items(worker, items(args), args.jobs)
     passed = sum(1 for ok, _ in results if ok)
     failed = len(results) - passed
     print(f"pass {passed} fail {failed}")

@@ -7,7 +7,8 @@ neighbor shared by both) are impassable points.
 
 Three distance notions live here:
 
-* ``grid_distance``    -- orthogonal tile steps (BFS between tiles),
+* ``grid_distance``    -- orthogonal tile steps (BFS between tiles, on the
+  shared bitboard engine of ``graphs`` when the region is dense enough),
 * ``euclidean_geodesic`` -- true shortest path length, via Dijkstra over a
   reduced visibility graph: the query points plus the region's reflex
   corners, keeping only corner pairs that can be bitangent,
@@ -29,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import _grid_bfs
+from .graphs import _grid_distances
 
 Tile = tuple[int, int]
 Point = tuple[float, float]
@@ -286,19 +287,19 @@ def grid_distance(region: TileRegion, a: Tile, b: Tile) -> float:
     """Orthogonal tile steps between two tiles of the region (inf if cut off)."""
     if a not in region.tiles or b not in region.tiles:
         raise PointOutsideRegion(f"tile {a if a not in region.tiles else b} not in region")
-    return _grid_bfs(region.tiles, a, b).get(b, math.inf)
+    return _grid_distances(region.tiles, [a], [b])[0][0]
 
 
 def grid_distance_matrix(region: TileRegion, tiles: list[Tile]) -> list[list[float]]:
-    """Pairwise orthogonal-step distances between the given tiles."""
+    """Pairwise orthogonal-step distances between the given tiles.
+
+    The region is packed once; each tile's BFS stops as soon as it has
+    reached every tile in the list.
+    """
     for t in tiles:
         if t not in region.tiles:
             raise PointOutsideRegion(f"tile {t} not in region")
-    result = []
-    for src in tiles:
-        dist = _grid_bfs(region.tiles, src)
-        result.append([dist.get(dst, math.inf) for dst in tiles])
-    return result
+    return _grid_distances(region.tiles, tiles, tiles)
 
 
 def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:

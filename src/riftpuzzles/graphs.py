@@ -4,15 +4,23 @@ A grid graph is an induced subgraph of the integer lattice: two vertices are
 adjacent exactly when their Euclidean distance is 1.  The oracles here are
 deliberately brute force; they referee the puzzle reductions on small
 instances and are not meant to scale.
+
+One grid BFS serves the package (connectivity, the Hamiltonian search's
+remainder prune, grid distances, the Tile Trial prune).  A tile set whose
+bounding box holds at most ``_PACK_DENSITY`` cells per tile is packed into
+one Python int, a row per stride of width + 1 bits, and a BFS level is four
+shifts and a mask over the whole set.  Sparser sets keep a per-cell loop,
+so far-apart tiles never cost a bounding-box-sized int.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 Vertex = tuple[int, int]
 
@@ -73,32 +81,151 @@ class GridGraph:
         return sorted(self.vertices)
 
 
-def _grid_bfs(
-    cells: frozenset[Vertex] | set[Vertex], start: Vertex, goal: Vertex | None = None
-) -> dict[Vertex, int]:
-    """Orthogonal-step distances from `start` through `cells`.
+# A tile set is packed into a bitboard only while its bounding box holds at
+# most this many cells per tile; sparser sets (far-apart tiles in a grid or
+# bond document) keep the per-cell BFS, whose cost and memory follow the
+# tile count instead of the bounding box.
+_PACK_DENSITY = 4
 
-    Stops once `goal`, when given, leaves the queue.
+
+class _Bitboard(NamedTuple):
+    """A tile set packed into one int: tile (x, y) is bit (y-y0)*stride + x-x0.
+
+    The stride is the bounding-box width plus one, so every row ends in an
+    empty pad column and a one-bit shift never wraps a tile into the next
+    row.  One BFS level is then four shifts and a mask.
+    """
+
+    x0: int
+    y0: int
+    stride: int
+    cells: int
+
+    def index(self, v: Vertex) -> int:
+        return (v[1] - self.y0) * self.stride + v[0] - self.x0
+
+
+def _pack(cells: Collection[Vertex], max_density: float = math.inf) -> _Bitboard | None:
+    """`cells` as a bitboard, or None when its bounding box holds more than
+    `max_density` cells per tile."""
+    xs = [x for x, _ in cells]
+    ys = [y for _, y in cells]
+    x0, y0 = min(xs), min(ys)
+    width, height = max(xs) - x0 + 1, max(ys) - y0 + 1
+    if width * height > max_density * len(cells):
+        return None
+    stride = width + 1
+    size = stride * height
+    # one ASCII digit per bit (49 is "1"), most significant first, read by
+    # int(..., 2)
+    digits = bytearray(b"0") * size
+    top = size - 1 + y0 * stride + x0
+    for x, y in cells:
+        digits[top - y * stride - x] = 49
+    return _Bitboard(x0, y0, stride, int(digits, 2))
+
+
+def _reaches(seed: int, open_: int, need: int, stride: int) -> bool:
+    """True when a flood from `seed` through the `open_` bits covers `need`.
+
+    `seed` need not be open itself; the flood stops as soon as it succeeds.
+    """
+    seen = frontier = seed
+    unseen = open_ & ~seed
+    while need & ~seen:
+        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+        frontier = step & unseen
+        if not frontier:
+            return False
+        unseen ^= frontier
+        seen |= frontier
+    return True
+
+
+def _grid_bfs(
+    cells: Collection[Vertex], start: Vertex, targets: Iterable[Vertex] | None = None
+) -> dict[Vertex, int]:
+    """Per-cell orthogonal-step distances from `start` through `cells`.
+
+    Stops once every tile of `targets`, when given, has its distance.  The
+    path for sparse tile sets and for callers that need the reached cells.
     """
     dist = {start: 0}
+    left = set() if targets is None else set(targets) - {start}
+    if targets is not None and not left:
+        return dist
     queue = deque([start])
     while queue:
         x, y = v = queue.popleft()
-        if v == goal:
-            break
         d = dist[v] + 1
         for dx, dy in ORTHO_STEPS:
             nxt = (x + dx, y + dy)
             if nxt in cells and nxt not in dist:
                 dist[nxt] = d
                 queue.append(nxt)
+                if nxt in left:
+                    left.discard(nxt)
+                    if not left:
+                        return dist
     return dist
 
 
-def _connected(cells: frozenset[Vertex] | set[Vertex]) -> bool:
+def _grid_distances(
+    cells: Collection[Vertex], sources: list[Vertex], targets: list[Vertex]
+) -> list[list[float]]:
+    """Orthogonal-step distance from each source to each target through
+    `cells`: an int, or math.inf when cut off.  Sources must be cells.
+
+    Dense sets run one level-synchronous bitboard BFS per source, stopping
+    once every target tile has been reached; sparse ones run `_grid_bfs`.
+    """
+    board = _pack(cells, _PACK_DENSITY)
+    if board is None:
+        rows = []
+        for src in sources:
+            dist = _grid_bfs(cells, src, targets)
+            rows.append([dist.get(t, math.inf) for t in targets])
+        return rows
+    stride = board.stride
+    columns: dict[int, list[int]] = {}
+    for j, t in enumerate(targets):
+        if t in cells:
+            columns.setdefault(board.index(t), []).append(j)
+    want = sum(1 << i for i in columns)
+    rows = []
+    for src in sources:
+        row = [math.inf] * len(targets)
+        frontier = 1 << board.index(src)
+        unseen = board.cells ^ frontier
+        left = want
+        d = 0
+        while frontier:
+            hit = frontier & left
+            if hit:
+                left ^= hit
+                while hit:
+                    low = hit & -hit
+                    for j in columns[low.bit_length() - 1]:
+                        row[j] = d
+                    hit ^= low
+                if not left:
+                    break
+            step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+            frontier = step & unseen
+            unseen ^= frontier
+            d += 1
+        rows.append(row)
+    return rows
+
+
+def _connected(cells: Collection[Vertex]) -> bool:
     if not cells:
         return False
-    return len(_grid_bfs(cells, next(iter(cells)))) == len(cells)
+    start = next(iter(cells))
+    board = _pack(cells, _PACK_DENSITY)
+    if board is None:
+        return len(_grid_bfs(cells, start)) == len(cells)
+    return _reaches(1 << board.index(start), board.cells, board.cells, board.stride)
 
 
 def grid_edges(g: GridGraph) -> set[tuple[Vertex, Vertex]]:
@@ -115,7 +242,7 @@ def has_ham_cycle_grid(g: GridGraph) -> bool:
     """Exhaustive Hamiltonian-cycle test; graphs on fewer than 4 vertices fail."""
     if len(g) < 4:
         return False
-    if any(g.degree(v) < 2 for v in g.vertices):
+    if any(g.degree(v) < 2 for v in g.vertices) or not g.is_connected():
         return False
     start = min(g.vertices)
     return _ham_search(g, start, start)
@@ -134,46 +261,35 @@ def _ham_search(g: GridGraph, start: Vertex, anchor: Vertex | None) -> bool:
     """Backtracking search for a Hamiltonian path beginning at `start`.
 
     With an anchor the path must end beside it, closing a cycle through the
-    anchor; without one any covering path counts.
+    anchor; without one any covering path counts.  `g` must be connected,
+    which bounds its bitboard by its vertex count squared.
     """
     n = len(g)
+    board = _pack(g.vertices)
+    bit = {v: 1 << board.index(v) for v in g.vertices}
+    anchor_bit = 0 if anchor is None else bit[anchor]
     path = [start]
-    visited = {start}
+    free = board.cells ^ bit[start]
 
     def extend() -> bool:
+        nonlocal free
         if len(path) == n:
             return anchor is None or anchor in g.neighbors(path[-1])
-        if not _remainder_connected(g, visited, path[-1], anchor):
+        # every unvisited vertex (and the cycle anchor, if any) must still be
+        # reachable from the path head through unvisited territory
+        if not _reaches(bit[path[-1]], free | anchor_bit, free | anchor_bit, board.stride):
             return False
         for nxt in g.neighbors(path[-1]):
-            if nxt not in visited:
-                visited.add(nxt)
+            if free & bit[nxt]:
+                free ^= bit[nxt]
                 path.append(nxt)
                 if extend():
                     return True
                 path.pop()
-                visited.remove(nxt)
+                free ^= bit[nxt]
         return False
 
     return extend()
-
-
-def _remainder_connected(
-    g: GridGraph, visited: set[Vertex], current: Vertex, must_reach: Vertex | None
-) -> bool:
-    # every unvisited vertex (and the cycle anchor, if any) must still be
-    # reachable from the path head through unvisited territory
-    remaining = g.vertices - visited
-    if not remaining:
-        return True
-    allowed = set(remaining)
-    allowed.add(current)
-    if must_reach is not None:
-        allowed.add(must_reach)
-    seen = _grid_bfs(allowed, current).keys()
-    if must_reach is not None and must_reach not in seen:
-        return False
-    return remaining <= seen
 
 
 def enumerate_grid_graphs(box_w: int, box_h: int, max_vertices: int) -> Iterator[GridGraph]:

@@ -8,10 +8,17 @@ at most its capacity, and must touch every crystal tile at least once.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import ORTHO_STEPS, BudgetExhausted, GridGraph, Verdict
+from .graphs import (
+    ORTHO_STEPS,
+    BudgetExhausted,
+    GridGraph,
+    Verdict,
+    _grid_bfs,
+    _pack,
+    _reaches,
+)
 
 Tile = tuple[int, int]
 
@@ -98,57 +105,57 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     Returns a valid path or None when provably unsolvable.  Raises
     BudgetExhausted when the budget runs out first.  Prunes branches
     where the finish or any untouched crystal is no longer reachable through
-    residual capacity.
+    residual capacity: one bitboard flood from the path head over the open
+    mask, the tiles with capacity left, which each step updates in place.
     """
     caps = board.capacities
-    crystals = board.crystals
     finish = board.finish
     used = {board.start: 1}
     path = [board.start]
-    pending = set(crystals) - {board.start}
+    # Only the start's component is ever reached, and a connected set packs
+    # into at most (tile count)^2 bits however far apart a board built in
+    # code puts its parts.  A finish or crystal outside it maps to a pad
+    # bit, which no flood reaches, so the root prune fails.
+    component = _grid_bfs(caps, board.start)
+    packed = _pack(component)
+    stride = packed.stride
+    bit = {t: 1 << packed.index(t) for t in component}
+    lost = 1 << (stride - 1)
+    finish_bit = bit.get(finish, lost)
+    pending = 0
+    for c in board.crystals:
+        pending |= bit.get(c, lost)
+    open_ = packed.cells ^ bit[board.start]
     nodes = 0
 
-    def reachable_ok(pos: Tile) -> bool:
-        seen = {pos}
-        queue = deque([pos])
-        while queue:
-            x, y = queue.popleft()
-            for dx, dy in ORTHO_STEPS:
-                nxt = (x + dx, y + dy)
-                if nxt in seen or nxt not in caps:
-                    continue
-                if used.get(nxt, 0) >= caps[nxt]:
-                    continue
-                seen.add(nxt)
-                queue.append(nxt)
-        if finish not in seen:
-            return False
-        return pending <= seen
-
     def dfs(pos: Tile) -> bool:
-        nonlocal nodes
+        nonlocal nodes, open_, pending
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExhausted(f"no verdict within {node_budget} nodes")
-        if not reachable_ok(pos):
+        if not _reaches(bit[pos], open_, pending | finish_bit, stride):
             return False
         x, y = pos
         for dx, dy in ORTHO_STEPS:
             nxt = (x + dx, y + dy)
             if nxt not in caps or used.get(nxt, 0) >= caps[nxt]:
                 continue
-            was_pending = nxt in pending
+            b = bit[nxt]
+            was_pending = pending & b
+            pending ^= was_pending
             used[nxt] = used.get(nxt, 0) + 1
+            full = used[nxt] == caps[nxt]
+            if full:
+                open_ ^= b
             path.append(nxt)
-            if was_pending:
-                pending.discard(nxt)
             if nxt == finish:
                 if not pending:
                     return True
             elif dfs(nxt):
                 return True
-            if was_pending:
-                pending.add(nxt)
+            pending ^= was_pending
+            if full:
+                open_ ^= b
             used[nxt] -= 1
             path.pop()
         return False

@@ -1,5 +1,9 @@
+import random
+from collections import deque
+
 import pytest
 
+from riftpuzzles.geometry import gen_random_region
 from riftpuzzles.graphs import (
     BudgetExhausted,
     GridGraph,
@@ -157,3 +161,114 @@ def test_reduction_equivalence_small_sweep():
         board = reduce_grid_to_tile_trial(g)
         solvable = solve_tile_trial(board) is not None
         assert solvable == has_ham_cycle_grid(g), sorted(g.vertices)
+
+
+def per_cell_solver(board, node_budget=None):
+    """The solver as it was before the bitboard prune: a per-cell BFS over
+    the tiles with capacity left, run anew at every node."""
+    caps, finish = board.capacities, board.finish
+    used = {board.start: 1}
+    path = [board.start]
+    pending = set(board.crystals)
+    nodes = 0
+
+    def reachable_ok(pos):
+        seen = {pos}
+        queue = deque([pos])
+        while queue:
+            x, y = queue.popleft()
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                nxt = (x + dx, y + dy)
+                if nxt in seen or nxt not in caps or used.get(nxt, 0) >= caps[nxt]:
+                    continue
+                seen.add(nxt)
+                queue.append(nxt)
+        return finish in seen and pending <= seen
+
+    def dfs(pos):
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExhausted("budget")
+        if not reachable_ok(pos):
+            return False
+        x, y = pos
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nxt = (x + dx, y + dy)
+            if nxt not in caps or used.get(nxt, 0) >= caps[nxt]:
+                continue
+            was_pending = nxt in pending
+            used[nxt] = used.get(nxt, 0) + 1
+            path.append(nxt)
+            pending.discard(nxt)
+            if nxt == finish:
+                if not pending:
+                    return True
+            elif dfs(nxt):
+                return True
+            if was_pending:
+                pending.add(nxt)
+            used[nxt] -= 1
+            path.pop()
+        return False
+
+    return TilePath(tuple(path)) if dfs(board.start) else None
+
+
+def outcome(solver, board, node_budget=None):
+    try:
+        return solver(board, node_budget)
+    except BudgetExhausted:
+        return "budget"
+
+
+def test_solver_returns_the_per_cell_solvers_path():
+    boards = [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(3, 3, 9) if len(g) >= 2]
+    rng = random.Random(7)
+    for i in range(50):
+        region = gen_random_region(rng.randrange(2**32), 6, 6, 20 + i % 11)
+        boards.append(reduce_grid_to_tile_trial(GridGraph(region.tiles)))
+    assert len(boards) == 209 + 50
+    for board in boards:
+        assert solve_tile_trial(board) == per_cell_solver(board)
+    # the node count, hence where a budget runs out, is the same too
+    for board in boards[::20] + random_boards(60):
+        for budget in (None, 1, 2, 5, 13, 40):
+            want = outcome(per_cell_solver, board, budget)
+            assert outcome(solve_tile_trial, board, budget) == want
+
+
+def random_boards(count):
+    """Boards unlike the reduction's: mixed capacities, and start, finish
+    and crystals anywhere, so the start is often a cut tile."""
+    rng = random.Random(11)
+    boards = []
+    while len(boards) < count:
+        tiles = sorted(gen_random_region(rng.randrange(2**32), 4, 4, rng.randint(4, 12)).tiles)
+        start, finish = rng.sample(tiles, 2)
+        caps = {t: rng.choice((1, 1, 2)) for t in tiles}
+        caps[start] = caps[finish] = 1
+        others = [t for t in tiles if t not in (start, finish)]
+        crystals = frozenset(rng.sample(others, rng.randint(0, len(others))))
+        boards.append(TileBoard(caps, crystals, start, finish))
+    return boards
+
+
+def test_long_ladder_reduction_still_solves():
+    # dfs keeps one Python frame per step; 2x310 stays within the default limit
+    ladder = GridGraph(frozenset((x, y) for x in range(310) for y in range(2)))
+    board = reduce_grid_to_tile_trial(ladder)
+    path = solve_tile_trial(board)
+    assert path is not None and verify_tile_path(board, path).ok
+
+
+def test_far_apart_board_parts_are_not_packed():
+    # tiles cut off from the start never enter the bitboard, so a board
+    # built in code may scatter them; a crystal among them is unreachable
+    far = (10**18, 10**18)
+    caps = {(0, 0): 1, (1, 0): 1, (2, 0): 1, far: 1}
+    assert solve_tile_trial(TileBoard(caps, frozenset({(1, 0)}), (0, 0), (2, 0))) == TilePath(
+        ((0, 0), (1, 0), (2, 0))
+    )
+    assert solve_tile_trial(TileBoard(caps, frozenset({far}), (0, 0), (2, 0))) is None
+    assert solve_tile_trial(TileBoard(caps, frozenset(), (0, 0), far)) is None
