@@ -102,27 +102,28 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve one instance")
-    solve.add_argument("kind", choices=("tile", "dcb", "clock"))
+    solve.set_defaults(run=_cmd_solve)
+    solve.add_argument("kind", choices=tuple(_SOLVERS))
     solve.add_argument("input", help="document path or -")
     solve.add_argument("--threshold", type=int, help="dcb: exit 1 when the optimum exceeds this")
     solve.add_argument("--budget", type=int, help="search node budget")
 
     reduce = sub.add_parser("reduce", help="construct a hardness instance")
-    reduce.add_argument("kind", choices=("tile", "dcb", "clock"))
+    reduce.set_defaults(run=_cmd_reduce)
+    reduce.add_argument("kind", choices=tuple(_REDUCERS))
     reduce.add_argument("input", help="grid-graph or digraph document path, or -")
     reduce.add_argument("--gadget", action="store_true", help="dcb: pin the start tile")
 
     verify = sub.add_parser("verify", help="check a solution or certificate")
-    verify.add_argument("kind", choices=("tile", "dcb", "clock", "cert"))
+    verify.set_defaults(run=_cmd_verify)
+    verify.add_argument("kind", choices=(*_VERIFIERS, "cert"))
     verify.add_argument("instance", help="instance document path or -")
     verify.add_argument("solution", nargs="?", help="solution document path (not for cert)")
     verify.add_argument("--budget", type=int)
 
     gen = sub.add_parser("gen", help="emit seeded random instances")
-    gen.add_argument(
-        "kind",
-        choices=("grid-graph", "digraph", "bond-board", "clock", "solvable-clock"),
-    )
+    gen.set_defaults(run=_cmd_gen)
+    gen.add_argument("kind", choices=tuple(_GENERATORS))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--box", type=_box, default=(6, 6), help="WxH sampling box")
@@ -130,10 +131,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--model", choices=("grid", "euclid"), default="grid")
 
     sweep = sub.add_parser("sweep", help="run an equivalence family")
-    sweep.add_argument(
-        "family",
-        choices=tuple(_SWEEPS),
-    )
+    sweep.set_defaults(run=_cmd_sweep)
+    sweep.add_argument("family", choices=tuple(_SWEEPS))
     sweep.add_argument("--box", type=_box, default=(3, 3))
     sweep.add_argument("--max-v", type=int, default=6)
     sweep.add_argument("--count", type=int, default=100)
@@ -143,66 +142,76 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--model", choices=("grid", "euclid"))
 
     render = sub.add_parser("render", help="ASCII picture of a document")
-    render.add_argument(
-        "kind",
-        choices=("grid-graph", "digraph", "tile-board", "bond-board", "clock"),
-    )
+    render.set_defaults(run=_cmd_render)
+    render.add_argument("kind", choices=tuple(_RENDERERS))
     render.add_argument("input", help="document path or -")
     return top
 
 
+# Each verb but `verify cert` reads a module-level table keyed by its kind
+# (or sweep family), which also gives the parser its choices.  Entries reach
+# this module's globals through lambdas or private functions, which look the
+# names up at call time: a function rebound here after import is the one run.
+
 # solve
+
+# kind -> (instance kind, solver called as solve(instance, args))
+_SOLVERS = {
+    "tile": ("tile-board", lambda b, args: solve_tile_trial(b, node_budget=args.budget)),
+    "dcb": (
+        "bond-board",
+        lambda b, args: (solve_crystal_bonds if b.connected else brute_force_crystal_bonds)(b),
+    ),
+    "clock": ("clock", lambda c, args: solve_clock(c, budget=args.budget)),
+}
 
 
 def _cmd_solve(args) -> int:
-    if args.kind == "tile":
-        board = parse("tile-board", _read(args.input))
-        path = solve_tile_trial(board, node_budget=args.budget)
-        if path is None:
-            print("UNSOLVABLE")
-            return EXIT_NO
-        sys.stdout.write(serialize(path))
-        return EXIT_OK
-    if args.kind == "dcb":
-        board = parse("bond-board", _read(args.input))
-        walk = solve_crystal_bonds(board) if board.connected else brute_force_crystal_bonds(board)
-        sys.stdout.write(serialize(walk))
-        if args.threshold is not None and walk.total_length > args.threshold + 1e-9:
-            return EXIT_NO
-        return EXIT_OK
-    instance = parse("clock", _read(args.input))
-    solution = solve_clock(instance, budget=args.budget)
+    instance_kind, solve = _SOLVERS[args.kind]
+    solution = solve(parse(instance_kind, _read(args.input)), args)
     if solution is None:
         print("UNSOLVABLE")
         return EXIT_NO
     sys.stdout.write(serialize(solution))
+    if args.kind == "dcb" and args.threshold is not None:
+        return EXIT_NO if solution.total_length > args.threshold + 1e-9 else EXIT_OK
     return EXIT_OK
 
 
 # reduce
 
 
-def _cmd_reduce(args) -> int:
-    if args.kind == "clock":
-        digraph = parse("digraph", _read(args.input))
-        sys.stdout.write(serialize(reduce_digraph_to_phot(digraph)))
-        return EXIT_OK
-    graph = parse("grid-graph", _read(args.input))
-    if args.kind == "tile":
-        sys.stdout.write(serialize(reduce_grid_to_tile_trial(graph)))
-        return EXIT_OK
+def _reduce_dcb(graph: GridGraph, args) -> str:
     board, threshold = reduce_grid_to_dcb(graph)
-    if args.gadget:
-        board, threshold, detects = apply_start_gadget(board, graph)
-        print(f"threshold {threshold}")
-        print(f"detects {detects}")
-    else:
-        print(f"threshold {threshold}")
-    sys.stdout.write(serialize(board))
+    if not args.gadget:
+        return f"threshold {threshold}\n" + serialize(board)
+    board, threshold, detects = apply_start_gadget(board, graph)
+    return f"threshold {threshold}\ndetects {detects}\n" + serialize(board)
+
+
+# kind -> (input kind, reducer returning the output text)
+_REDUCERS = {
+    "tile": ("grid-graph", lambda graph, args: serialize(reduce_grid_to_tile_trial(graph))),
+    "dcb": ("grid-graph", _reduce_dcb),
+    "clock": ("digraph", lambda digraph, args: serialize(reduce_digraph_to_phot(digraph))),
+}
+
+
+def _cmd_reduce(args) -> int:
+    input_kind, reduce = _REDUCERS[args.kind]
+    sys.stdout.write(reduce(parse(input_kind, _read(args.input)), args))
     return EXIT_OK
 
 
 # verify
+
+# kind -> (instance kind, solution kind, verifier, violation detail); `cert`
+# takes no solution document and is handled apart
+_VERIFIERS = {
+    "tile": ("tile-board", "tile-path", lambda i, s: verify_tile_path(i, s), "{} at {}"),
+    "dcb": ("bond-board", "bond-walk", lambda i, s: verify_bond_walk(i, s), "{} ({})"),
+    "clock": ("clock", "clock-solution", lambda i, s: verify_clock_solution(i, s), "{} ({})"),
+}
 
 
 def _cmd_verify(args) -> int:
@@ -214,10 +223,8 @@ def _cmd_verify(args) -> int:
         fresh = evaluate_certificate(cert, budget=args.budget)
         print(f"digraph {'yes' if fresh.digraph_verdict else 'no'}")
         print(f"clock {'yes' if fresh.clock_verdict else 'no'}")
-        stale = (cert.digraph_verdict, cert.clock_verdict) != (None, None) and (
-            cert.digraph_verdict,
-            cert.clock_verdict,
-        ) != (fresh.digraph_verdict, fresh.clock_verdict)
+        stored = (cert.digraph_verdict, cert.clock_verdict)
+        stale = stored != (None, None) and stored != (fresh.digraph_verdict, fresh.clock_verdict)
         if stale:
             print("stored verdicts disagree with recomputation")
         if problems or stale or fresh.digraph_verdict != fresh.clock_verdict:
@@ -225,47 +232,37 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     if args.solution is None:
         raise CliError(f"verify {args.kind} needs a solution document")
-    # (instance kind, solution kind, verifier, violation line); built per
-    # call, so a verifier rebound on this module after import is the one
-    # that runs
-    instance_kind, solution_kind, verify, violation = {
-        "tile": ("tile-board", "tile-path", verify_tile_path, "violation: {} at {}"),
-        "dcb": ("bond-board", "bond-walk", verify_bond_walk, "violation: {} ({})"),
-        "clock": ("clock", "clock-solution", verify_clock_solution, "violation: {} ({})"),
-    }[args.kind]
+    instance_kind, solution_kind, verify, detail = _VERIFIERS[args.kind]
     instance = parse(instance_kind, _read(args.instance))
     solution = parse(solution_kind, _read(args.solution))
     verdict = verify(instance, solution)
     if verdict.ok:
         print("ok")
         return EXIT_OK
-    print(violation.format(verdict.rule, verdict.detail))
+    print("violation: " + detail.format(verdict.rule, verdict.detail))
     return EXIT_COUNTEREXAMPLE
 
 
 # gen
 
+# kind -> generator called as generate(seed, w, h, args) for a WxH box; an
+# unset or zero --max-v means the kind's default size
+_GENERATORS = {
+    "grid-graph": lambda seed, w, h, args: GridGraph(
+        gen_random_region(seed, w, h, args.max_v or max(2, 2 * w * h // 3)).tiles
+    ),
+    "digraph": lambda seed, w, h, args: gen_random_digraph(args.max_v or 5, seed),
+    "bond-board": lambda seed, w, h, args: gen_random_tree_board(
+        seed, box_w=w, box_h=h, r=args.max_v or 7, model=args.model
+    ),
+    "clock": lambda seed, w, h, args: gen_random_clock(args.max_v or 8, seed),
+    "solvable-clock": lambda seed, w, h, args: gen_solvable_clock(args.max_v or 8, seed),
+}
+
 
 def _cmd_gen(args) -> int:
-    w, h = args.box
-    docs = []
-    for i in range(args.count):
-        seed = args.seed + i
-        if args.kind == "grid-graph":
-            size = args.max_v if args.max_v else max(2, 2 * w * h // 3)
-            region = gen_random_region(seed, w, h, size)
-            docs.append(serialize(GridGraph(region.tiles)))
-        elif args.kind == "digraph":
-            docs.append(serialize(gen_random_digraph(args.max_v or 5, seed)))
-        elif args.kind == "bond-board":
-            board = gen_random_tree_board(
-                seed, box_w=w, box_h=h, r=args.max_v or 7, model=args.model
-            )
-            docs.append(serialize(board))
-        elif args.kind == "clock":
-            docs.append(serialize(gen_random_clock(args.max_v or 8, seed)))
-        else:
-            docs.append(serialize(gen_solvable_clock(args.max_v or 8, seed)))
+    generate = _GENERATORS[args.kind]
+    docs = [serialize(generate(args.seed + i, *args.box, args)) for i in range(args.count)]
     sys.stdout.write("---\n".join(docs))
     return EXIT_OK
 
@@ -338,13 +335,6 @@ def _sweep_geo_item(task: tuple[int, int, int]) -> tuple[bool, str]:
     return ok, detail
 
 
-def _run_items(worker, items, jobs: int) -> list[tuple[bool, str]]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
-
-
 def _box_graph_items(args) -> list[GridGraph]:
     w, h = args.box
     return [g for g in enumerate_grid_graphs(w, h, args.max_v) if len(g) >= 2]
@@ -377,7 +367,11 @@ _SWEEPS = {
 
 def _cmd_sweep(args) -> int:
     items, worker = _SWEEPS[args.family]
-    results = _run_items(worker, items(args), args.jobs)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(worker, items(args)))
+    else:
+        results = [worker(item) for item in items(args)]
     passed = sum(1 for ok, _ in results if ok)
     failed = len(results) - passed
     print(f"pass {passed} fail {failed}")
@@ -395,78 +389,54 @@ def _cmd_sweep(args) -> int:
 def _render_grid(points, mark) -> str:
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
-    rows = []
-    for y in range(max(ys), min(ys) - 1, -1):
-        rows.append(
-            "".join(mark((x, y)) for x in range(min(xs), max(xs) + 1))
-        )
-    return "\n".join(rows) + "\n"
+    return "".join(
+        "".join(mark((x, y)) for x in range(min(xs), max(xs) + 1)) + "\n"
+        for y in range(max(ys), min(ys) - 1, -1)
+    )
+
+
+def _render_bond_board(board: BondBoard) -> str:
+    marks = {tile_of(p): chr(ord("a") + i) if i < 26 else "+" for i, p in enumerate(board.crystals)}
+    if board.start is not None:
+        marks[tile_of(board.start)] = "S"
+    tiles = board.region.tiles
+    picture = _render_grid(tiles, lambda t: marks.get(t, ".") if t in tiles else "#")
+    return picture + "".join(f"bond {i}-{j}\n" for i, j in board.required_bonds)
+
+
+def _render_clock(instance) -> str:
+    lines = [f"circumference {instance.circumference}"]
+    lines += [f"  {p}: {m}" for p, m in instance.occupied]
+    if instance.occupied:
+        positions = instance.positions
+        arcs = clock_to_digraph(instance).arcs
+        lines += [f"  {positions[s]} -> {positions[t]}" for s, t in arcs]
+    return "".join(line + "\n" for line in lines)
+
+
+# document kind -> renderer returning the picture
+_RENDERERS = {
+    "grid-graph": lambda g: _render_grid(g.vertices, lambda t: "o" if t in g.vertices else "."),
+    "digraph": lambda d: "".join(f"{s} -> {t}\n" for s, t in d.arcs),
+    # a tile board's rows, without the offset line
+    "tile-board": lambda b: "".join(
+        row for row in serialize(b).splitlines(True) if not row.startswith("offset")
+    ),
+    "bond-board": _render_bond_board,
+    "clock": _render_clock,
+}
 
 
 def _cmd_render(args) -> int:
-    text = _read(args.input)
-    if args.kind == "grid-graph":
-        g = parse("grid-graph", text)
-        sys.stdout.write(_render_grid(g.vertices, lambda t: "o" if t in g.vertices else "."))
-        return EXIT_OK
-    if args.kind == "digraph":
-        d = parse("digraph", text)
-        for s, t in d.arcs:
-            print(f"{s} -> {t}")
-        return EXIT_OK
-    if args.kind == "tile-board":
-        board = parse("tile-board", text)
-        doc = serialize(board)
-        if doc.startswith("offset"):
-            doc = doc.split("\n", 1)[1]
-        sys.stdout.write(doc)
-        return EXIT_OK
-    if args.kind == "bond-board":
-        board = parse("bond-board", text)
-        crystal_tile = {tile_of(p): i for i, p in enumerate(board.crystals)}
-        start_tile = None if board.start is None else tile_of(board.start)
-
-        def mark(t):
-            if t not in board.region.tiles:
-                return "#"
-            if t == start_tile:
-                return "S"
-            if t in crystal_tile:
-                i = crystal_tile[t]
-                return chr(ord("a") + i) if i < 26 else "+"
-            return "."
-
-        sys.stdout.write(_render_grid(board.region.tiles, mark))
-        for i, j in board.required_bonds:
-            print(f"bond {i}-{j}")
-        return EXIT_OK
-    instance = parse("clock", text)
-    print(f"circumference {instance.circumference}")
-    for p, m in instance.occupied:
-        print(f"  {p}: {m}")
-    if instance.occupied:
-        graph = clock_to_digraph(instance)
-        positions = instance.positions
-        for s, t in graph.arcs:
-            print(f"  {positions[s]} -> {positions[t]}")
+    sys.stdout.write(_RENDERERS[args.kind](parse(args.kind, _read(args.input))))
     return EXIT_OK
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-    "sweep": _cmd_sweep,
-    "render": _cmd_render,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -105,6 +105,9 @@ class BondWalk:
         if not isinstance(self.visit_sequence, tuple):
             object.__setattr__(self, "visit_sequence", tuple(self.visit_sequence))
         object.__setattr__(self, "total_length", float(self.total_length))
+        # a NaN would pass every length comparison a verifier makes
+        if not math.isfinite(self.total_length):
+            raise ValueError(f"walk length must be finite, got {self.total_length!r}")
         if self.total_length < 0:
             raise ValueError("walk length cannot be negative")
 

@@ -245,7 +245,7 @@ def has_ham_cycle_grid(g: GridGraph) -> bool:
     if any(g.degree(v) < 2 for v in g.vertices) or not g.is_connected():
         return False
     start = min(g.vertices)
-    return _ham_search(g, start, start)
+    return _ham_search(g, [start], start)
 
 
 def has_ham_path_grid(g: GridGraph) -> bool:
@@ -254,22 +254,21 @@ def has_ham_path_grid(g: GridGraph) -> bool:
         return True
     if not g.is_connected():
         return False
-    return any(_ham_search(g, start, None) for start in g.sorted_vertices())
+    return _ham_search(g, g.sorted_vertices(), None)
 
 
-def _ham_search(g: GridGraph, start: Vertex, anchor: Vertex | None) -> bool:
-    """Backtracking search for a Hamiltonian path beginning at `start`.
+def _ham_search(g: GridGraph, starts: list[Vertex], anchor: Vertex | None) -> bool:
+    """Backtracking search for a Hamiltonian path from any of `starts`.
 
     With an anchor the path must end beside it, closing a cycle through the
     anchor; without one any covering path counts.  `g` must be connected,
-    which bounds its bitboard by its vertex count squared.
+    which bounds its bitboard by its vertex count squared.  The starts are
+    tried in order and share one bitboard and one vertex-bit map.
     """
     n = len(g)
     board = _pack(g.vertices)
     bit = {v: 1 << board.index(v) for v in g.vertices}
     anchor_bit = 0 if anchor is None else bit[anchor]
-    path = [start]
-    free = board.cells ^ bit[start]
 
     def extend() -> bool:
         nonlocal free
@@ -289,7 +288,12 @@ def _ham_search(g: GridGraph, start: Vertex, anchor: Vertex | None) -> bool:
                 free ^= bit[nxt]
         return False
 
-    return extend()
+    for start in starts:
+        path = [start]
+        free = board.cells ^ bit[start]
+        if extend():
+            return True
+    return False
 
 
 def enumerate_grid_graphs(box_w: int, box_h: int, max_vertices: int) -> Iterator[GridGraph]:

@@ -25,6 +25,13 @@ certificate     `vertices v`; `arc s t` per source arc; `circumference N`;
                 `node position value` per occupied node; `label j t position`
                 sorted; optional `verdict digraph yes|no` and
                 `verdict clock yes|no`.
+
+Errors name a 1-based line, and the first malformed line wins.  A missing
+required line is reported only after the whole document has been read, and
+the value's own invariants are checked last.  Of repeated `model`, `start`,
+`vertices`, `circumference` or same-name `verdict` lines the last counts,
+except that any `start free` frees the start.  A bond-walk length must be
+finite: a NaN would pass the verifier's length check.
 """
 
 from __future__ import annotations
@@ -35,18 +42,6 @@ from .graphs import Digraph, GridGraph
 from .hands_of_time import ClockInstance, ClockSolution, ReductionCertificate
 from .tile_trial import TileBoard, TilePath
 
-KINDS = (
-    "grid-graph",
-    "digraph",
-    "tile-board",
-    "tile-path",
-    "bond-board",
-    "bond-walk",
-    "clock",
-    "clock-solution",
-    "certificate",
-)
-
 
 class ParseError(ValueError):
     """Malformed document text; the message carries a 1-based line number."""
@@ -56,24 +51,70 @@ def _fail(lineno: int, message: str):
     raise ParseError(f"line {lineno}: {message}")
 
 
-def _ints(lineno: int, line: str, count: int) -> list[int]:
+def _ints(lineno: int, line: str, count: int) -> tuple[int, ...]:
     parts = line.split()
     if len(parts) != count:
         _fail(lineno, f"expected {count} fields, got {len(parts)}")
     try:
-        return [int(p) for p in parts]
+        return tuple(map(int, parts))
     except ValueError:
         _fail(lineno, f"expected integers, got {line!r}")
 
 
+def _int(lineno: int, text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        _fail(lineno, f"expected integer {what}, got {text!r}")
+
+
+def _clock_ints(lineno: int, line: str, count: int) -> tuple[int, ...]:
+    """`_ints` whose last field is a clock value, which must be at least 1."""
+    fields = _ints(lineno, line, count)
+    if fields[-1] < 1:
+        _fail(lineno, f"value must be >= 1, got {fields[-1]}")
+    return fields
+
+
 def _lines(text: str) -> list[tuple[int, str]]:
     """Nonempty lines with their 1-based numbers."""
-    out = []
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            out.append((i, line))
-    return out
+    return [(i, line) for i, raw in enumerate(text.split("\n"), start=1) if (line := raw.strip())]
+
+
+def _rows(rows: list[tuple[int, str]], count: int, read=_ints) -> list[tuple]:
+    """Positional lines, each read by `read` as `count` fields, in order."""
+    return [read(lineno, line, count) for lineno, line in rows]
+
+
+def _serialize_pairs(pairs) -> str:
+    """Positional `a b` lines, the inverse of `_rows(..., 2)`."""
+    return "".join(f"{a} {b}\n" for a, b in pairs)
+
+
+def _keyed(lines, fields: dict) -> tuple[dict[str, list], int]:
+    """Keyed lines `key rest`, their values listed per key in document order,
+    and the number of the last nonempty line (1 when there is none).
+
+    `lines` yields (lineno, text) pairs; blank ones are skipped.  `fields`
+    maps each key to (read, count), called as read(lineno, rest, count); any
+    other key is an error.  Nothing here decides which keys must appear, so
+    a missing line is reported only after every line has been read.
+    """
+    values = {key: [] for key in fields}
+    slots = {key: (read, count, values[key].append) for key, (read, count) in fields.items()}
+    last = 1
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        last = lineno
+        key, _, rest = line.partition(" ")
+        slot = slots.get(key)
+        if slot is None:
+            _fail(lineno, f"unknown keyword {key!r}")
+        read, count, add = slot
+        add(read(lineno, rest, count))
+    return values, last
 
 
 def _invariant(lineno: int, build):
@@ -86,73 +127,50 @@ def _invariant(lineno: int, build):
         _fail(lineno, str(exc))
 
 
-# grid-graph
+# grid-graph and tile-path: one `x y` point per line
 
 
-def _serialize_grid_graph(g: GridGraph) -> str:
-    return "".join(f"{x} {y}\n" for x, y in g.sorted_vertices())
-
-
-def _parse_grid_graph(text: str) -> GridGraph:
-    vertices = []
-    last = 1
-    for lineno, line in _lines(text):
-        x, y = _ints(lineno, line, 2)
-        vertices.append((x, y))
-        last = lineno
-    return _invariant(last, lambda: GridGraph(frozenset(vertices)))
+def _parse_points(text: str, build):
+    rows = _lines(text)
+    points = _rows(rows, 2)
+    return _invariant(rows[-1][0] if rows else 1, lambda: build(points))
 
 
 # digraph
 
 
 def _serialize_digraph(d: Digraph) -> str:
-    out = [f"{d.vertex_count}\n"]
-    out.extend(f"{s} {t}\n" for s, t in d.arcs)
-    return "".join(out)
+    return f"{d.vertex_count}\n" + _serialize_pairs(d.arcs)
 
 
 def _parse_digraph(text: str) -> Digraph:
     rows = _lines(text)
     if not rows:
         _fail(1, "missing vertex count")
-    (first_no, first), rest = rows[0], rows[1:]
-    (v,) = _ints(first_no, first, 1)
-    arcs = []
-    for lineno, line in rest:
-        s, t = _ints(lineno, line, 2)
-        arcs.append((s, t))
-    return _invariant(first_no, lambda: Digraph(v, tuple(arcs)))
+    (v,) = _ints(*rows[0], 1)
+    arcs = tuple(_rows(rows[1:], 2))
+    return _invariant(rows[0][0], lambda: Digraph(v, arcs))
 
 
 # tile-board
 
-_CELL_GLYPHS = {"#", ".", "2", "*", "@", "S", "F"}
+# glyph -> (capacity, crystal) of an unmarked tile; `#` is void, and the
+# marked start and finish tiles have capacity 1
+_GLYPHS = {".": (1, False), "2": (2, False), "*": (1, True), "@": (2, True)}
+_GLYPH_OF = {cell: glyph for glyph, cell in _GLYPHS.items()}
+_ENDS = {"S": "start", "F": "finish"}
 
 
 def _serialize_tile_board(b: TileBoard) -> str:
-    tiles = b.capacities
-    xs = [x for x, _ in tiles]
-    ys = [y for _, y in tiles]
+    glyph = {t: _GLYPH_OF[cap, t in b.crystals] for t, cap in b.capacities.items()}
+    glyph.update({b.start: "S", b.finish: "F"})
+    xs = [x for x, _ in glyph]
+    ys = [y for _, y in glyph]
     x0, y0 = min(xs), min(ys)
-    out = []
-    if (x0, y0) != (0, 0):
-        out.append(f"offset {x0} {y0}\n")
+    columns = range(x0, max(xs) + 1)
+    out = [] if (x0, y0) == (0, 0) else [f"offset {x0} {y0}\n"]
     for y in range(max(ys), y0 - 1, -1):
-        row = []
-        for x in range(x0, max(xs) + 1):
-            t = (x, y)
-            if t not in tiles:
-                row.append("#")
-            elif t == b.start:
-                row.append("S")
-            elif t == b.finish:
-                row.append("F")
-            elif t in b.crystals:
-                row.append("@" if tiles[t] == 2 else "*")
-            else:
-                row.append("2" if tiles[t] == 2 else ".")
-        out.append("".join(row) + "\n")
+        out.append("".join([glyph.get((x, y), "#") for x in columns]) + "\n")
     return "".join(out)
 
 
@@ -160,64 +178,42 @@ def _parse_tile_board(text: str) -> TileBoard:
     rows = _lines(text)
     x0, y0 = 0, 0
     if rows and rows[0][1].startswith("offset"):
-        lineno, line = rows[0]
+        lineno, line = rows.pop(0)
         parts = line.split()
         if len(parts) != 3:
             _fail(lineno, "offset needs two integers")
-        _, ox, oy = parts
         try:
-            x0, y0 = int(ox), int(oy)
+            x0, y0 = int(parts[1]), int(parts[2])
         except ValueError:
             _fail(lineno, f"expected integers, got {line!r}")
-        rows = rows[1:]
     if not rows:
         _fail(1, "board has no rows")
     caps: dict[tuple[int, int], int] = {}
     crystals = set()
-    start = finish = None
+    ends: dict[str, tuple[int, int]] = {}
     max_y = y0 + len(rows) - 1
     for r, (lineno, line) in enumerate(rows):
         y = max_y - r
         for c, ch in enumerate(line):
-            if ch not in _CELL_GLYPHS:
-                _fail(lineno, f"unknown cell {ch!r}")
             if ch == "#":
                 continue
             t = (x0 + c, y)
-            caps[t] = 2 if ch in "2@" else 1
-            if ch in "*@":
-                crystals.add(t)
-            elif ch == "S":
-                if start is not None:
-                    _fail(lineno, "more than one start tile")
-                start = t
-            elif ch == "F":
-                if finish is not None:
-                    _fail(lineno, "more than one finish tile")
-                finish = t
+            if ch in _GLYPHS:
+                caps[t], crystal = _GLYPHS[ch]
+                if crystal:
+                    crystals.add(t)
+            elif ch in _ENDS:
+                if ch in ends:
+                    _fail(lineno, f"more than one {_ENDS[ch]} tile")
+                ends[ch] = t
+                caps[t] = 1
+            else:
+                _fail(lineno, f"unknown cell {ch!r}")
     last = rows[-1][0]
-    if start is None:
-        _fail(last, "board has no start tile")
-    if finish is None:
-        _fail(last, "board has no finish tile")
-    return _invariant(last, lambda: TileBoard(caps, frozenset(crystals), start, finish))
-
-
-# tile-path
-
-
-def _serialize_tile_path(p: TilePath) -> str:
-    return "".join(f"{x} {y}\n" for x, y in p.steps)
-
-
-def _parse_tile_path(text: str) -> TilePath:
-    steps = []
-    last = 1
-    for lineno, line in _lines(text):
-        x, y = _ints(lineno, line, 2)
-        steps.append((x, y))
-        last = lineno
-    return _invariant(last, lambda: TilePath(tuple(steps)))
+    for ch, name in _ENDS.items():
+        if ch not in ends:
+            _fail(last, f"board has no {name} tile")
+    return _invariant(last, lambda: TileBoard(caps, frozenset(crystals), ends["S"], ends["F"]))
 
 
 # bond-board
@@ -236,49 +232,31 @@ def _serialize_bond_board(b: BondBoard) -> str:
     return "".join(out)
 
 
+_BOND_BOARD_LINES = {
+    "model": (lambda n, rest, k: rest.strip(), 1),
+    # None stands for `start free`
+    "start": (lambda n, rest, k: None if rest.strip() == "free" else _ints(n, rest, k), 2),
+    "tile": (_ints, 2),
+    "crystal": (_ints, 2),
+    "bond": (_ints, 2),
+}
+
+
 def _parse_bond_board(text: str) -> BondBoard:
-    model = None
-    start_tile = None
-    start_free = False
-    tiles = []
-    crystals = []
-    bonds = []
-    last = 1
-    for lineno, line in _lines(text):
-        last = lineno
-        key, _, rest = line.partition(" ")
-        if key == "model":
-            model = rest.strip()
-        elif key == "start":
-            if rest.strip() == "free":
-                start_free = True
-            else:
-                x, y = _ints(lineno, rest, 2)
-                start_tile = (x, y)
-        elif key == "tile":
-            x, y = _ints(lineno, rest, 2)
-            tiles.append((x, y))
-        elif key == "crystal":
-            x, y = _ints(lineno, rest, 2)
-            crystals.append((x, y))
-        elif key == "bond":
-            i, j = _ints(lineno, rest, 2)
-            bonds.append((i, j))
-        else:
-            _fail(lineno, f"unknown keyword {key!r}")
-    if model is None:
+    got, last = _keyed(enumerate(text.split("\n"), start=1), _BOND_BOARD_LINES)
+    if not got["model"]:
         _fail(last, "missing model line")
-    if not start_free and start_tile is None:
+    if not got["start"]:
         _fail(last, "missing start line")
-    start = None if start_free else tile_center(start_tile)
+    start = None if None in got["start"] else tile_center(got["start"][-1])
     return _invariant(
         last,
         lambda: BondBoard(
-            TileRegion(frozenset(tiles)),
-            tuple(tile_center(t) for t in crystals),
+            TileRegion(frozenset(got["tile"])),
+            tuple(map(tile_center, got["crystal"])),
             start,
-            tuple(bonds),
-            model,
+            tuple(got["bond"]),
+            got["model"][-1],
         ),
     )
 
@@ -301,23 +279,15 @@ def _parse_bond_walk(text: str) -> BondWalk:
         length = float(line.split(None, 1)[1])
     except (IndexError, ValueError):
         _fail(lineno, f"bad length in {line!r}")
-    visits = []
-    for lineno, line in rows[1:]:
-        key, _, rest = line.partition(" ")
-        if key != "visit":
-            _fail(lineno, f"unknown keyword {key!r}")
-        (i,) = _ints(lineno, rest, 1)
-        visits.append(i)
-    return _invariant(rows[0][0], lambda: BondWalk(tuple(visits), length))
+    visits = tuple(i for (i,) in _keyed(rows[1:], {"visit": (_ints, 1)})[0]["visit"])
+    return _invariant(lineno, lambda: BondWalk(visits, length))
 
 
 # clock
 
 
 def _serialize_clock(c: ClockInstance) -> str:
-    out = [f"{c.circumference}\n"]
-    out.extend(f"{p} {m}\n" for p, m in c.occupied)
-    return "".join(out)
+    return f"{c.circumference}\n" + _serialize_pairs(c.occupied)
 
 
 def _parse_clock(text: str) -> ClockInstance:
@@ -329,54 +299,27 @@ def _parse_clock(text: str) -> ClockInstance:
         parts = first.split()
         if len(parts) != 2:
             _fail(first_no, "dense header needs a count")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            _fail(first_no, f"expected integer count, got {parts[1]!r}")
-        values = []
-        for lineno, line in rows[1:]:
-            (m,) = _ints(lineno, line, 1)
-            if m < 1:
-                _fail(lineno, f"value must be >= 1, got {m}")
-            values.append(m)
+        n = _int(first_no, parts[1], "count")
+        values = [m for (m,) in _rows(rows[1:], 1, _clock_ints)]
         if len(values) != n:
             _fail(rows[-1][0], f"dense clock needs {n} values, got {len(values)}")
         return _invariant(first_no, lambda: ClockInstance.dense(values))
-    try:
-        n = int(first)
-    except ValueError:
-        _fail(first_no, f"expected integer circumference, got {first!r}")
-    pairs = []
-    for lineno, line in rows[1:]:
-        p, m = _ints(lineno, line, 2)
-        if m < 1:
-            _fail(lineno, f"value must be >= 1, got {m}")
-        pairs.append((p, m))
-    return _invariant(first_no, lambda: ClockInstance(n, tuple(pairs)))
+    n = _int(first_no, first, "circumference")
+    pairs = tuple(_rows(rows[1:], 2, _clock_ints))
+    return _invariant(first_no, lambda: ClockInstance(n, pairs))
 
 
 # clock-solution
 
 
-def _serialize_clock_solution(s: ClockSolution) -> str:
-    return "".join(f"{p} {d}\n" for p, d in s.moves)
-
-
-def _parse_clock_solution(text: str) -> ClockSolution:
-    moves = []
-    for lineno, line in _lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            _fail(lineno, f"expected `position direction`, got {line!r}")
-        pos, direction = parts
-        try:
-            p = int(pos)
-        except ValueError:
-            _fail(lineno, f"expected integer position, got {pos!r}")
-        if direction not in ("cw", "ccw"):
-            _fail(lineno, f"direction must be cw or ccw, got {direction!r}")
-        moves.append((p, direction))
-    return ClockSolution(tuple(moves))
+def _read_move(lineno: int, line: str, count: int) -> tuple[int, str]:
+    parts = line.split()
+    if len(parts) != count:
+        _fail(lineno, f"expected `position direction`, got {line!r}")
+    position = _int(lineno, parts[0], "position")
+    if parts[1] not in ("cw", "ccw"):
+        _fail(lineno, f"direction must be cw or ccw, got {parts[1]!r}")
+    return position, parts[1]
 
 
 # certificate
@@ -394,97 +337,90 @@ def _serialize_certificate(c: ReductionCertificate) -> str:
     return "".join(out)
 
 
+def _read_verdict(lineno: int, rest: str, count: int) -> tuple[str, bool]:
+    parts = rest.split()
+    if len(parts) != count or parts[0] not in ("digraph", "clock") or parts[1] not in ("yes", "no"):
+        # the stripped line was `verdict`, or `verdict ` and then `rest`
+        _fail(lineno, f"bad verdict line {('verdict ' + rest).rstrip()!r}")
+    return parts[0], parts[1] == "yes"
+
+
+_CERTIFICATE_LINES = {
+    "vertices": (_ints, 1),
+    "arc": (_ints, 2),
+    "circumference": (_ints, 1),
+    "node": (_clock_ints, 2),
+    "label": (_ints, 3),
+    "verdict": (_read_verdict, 2),
+}
+
+
 def _parse_certificate(text: str) -> ReductionCertificate:
-    vertices = None
-    circumference = None
-    arcs = []
-    nodes = []
-    labels = []
-    verdicts: dict[str, bool] = {}
-    last = 1
-    for lineno, line in _lines(text):
-        last = lineno
-        key, _, rest = line.partition(" ")
-        if key == "vertices":
-            (vertices,) = _ints(lineno, rest, 1)
-        elif key == "arc":
-            s, t = _ints(lineno, rest, 2)
-            arcs.append((s, t))
-        elif key == "circumference":
-            (circumference,) = _ints(lineno, rest, 1)
-        elif key == "node":
-            p, m = _ints(lineno, rest, 2)
-            if m < 1:
-                _fail(lineno, f"value must be >= 1, got {m}")
-            nodes.append((p, m))
-        elif key == "label":
-            j, t, p = _ints(lineno, rest, 3)
-            labels.append(((j, t), p))
-        elif key == "verdict":
-            parts = rest.split()
-            if len(parts) != 2 or parts[0] not in ("digraph", "clock") or parts[1] not in ("yes", "no"):
-                _fail(lineno, f"bad verdict line {line!r}")
-            verdicts[parts[0]] = parts[1] == "yes"
-        else:
-            _fail(lineno, f"unknown keyword {key!r}")
-    if vertices is None:
+    got, last = _keyed(enumerate(text.split("\n"), start=1), _CERTIFICATE_LINES)
+    if not got["vertices"]:
         _fail(last, "missing vertices line")
-    if circumference is None:
+    if not got["circumference"]:
         _fail(last, "missing circumference line")
+    verdicts = dict(got["verdict"])
     return _invariant(
         last,
         lambda: ReductionCertificate(
-            Digraph(vertices, tuple(arcs)),
-            ClockInstance(circumference, tuple(nodes)),
-            tuple(labels),
+            Digraph(got["vertices"][-1][0], tuple(got["arc"])),
+            ClockInstance(got["circumference"][-1][0], tuple(got["node"])),
+            tuple(((j, t), p) for j, t, p in got["label"]),
             verdicts.get("digraph"),
             verdicts.get("clock"),
         ),
     )
 
 
-_SERIALIZERS = {
-    GridGraph: ("grid-graph", _serialize_grid_graph),
-    Digraph: ("digraph", _serialize_digraph),
-    TileBoard: ("tile-board", _serialize_tile_board),
-    TilePath: ("tile-path", _serialize_tile_path),
-    BondBoard: ("bond-board", _serialize_bond_board),
-    BondWalk: ("bond-walk", _serialize_bond_walk),
-    ClockInstance: ("clock", _serialize_clock),
-    ClockSolution: ("clock-solution", _serialize_clock_solution),
-    ReductionCertificate: ("certificate", _serialize_certificate),
+# kind -> (value type, serializer, parser)
+_FORMATS = {
+    "grid-graph": (
+        GridGraph,
+        lambda g: _serialize_pairs(g.sorted_vertices()),
+        lambda text: _parse_points(text, lambda points: GridGraph(frozenset(points))),
+    ),
+    "digraph": (Digraph, _serialize_digraph, _parse_digraph),
+    "tile-board": (TileBoard, _serialize_tile_board, _parse_tile_board),
+    "tile-path": (
+        TilePath,
+        lambda p: _serialize_pairs(p.steps),
+        lambda text: _parse_points(text, lambda points: TilePath(tuple(points))),
+    ),
+    "bond-board": (BondBoard, _serialize_bond_board, _parse_bond_board),
+    "bond-walk": (BondWalk, _serialize_bond_walk, _parse_bond_walk),
+    "clock": (ClockInstance, _serialize_clock, _parse_clock),
+    "clock-solution": (
+        ClockSolution,
+        lambda s: _serialize_pairs(s.moves),
+        lambda text: ClockSolution(tuple(_rows(_lines(text), 2, _read_move))),
+    ),
+    "certificate": (ReductionCertificate, _serialize_certificate, _parse_certificate),
 }
 
-_PARSERS = {
-    "grid-graph": _parse_grid_graph,
-    "digraph": _parse_digraph,
-    "tile-board": _parse_tile_board,
-    "tile-path": _parse_tile_path,
-    "bond-board": _parse_bond_board,
-    "bond-walk": _parse_bond_walk,
-    "clock": _parse_clock,
-    "clock-solution": _parse_clock_solution,
-    "certificate": _parse_certificate,
-}
+KINDS = tuple(_FORMATS)
+_KIND_OF_TYPE = {value_type: kind for kind, (value_type, _, _) in _FORMATS.items()}
+
+
+def _kind(x) -> str:
+    kind = _KIND_OF_TYPE.get(type(x))
+    if kind is None:
+        raise TypeError(f"no document format for {type(x).__name__}")
+    return kind
 
 
 def kind_of(x) -> str:
     """Document kind tag for a value, by exact type."""
-    entry = _SERIALIZERS.get(type(x))
-    if entry is None:
-        raise TypeError(f"no document format for {type(x).__name__}")
-    return entry[0]
+    return _kind(x)
 
 
 def serialize(x) -> str:
-    entry = _SERIALIZERS.get(type(x))
-    if entry is None:
-        raise TypeError(f"no document format for {type(x).__name__}")
-    return entry[1](x)
+    return _FORMATS[_kind(x)][1](x)
 
 
 def parse(kind: str, text: str):
-    parser = _PARSERS.get(kind)
-    if parser is None:
+    entry = _FORMATS.get(kind)
+    if entry is None:
         raise ParseError(f"unknown document kind {kind!r}")
-    return parser(text)
+    return entry[2](text)

@@ -296,6 +296,17 @@ def test_verify_dcb_violation_lines_pinned(tmp_path, capsys, walk, line):
     assert (code, out) == (0, "ok\n")
 
 
+def test_verify_dcb_rejects_non_finite_length(tmp_path, capsys):
+    # a NaN length compares unequal to nothing, so it once verified as ok
+    code, out, _ = run(capsys, "reduce", "dcb", doc(tmp_path, "p.grid", PATH6))
+    board = doc(tmp_path, "p.bond", out.split("\n", 1)[1])
+    for length in ("nan", "inf"):
+        walk = doc(tmp_path, "p.walk", f"length {length}\n" + PATH6_WALK)
+        code, out, err = run(capsys, "verify", "dcb", board, walk)
+        assert (code, out) == (3, "")
+        assert err == f"input error: line 1: walk length must be finite, got {length}\n"
+
+
 def test_render_bond_board_pinned(tmp_path, capsys):
     code, out, _ = run(capsys, "reduce", "dcb", doc(tmp_path, "sq.grid", SQUARE), "--gadget")
     board = doc(tmp_path, "g.bond", out.split("\n", 2)[2])
@@ -338,3 +349,199 @@ def test_solve_dcb_grid_spider_output_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5472d50987424e52834150d8ed14a9efd9954bb9266898415bda51dfd384141f"
     )
+
+
+# stdout of every gen, reduce and render kind, pinned by sha256; captured
+# before gen, reduce and render became table-driven
+
+L_SHAPE = "0 0\n1 0\n2 0\n2 1\n2 2\n1 2\n"
+
+
+def sha(out):
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("grid-graph", "--seed", "5", "--count", "3", "--box", "7x5"),
+         "827dd50a63feedcccd5578d1a7952f9050b09b1adfe776ee2e8d938274b1729c"),
+        (("grid-graph", "--seed", "2", "--max-v", "9"),
+         "495bbdc133ebd6594677a86bf5397e04a82a7f0852c79e152d588cde49a0a219"),
+        (("digraph", "--seed", "5", "--count", "3", "--max-v", "7"),
+         "f7ca0d2ffea6ada1c8d784442ab79e2b2672c9e588aafcdafbf7fcd0d222694f"),
+        (("digraph", "--seed", "1"),
+         "764b7cd96bda35dd0e34ce712809cc3f4659622fe8ec1e4a2f1b913015868864"),
+        (("bond-board", "--seed", "5", "--count", "2", "--box", "12x12", "--max-v", "9",
+          "--model", "grid"),
+         "05862f3d8b15bec98d7095a2c8b6b659b1282711c715db2d195a959715525755"),
+        (("bond-board", "--seed", "5", "--count", "2", "--box", "12x12", "--max-v", "9",
+          "--model", "euclid"),
+         "d8f8c1616498125ee1f24e3ed3bc42e64cff23b120ef6c479ce3fad366874145"),
+        (("bond-board", "--seed", "8"),
+         "29230761d26c1ec591b959f6657d56547206cc3f1da5363d7fcb2ae49dc41445"),
+        (("clock", "--seed", "5", "--count", "3", "--max-v", "9"),
+         "cefc6fb1e3bee4cae9ed8ffd7f28dee566d0ce5b459f17cbc2dffbde9ffd2ad3"),
+        (("clock", "--seed", "1"),
+         "89bfd30837eddef957d390c3f6e79c8cddf03fccaf46a3e087fb70a397047074"),
+        (("solvable-clock", "--seed", "5", "--count", "3", "--max-v", "9"),
+         "04d5fad0e35c73a39ab097afa8881247de6c186848c206908fb2d72b08025d7a"),
+        (("solvable-clock", "--seed", "1"),
+         "4bbec132b9f0f562d9d0f5d566cc40d9861a25a34814b2f3e2c8f54ada2b2978"),
+    ],
+)
+def test_gen_output_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0
+    assert sha(out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,source,digest",
+    [
+        (("tile",), L_SHAPE, "e4ac785ec2e7e709b99994ceaa28756cad3e44258fb061090a557fc51caf085c"),
+        (("dcb",), L_SHAPE, "f4d64e01e5a30daa84c45cb0bec226db60b11184d4355cde55cce4108b0ac9a3"),
+        (("dcb", "--gadget"), L_SHAPE,
+         "d9aaa22e46896f5459271c13591660efc7bcfed3fb85b87ba7f5f420742016d6"),
+        (("dcb", "--gadget"), PATH6,
+         "436464e52fc99e6522fab4a11cb1aa6a155a9d6c25b77052dca9be825fa78863"),
+        (("clock",), "4\n0 1\n1 2\n2 3\n3 0\n1 3\n",
+         "c718ade6259e7739cfbc5325b74d78a093ee039d5e165bffdc019d965f0ff966"),
+    ],
+    ids=("tile", "dcb", "dcb-gadget-cycle", "dcb-gadget-path", "clock"),
+)
+def test_reduce_output_pinned(tmp_path, capsys, argv, source, digest):
+    code, out, _ = run(capsys, "reduce", argv[0], doc(tmp_path, "in.doc", source), *argv[1:])
+    assert code == 0
+    assert sha(out) == digest
+
+
+@pytest.mark.parametrize(
+    "kind,produce,digest",
+    [
+        ("grid-graph", ("gen", "grid-graph", "--seed", "3", "--box", "8x6"),
+         "488356d488a8125dbec71449ca83267677494dd6ec1e00cec860bd3e71e76c46"),
+        ("digraph", ("gen", "digraph", "--seed", "3", "--max-v", "6"),
+         "57658cd96acf90e8722b0dedac18074c269988d50236d7a1044bb3b21e2880c5"),
+        ("tile-board", ("reduce", "tile", "{grid}"),
+         "9d013cebc083c3be6dff79fa98538e1c6b2c740e415967bed0b1c30a1c1d7f2d"),
+        ("bond-board", ("gen", "bond-board", "--seed", "3", "--box", "10x10", "--max-v", "8"),
+         "7b3a8b4391f53233bc1662490499bff8e3b9f38cd34f2db3017291fde06f37ac"),
+        ("bond-board", ("reduce", "dcb", "{grid}", "--gadget"),
+         "0e29debe7536b0785b65a320a4de77da36c2f8bb93f0f4f858f340a89d7f1562"),
+        ("clock", ("gen", "clock", "--seed", "3", "--max-v", "6"),
+         "ebc59b65270d8e80d64b1900ac4ebc069eb63c2d1b0c653dda67f58391506f06"),
+        ("clock", None, "1c3c7cd743c21f1a292a8143fa7a1e326ff08c624ea4769ee2039d1e80ec8f8a"),
+    ],
+    ids=("grid-graph", "digraph", "tile-board", "bond-board", "bond-board-start", "clock",
+         "clock-empty"),
+)
+def test_render_output_pinned(tmp_path, capsys, kind, produce, digest):
+    if produce is None:
+        text = "4\n"
+    else:
+        grid = doc(tmp_path, "l.grid", L_SHAPE)
+        code, text, _ = run(capsys, *(a.format(grid=grid) for a in produce))
+        assert code == 0
+        if produce[1] == "dcb":
+            text = text.split("\n", 2)[2]
+    code, out, _ = run(capsys, "render", kind, doc(tmp_path, "in.doc", text))
+    assert code == 0
+    assert sha(out) == digest
+
+
+# Every library function the command tables call, with a command line that
+# must call it.  A run-time tracer rebinds these names on riftpuzzles.cli
+# after import, so a table holding a function captured at import time would
+# run the original and escape the trace.
+REBOUND = [
+    ("parse", ("render", "clock", "{clock}")),
+    ("serialize", ("gen", "digraph")),
+    ("solve_tile_trial", ("solve", "tile", "{tile}")),
+    ("solve_crystal_bonds", ("solve", "dcb", "{tree}")),
+    ("brute_force_crystal_bonds", ("solve", "dcb", "{forest}")),
+    ("solve_clock", ("solve", "clock", "{clock}")),
+    ("reduce_grid_to_tile_trial", ("reduce", "tile", "{grid}")),
+    ("reduce_grid_to_dcb", ("reduce", "dcb", "{grid}")),
+    ("apply_start_gadget", ("reduce", "dcb", "{grid}", "--gadget")),
+    ("reduce_digraph_to_phot", ("reduce", "clock", "{digraph}")),
+    ("verify_tile_path", ("verify", "tile", "{tile}", "{path}")),
+    ("verify_bond_walk", ("verify", "dcb", "{tree}", "{walk}")),
+    ("verify_clock_solution", ("verify", "clock", "{clock}", "{moves}")),
+    ("audit_certificate", ("verify", "cert", "{cert}")),
+    ("evaluate_certificate", ("verify", "cert", "{cert}")),
+    ("gen_random_region", ("gen", "grid-graph")),
+    ("gen_random_digraph", ("gen", "digraph")),
+    ("gen_random_tree_board", ("gen", "bond-board")),
+    ("gen_random_clock", ("gen", "clock")),
+    ("gen_solvable_clock", ("gen", "solvable-clock")),
+    ("clock_to_digraph", ("render", "clock", "{clock}")),
+    ("tile_of", ("render", "bond-board", "{tree}")),
+    ("enumerate_grid_graphs", ("sweep", "tile-trial", "--box", "2x2", "--max-v", "3")),
+    ("has_ham_cycle_grid", ("sweep", "tile-trial", "--box", "2x2", "--max-v", "3")),
+    ("has_ham_path_grid", ("sweep", "dcb", "--box", "2x2", "--max-v", "3")),
+    ("decide_dcb", ("sweep", "dcb", "--box", "2x2", "--max-v", "3")),
+    ("euclidean_geodesic", ("sweep", "geo-oracle", "--box", "3x3", "--count", "2")),
+    ("fine_grid_distance", ("sweep", "geo-oracle", "--box", "3x3", "--count", "2")),
+    ("tile_center", ("sweep", "geo-oracle", "--box", "3x3", "--count", "2")),
+]
+
+
+@pytest.fixture(scope="module")
+def rebound_docs(tmp_path_factory):
+    """Input documents for REBOUND's command lines, made with the CLI."""
+    import contextlib
+    import io
+
+    root = tmp_path_factory.mktemp("rebound")
+
+    def save(name, text):
+        (root / name).write_text(text)
+        return str(root / name)
+
+    def out(*argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(list(argv)) == 0, argv
+        return buf.getvalue()
+
+    docs = {"grid": save("sq.grid", SQUARE), "digraph": save("tri.digraph", TRIANGLE)}
+    docs["tile"] = save("sq.tile", out("reduce", "tile", docs["grid"]))
+    docs["path"] = save("sq.path", out("solve", "tile", docs["tile"]))
+    docs["tree"] = save("tree.bond", out("gen", "bond-board", "--seed", "3"))
+    docs["walk"] = save("tree.walk", out("solve", "dcb", docs["tree"]))
+    docs["forest"] = save("p.bond", out("reduce", "dcb", save("p.grid", PATH6)).split("\n", 1)[1])
+    docs["clock"] = save("c.clock", out("gen", "solvable-clock", "--seed", "4", "--max-v", "6"))
+    docs["moves"] = save("c.moves", out("solve", "clock", docs["clock"]))
+    docs["cert"] = save("tri.cert", out("reduce", "clock", docs["digraph"]))
+    return docs
+
+
+def test_rebound_list_covers_every_library_function():
+    import inspect
+
+    import riftpuzzles.cli as cli
+
+    library = {
+        name for name, value in vars(cli).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+        and value.__module__ != cli.__name__
+    }
+    assert library == {name for name, _ in REBOUND}
+
+
+@pytest.mark.parametrize("name,argv", REBOUND, ids=[name for name, _ in REBOUND])
+def test_commands_call_names_rebound_after_import(capsys, monkeypatch, rebound_docs, name, argv):
+    import riftpuzzles.cli as cli
+
+    original = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    code, _, err = run(capsys, *(a.format(**rebound_docs) for a in argv))
+    assert code == 0, err
+    assert calls, f"{' '.join(argv)} did not call the rebound {name}"

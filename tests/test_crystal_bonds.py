@@ -60,6 +60,9 @@ def test_board_validation():
         BondBoard(region, (a, b), None, ((0, 2),), "grid")
     with pytest.raises(ValueError):
         BondWalk((0,), -1.0)
+    for length in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="finite"):
+            BondWalk((0,), float(length))
 
 
 def test_connected_flag():

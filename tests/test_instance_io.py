@@ -216,3 +216,190 @@ def test_random_roundtrips_all_kinds():
         for value in random_values(kind, 40):
             assert kind_of(value) == kind
             roundtrip(value)
+
+
+# Malformed documents and the exact ParseError each raises, captured before
+# the parsers shared two line readers.  The first malformed line wins; a
+# missing required line, and then the type's own invariants, are reported
+# only after the whole document has been read.
+MALFORMED = [
+    ("grid-short-row", "grid-graph", "0 0\n1\n", "line 2: expected 2 fields, got 1"),
+    ("grid-bad-int", "grid-graph", "0 0\n1 x\n", "line 2: expected integers, got '1 x'"),
+    ("grid-three-fields", "grid-graph", "0 0 0\n", "line 1: expected 2 fields, got 3"),
+    ("grid-empty", "grid-graph", "", "line 1: grid graph must have at least one vertex"),
+    ("grid-blank-lines", "grid-graph", "\n\n  \n",
+     "line 1: grid graph must have at least one vertex"),
+    ("grid-bad-after-blanks", "grid-graph", "\n0 0\n\n2 y\n",
+     "line 4: expected integers, got '2 y'"),
+    ("digraph-empty", "digraph", "", "line 1: missing vertex count"),
+    ("digraph-bad-count", "digraph", "\n\nx\n", "line 3: expected integers, got 'x'"),
+    ("digraph-two-count", "digraph", "2 3\n", "line 1: expected 1 fields, got 2"),
+    ("digraph-long-arc", "digraph", "2\n0 1 2\n", "line 2: expected 2 fields, got 3"),
+    ("digraph-arc-range", "digraph", "2\n0 5\n", "line 1: arc (0,5) outside vertex range"),
+    ("digraph-bad-before-range", "digraph", "2\n0 x\n0 9\n",
+     "line 2: expected integers, got '0 x'"),
+    ("digraph-negative", "digraph", "\n-1\n", "line 2: digraph must have at least one vertex"),
+    ("digraph-range-late", "digraph", "3\n0 1\n\n1 2\n2 7\n",
+     "line 1: arc (2,7) outside vertex range"),
+    ("tile-empty", "tile-board", "", "line 1: board has no rows"),
+    ("tile-offset-short", "tile-board", "offset 1\nSF\n", "line 1: offset needs two integers"),
+    ("tile-offset-bad", "tile-board", "offset a b\nSF\n",
+     "line 1: expected integers, got 'offset a b'"),
+    ("tile-offset-only", "tile-board", "offset 1 2\n", "line 1: board has no rows"),
+    ("tile-two-starts", "tile-board", "SSF\n", "line 1: more than one start tile"),
+    ("tile-two-finishes", "tile-board", "S.\n.FF\n", "line 2: more than one finish tile"),
+    ("tile-no-finish", "tile-board", "S.\n\n", "line 1: board has no finish tile"),
+    ("tile-no-start", "tile-board", ".F\n", "line 1: board has no start tile"),
+    ("tile-unknown-cell", "tile-board", "S?F\n", "line 1: unknown cell '?'"),
+    ("tile-unknown-second-row", "tile-board", "S*F\n.?\n", "line 2: unknown cell '?'"),
+    ("tile-bad-before-missing", "tile-board", "..\n.x\n", "line 2: unknown cell 'x'"),
+    ("path-short", "tile-path", "0 0\n0\n", "line 2: expected 2 fields, got 1"),
+    ("path-bad-int", "tile-path", "0 0\nx y\n", "line 2: expected integers, got 'x y'"),
+    ("path-empty", "tile-path", "", "line 1: path must be nonempty"),
+    ("path-late", "tile-path", "0 0\n0 1\n\n0 2 2\n", "line 4: expected 2 fields, got 3"),
+    ("bond-missing-model", "bond-board", "start free\ntile 0 0\n", "line 2: missing model line"),
+    ("bond-missing-start", "bond-board", "model grid\ntile 0 0\n", "line 2: missing start line"),
+    ("bond-missing-both", "bond-board", "tile 0 0\n\n", "line 1: missing model line"),
+    ("bond-empty", "bond-board", "", "line 1: missing model line"),
+    ("bond-bad-before-missing-model", "bond-board", "tile 0 x\n",
+     "line 1: expected integers, got '0 x'"),
+    ("bond-bad-before-missing-start", "bond-board", "model grid\ntile 0 0\ncrystal 0\n",
+     "line 3: expected 2 fields, got 1"),
+    ("bond-unknown-keyword", "bond-board", "model grid\nstart free\nwall 0 0\n",
+     "line 3: unknown keyword 'wall'"),
+    ("bond-unknown-before-missing", "bond-board", "wall 0 0\n", "line 1: unknown keyword 'wall'"),
+    ("bond-tab-keyword", "bond-board", "model grid\nstart free\ntile\t0 0\n",
+     "line 3: unknown keyword 'tile\\t0'"),
+    ("bond-double-space", "bond-board", "model grid\nstart free\ntile 0 0\ntile  0 x\n",
+     "line 4: expected integers, got ' 0 x'"),
+    ("bond-start-no-fields", "bond-board", "model grid\nstart\n",
+     "line 2: expected 2 fields, got 0"),
+    ("bond-start-free-extra", "bond-board", "model grid\nstart free x\n",
+     "line 2: expected integers, got 'free x'"),
+    ("bond-start-bad", "bond-board", "model grid\nstart 0 x\ntile 0 0\n",
+     "line 2: expected integers, got '0 x'"),
+    ("bond-empty-model", "bond-board", "model\nstart free\ntile 0 0\ncrystal 0 0\n",
+     "line 4: distance model must be one of ('grid', 'euclid')"),
+    ("bond-bad-model", "bond-board", "model taxicab\nstart free\ntile 0 0\ncrystal 0 0\n",
+     "line 4: distance model must be one of ('grid', 'euclid')"),
+    ("bond-duplicate-model-last-wins", "bond-board",
+     "model grid\nmodel taxicab\nstart free\ntile 0 0\ncrystal 0 0\n",
+     "line 5: distance model must be one of ('grid', 'euclid')"),
+    ("bond-duplicate-start-last-wins", "bond-board",
+     "model grid\nstart 0 0\nstart 9 9\ntile 0 0\ncrystal 0 0\n",
+     "line 5: point (9.5, 9.5) is not a region tile center"),
+    ("bond-duplicate-start-bad", "bond-board", "model grid\nstart 0 0\nstart free\nstart x\n",
+     "line 4: expected 2 fields, got 1"),
+    ("bond-duplicate-start-free-wins", "bond-board",
+     "model grid\nstart 9 9\nstart free\ntile 0 0\ncrystal 0 0\ncrystal 0 0\n",
+     "line 6: crystal positions must be pairwise distinct"),
+    ("bond-crystal-off-region", "bond-board", "model grid\nstart free\ntile 0 0\ncrystal 3 3\n",
+     "line 4: point (3.5, 3.5) is not a region tile center"),
+    ("bond-cycle", "bond-board",
+     "model grid\nstart free\ntile 0 0\ntile 1 0\ntile 2 0\ncrystal 0 0\ncrystal 1 0\n"
+     "crystal 2 0\nbond 0 1\nbond 1 2\nbond 0 2\n",
+     "line 11: required bonds must form a forest"),
+    ("bond-bond-range", "bond-board", "model grid\nstart free\ntile 0 0\ncrystal 0 0\nbond 0 4\n",
+     "line 5: bond (0,4) references a missing crystal"),
+    ("walk-empty", "bond-walk", "", "line 1: missing length line"),
+    ("walk-late-visit-first", "bond-walk", "\n\nvisit 0\n", "line 1: missing length line"),
+    ("walk-bare-length", "bond-walk", "length\n", "line 1: missing length line"),
+    ("walk-bad-length", "bond-walk", "length abc\nvisit 0\n",
+     "line 1: bad length in 'length abc'"),
+    ("walk-bad-visit", "bond-walk", "length 5\nvisit x\n", "line 2: expected integers, got 'x'"),
+    ("walk-long-visit", "bond-walk", "length 5\nvisit 0 1\n", "line 2: expected 1 fields, got 2"),
+    ("walk-unknown-keyword", "bond-walk", "length 5\nvist 0\n", "line 2: unknown keyword 'vist'"),
+    ("walk-duplicate-length", "bond-walk", "length 5\nlength 6\n",
+     "line 2: unknown keyword 'length'"),
+    ("walk-negative", "bond-walk", "length -1\nvisit 0\n",
+     "line 1: walk length cannot be negative"),
+    ("walk-negative-late", "bond-walk", "\nlength -1\n\nvisit 0\n",
+     "line 2: walk length cannot be negative"),
+    ("walk-bad-before-negative", "bond-walk", "length -1\nvisit 0\nvisit y\n",
+     "line 3: expected integers, got 'y'"),
+    ("clock-empty", "clock", "", "line 1: missing circumference"),
+    ("clock-bad-circumference", "clock", "x\n", "line 1: expected integer circumference, got 'x'"),
+    ("clock-two-field-header", "clock", "10 0\n",
+     "line 1: expected integer circumference, got '10 0'"),
+    ("clock-zero-value", "clock", "10\n3 0\n", "line 2: value must be >= 1, got 0"),
+    ("clock-value-before-field", "clock", "10\n3 0\n4 x\n", "line 2: value must be >= 1, got 0"),
+    ("clock-field-before-value", "clock", "10\n3 x\n3 0\n",
+     "line 2: expected integers, got '3 x'"),
+    ("clock-outside", "clock", "10\n3 9\n", "line 1: value 9 at position 3 outside [1, 5]"),
+    ("clock-occupied-twice", "clock", "\n10\n3 1\n3 2\n", "line 2: position 3 occupied twice"),
+    ("clock-small", "clock", "1\n", "line 1: circumference must be at least 2"),
+    ("dense-no-count", "clock", "dense\n1\n", "line 1: dense header needs a count"),
+    ("densely-no-count", "clock", "densely\n1\n", "line 1: dense header needs a count"),
+    ("dense-bad-count", "clock", "dense x\n1\n", "line 1: expected integer count, got 'x'"),
+    ("dense-zero-value", "clock", "dense 2\n0\n1\n", "line 2: value must be >= 1, got 0"),
+    ("dense-too-few", "clock", "dense 3\n1\n1\n", "line 3: dense clock needs 3 values, got 2"),
+    ("dense-none", "clock", "dense 2\n", "line 1: dense clock needs 2 values, got 0"),
+    ("dense-two-fields", "clock", "dense 2\n1 1\n", "line 2: expected 1 fields, got 2"),
+    ("dense-value-before-field", "clock", "dense 1\n0\nx\n", "line 2: value must be >= 1, got 0"),
+    ("dense-field-before-count", "clock", "dense 2\n1\nx\n", "line 3: expected integers, got 'x'"),
+    ("dense-value-too-big", "clock", "dense 3\n1\n1\n5\n",
+     "line 1: value 5 at position 2 outside [1, 1]"),
+    ("solution-direction", "clock-solution", "0 up\n",
+     "line 1: direction must be cw or ccw, got 'up'"),
+    ("solution-one-field", "clock-solution", "0\n",
+     "line 1: expected `position direction`, got '0'"),
+    ("solution-bad-position", "clock-solution", "x cw\n",
+     "line 1: expected integer position, got 'x'"),
+    ("solution-late", "clock-solution", "0 cw\n1 ccw\n\n2 sideways cw\n",
+     "line 4: expected `position direction`, got '2 sideways cw'"),
+    ("solution-upper-case", "clock-solution", "0 cw\n0 CW\n",
+     "line 2: direction must be cw or ccw, got 'CW'"),
+    ("cert-missing-vertices", "certificate", "circumference 11\n",
+     "line 1: missing vertices line"),
+    ("cert-missing-circumference", "certificate", "vertices 2\n",
+     "line 1: missing circumference line"),
+    ("cert-empty", "certificate", "", "line 1: missing vertices line"),
+    ("cert-bad-vertices", "certificate", "vertices x\ncircumference 11\n",
+     "line 1: expected integers, got 'x'"),
+    ("cert-bad-before-missing", "certificate", "arc 0 x\n",
+     "line 1: expected integers, got '0 x'"),
+    ("cert-bad-late-before-missing", "certificate", "vertices 2\n\narc 0 1\nlabel 0 1\n",
+     "line 4: expected 3 fields, got 2"),
+    ("cert-duplicate-vertices-last-wins", "certificate",
+     "vertices 3\nvertices 2\narc 0 2\ncircumference 11\n",
+     "line 4: arc (0,2) outside vertex range"),
+    ("cert-duplicate-vertices-bad", "certificate", "vertices 2\nvertices\ncircumference 11\n",
+     "line 2: expected 1 fields, got 0"),
+    ("cert-verdict-maybe", "certificate", "vertices 2\nverdict digraph maybe\n",
+     "line 2: bad verdict line 'verdict digraph maybe'"),
+    ("cert-verdict-graph", "certificate", "vertices 2\nverdict graph yes\n",
+     "line 2: bad verdict line 'verdict graph yes'"),
+    ("cert-verdict-short", "certificate", "vertices 2\nverdict digraph\n",
+     "line 2: bad verdict line 'verdict digraph'"),
+    ("cert-verdict-long", "certificate", "vertices 2\nverdict digraph yes extra\n",
+     "line 2: bad verdict line 'verdict digraph yes extra'"),
+    ("cert-verdict-bare", "certificate", "vertices 2\nverdict\n",
+     "line 2: bad verdict line 'verdict'"),
+    ("cert-verdict-double-space", "certificate", "vertices 2\nverdict  digraph maybe\n",
+     "line 2: bad verdict line 'verdict  digraph maybe'"),
+    ("cert-verdict-before-missing", "certificate", "verdict clock sure\nvertices 2\n",
+     "line 1: bad verdict line 'verdict clock sure'"),
+    ("cert-zero-node", "certificate", "vertices 2\nnode 0 0\n",
+     "line 2: value must be >= 1, got 0"),
+    ("cert-short-label", "certificate", "vertices 2\nlabel 0 0\n",
+     "line 2: expected 3 fields, got 2"),
+    ("cert-unknown-keyword", "certificate", "vertices 2\nedge 0 1\n",
+     "line 2: unknown keyword 'edge'"),
+    ("cert-bad-circumference", "certificate", "vertices 2\ncircumference x\n",
+     "line 2: expected integers, got 'x'"),
+    ("cert-not-injective", "certificate",
+     "vertices 2\narc 0 1\narc 1 0\ncircumference 11\nnode 0 1\nnode 1 1\nlabel 0 0 0\n"
+     "label 1 0 0\n",
+     "line 8: label map is not injective"),
+    ("cert-node-outside", "certificate", "vertices 1\ncircumference 4\nnode 9 1\n",
+     "line 3: position 9 outside [0, 4)"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,text,message", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+)
+def test_malformed_documents_pinned(kind, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(kind, text)
+    assert str(exc.value) == message
