@@ -279,10 +279,11 @@ def _sweep_tile_item(g: GridGraph) -> tuple[bool, str]:
 
 def _sweep_dcb_item(g: GridGraph) -> tuple[bool, str]:
     board, threshold = reduce_grid_to_dcb(g)
-    if decide_dcb(board, threshold) != has_ham_path_grid(g):
+    has_path = has_ham_path_grid(g)
+    if decide_dcb(board, threshold) != has_path:
         return False, serialize(g)
     gadget, gthreshold, detects = apply_start_gadget(board, g)
-    want = has_ham_path_grid(g) if detects == "ham-path" else has_ham_cycle_grid(g)
+    want = has_path if detects == "ham-path" else has_ham_cycle_grid(g)
     if decide_dcb(gadget, gthreshold) != want:
         return False, serialize(g)
     return True, serialize(g)

@@ -11,7 +11,9 @@ Three distance notions live here:
   shared bitboard engine of ``graphs`` when the region is dense enough),
 * ``euclidean_geodesic`` -- true shortest path length, via Dijkstra over a
   reduced visibility graph: the query points plus the region's reflex
-  corners, keeping only corner pairs that can be bitangent,
+  corners, keeping only corner pairs that can be bitangent.  Two query
+  points that see each other are at their straight distance, so Dijkstra
+  runs only until the query points a source does not see are settled,
 * ``fine_grid_distance`` -- 8-connected shortest path on a 1/k sublattice,
   an upper distance oracle used to sanity-check the geodesics.
 
@@ -166,11 +168,20 @@ def segment_admissible(
     first cell that is not a tile; a lattice point crossed on both axes at
     once must not be a pinch.
     """
-    tiles = region.tiles
     s, (x0, y0, x1, y1) = _scaled(p[0], p[1], q[0], q[1])
     for x, y in ((x0, y0), (x1, y1)):
         if x % s == 0 and y % s == 0 and (x // s, y // s) in pinches:
             return False
+    return _walk(region.tiles, pinches, s, x0, y0, x1, y1)
+
+
+def _walk(
+    tiles: frozenset[Tile], pinches: frozenset[Tile], s: int, x0: int, y0: int, x1: int, y1: int
+) -> bool:
+    """The cell walk of segment_admissible, on coordinates scaled by s.
+
+    Both endpoints must already lie off the pinches.
+    """
     dx = x1 - x0
     dy = y1 - y0
     if dx == 0 and dy == 0:
@@ -234,7 +245,14 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
     tested when it meets a corner head-on, from the quadrant opposite the
     missing one (or from inside it): a shortest path never bends there, so
     only pairs that can be bitangent at their corner ends are kept
-    (Lozano-Pérez & Wesley 1979).
+    (Lozano-Pérez & Wesley 1979).  Each node is scaled to integers once,
+    and each kept pair runs the cell walk of segment_admissible.
+
+    Two query points that see each other are at their straight distance:
+    no path is shorter, and Dijkstra's EPS test keeps the value the source's
+    own relaxation gives.  So each run stops once every query point the
+    source does not see has been popped, and a source that sees them all
+    pops only itself.
     """
     pinches, reflex = _classify_corners(region.tiles)
     for p in points:
@@ -243,23 +261,44 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
     nodes: list[Point] = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
     # mx*my of each node's missing quadrant; 0 for query points
     quadrant = [0] * len(points) + [mx * my for _, (mx, my) in reflex]
+    # (s, x, y) of each node: integers over its power-of-two denominator s;
+    # a node on a pinch sees nothing
+    scaled = []
+    free = []
+    for node in nodes:
+        s, (x, y) = _scaled(*node)
+        scaled.append((s, x, y))
+        free.append(s > 1 or (x, y) not in pinches)
+    tiles = region.tiles
     n = len(nodes)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for i in range(n):
+        if not free[i]:
+            continue
         xi, yi = nodes[i]
         mi = quadrant[i]
+        si, ai, bi = scaled[i]
         for j in range(i + 1, n):
             xj, yj = nodes[j]
             dxdy = (xj - xi) * (yj - yi)
-            if dxdy * mi > 0 or dxdy * quadrant[j] > 0:
+            if dxdy * mi > 0 or dxdy * quadrant[j] > 0 or not free[j]:
                 continue
-            if segment_admissible(region, pinches, nodes[i], nodes[j]):
+            sj, aj, bj = scaled[j]
+            if si == sj:
+                seen = _walk(tiles, pinches, si, ai, bi, aj, bj)
+            else:
+                s = math.lcm(si, sj)
+                fi, fj = s // si, s // sj
+                seen = _walk(tiles, pinches, s, ai * fi, bi * fi, aj * fj, bj * fj)
+            if seen:
                 w = math.hypot(xi - xj, yi - yj)
                 adj[i].append((j, w))
                 adj[j].append((i, w))
     k = len(points)
-    result = [[math.inf] * k for _ in range(k)]
+    result = []
     for src in range(k):
+        # the query points src does not see, and src itself
+        need = set(range(k)).difference(v for v, _ in adj[src])
         dist = [math.inf] * n
         dist[src] = 0.0
         heap = [(0.0, src)]
@@ -272,9 +311,10 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
                 if nd < dist[v] - EPS:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        for dst in range(k):
-            result[src][dst] = dist[dst]
-        result[src][src] = 0.0
+            need.discard(u)
+            if not need:
+                break
+        result.append(dist[:k])
     return result
 
 

@@ -115,6 +115,19 @@ def test_sweep_dcb_passes(capsys):
     assert " fail 0" in out
 
 
+def test_sweep_dcb_decides_each_graph_once(capsys, monkeypatch):
+    # the gadget's Hamiltonian-path answer reuses the one the plain
+    # reduction was checked against
+    import riftpuzzles.cli as cli
+    from riftpuzzles.graphs import enumerate_grid_graphs, has_ham_path_grid
+
+    calls = []
+    monkeypatch.setattr(cli, "has_ham_path_grid", lambda g: calls.append(g) or has_ham_path_grid(g))
+    code, out, _ = run(capsys, "sweep", "dcb", "--box", "2x3", "--max-v", "6")
+    assert code == 0 and " fail 0" in out
+    assert calls == [g for g in enumerate_grid_graphs(2, 3, 6) if len(g) >= 2]
+
+
 def test_sweep_clock_reports_counterexample(capsys):
     # the subdivision detour can block the clock even when the digraph has a
     # covering path, so a long enough seeded run must surface a mismatch

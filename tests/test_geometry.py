@@ -1,8 +1,11 @@
+import heapq
 import math
 import random
+import time
 
 import pytest
 
+from riftpuzzles.crystal_bonds import gen_random_tree_board
 from riftpuzzles.geometry import (
     PointOutsideRegion,
     TileRegion,
@@ -357,3 +360,131 @@ def test_fine_grid_hand_values_around_holes():
     ]:
         got = fine_grid_distance(r, p, q, 16)
         assert abs(got - want) <= 1e-12 * want, (p, q, got)
+
+
+# Reference matrix: the full-Dijkstra construction, built on the public
+# segment_admissible.  Every query point runs Dijkstra to exhaustion over the
+# same nodes (query points, then reflex corners in sorted order), the same
+# adjacency order and the same EPS tests, so its floats are the ones the
+# matrix must reproduce bit for bit.
+
+REF_EPS = 1e-9
+
+
+def _reflex_corners(tiles):
+    corners = {(x + a, y + b) for x, y in tiles for a in (0, 1) for b in (0, 1)}
+    out = []
+    for cx, cy in sorted(corners):
+        sw, se = (cx - 1, cy - 1) in tiles, (cx, cy - 1) in tiles
+        nw, ne = (cx - 1, cy) in tiles, (cx, cy) in tiles
+        if sw + se + nw + ne == 3:
+            mx = -1 if not (sw and nw) else 1
+            my = -1 if not (sw and se) else 1
+            out.append(((float(cx), float(cy)), mx * my))
+    return out
+
+
+def reference_geodesic_matrix(r, points):
+    pinches = pinch_corners(r)
+    reflex = _reflex_corners(r.tiles)
+    nodes = list(points) + [c for c, _ in reflex]
+    quadrant = [0] * len(points) + [m for _, m in reflex]
+    n = len(nodes)
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            (xi, yi), (xj, yj) = nodes[i], nodes[j]
+            dxdy = (xj - xi) * (yj - yi)
+            if dxdy * quadrant[i] > 0 or dxdy * quadrant[j] > 0:
+                continue
+            if segment_admissible(r, pinches, nodes[i], nodes[j]):
+                w = math.hypot(xi - xj, yi - yj)
+                adj[i].append((j, w))
+                adj[j].append((i, w))
+    result = []
+    for src in range(len(points)):
+        dist = [math.inf] * n
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u] + REF_EPS:
+                continue
+            for v, w in adj[u]:
+                if d + w < dist[v] - REF_EPS:
+                    dist[v] = d + w
+                    heapq.heappush(heap, (d + w, v))
+        result.append(dist[: len(points)])
+    return result
+
+
+def _identity_cases():
+    rng = random.Random(77)
+    cases = []
+    # the benchmark's board sizes, and smaller ones
+    for seed, size, r in [(1, 30, 40), (2, 30, 40), (3, 30, 40), (4, 50, 60), (5, 50, 60)]:
+        board = gen_random_tree_board(seed, size, size, r, model="euclid")
+        cases.append((board.region, list(board.crystals) + [board.start]))
+    for seed in range(60):
+        size = 5 + seed % 8
+        board = gen_random_tree_board(seed, size, size, 4 + seed % 6, model="euclid")
+        points = list(board.crystals)
+        # the start on a crystal's centre: a pair with p == q
+        cases.append((board.region, points + [points[seed % len(points)]]))
+    for n in range(60):
+        # scattered tiles, pinches everywhere; some query points on corners
+        w = rng.choice((5, 6, 8))
+        cells = [(x, y) for x in range(w) for y in range(w)]
+        tiles = rng.sample(cells, rng.randint(4, 2 * w))
+        r = TileRegion(frozenset(tiles))
+        corners = sorted({(x + a, y + b) for x, y in tiles for a in (0, 1) for b in (0, 1)})
+        points = [tile_center(t) for t in rng.sample(tiles, min(len(tiles), 5))]
+        points += [(float(x), float(y)) for x, y in rng.sample(corners, 3)]
+        cases.append((r, points))
+    for n in range(40):
+        # twin clusters: rows of inf between them, near and far apart
+        base = gen_random_region(rng.randrange(1 << 30), 6, 6, rng.randint(8, 20))
+        gap = (8, 10**7)[n % 2]
+        far = gen_random_region(rng.randrange(1 << 30), 5, 5, rng.randint(5, 12))
+        r = TileRegion(base.tiles | {(x + gap, y) for x, y in far.tiles})
+        picks = rng.sample(sorted(r.tiles), 6)
+        cases.append((r, [tile_center(t) for t in picks]))
+    for n in range(60):
+        # off-centre dyadic points with mixed denominators
+        r = gen_random_region(rng.randrange(1 << 30), 9, 9, rng.randint(15, 50))
+        tiles = sorted(r.tiles)
+        points = []
+        for _ in range(rng.randint(3, 8)):
+            x, y = tiles[rng.randrange(len(tiles))]
+            points.append((x + rng.randrange(9) / 8, y + rng.randrange(5) / 4))
+        cases.append((r, points))
+    return cases
+
+
+def test_matrix_bit_identical_to_full_dijkstra():
+    cases = _identity_cases()
+    assert len(cases) >= 200
+    finite = unreachable = 0
+    for r, points in cases:
+        got = euclidean_geodesic_matrix(r, points)
+        want = reference_geodesic_matrix(r, points)
+        assert [[d.hex() for d in row] for row in got] == [
+            [d.hex() for d in row] for row in want
+        ], (sorted(r.tiles), points)
+        flat = [d for row in got for d in row]
+        finite += sum(0 < d < math.inf for d in flat)
+        unreachable += flat.count(math.inf)
+    assert finite > 10_000 and unreachable > 1_000
+
+
+def test_sparse_region_is_not_walked_cell_by_cell():
+    # tiles 10^9 or 10^18 apart: the walk must stop at the first gap, not
+    # cover the bounding box
+    for far in (10**9, 10**18):
+        r = region((0, 0), (far, far))
+        p, q = (0.5, 0.5), (float(far), float(far))
+        start = time.perf_counter()
+        assert euclidean_geodesic_matrix(r, [p, q]) == [[0.0, math.inf], [math.inf, 0.0]]
+        assert not segment_admissible(r, frozenset(), p, q)
+        assert not segment_admissible(r, frozenset(), q, p)
+        assert time.perf_counter() - start < 1.0
