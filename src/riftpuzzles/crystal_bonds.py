@@ -304,8 +304,11 @@ def solve_crystal_bonds(board: BondBoard) -> BondWalk:
 def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     """Exhaustive optimum over every bond ordering and traversal direction.
 
-    Independent of the rural-postman pipeline; used as its exactness oracle
-    and as the decision routine for reduced (disconnected) instances.
+    One bottom-up table over (covered-bond mask, crystal last stood on),
+    filled from the full mask down to the root state (0, start); the walk is
+    read back along each entry's first step.  Independent of the
+    rural-postman pipeline; used as its exactness oracle and as the decision
+    routine for reduced (disconnected) instances.
     """
     bonds = board.required_bonds
     if len(bonds) > 8:
@@ -313,43 +316,38 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     if not bonds:
         return BondWalk((), 0.0)
     metric = crystal_metric(board)
-    start_index = None if board.start is None else len(board.crystals)
+    root = None if board.start is None else len(board.crystals)
+    free_start = [0.0] * len(metric)
     full = (1 << len(bonds)) - 1
-    memo: dict[tuple[int, int], tuple[float, tuple]] = {}
-
-    def after(mask: int, last: int) -> tuple[float, tuple]:
-        if mask == full:
-            return 0.0, ()
-        key = (mask, last)
-        if key in memo:
-            return memo[key]
-        best = (math.inf, ())
-        for i, (p, q) in enumerate(bonds):
-            if mask & (1 << i):
-                continue
-            for u, w in ((p, q), (q, p)):
-                tail_cost, tail = after(mask | (1 << i), w)
-                cand = metric[last][u] + metric[u][w] + tail_cost
-                if cand < best[0]:
-                    best = (cand, ((u, w),) + tail)
-        memo[key] = best
-        return best
-
-    best = (math.inf, ())
-    for i, (p, q) in enumerate(bonds):
-        for u, w in ((p, q), (q, p)):
-            tail_cost, tail = after(1 << i, w)
-            first_leg = 0.0 if start_index is None else metric[start_index][u]
-            cand = first_leg + metric[u][w] + tail_cost
-            if cand < best[0]:
-                best = (cand, ((u, w),) + tail)
+    # table[mask][last] = (cost, step): the cheapest way to walk the bonds
+    # outside `mask` from `last`, and its first step (mask | bond bit, u, w)
+    table: list[dict] = [{} for _ in range(full)]
+    table.append({x: (0.0, None) for bond in bonds for x in bond})
+    for mask in range(full - 1, -1, -1):
+        lasts = {x for i, bond in enumerate(bonds) if mask >> i & 1 for x in bond} or {root}
+        for last in lasts:
+            lead = free_start if last is None else metric[last]
+            best = (math.inf, None)
+            for i, (p, q) in enumerate(bonds):
+                bit = 1 << i
+                if mask & bit:
+                    continue
+                after = table[mask | bit]
+                for u, w in ((p, q), (q, p)):
+                    cand = lead[u] + metric[u][w] + after[w][0]
+                    if cand < best[0]:
+                        best = (cand, (mask | bit, u, w))
+            table[mask][last] = best
 
     seq: list[int] = []
-    for u, w in best[1]:
+    step = table[0][root][1]
+    while step is not None:
+        mask, u, w = step
         if not seq or seq[-1] != u:
             seq.append(u)
         seq.append(w)
-    return BondWalk(tuple(seq), best[0])
+        step = table[mask][w][1]
+    return BondWalk(tuple(seq), table[0][root][0])
 
 
 def verify_bond_walk(board: BondBoard, walk: BondWalk) -> Verdict:

@@ -263,36 +263,38 @@ def _ham_search(g: GridGraph, starts: list[Vertex], anchor: Vertex | None) -> bo
     With an anchor the path must end beside it, closing a cycle through the
     anchor; without one any covering path counts.  `g` must be connected,
     which bounds its bitboard by its vertex count squared.  The starts are
-    tried in order and share one bitboard and one vertex-bit map.
+    tried in order and share one bitboard and one vertex-bit map.  The search
+    keeps one neighbour iterator per path vertex on an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit.
     """
     n = len(g)
     board = _pack(g.vertices)
     bit = {v: 1 << board.index(v) for v in g.vertices}
     anchor_bit = 0 if anchor is None else bit[anchor]
 
-    def extend() -> bool:
-        nonlocal free
-        if len(path) == n:
-            return anchor is None or anchor in g.neighbors(path[-1])
-        # every unvisited vertex (and the cycle anchor, if any) must still be
-        # reachable from the path head through unvisited territory
-        if not _reaches(bit[path[-1]], free | anchor_bit, free | anchor_bit, board.stride):
-            return False
-        for nxt in g.neighbors(path[-1]):
-            if free & bit[nxt]:
-                free ^= bit[nxt]
-                path.append(nxt)
-                if extend():
-                    return True
-                path.pop()
-                free ^= bit[nxt]
-        return False
-
     for start in starts:
         path = [start]
         free = board.cells ^ bit[start]
-        if extend():
-            return True
+        stack: list[Iterator[Vertex]] = []
+        while path:
+            if len(stack) < len(path):
+                # the path's head just joined it: give it the neighbours to try
+                head = path[-1]
+                if len(path) == n and (anchor is None or anchor in g.neighbors(head)):
+                    return True
+                # every unvisited vertex (and the cycle anchor, if any) must
+                # still be reachable from the head through unvisited territory
+                open_ = free | anchor_bit
+                grow = len(path) < n and _reaches(bit[head], open_, open_, board.stride)
+                stack.append(iter(g.neighbors(head) if grow else ()))
+            for nxt in stack[-1]:
+                if free & bit[nxt]:
+                    free ^= bit[nxt]
+                    path.append(nxt)
+                    break
+            else:
+                stack.pop()
+                free ^= bit[path.pop()]
     return False
 
 

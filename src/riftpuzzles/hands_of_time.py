@@ -18,9 +18,6 @@ from dataclasses import dataclass, replace
 
 from .graphs import BudgetExhausted, Digraph, Verdict
 
-# subset DP is exact and fast up to here; larger instances fall back to
-# budgeted backtracking which may give up instead of deciding
-SUBSET_DP_LIMIT = 22
 DEFAULT_NODE_BUDGET = 2_000_000
 
 DIRECTIONS = ("cw", "ccw")
@@ -224,66 +221,39 @@ def _moves_from_indices(c: ClockInstance, seq) -> ClockSolution:
 def solve_clock(c: ClockInstance, budget: int | None = None) -> ClockSolution | None:
     """Complete selection order, or None when none exists.
 
-    Small instances use exact subset DP over occupied nodes (failure states
-    memoized); larger ones use plain backtracking and raise BudgetExhausted
-    after expanding `budget` nodes (default DEFAULT_NODE_BUDGET) rather than
-    returning a wrong answer.
+    One depth-first search over occupied nodes on an explicit stack: starts
+    in position order, then successors in move-graph order.  Each node put on
+    the path costs one unit of `budget` (default DEFAULT_NODE_BUDGET); running
+    out raises BudgetExhausted rather than returning a wrong answer.
     """
     count = len(c.occupied)
     if count == 0:
         return ClockSolution(())
     graph = clock_to_digraph(c)
     succs = [graph.out_neighbors(i) for i in range(count)]
-
-    if count <= SUBSET_DP_LIMIT:
-        full = (1 << count) - 1
-        dead: set[tuple[int, int]] = set()
-
-        def extend(mask, last):
-            if mask == full:
-                return (last,)
-            if (mask, last) in dead:
-                return None
-            for nxt in succs[last]:
-                bit = 1 << nxt
-                if not mask & bit:
-                    tail = extend(mask | bit, nxt)
-                    if tail is not None:
-                        return (last,) + tail
-            dead.add((mask, last))
-            return None
-
-        for s in range(count):
-            seq = extend(1 << s, s)
-            if seq is not None:
-                return _moves_from_indices(c, seq)
-        return None
-
-    remaining = DEFAULT_NODE_BUDGET if budget is None else budget
-    for s in range(count):
+    limit = DEFAULT_NODE_BUDGET if budget is None else budget
+    remaining = limit
+    on_path = [False] * count
+    path: list[int] = []
+    # the root iterator offers every start; each deeper one, its node's successors
+    stack = [iter(range(count))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            if path:
+                on_path[path.pop()] = False
+            continue
+        if on_path[nxt]:
+            continue
         remaining -= 1
         if remaining < 0:
-            raise BudgetExhausted("node budget exhausted")
-        on_path = [False] * count
-        on_path[s] = True
-        path = [s]
-        stack = [iter(succs[s])]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                stack.pop()
-                on_path[path.pop()] = False
-                continue
-            if on_path[nxt]:
-                continue
-            remaining -= 1
-            if remaining < 0:
-                raise BudgetExhausted("node budget exhausted")
-            on_path[nxt] = True
-            path.append(nxt)
-            if len(path) == count:
-                return _moves_from_indices(c, path)
-            stack.append(iter(succs[nxt]))
+            raise BudgetExhausted(f"no verdict within {limit} nodes")
+        on_path[nxt] = True
+        path.append(nxt)
+        if len(path) == count:
+            return _moves_from_indices(c, path)
+        stack.append(iter(succs[nxt]))
     return None
 
 

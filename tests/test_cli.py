@@ -195,6 +195,13 @@ def test_budget_exhausted_exits_3(tmp_path, capsys):
     assert "gave up" in err
 
 
+def test_budget_applies_to_small_clocks(tmp_path, capsys):
+    text = "10\n" + "".join(f"{i} {1 + (i * 3) % 5}\n" for i in range(10))
+    path = doc(tmp_path, "small.clock", text)
+    code, out, err = run(capsys, "solve", "clock", path, "--budget", "1")
+    assert (code, out, err) == (3, "", "gave up: no verdict within 1 nodes\n")
+
+
 def test_stdin_dash(tmp_path, capsys, monkeypatch):
     import io
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -20,6 +21,7 @@ from riftpuzzles.crystal_bonds import (
 from riftpuzzles.geometry import TileRegion, tile_center
 from riftpuzzles.graphs import (
     GridGraph,
+    InstanceTooLarge,
     enumerate_grid_graphs,
     has_ham_cycle_grid,
     has_ham_path_grid,
@@ -195,6 +197,91 @@ def test_adding_a_bond_never_helps():
             length = brute_force_crystal_bonds(partial).total_length
             assert length >= prev - 1e-9
             prev = length
+
+
+def top_down_brute_force(board):
+    """brute_force_crystal_bonds's former form: a memoized recursion
+    `after(mask, last)` returning (cost, tuple of (u, w) bond steps), with
+    the root state's candidates tried in a separate loop."""
+    bonds = board.required_bonds
+    if not bonds:
+        return BondWalk((), 0.0)
+    metric = crystal_metric(board)
+    start_index = None if board.start is None else len(board.crystals)
+    full = (1 << len(bonds)) - 1
+    memo = {}
+
+    def after(mask, last):
+        if mask == full:
+            return 0.0, ()
+        key = (mask, last)
+        if key in memo:
+            return memo[key]
+        best = (math.inf, ())
+        for i, (p, q) in enumerate(bonds):
+            if mask & (1 << i):
+                continue
+            for u, w in ((p, q), (q, p)):
+                tail_cost, tail = after(mask | (1 << i), w)
+                cand = metric[last][u] + metric[u][w] + tail_cost
+                if cand < best[0]:
+                    best = (cand, ((u, w),) + tail)
+        memo[key] = best
+        return best
+
+    best = (math.inf, ())
+    for i, (p, q) in enumerate(bonds):
+        for u, w in ((p, q), (q, p)):
+            tail_cost, tail = after(1 << i, w)
+            first_leg = 0.0 if start_index is None else metric[start_index][u]
+            cand = first_leg + metric[u][w] + tail_cost
+            if cand < best[0]:
+                best = (cand, ((u, w),) + tail)
+
+    seq = []
+    for u, w in best[1]:
+        if not seq or seq[-1] != u:
+            seq.append(u)
+        seq.append(w)
+    return BondWalk(tuple(seq), best[0])
+
+
+def connects_all_crystals(board):
+    try:
+        crystal_metric(board)
+    except UnreachableCrystal:
+        return False
+    return True
+
+
+def test_brute_force_matches_former_recursion():
+    # same recurrence, same candidate sums and the same strict < in bond,
+    # then orientation, order: equal walks and bit-equal lengths
+    boards = []
+    for g in enumerate_grid_graphs(3, 3, 7):
+        if len(g) == 7:
+            board, _ = reduce_grid_to_dcb(g)
+            boards += [board, apply_start_gadget(board, g)[0]]
+    for seed in range(130):
+        model = ("grid", "euclid")[seed % 2]
+        board = gen_random_tree_board(seed + 300, box_w=6, box_h=6, r=2 + seed % 7, model=model)
+        boards += [board, dataclasses.replace(board, start=None)]
+    # a gadget whose corridor break severs a bridge has no walk at all
+    boards = [b for b in boards if connects_all_crystals(b)]
+    assert len(boards) >= 300
+    assert sum(len(b.required_bonds) == 8 and b.start is not None for b in boards) >= 10
+    for board in boards:
+        got = brute_force_crystal_bonds(board)
+        want = top_down_brute_force(board)
+        assert got.visit_sequence == want.visit_sequence, board
+        assert got.total_length.hex() == want.total_length.hex(), board
+
+
+def test_brute_force_bond_limit():
+    board = gen_random_tree_board(3, box_w=6, box_h=6, r=10)
+    assert len(board.required_bonds) == 9
+    with pytest.raises(InstanceTooLarge, match="limited to 8 bonds"):
+        brute_force_crystal_bonds(board)
 
 
 def test_reduce_domino_shape():

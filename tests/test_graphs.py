@@ -57,6 +57,14 @@ def test_ham_path_small_cases():
     assert not has_ham_path_grid(plus)
 
 
+def test_long_ladder_searched_without_recursion():
+    # a 2x500 ladder: 1,000 path steps, deeper than the default recursion
+    # limit allows for one frame per step
+    g = gg(*[(x, y) for x in range(2) for y in range(500)])
+    assert has_ham_cycle_grid(g)
+    assert has_ham_path_grid(g)
+
+
 def test_ham_cycle_matches_permutation_brute_force():
     # fix the minimum vertex, try every order of the rest, close the loop
     def naive(g):

@@ -19,6 +19,7 @@ from riftpuzzles.hands_of_time import (
     solve_clock,
     verify_clock_solution,
 )
+from riftpuzzles.hands_of_time import _moves_from_indices
 
 THREE_CYCLE = Digraph(3, ((0, 1), (1, 2), (2, 0)))
 
@@ -174,11 +175,75 @@ def test_cross_oracle_on_dense_instances():
 
 
 def test_backtracking_strategy_and_budget():
-    inst = gen_solvable_clock(26, 5)  # above the subset-DP limit
+    inst = gen_solvable_clock(26, 5)  # 26 occupied nodes
     sol = solve_clock(inst)
     assert sol is not None and verify_clock_solution(inst, sol).ok
     with pytest.raises(BudgetExhausted):
         solve_clock(gen_random_clock(26, 1), budget=10)
+
+
+def test_budget_applies_at_every_size():
+    for seed in range(5):
+        with pytest.raises(BudgetExhausted, match="no verdict within 1 nodes"):
+            solve_clock(gen_solvable_clock(10, seed), budget=1)
+    # each start and each step costs one node: walking 0, 1, ..., 9 needs 10
+    ring = ClockInstance.dense([1] * 10)
+    assert solve_clock(ring, budget=10) is not None
+    with pytest.raises(BudgetExhausted):
+        solve_clock(ring, budget=9)
+
+
+def subset_dp_solve_clock(c):
+    """solve_clock's former engine up to 22 nodes: a recursive search over
+    (visited mask, last node) that memoizes every failing state."""
+    count = len(c.occupied)
+    if count == 0:
+        return ClockSolution(())
+    graph = clock_to_digraph(c)
+    succs = [graph.out_neighbors(i) for i in range(count)]
+    full = (1 << count) - 1
+    dead = set()
+
+    def extend(mask, last):
+        if mask == full:
+            return (last,)
+        if (mask, last) in dead:
+            return None
+        for nxt in succs[last]:
+            bit = 1 << nxt
+            if not mask & bit:
+                tail = extend(mask | bit, nxt)
+                if tail is not None:
+                    return (last,) + tail
+        dead.add((mask, last))
+        return None
+
+    for s in range(count):
+        seq = extend(1 << s, s)
+        if seq is not None:
+            return _moves_from_indices(c, seq)
+    return None
+
+
+def test_backtracker_matches_former_subset_dp():
+    # the memo only skipped failing subtrees and both engines try starts and
+    # successors in the same order, so the first path found is the same
+    cases = []
+    for seed in range(160):
+        v = 2 + seed % 10
+        cases.append(reduce_digraph_to_phot(gen_random_digraph(v, seed + 500)).instance)
+    for seed in range(80):
+        n = 4 + seed % 19
+        cases.append(gen_random_clock(n, seed))
+        cases.append(gen_solvable_clock(n, seed + 80))
+    assert len(cases) >= 300
+    assert max(len(c.occupied) for c in cases) == 22
+    solved = 0
+    for c in cases:
+        got = solve_clock(c)
+        assert got == subset_dp_solve_clock(c), c
+        solved += got is not None
+    assert 0 < solved < len(cases)
 
 
 def test_empty_instance_is_trivially_solved():
