@@ -10,7 +10,11 @@ remainder prune, grid distances, the Tile Trial prune).  A tile set whose
 bounding box holds at most ``_PACK_DENSITY`` cells per tile is packed into
 one Python int, a row per stride of width + 1 bits, and a BFS level is four
 shifts and a mask over the whole set.  Sparser sets keep a per-cell loop,
-so far-apart tiles never cost a bounding-box-sized int.
+so far-apart tiles never cost a bounding-box-sized int.  Reachability
+alone (connectivity and both prunes) need not pay per level: a flood that
+is still going once it has run a few more levels than two fill rounds
+cost switches to rounds that each fill whole row and column runs, so a
+long corridor costs a few rounds per turn instead of a level per tile.
 """
 
 from __future__ import annotations
@@ -125,21 +129,87 @@ def _pack(cells: Collection[Vertex], max_density: float = math.inf) -> _Bitboard
     return _Bitboard(x0, y0, stride, int(digits, 2))
 
 
+# Every flood runs this many plain levels before it works out when to switch
+# to fill rounds: a board whose switch point comes sooner has at most 7
+# cells, so none of its floods last this long.
+_FIRST_LEVELS = range(12)
+
+
 def _reaches(seed: int, open_: int, need: int, stride: int) -> bool:
     """True when a flood from `seed` through the `open_` bits covers `need`.
 
-    `seed` need not be open itself; the flood stops as soon as it succeeds.
+    `seed` need not be open itself; the flood stops as soon as it succeeds,
+    and a `need` bit that is neither open nor the seed fails it at once.
+    Shallow floods, the common case on compact boards, run plain BFS levels
+    of four shifts each.  A flood still going after a few more levels
+    than two fill rounds cost (twice the width's plus four times the
+    height's bit length) switches to `_run_fill`, whose rounds cross whole
+    runs of open bits, so a corridor costs a few rounds per turn, not a
+    level per tile.
     """
-    seen = frontier = seed
+    if need & ~(open_ | seed):
+        return False
+    frontier = seed
     unseen = open_ & ~seed
-    while need & ~seen:
-        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
-        frontier = step & unseen
-        if not frontier:
-            return False
-        unseen ^= frontier
-        seen |= frontier
+    levels = _FIRST_LEVELS
+    while need & unseen:
+        for _ in levels:
+            step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+            frontier = step & unseen
+            if not frontier:
+                return False
+            unseen ^= frontier
+            if not need & unseen:
+                return True
+        if levels is not _FIRST_LEVELS:
+            return _run_fill(open_ & ~unseen, open_, need & unseen, stride)
+        # a fill round takes one doubling step per bit of the width and two
+        # per bit of the height; building the steps and running two rounds
+        # costs 1 to 1.5 plain levels per step, and waiting for two levels
+        # per step keeps the floods of compact boards on plain levels
+        width, height = stride - 1, open_.bit_length() // stride + 1
+        levels = range(2 * (width.bit_length() + 2 * height.bit_length()) - len(_FIRST_LEVELS))
     return True
+
+
+def _run_fill(reached: int, open_: int, need: int, stride: int) -> bool:
+    """True when flooding the `open_` bits from `reached`, a subset of them,
+    covers `need`; in rounds that each cross whole runs of open bits.
+
+    A carry-add floods every row run toward higher bits: adding a reached
+    bit to a run of ones carries through to the run's end, where the empty
+    pad column stops it.  Doubling steps flood toward lower bits and along
+    columns: a step with shift k adds a bit whose k-th neighbour in that
+    direction is reached when every bit in between is open, so after shifts
+    1, 2, 4, ... the flood has crossed every run it touched.  Rounds repeat
+    until `need` is covered or one adds nothing.
+    """
+    # (shift k, the bits that start k / unit open cells in a line toward
+    # their k-th neighbour): such a bit joins once that neighbour has
+    lower: list[tuple[int, int]] = []
+    for unit in (1, stride):
+        k, run = unit, open_
+        while run:
+            lower.append((k, run))
+            run &= run >> k
+            k <<= 1
+    higher: list[tuple[int, int]] = []
+    k, run = stride, open_
+    while run:
+        higher.append((k, run))
+        run &= run << k
+        k <<= 1
+    while True:
+        was = reached
+        reached |= open_ & (((open_ + reached) ^ open_) | reached)
+        for k, run in lower:
+            reached |= run & (reached >> k)
+        for k, run in higher:
+            reached |= run & (reached << k)
+        if not need & ~reached:
+            return True
+        if reached == was:
+            return False
 
 
 def _grid_bfs(
@@ -238,9 +308,18 @@ def grid_edges(g: GridGraph) -> set[tuple[Vertex, Vertex]]:
     return edges
 
 
+def _colour_excess(g: GridGraph) -> int:
+    """How many more vertices one colour class has than the other, a vertex
+    (x, y) being coloured (x + y) mod 2.  Every edge joins the two classes,
+    so a Hamiltonian path alternates them: it needs an excess of at most 1,
+    and a cycle needs none (Itai, Papadimitriou & Szwarcfiter, 1982)."""
+    odd = sum((x + y) & 1 for x, y in g.vertices)
+    return abs(len(g) - 2 * odd)
+
+
 def has_ham_cycle_grid(g: GridGraph) -> bool:
     """Exhaustive Hamiltonian-cycle test; graphs on fewer than 4 vertices fail."""
-    if len(g) < 4:
+    if len(g) < 4 or _colour_excess(g):
         return False
     if any(g.degree(v) < 2 for v in g.vertices) or not g.is_connected():
         return False
@@ -252,7 +331,7 @@ def has_ham_path_grid(g: GridGraph) -> bool:
     """Exhaustive Hamiltonian-path test; a single vertex counts as a path."""
     if len(g) == 1:
         return True
-    if not g.is_connected():
+    if _colour_excess(g) > 1 or not g.is_connected():
         return False
     return _ham_search(g, g.sorted_vertices(), None)
 

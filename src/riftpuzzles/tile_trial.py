@@ -105,8 +105,12 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     Returns a valid path or None when provably unsolvable.  Raises
     BudgetExhausted when the budget runs out first.  Prunes branches
     where the finish or any untouched crystal is no longer reachable through
-    residual capacity: one bitboard flood from the path head over the open
-    mask, the tiles with capacity left, which each step updates in place.
+    residual capacity: one bitboard flood (`_reaches`) from the path head
+    over the open mask, the tiles with capacity left, which each step
+    updates in place.  The flood runs plain BFS levels while it is shallow
+    and whole-run fill rounds once it is deep, so on a long corridor, such
+    as a 2xL ladder's reduction, a step's prune costs a few rounds rather
+    than about L levels.
     """
     caps = board.capacities
     finish = board.finish

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from riftpuzzles import graphs
 from riftpuzzles.graphs import (
     Digraph,
     GridGraph,
@@ -58,11 +59,25 @@ def test_ham_path_small_cases():
 
 
 def test_long_ladder_searched_without_recursion():
-    # a 2x500 ladder: 1,000 path steps, deeper than the default recursion
-    # limit allows for one frame per step
-    g = gg(*[(x, y) for x in range(2) for y in range(500)])
-    assert has_ham_cycle_grid(g)
-    assert has_ham_path_grid(g)
+    # 2x1000 ladders: 2,000 path steps, deeper than the default recursion
+    # limit allows for one frame per step, each pruned by a flood that
+    # crosses the ladder's length in fill rounds, not one level per rung
+    for w, h in ((2, 1000), (1000, 2)):
+        g = gg(*[(x, y) for x in range(w) for y in range(h)])
+        assert has_ham_cycle_grid(g)
+        assert has_ham_path_grid(g)
+
+
+def test_colour_imbalance_decided_without_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("searched a colour-imbalanced graph")
+
+    monkeypatch.setattr(graphs, "_ham_search", search)
+    # odd area: one colour class has a vertex more, so no cycle
+    for w, h in ((5, 5), (3, 7)):
+        assert not has_ham_cycle_grid(gg(*[(x, y) for x in range(w) for y in range(h)]))
+    # the plus: four leaves of one colour round a centre of the other
+    assert not has_ham_path_grid(gg((1, 1), (0, 1), (2, 1), (1, 0), (1, 2)))
 
 
 def test_ham_cycle_matches_permutation_brute_force():

@@ -2,7 +2,9 @@
 
 Dense tile sets run as bitboards (one int, a pad column per row), sparse
 ones through the per-cell loop; both must give the reference's values and
-types: an int step count, or math.inf when cut off.
+types: an int step count, or math.inf when cut off.  The searches' flood,
+`_reaches`, must give the reference's verdict whether it stays on plain
+levels or switches to whole-run fill rounds.
 """
 
 import math
@@ -10,9 +12,10 @@ import random
 import time
 from collections import deque
 
+from riftpuzzles import graphs
 from riftpuzzles.cli import main
 from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, grid_distance_matrix
-from riftpuzzles.graphs import _PACK_DENSITY, _connected, _pack
+from riftpuzzles.graphs import _PACK_DENSITY, _connected, _pack, _reaches
 
 
 def reference_bfs(tiles, src):
@@ -146,3 +149,86 @@ def test_large_dense_region_packs_and_matches_reference():
     assert_same_rows(
         grid_distance_matrix(TileRegion(tiles), targets), reference_matrix(tiles, targets)
     )
+
+
+def serpentine(width, rows):
+    """Rows `width` long joined at alternate ends by one tile: a corridor
+    about rows * width tiles long."""
+    tiles = {(x, 2 * r) for r in range(rows) for x in range(width)}
+    tiles |= {(width - 1 if r % 2 == 0 else 0, 2 * r + 1) for r in range(rows - 1)}
+    return tiles
+
+
+def flood_boards(count):
+    """Compact regions, serpentines, 2xL and Lx2 ladders, scattered sets and
+    a U whose side columns would meet if a shift wrapped, some shifted to
+    negative coordinates."""
+    rng = random.Random(20261019)
+    u_shape = {(0, y) for y in range(9)} | {(6, y) for y in range(9)} | {(x, 0) for x in range(7)}
+    for case in range(count):
+        kind = case % 6
+        if kind == 0:
+            w, h = rng.randint(1, 16), rng.randint(1, 16)
+            tiles = gen_random_region(case, w, h, rng.randint(1, w * h)).tiles
+        elif kind == 1:
+            tiles = serpentine(rng.randint(2, 14), rng.randint(2, 12))
+        elif kind == 2:
+            tiles = {(x, y) for x in range(2) for y in range(rng.randint(1, 200))}
+        elif kind == 3:
+            tiles = {(x, y) for x in range(rng.randint(1, 200)) for y in range(2)}
+        elif kind == 4:
+            w, h = rng.randint(1, 14), rng.randint(1, 14)
+            cells = [(x, y) for x in range(w) for y in range(h)]
+            tiles = rng.sample(cells, rng.randint(1, len(cells)))
+        else:
+            tiles = u_shape
+        dx, dy = rng.choice(((0, 0), (-20, 3), (5, -40), (-7, -7)))
+        yield rng, sorted((x + dx, y + dy) for x, y in tiles)
+
+
+def test_reaches_matches_per_cell_flood(monkeypatch):
+    fills = []  # the verdicts of floods deep enough for fill rounds
+    run_fill = graphs._run_fill
+    monkeypatch.setattr(graphs, "_run_fill", lambda *args: fills.append(run_fill(*args)) or fills[-1])
+    verdicts = set()
+    for rng, tiles in flood_boards(360):
+        board = _pack(tiles)
+        bit = {t: 1 << board.index(t) for t in tiles}
+        lost = 1 << (board.stride - 1)  # the tile solver's pad-bit marker
+        for _ in range(4):
+            keep = rng.choice((1.0, 1.0, 0.9, 0.7, 0.5))
+            open_cells = {t for t in tiles if rng.random() < keep}
+            seed = rng.choice(tiles)  # open or not
+            pick = rng.random()
+            if pick < 0.3:
+                need = open_cells | {seed}
+            elif pick < 0.5:
+                need = set(rng.sample(sorted(open_cells), min(len(open_cells), 3)))
+            else:
+                need = set(rng.sample(tiles, rng.randint(0, min(len(tiles), 4))))
+            open_ = sum(bit[t] for t in open_cells)
+            need_bits = sum(bit[t] for t in need)
+            want = need <= reference_bfs(open_cells, seed).keys()  # the seed, open or not, counts
+            assert _reaches(bit[seed], open_, need_bits, board.stride) == want, (tiles, seed)
+            assert not _reaches(bit[seed], open_, need_bits | lost, board.stride)
+            verdicts.add(want)
+    assert verdicts == {False, True}
+    assert len(fills) >= 100 and set(fills) == {False, True}
+
+
+def test_reaches_fill_rounds_turn_every_way():
+    # a serpentine needs fill rounds that run both ways along its rows; the
+    # flood from each end of the corridor must reach the other and stop at
+    # a cut
+    tiles = sorted(serpentine(9, 20))
+    ends = (0, 0), (0, 38)
+    board = _pack(tiles)
+    bit = {t: 1 << board.index(t) for t in tiles}
+    open_ = sum(bit.values())
+    for seed, far in (ends, ends[::-1]):
+        assert _reaches(bit[seed], open_, open_, board.stride)
+        assert _reaches(bit[seed], open_, bit[far], board.stride)
+        # a closed seed still counts as reached
+        assert _reaches(bit[seed], open_ ^ bit[seed], open_, board.stride)
+        cut = (4, 20)  # mid-row: splits the corridor
+        assert not _reaches(bit[seed], open_ ^ bit[cut], open_ ^ bit[cut], board.stride)

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from riftpuzzles import tile_trial
 from riftpuzzles.geometry import gen_random_region
 from riftpuzzles.graphs import (
     BudgetExhausted,
@@ -254,12 +255,29 @@ def random_boards(count):
     return boards
 
 
-def test_long_ladder_reduction_still_solves():
+def level_flood(seed, open_, need, stride):
+    """The prune's flood one BFS level at a time: the reference for fill rounds."""
+    seen = frontier = seed
+    unseen = open_ & ~seed
+    while need & ~seen:
+        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+        frontier = step & unseen
+        if not frontier:
+            return False
+        unseen ^= frontier
+        seen |= frontier
+    return True
+
+
+def test_long_ladder_reduction_still_solves(monkeypatch):
     # dfs keeps one Python frame per step; 2x310 stays within the default limit
     ladder = GridGraph(frozenset((x, y) for x in range(310) for y in range(2)))
     board = reduce_grid_to_tile_trial(ladder)
     path = solve_tile_trial(board)
     assert path is not None and verify_tile_path(board, path).ok
+    # fill rounds decide the same prunes, so the search walks the same path
+    monkeypatch.setattr(tile_trial, "_reaches", level_flood)
+    assert solve_tile_trial(board) == path
 
 
 def test_far_apart_board_parts_are_not_packed():
