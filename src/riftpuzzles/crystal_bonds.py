@@ -324,20 +324,26 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     table: list[dict] = [{} for _ in range(full)]
     table.append({x: (0.0, None) for bond in bonds for x in bond})
     for mask in range(full - 1, -1, -1):
+        # the mask's first steps, bond by bond, each orientation in turn:
+        # (u, metric[u][w], cost of the rest from w, step)
+        steps = []
+        for i, (p, q) in enumerate(bonds):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            after = table[mask | bit]
+            for u, w in ((p, q), (q, p)):
+                steps.append((u, metric[u][w], after[w][0], (mask | bit, u, w)))
         lasts = {x for i, bond in enumerate(bonds) if mask >> i & 1 for x in bond} or {root}
+        row = table[mask]
         for last in lasts:
             lead = free_start if last is None else metric[last]
-            best = (math.inf, None)
-            for i, (p, q) in enumerate(bonds):
-                bit = 1 << i
-                if mask & bit:
-                    continue
-                after = table[mask | bit]
-                for u, w in ((p, q), (q, p)):
-                    cand = lead[u] + metric[u][w] + after[w][0]
-                    if cand < best[0]:
-                        best = (cand, (mask | bit, u, w))
-            table[mask][last] = best
+            best, first = math.inf, None
+            for u, hop, tail, step in steps:
+                cand = lead[u] + hop + tail
+                if cand < best:
+                    best, first = cand, step
+            row[last] = (best, first)
 
     seq: list[int] = []
     step = table[0][root][1]

@@ -327,19 +327,20 @@ def grid_distance(region: TileRegion, a: Tile, b: Tile) -> float:
     """Orthogonal tile steps between two tiles of the region (inf if cut off)."""
     if a not in region.tiles or b not in region.tiles:
         raise PointOutsideRegion(f"tile {a if a not in region.tiles else b} not in region")
-    return _grid_distances(region.tiles, [a], [b])[0][0]
+    return _grid_distances(region.tiles, [a, b])[0][1]
 
 
 def grid_distance_matrix(region: TileRegion, tiles: list[Tile]) -> list[list[float]]:
     """Pairwise orthogonal-step distances between the given tiles.
 
     The region is packed once; each tile's BFS stops as soon as it has
-    reached every tile in the list.
+    reached every later tile in the list, and fills both halves of the
+    matrix.
     """
     for t in tiles:
         if t not in region.tiles:
             raise PointOutsideRegion(f"tile {t} not in region")
-    return _grid_distances(region.tiles, tiles, tiles)
+    return _grid_distances(region.tiles, tiles)
 
 
 def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:

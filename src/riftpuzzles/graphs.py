@@ -7,10 +7,13 @@ instances and are not meant to scale.
 
 One grid BFS serves the package (connectivity, the Hamiltonian search's
 remainder prune, grid distances, the Tile Trial prune).  A tile set whose
-bounding box holds at most ``_PACK_DENSITY`` cells per tile is packed into
-one Python int, a row per stride of width + 1 bits, and a BFS level is four
-shifts and a mask over the whole set.  Sparser sets keep a per-cell loop,
-so far-apart tiles never cost a bounding-box-sized int.  Reachability
+bounding box holds at most ``_PACK_BOX`` cells, or at most ``_PACK_DENSITY``
+cells per tile, is packed into one Python int, a row per stride of width + 1
+bits, and a BFS level is four shifts and a mask over the whole set.  Sparser
+sets with a larger box keep a per-cell loop, so far-apart tiles never cost
+a bounding-box-sized int.  Distances are symmetric, so the BFS from the i-th
+tile of a list stops once it has reached every later tile and fills both
+halves of the matrix.  Reachability
 alone (connectivity and both prunes) need not pay per level: a flood that
 is still going once it has run a few more levels than two fill rounds
 cost switches to rounds that each fill whole row and column runs, so a
@@ -85,10 +88,12 @@ class GridGraph:
         return sorted(self.vertices)
 
 
-# A tile set is packed into a bitboard only while its bounding box holds at
-# most this many cells per tile; sparser sets (far-apart tiles in a grid or
-# bond document) keep the per-cell BFS, whose cost and memory follow the
+# A tile set is packed into a bitboard when its bounding box holds at most
+# _PACK_BOX cells (64 words, whatever the density) or at most _PACK_DENSITY
+# cells per tile; sparser sets with a larger box (far-apart tiles in a grid
+# or bond document) keep the per-cell BFS, whose cost and memory follow the
 # tile count instead of the bounding box.
+_PACK_BOX = 4096
 _PACK_DENSITY = 4
 
 
@@ -111,12 +116,12 @@ class _Bitboard(NamedTuple):
 
 def _pack(cells: Collection[Vertex], max_density: float = math.inf) -> _Bitboard | None:
     """`cells` as a bitboard, or None when its bounding box holds more than
-    `max_density` cells per tile."""
+    `_PACK_BOX` cells and more than `max_density` cells per tile."""
     xs = [x for x, _ in cells]
     ys = [y for _, y in cells]
     x0, y0 = min(xs), min(ys)
     width, height = max(xs) - x0 + 1, max(ys) - y0 + 1
-    if width * height > max_density * len(cells):
+    if width * height > max(_PACK_BOX, max_density * len(cells)):
         return None
     stride = width + 1
     size = stride * height
@@ -240,34 +245,35 @@ def _grid_bfs(
     return dist
 
 
-def _grid_distances(
-    cells: Collection[Vertex], sources: list[Vertex], targets: list[Vertex]
-) -> list[list[float]]:
-    """Orthogonal-step distance from each source to each target through
-    `cells`: an int, or math.inf when cut off.  Sources must be cells.
+def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex]) -> list[list[float]]:
+    """Orthogonal-step distance between each pair of `tiles` through
+    `cells`: an int, or math.inf when cut off.  Every tile must be a cell.
 
-    Dense sets run one level-synchronous bitboard BFS per source, stopping
-    once every target tile has been reached; sparse ones run `_grid_bfs`.
+    The BFS from ``tiles[i]`` stops once it has reached every later tile and
+    writes both ``rows[i][j]`` and ``rows[j][i]``: step counts on the
+    undirected lattice are symmetric.  Packable sets run a level-synchronous
+    bitboard BFS, the others `_grid_bfs`.
     """
+    n = len(tiles)
+    rows = [[math.inf] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 0
     board = _pack(cells, _PACK_DENSITY)
     if board is None:
-        rows = []
-        for src in sources:
-            dist = _grid_bfs(cells, src, targets)
-            rows.append([dist.get(t, math.inf) for t in targets])
+        for i, src in enumerate(tiles):
+            dist = _grid_bfs(cells, src, tiles[i + 1 :])
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = dist.get(tiles[j], math.inf)
         return rows
     stride = board.stride
+    index = [board.index(t) for t in tiles]
     columns: dict[int, list[int]] = {}
-    for j, t in enumerate(targets):
-        if t in cells:
-            columns.setdefault(board.index(t), []).append(j)
-    want = sum(1 << i for i in columns)
-    rows = []
-    for src in sources:
-        row = [math.inf] * len(targets)
-        frontier = 1 << board.index(src)
+    for j, k in enumerate(index):
+        columns.setdefault(k, []).append(j)
+    later = 0  # the bits of tiles[i + 1:]
+    for i in range(n - 1, -1, -1):
+        frontier, left = 1 << index[i], later
         unseen = board.cells ^ frontier
-        left = want
         d = 0
         while frontier:
             hit = frontier & left
@@ -276,15 +282,16 @@ def _grid_distances(
                 while hit:
                     low = hit & -hit
                     for j in columns[low.bit_length() - 1]:
-                        row[j] = d
+                        if j > i:
+                            rows[i][j] = rows[j][i] = d
                     hit ^= low
-                if not left:
-                    break
+            if not left:
+                break
             step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
             frontier = step & unseen
             unseen ^= frontier
             d += 1
-        rows.append(row)
+        later |= 1 << index[i]
     return rows
 
 

@@ -27,11 +27,12 @@ certificate     `vertices v`; `arc s t` per source arc; `circumference N`;
                 `verdict clock yes|no`.
 
 Errors name a 1-based line, and the first malformed line wins.  A missing
-required line is reported only after the whole document has been read, and
-the value's own invariants are checked last.  Of repeated `model`, `start`,
-`vertices`, `circumference` or same-name `verdict` lines the last counts,
-except that any `start free` frees the start.  A bond-walk length must be
-finite: a NaN would pass the verifier's length check.
+required line is reported only after the whole document has been read, at
+the last nonempty line (line 1 when there is none), and the value's own
+invariants are checked last.  A repeated `model`, `start`, `vertices` or
+`circumference` line is an error at the repeat; of same-name `verdict`
+lines the last counts.  A bond-walk length must be finite: a NaN would pass
+the verifier's length check.
 """
 
 from __future__ import annotations
@@ -91,14 +92,21 @@ def _serialize_pairs(pairs) -> str:
     return "".join(f"{a} {b}\n" for a, b in pairs)
 
 
-def _keyed(lines, fields: dict) -> tuple[dict[str, list], int]:
+def _last_lineno(rows: list[tuple[int, str]]) -> int:
+    """Where a missing line is reported: the last nonempty line, or 1."""
+    return rows[-1][0] if rows else 1
+
+
+def _keyed(lines, fields: dict, once=()) -> tuple[dict[str, list], int]:
     """Keyed lines `key rest`, their values listed per key in document order,
     and the number of the last nonempty line (1 when there is none).
 
     `lines` yields (lineno, text) pairs; blank ones are skipped.  `fields`
     maps each key to (read, count), called as read(lineno, rest, count); any
-    other key is an error.  Nothing here decides which keys must appear, so
-    a missing line is reported only after every line has been read.
+    other key is an error, and so is a repeated line of a key in `once`
+    (after its own fields have been read).  Nothing here decides which keys
+    must appear, so a missing line is reported only after every line has
+    been read.
     """
     values = {key: [] for key in fields}
     slots = {key: (read, count, values[key].append) for key, (read, count) in fields.items()}
@@ -113,7 +121,10 @@ def _keyed(lines, fields: dict) -> tuple[dict[str, list], int]:
         if slot is None:
             _fail(lineno, f"unknown keyword {key!r}")
         read, count, add = slot
-        add(read(lineno, rest, count))
+        value = read(lineno, rest, count)
+        if key in once and values[key]:
+            _fail(lineno, f"repeated {key} line")
+        add(value)
     return values, last
 
 
@@ -133,7 +144,7 @@ def _invariant(lineno: int, build):
 def _parse_points(text: str, build):
     rows = _lines(text)
     points = _rows(rows, 2)
-    return _invariant(rows[-1][0] if rows else 1, lambda: build(points))
+    return _invariant(_last_lineno(rows), lambda: build(points))
 
 
 # digraph
@@ -176,6 +187,7 @@ def _serialize_tile_board(b: TileBoard) -> str:
 
 def _parse_tile_board(text: str) -> TileBoard:
     rows = _lines(text)
+    last = _last_lineno(rows)
     x0, y0 = 0, 0
     if rows and rows[0][1].startswith("offset"):
         lineno, line = rows.pop(0)
@@ -187,7 +199,7 @@ def _parse_tile_board(text: str) -> TileBoard:
         except ValueError:
             _fail(lineno, f"expected integers, got {line!r}")
     if not rows:
-        _fail(1, "board has no rows")
+        _fail(last, "board has no rows")
     caps: dict[tuple[int, int], int] = {}
     crystals = set()
     ends: dict[str, tuple[int, int]] = {}
@@ -209,7 +221,6 @@ def _parse_tile_board(text: str) -> TileBoard:
                 caps[t] = 1
             else:
                 _fail(lineno, f"unknown cell {ch!r}")
-    last = rows[-1][0]
     for ch, name in _ENDS.items():
         if ch not in ends:
             _fail(last, f"board has no {name} tile")
@@ -243,20 +254,20 @@ _BOND_BOARD_LINES = {
 
 
 def _parse_bond_board(text: str) -> BondBoard:
-    got, last = _keyed(enumerate(text.split("\n"), start=1), _BOND_BOARD_LINES)
+    got, last = _keyed(enumerate(text.split("\n"), start=1), _BOND_BOARD_LINES, ("model", "start"))
     if not got["model"]:
         _fail(last, "missing model line")
     if not got["start"]:
         _fail(last, "missing start line")
-    start = None if None in got["start"] else tile_center(got["start"][-1])
+    (start,) = got["start"]
     return _invariant(
         last,
         lambda: BondBoard(
             TileRegion(frozenset(got["tile"])),
             tuple(map(tile_center, got["crystal"])),
-            start,
+            None if start is None else tile_center(start),
             tuple(got["bond"]),
-            got["model"][-1],
+            got["model"][0],
         ),
     )
 
@@ -273,7 +284,7 @@ def _serialize_bond_walk(w: BondWalk) -> str:
 def _parse_bond_walk(text: str) -> BondWalk:
     rows = _lines(text)
     if not rows or not rows[0][1].startswith("length "):
-        _fail(1, "missing length line")
+        _fail(_last_lineno(rows), "missing length line")
     lineno, line = rows[0]
     try:
         length = float(line.split(None, 1)[1])
@@ -356,7 +367,9 @@ _CERTIFICATE_LINES = {
 
 
 def _parse_certificate(text: str) -> ReductionCertificate:
-    got, last = _keyed(enumerate(text.split("\n"), start=1), _CERTIFICATE_LINES)
+    got, last = _keyed(
+        enumerate(text.split("\n"), start=1), _CERTIFICATE_LINES, ("vertices", "circumference")
+    )
     if not got["vertices"]:
         _fail(last, "missing vertices line")
     if not got["circumference"]:
@@ -365,8 +378,8 @@ def _parse_certificate(text: str) -> ReductionCertificate:
     return _invariant(
         last,
         lambda: ReductionCertificate(
-            Digraph(got["vertices"][-1][0], tuple(got["arc"])),
-            ClockInstance(got["circumference"][-1][0], tuple(got["node"])),
+            Digraph(got["vertices"][0][0], tuple(got["arc"])),
+            ClockInstance(got["circumference"][0][0], tuple(got["node"])),
             tuple(((j, t), p) for j, t, p in got["label"]),
             verdicts.get("digraph"),
             verdicts.get("clock"),

@@ -187,6 +187,13 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_repeated_start_line_exits_3(tmp_path, capsys):
+    # read as a free start before repeated single-valued lines were refused
+    bad = doc(tmp_path, "twice.bond", "model grid\nstart 0 0\nstart free\ntile 0 0\ncrystal 0 0\n")
+    code, out, err = run(capsys, "solve", "dcb", bad)
+    assert (code, out, err) == (3, "", "input error: line 3: repeated start line\n")
+
+
 def test_budget_exhausted_exits_3(tmp_path, capsys):
     text = "26\n" + "".join(f"{i} {1 + (i * 7) % 13}\n" for i in range(26))
     path = doc(tmp_path, "big.clock", text)

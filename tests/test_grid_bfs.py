@@ -1,21 +1,24 @@
 """The grid BFS engine against a plain per-cell reference.
 
-Dense tile sets run as bitboards (one int, a pad column per row), sparse
-ones through the per-cell loop; both must give the reference's values and
-types: an int step count, or math.inf when cut off.  The searches' flood,
-`_reaches`, must give the reference's verdict whether it stays on plain
-levels or switches to whole-run fill rounds.
+Dense tile sets and sets in a small bounding box run as bitboards (one int,
+a pad column per row), sparse ones in a large box through the per-cell
+loop; both must give the reference's values and types: an int step count,
+or math.inf when cut off.  The searches' flood, `_reaches`, must give the
+reference's verdict whether it stays on plain levels or switches to
+whole-run fill rounds.
 """
 
 import math
 import random
 import time
 from collections import deque
+from itertools import chain
 
 from riftpuzzles import graphs
 from riftpuzzles.cli import main
+from riftpuzzles.crystal_bonds import apply_start_gadget, reduce_grid_to_dcb
 from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, grid_distance_matrix
-from riftpuzzles.graphs import _PACK_DENSITY, _connected, _pack, _reaches
+from riftpuzzles.graphs import _PACK_DENSITY, _connected, _pack, _reaches, enumerate_grid_graphs
 
 
 def reference_bfs(tiles, src):
@@ -55,8 +58,8 @@ def assert_same_rows(got, want):
 
 
 def seeded_tile_sets(count):
-    """Connected regions and scattered sets, some shifted to negative
-    coordinates, with densities on both sides of the packing rule."""
+    """Connected regions and scattered sets in boxes of at most 14x14, some
+    shifted to negative coordinates; all of them pack."""
     rng = random.Random(20261018)
     for seed in range(count):
         w, h = rng.randint(1, 14), rng.randint(1, 14)
@@ -70,9 +73,25 @@ def seeded_tile_sets(count):
         yield rng, frozenset((x + dx, y + dy) for x, y in tiles)
 
 
+def wide_scattered_sets(count):
+    """Scattered sets whose bounding box holds more than `_PACK_BOX` cells
+    and, mostly, more than `_PACK_DENSITY` cells per tile: the per-cell side
+    of the packing rule.  Some are shifted to negative coordinates."""
+    rng = random.Random(20261020)
+    for _ in range(count):
+        w, h = rng.randint(70, 130), rng.randint(70, 130)
+        per_tile = rng.choice((3, 5, 8, 20, 100))
+        tiles = set()
+        while len(tiles) < max(2, w * h // per_tile):
+            tiles.add((rng.randrange(w), rng.randrange(h)))
+        tiles |= {(0, 0), (w - 1, h - 1)}  # spans the whole box
+        dx, dy = rng.choice(((0, 0), (-200, 3), (5, -400), (-70, -70)))
+        yield rng, frozenset((x + dx, y + dy) for x, y in tiles)
+
+
 def test_engine_matches_reference_on_seeded_sets():
     packed = sparse = 0
-    for rng, tiles in seeded_tile_sets(300):
+    for rng, tiles in chain(seeded_tile_sets(300), wide_scattered_sets(50)):
         region = TileRegion(tiles)
         order = sorted(tiles)
         targets = rng.sample(order, min(len(order), rng.randint(1, 12)))
@@ -87,6 +106,25 @@ def test_engine_matches_reference_on_seeded_sets():
         else:
             sparse += 1
     assert packed >= 100 and sparse >= 30
+
+
+def test_dcb_sweep_boards_pack():
+    # the reduction boards' corridors leave 8-9 bounding-box cells per tile,
+    # but their boxes are small, so their distance matrices run bitboards
+    boards = spread = 0
+    for g in enumerate_grid_graphs(3, 3, 7):
+        if len(g) < 2:
+            continue
+        board, _ = reduce_grid_to_dcb(g)
+        gadget, _, _ = apply_start_gadget(board, g)
+        for tiles in (board.region.tiles, gadget.region.tiles):
+            assert packable(tiles)
+            boards += 1
+            xs = [x for x, _ in tiles]
+            ys = [y for _, y in tiles]
+            box = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
+            spread += box > _PACK_DENSITY * len(tiles)
+    assert boards == 398 and spread >= 300
 
 
 def test_side_columns_do_not_wrap_between_rows():

@@ -246,6 +246,7 @@ MALFORMED = [
     ("tile-offset-bad", "tile-board", "offset a b\nSF\n",
      "line 1: expected integers, got 'offset a b'"),
     ("tile-offset-only", "tile-board", "offset 1 2\n", "line 1: board has no rows"),
+    ("tile-offset-after-blanks", "tile-board", "\n\noffset 1 2\n", "line 3: board has no rows"),
     ("tile-two-starts", "tile-board", "SSF\n", "line 1: more than one start tile"),
     ("tile-two-finishes", "tile-board", "S.\n.FF\n", "line 2: more than one finish tile"),
     ("tile-no-finish", "tile-board", "S.\n\n", "line 1: board has no finish tile"),
@@ -282,17 +283,17 @@ MALFORMED = [
      "line 4: distance model must be one of ('grid', 'euclid')"),
     ("bond-bad-model", "bond-board", "model taxicab\nstart free\ntile 0 0\ncrystal 0 0\n",
      "line 4: distance model must be one of ('grid', 'euclid')"),
-    ("bond-duplicate-model-last-wins", "bond-board",
+    ("bond-duplicate-model-rejected", "bond-board",
      "model grid\nmodel taxicab\nstart free\ntile 0 0\ncrystal 0 0\n",
-     "line 5: distance model must be one of ('grid', 'euclid')"),
-    ("bond-duplicate-start-last-wins", "bond-board",
+     "line 2: repeated model line"),
+    ("bond-duplicate-start-rejected", "bond-board",
      "model grid\nstart 0 0\nstart 9 9\ntile 0 0\ncrystal 0 0\n",
-     "line 5: point (9.5, 9.5) is not a region tile center"),
+     "line 3: repeated start line"),
     ("bond-duplicate-start-bad", "bond-board", "model grid\nstart 0 0\nstart free\nstart x\n",
-     "line 4: expected 2 fields, got 1"),
-    ("bond-duplicate-start-free-wins", "bond-board",
+     "line 3: repeated start line"),
+    ("bond-duplicate-start-free-rejected", "bond-board",
      "model grid\nstart 9 9\nstart free\ntile 0 0\ncrystal 0 0\ncrystal 0 0\n",
-     "line 6: crystal positions must be pairwise distinct"),
+     "line 3: repeated start line"),
     ("bond-crystal-off-region", "bond-board", "model grid\nstart free\ntile 0 0\ncrystal 3 3\n",
      "line 4: point (3.5, 3.5) is not a region tile center"),
     ("bond-cycle", "bond-board",
@@ -302,7 +303,7 @@ MALFORMED = [
     ("bond-bond-range", "bond-board", "model grid\nstart free\ntile 0 0\ncrystal 0 0\nbond 0 4\n",
      "line 5: bond (0,4) references a missing crystal"),
     ("walk-empty", "bond-walk", "", "line 1: missing length line"),
-    ("walk-late-visit-first", "bond-walk", "\n\nvisit 0\n", "line 1: missing length line"),
+    ("walk-late-visit-first", "bond-walk", "\n\nvisit 0\n", "line 3: missing length line"),
     ("walk-bare-length", "bond-walk", "length\n", "line 1: missing length line"),
     ("walk-bad-length", "bond-walk", "length abc\nvisit 0\n",
      "line 1: bad length in 'length abc'"),
@@ -360,9 +361,12 @@ MALFORMED = [
      "line 1: expected integers, got '0 x'"),
     ("cert-bad-late-before-missing", "certificate", "vertices 2\n\narc 0 1\nlabel 0 1\n",
      "line 4: expected 3 fields, got 2"),
-    ("cert-duplicate-vertices-last-wins", "certificate",
+    ("cert-duplicate-vertices-rejected", "certificate",
      "vertices 3\nvertices 2\narc 0 2\ncircumference 11\n",
-     "line 4: arc (0,2) outside vertex range"),
+     "line 2: repeated vertices line"),
+    ("cert-duplicate-circumference", "certificate",
+     "vertices 2\ncircumference 11\n\ncircumference 11\n",
+     "line 4: repeated circumference line"),
     ("cert-duplicate-vertices-bad", "certificate", "vertices 2\nvertices\ncircumference 11\n",
      "line 2: expected 1 fields, got 0"),
     ("cert-verdict-maybe", "certificate", "vertices 2\nverdict digraph maybe\n",
