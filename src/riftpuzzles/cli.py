@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .crystal_bonds import (
     BondBoard,
+    UnreachableCrystal,
     apply_start_gadget,
     brute_force_crystal_bonds,
     decide_dcb,
@@ -168,7 +169,13 @@ _SOLVERS = {
 
 def _cmd_solve(args) -> int:
     instance_kind, solve = _SOLVERS[args.kind]
-    solution = solve(parse(instance_kind, _read(args.input)), args)
+    try:
+        solution = solve(parse(instance_kind, _read(args.input)), args)
+    except UnreachableCrystal:
+        # a region that cuts the crystals apart: "no" under --threshold, as in decide_dcb
+        if args.threshold is None:
+            raise
+        solution = None
     if solution is None:
         print("UNSOLVABLE")
         return EXIT_NO

@@ -72,20 +72,10 @@ class BondBoard:
         if len(set(norm)) != len(norm):
             raise ValueError("duplicate required bond")
         object.__setattr__(self, "required_bonds", tuple(norm))
-        # forest check: union-find over bond endpoints
-        parent = list(range(len(self.crystals)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.required_bonds:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                raise ValueError("required bonds must form a forest")
-            parent[ra] = rb
+        # a simple graph is a forest exactly when it has r - |bonds| components
+        r = len(self.crystals)
+        if len(set(_roots(r, self.required_bonds))) != r - len(norm):
+            raise ValueError("required bonds must form a forest")
 
     @property
     def connected(self) -> bool:
@@ -133,56 +123,63 @@ def crystal_metric(board: BondBoard) -> list[list[float]]:
     return matrix
 
 
-def _min_matching(metric: list[list[float]], members: list[int]) -> Callable[[int], float]:
-    """Exact minimum-weight perfect matching cost of an even subset.
+def _roots(n: int, edges) -> list[int]:
+    """Union-find root of each vertex 0..n-1 once every edge has joined its
+    ends; vertices share a root exactly when the edges connect them."""
+    parent = list(range(n))
 
-    The returned function takes a bitmask over `members` and gives the
-    cheapest way to pair up exactly the set bits.  Subset DP, solved on
-    demand, so only the masks a caller reaches are filled; len(members)
-    stays small.
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return [find(v) for v in range(n)]
+
+
+def _min_matching(
+    metric: list[list[float]], members: list[int]
+) -> tuple[Callable[[int], float], Callable[[int], list[tuple[int, int]]]]:
+    """Exact minimum-weight perfect matching of an even subset.
+
+    Returns (cost, pairs): cost(mask) is the cheapest way to pair up exactly
+    the set bits of a bitmask over `members`, and pairs(mask) reads one such
+    pairing back along the partner each solved mask recorded for its lowest
+    bit, picked by the same strict < that set its cost.  Subset DP, solved
+    on demand, so only the masks a caller reaches are filled; len(members)
+    stays small, and a partner index fits in a byte.
     """
     table = {0: 0.0}
+    partner = bytearray(1 << len(members))
 
     def solve(mask: int) -> float:
         if mask in table:
             return table[mask]
         low = (mask & -mask).bit_length() - 1
-        best = math.inf
+        best, choice = math.inf, 0
         rest = mask & ~(1 << low)
         m = rest
         while m:
             j = (m & -m).bit_length() - 1
             cand = metric[members[low]][members[j]] + solve(rest & ~(1 << j))
             if cand < best:
-                best = cand
+                best, choice = cand, j
             m &= m - 1
         table[mask] = best
+        partner[mask] = choice
         return best
 
-    return solve
+    def pairs(mask: int) -> list[tuple[int, int]]:
+        out = []
+        while mask:
+            low, j = (mask & -mask).bit_length() - 1, partner[mask]
+            out.append((members[low], members[j]))
+            mask &= ~(1 << low) & ~(1 << j)
+        return out
 
-
-def _matching_pairs(
-    metric: list[list[float]], members: list[int], matching: Callable[[int], float], mask: int
-) -> list[tuple[int, int]]:
-    """Recover one optimal pairing for the given subset mask."""
-    pairs = []
-    while mask:
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << low)
-        m = rest
-        while m:
-            j = (m & -m).bit_length() - 1
-            nxt = rest & ~(1 << j)
-            cost = metric[members[low]][members[j]] + matching(nxt)
-            if abs(cost - matching(mask)) <= 1e-12 * max(1.0, abs(cost)):
-                pairs.append((members[low], members[j]))
-                mask = nxt
-                break
-            m &= m - 1
-        else:
-            raise AssertionError("matching table reconstruction failed")
-    return pairs
+    return solve, pairs
 
 
 def _euler_trail(
@@ -230,26 +227,16 @@ def rural_postman_connected(
     required weight plus the full matching plus the leg to u, and beats every
     open walk when the start sits beside an even-degree crystal (the open
     endpoints are then both far away, while the full matching is cheap).  The
-    cheapest candidate overall is unrolled into an Euler trail.  With
+    cheapest candidate's deadheads, read back from the partners its matching
+    recorded, are unrolled with the required edges into an Euler trail.  With
     start_index None the walk may begin at any crystal and open walks always
     win, since the full matching contains each reduced one.
     """
     if not required_edges:
         return (), 0.0
     touched = sorted({v for e in required_edges for v in e})
-    adj = {v: set() for v in touched}
-    for a, b in required_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {touched[0]}
-    frontier = [touched[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if seen != set(touched):
+    roots = _roots(len(metric), required_edges)
+    if len({roots[v] for v in touched}) > 1:
         raise ValueError("required edges are disconnected; use the exhaustive oracle")
 
     degree = {v: 0 for v in touched}
@@ -261,15 +248,14 @@ def rural_postman_connected(
         raise InstanceTooLarge(f"{len(odd)} odd-degree crystals exceed {ODD_SET_LIMIT}")
     required_weight = sum(metric[a][b] for a, b in required_edges)
 
-    matching = _min_matching(metric, odd)
-    pos = {v: i for i, v in enumerate(odd)}
+    matching, pairs = _min_matching(metric, odd)
     full = (1 << len(odd)) - 1
     best = None
-    for a in odd:
-        for b in odd:
-            if a == b:
+    for i, a in enumerate(odd):
+        for j in range(len(odd)):
+            if i == j:
                 continue
-            mask = full & ~(1 << pos[a]) & ~(1 << pos[b])
+            mask = full & ~(1 << i) & ~(1 << j)
             cost = required_weight + matching(mask)
             if start_index is not None:
                 cost += metric[start_index][a]
@@ -283,8 +269,7 @@ def rural_postman_connected(
         if best is None or cost < best[0]:
             best = (cost, u, full)
     cost, a, mask = best
-    deadheads = _matching_pairs(metric, odd, matching, mask)
-    trail = _euler_trail(touched, list(required_edges) + deadheads, a)
+    trail = _euler_trail(touched, list(required_edges) + pairs(mask), a)
     total = sum(metric[u][w] for u, w in zip(trail, trail[1:]))
     if start_index is not None:
         total += metric[start_index][trail[0]]

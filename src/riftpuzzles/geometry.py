@@ -245,8 +245,8 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
     tested when it meets a corner head-on, from the quadrant opposite the
     missing one (or from inside it): a shortest path never bends there, so
     only pairs that can be bitangent at their corner ends are kept
-    (Lozano-Pérez & Wesley 1979).  Each node is scaled to integers once,
-    and each kept pair runs the cell walk of segment_admissible.
+    (Lozano-Pérez & Wesley 1979).  All nodes are scaled to integers once,
+    by their common denominator, for segment_admissible's cell walk.
 
     Two query points that see each other are at their straight distance:
     no path is shorter, and Dijkstra's EPS test keeps the value the source's
@@ -261,14 +261,11 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
     nodes: list[Point] = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
     # mx*my of each node's missing quadrant; 0 for query points
     quadrant = [0] * len(points) + [mx * my for _, (mx, my) in reflex]
-    # (s, x, y) of each node: integers over its power-of-two denominator s;
-    # a node on a pinch sees nothing
-    scaled = []
-    free = []
-    for node in nodes:
-        s, (x, y) = _scaled(*node)
-        scaled.append((s, x, y))
-        free.append(s > 1 or (x, y) not in pinches)
+    # every node as integers over the common power-of-two denominator s; a
+    # node on a pinch sees nothing
+    s, coords = _scaled(*(c for node in nodes for c in node))
+    scaled = list(zip(coords[::2], coords[1::2]))
+    free = [x % s or y % s or (x // s, y // s) not in pinches for x, y in scaled]
     tiles = region.tiles
     n = len(nodes)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -277,20 +274,13 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
             continue
         xi, yi = nodes[i]
         mi = quadrant[i]
-        si, ai, bi = scaled[i]
+        ai, bi = scaled[i]
         for j in range(i + 1, n):
             xj, yj = nodes[j]
             dxdy = (xj - xi) * (yj - yi)
             if dxdy * mi > 0 or dxdy * quadrant[j] > 0 or not free[j]:
                 continue
-            sj, aj, bj = scaled[j]
-            if si == sj:
-                seen = _walk(tiles, pinches, si, ai, bi, aj, bj)
-            else:
-                s = math.lcm(si, sj)
-                fi, fj = s // si, s // sj
-                seen = _walk(tiles, pinches, s, ai * fi, bi * fi, aj * fj, bj * fj)
-            if seen:
+            if _walk(tiles, pinches, s, ai, bi, *scaled[j]):
                 w = math.hypot(xi - xj, yi - yj)
                 adj[i].append((j, w))
                 adj[j].append((i, w))
@@ -325,9 +315,7 @@ def euclidean_geodesic(region: TileRegion, p: Point, q: Point) -> float:
 
 def grid_distance(region: TileRegion, a: Tile, b: Tile) -> float:
     """Orthogonal tile steps between two tiles of the region (inf if cut off)."""
-    if a not in region.tiles or b not in region.tiles:
-        raise PointOutsideRegion(f"tile {a if a not in region.tiles else b} not in region")
-    return _grid_distances(region.tiles, [a, b])[0][1]
+    return grid_distance_matrix(region, [a, b])[0][1]
 
 
 def grid_distance_matrix(region: TileRegion, tiles: list[Tile]) -> list[list[float]]:

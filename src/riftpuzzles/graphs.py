@@ -447,8 +447,6 @@ def has_directed_ham_path(d: Digraph) -> bool:
     n = d.vertex_count
     if n > DIRECTED_SEARCH_LIMIT:
         raise InstanceTooLarge(f"{n} vertices exceeds the directed search limit {DIRECTED_SEARCH_LIMIT}")
-    if n == 1:
-        return True
     succ_mask = [0] * n
     for s, t in d.arcs:
         succ_mask[s] |= 1 << t
@@ -459,21 +457,14 @@ def has_directed_ham_path(d: Digraph) -> bool:
         dp[1 << v] = 1 << v
     for mask in range(1, full + 1):
         ends = dp[mask]
-        if not ends:
-            continue
-        v = 0
         while ends:
-            if ends & 1:
-                fresh = succ_mask[v] & ~mask
-                w = 0
-                m = fresh
-                while m:
-                    if m & 1:
-                        dp[mask | (1 << w)] |= 1 << w
-                    m >>= 1
-                    w += 1
-            ends >>= 1
-            v += 1
+            end = ends & -ends
+            fresh = succ_mask[end.bit_length() - 1] & ~mask
+            while fresh:
+                bit = fresh & -fresh
+                dp[mask | bit] |= bit
+                fresh ^= bit
+            ends ^= end
     return dp[full] != 0
 
 

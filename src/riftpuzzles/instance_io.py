@@ -30,8 +30,8 @@ Errors name a 1-based line, and the first malformed line wins.  A missing
 required line is reported only after the whole document has been read, at
 the last nonempty line (line 1 when there is none), and the value's own
 invariants are checked last.  A repeated `model`, `start`, `vertices` or
-`circumference` line is an error at the repeat; of same-name `verdict`
-lines the last counts.  A bond-walk length must be finite: a NaN would pass
+`circumference` line, or a second `verdict` line of the same name, is an
+error at the repeat.  A bond-walk length must be finite: a NaN would pass
 the verifier's length check.
 """
 
@@ -97,35 +97,35 @@ def _last_lineno(rows: list[tuple[int, str]]) -> int:
     return rows[-1][0] if rows else 1
 
 
-def _keyed(lines, fields: dict, once=()) -> tuple[dict[str, list], int]:
+def _keyed(rows, fields: dict, once: dict[str, int]) -> tuple[dict[str, list], int]:
     """Keyed lines `key rest`, their values listed per key in document order,
-    and the number of the last nonempty line (1 when there is none).
+    and the number of the last line (1 when there is none).
 
-    `lines` yields (lineno, text) pairs; blank ones are skipped.  `fields`
-    maps each key to (read, count), called as read(lineno, rest, count); any
-    other key is an error, and so is a repeated line of a key in `once`
-    (after its own fields have been read).  Nothing here decides which keys
-    must appear, so a missing line is reported only after every line has
-    been read.
+    `rows` are nonempty (lineno, text) lines as `_lines` gives them.
+    `fields` maps each key to (read, count), called as read(lineno, rest,
+    count); any other key is an error.  `once` maps a key to the number of
+    leading words that name what its line sets, and a line that sets a name
+    again is an error at the repeat (after its own fields have been read).
+    Nothing here decides which keys must appear, so a missing line is
+    reported only after every line has been read.
     """
     values = {key: [] for key in fields}
     slots = {key: (read, count, values[key].append) for key, (read, count) in fields.items()}
-    last = 1
-    for lineno, line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        last = lineno
+    named = set()
+    for lineno, line in rows:
         key, _, rest = line.partition(" ")
         slot = slots.get(key)
         if slot is None:
             _fail(lineno, f"unknown keyword {key!r}")
         read, count, add = slot
         value = read(lineno, rest, count)
-        if key in once and values[key]:
-            _fail(lineno, f"repeated {key} line")
+        if key in once:
+            name = " ".join(line.split()[: once[key]])
+            if name in named:
+                _fail(lineno, f"repeated {name} line")
+            named.add(name)
         add(value)
-    return values, last
+    return values, _last_lineno(rows)
 
 
 def _invariant(lineno: int, build):
@@ -254,7 +254,7 @@ _BOND_BOARD_LINES = {
 
 
 def _parse_bond_board(text: str) -> BondBoard:
-    got, last = _keyed(enumerate(text.split("\n"), start=1), _BOND_BOARD_LINES, ("model", "start"))
+    got, last = _keyed(_lines(text), _BOND_BOARD_LINES, {"model": 1, "start": 1})
     if not got["model"]:
         _fail(last, "missing model line")
     if not got["start"]:
@@ -283,14 +283,16 @@ def _serialize_bond_walk(w: BondWalk) -> str:
 
 def _parse_bond_walk(text: str) -> BondWalk:
     rows = _lines(text)
-    if not rows or not rows[0][1].startswith("length "):
+    has_length = bool(rows) and rows[0][1].partition(" ")[0] == "length"
+    if has_length:
+        lineno, line = rows[0]
+        try:
+            length = float(line.split(None, 1)[1])
+        except (IndexError, ValueError):
+            _fail(lineno, f"bad length in {line!r}")
+    visits = tuple(i for (i,) in _keyed(rows[has_length:], {"visit": (_ints, 1)}, {})[0]["visit"])
+    if not has_length:
         _fail(_last_lineno(rows), "missing length line")
-    lineno, line = rows[0]
-    try:
-        length = float(line.split(None, 1)[1])
-    except (IndexError, ValueError):
-        _fail(lineno, f"bad length in {line!r}")
-    visits = tuple(i for (i,) in _keyed(rows[1:], {"visit": (_ints, 1)})[0]["visit"])
     return _invariant(lineno, lambda: BondWalk(visits, length))
 
 
@@ -368,7 +370,7 @@ _CERTIFICATE_LINES = {
 
 def _parse_certificate(text: str) -> ReductionCertificate:
     got, last = _keyed(
-        enumerate(text.split("\n"), start=1), _CERTIFICATE_LINES, ("vertices", "circumference")
+        _lines(text), _CERTIFICATE_LINES, {"vertices": 1, "circumference": 1, "verdict": 2}
     )
     if not got["vertices"]:
         _fail(last, "missing vertices line")

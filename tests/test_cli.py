@@ -77,6 +77,18 @@ def test_solve_dcb_threshold_exit(tmp_path, capsys):
     assert code == 1
 
 
+def test_solve_dcb_threshold_on_a_cut_region_is_no(tmp_path, capsys):
+    # the gadget's corridor break severs the bridge (0,1)-(0,2): no walk
+    # exists, which decide_dcb and sweep dcb read as "no"
+    grid = doc(tmp_path, "u.grid", "0 0\n0 1\n0 2\n1 0\n1 2\n")
+    code, out, _ = run(capsys, "reduce", "dcb", grid, "--gadget")
+    assert out.splitlines()[:2] == ["threshold 65", "detects ham-cycle"]
+    board = doc(tmp_path, "u.bond", out.split("\n", 2)[2])
+    assert run(capsys, "solve", "dcb", board, "--threshold", "65") == (1, "UNSOLVABLE\n", "")
+    code, out, err = run(capsys, "solve", "dcb", board)
+    assert (code, out, err) == (3, "", "invalid input: region does not connect all crystals\n")
+
+
 def test_solve_and_verify_tile(tmp_path, capsys):
     grid = doc(tmp_path, "sq.grid", SQUARE)
     code, out, _ = run(capsys, "reduce", "tile", grid)

@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from riftpuzzles import crystal_bonds
 from riftpuzzles.crystal_bonds import (
     BondBoard,
     BondWalk,
@@ -18,7 +20,7 @@ from riftpuzzles.crystal_bonds import (
     solve_crystal_bonds,
     verify_bond_walk,
 )
-from riftpuzzles.geometry import TileRegion, tile_center
+from riftpuzzles.geometry import TileRegion, gen_random_region, tile_center
 from riftpuzzles.graphs import (
     GridGraph,
     InstanceTooLarge,
@@ -145,6 +147,8 @@ def test_rural_postman_rejects_disconnected_required_set():
     m = crystal_metric(b)
     with pytest.raises(ValueError):
         rural_postman_connected(m, [(0, 1)] + [(2, 2)], 3)
+    # a connected required set may close a cycle; only a split is refused
+    assert rural_postman_connected(m, [(0, 1), (1, 2), (0, 2)], 3) == ((0, 1, 2, 0), 4)
     with pytest.raises(ValueError):
         solve_crystal_bonds(
             BondBoard(corridor(4), tuple(tile_center((x, 0)) for x in range(4)),
@@ -275,6 +279,88 @@ def test_brute_force_matches_former_recursion():
         want = top_down_brute_force(board)
         assert got.visit_sequence == want.visit_sequence, board
         assert got.total_length.hex() == want.total_length.hex(), board
+
+
+def former_matching_pairs(metric, members, matching, mask):
+    """rural_postman_connected's former deadhead reconstruction: walk the
+    cost table again and take, for the lowest bit, the first partner whose
+    candidate cost lies within a 1e-12 relative tolerance of the optimum."""
+    pairs = []
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << low)
+        m = rest
+        while m:
+            j = (m & -m).bit_length() - 1
+            nxt = rest & ~(1 << j)
+            cost = metric[members[low]][members[j]] + matching(nxt)
+            if abs(cost - matching(mask)) <= 1e-12 * max(1.0, abs(cost)):
+                pairs.append((members[low], members[j]))
+                mask = nxt
+                break
+            m &= m - 1
+        else:
+            raise AssertionError("matching table reconstruction failed")
+    return pairs
+
+
+def spider_board(seed, side, legs, leg_len):
+    """Grid board whose bonds are `legs` chains from one hub: an odd `legs`
+    gives legs + 1 odd-degree crystals."""
+    rng = random.Random(seed)
+    region = gen_random_region(rng.randrange(2**32), side, side, side * side * 2 // 3)
+    r = 1 + legs * leg_len
+    picks = rng.sample(sorted(region.tiles), r + 1)
+    bonds = [
+        (1 + leg * leg_len + step - 1 if step else 0, 1 + leg * leg_len + step)
+        for leg in range(legs)
+        for step in range(leg_len)
+    ]
+    return BondBoard(
+        region, tuple(map(tile_center, picks[:r])), tile_center(picks[r]), tuple(bonds), "grid"
+    )
+
+
+def test_recorded_partners_match_former_reconstruction(monkeypatch):
+    # the recorded partner is the first one in lowest-bit order that reaches
+    # the optimum under the same strict <; the former reconstruction took
+    # the first one within 1e-12 of it, and no board here tells them apart
+    boards = [gen_random_tree_board(seed, 30, 30, 40, "euclid") for seed in range(4)]
+    boards += [spider_board(seed, 30, 15, 2) for seed in range(3)]
+    boards += [spider_board(seed, 50, 13, 3) for seed in range(3, 5)]
+    for seed in range(120):
+        model = ("grid", "euclid")[seed % 2]
+        board = gen_random_tree_board(seed + 700, box_w=7, box_h=7, r=2 + seed % 11, model=model)
+        boards += [board, dataclasses.replace(board, start=None)]
+    assert sum(board.distance_model == "euclid" for board in boards) >= 120
+
+    recorded = crystal_bonds._min_matching
+
+    def former(metric, members):
+        cost = recorded(metric, members)[0]
+        return cost, lambda mask: former_matching_pairs(metric, members, cost, mask)
+
+    odd_counts = Counter()
+    for board in boards:
+        metric = crystal_metric(board)
+        degree = Counter(v for bond in board.required_bonds for v in bond)
+        odd = sorted(v for v, d in degree.items() if d % 2)
+        odd_counts[len(odd)] += 1
+        # every mask the postman can read back: all odd crystals, or all
+        # but an open walk's two ends
+        cost, pairs = recorded(metric, odd)
+        full = (1 << len(odd)) - 1
+        masks = [full] + [full & ~(1 << i) & ~(1 << j) for j in range(len(odd)) for i in range(j)]
+        for mask in masks:
+            cost(mask)
+            assert pairs(mask) == former_matching_pairs(metric, odd, cost, mask), board
+        got = solve_crystal_bonds(board)
+        with monkeypatch.context() as patch:
+            patch.setattr(crystal_bonds, "_min_matching", former)
+            want = solve_crystal_bonds(board)
+        assert got.visit_sequence == want.visit_sequence, board
+        assert got.total_length.hex() == want.total_length.hex(), board
+    assert odd_counts[16] >= 3 and odd_counts[14] >= 2
 
 
 def test_brute_force_bond_limit():

@@ -148,6 +148,14 @@ def test_directed_ham_path_basics():
     # direction matters
     assert not has_directed_ham_path(Digraph(3, ((1, 0), (1, 2))))
     assert has_directed_ham_path(Digraph(3, ((1, 0), (1, 2), (0, 1))))
+    # against every vertex order, at out-degree up to 1, 2 or 3
+    for v in range(2, 7):
+        for seed in range(40):
+            d = gen_random_digraph(v, seed, 1, 1 + seed % 3)
+            arcs = set(d.arcs)
+            orders = itertools.permutations(range(v))
+            want = any(set(zip(order, order[1:])) <= arcs for order in orders)
+            assert has_directed_ham_path(d) == want, d
 
 
 def test_directed_ham_path_limit():

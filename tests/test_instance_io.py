@@ -304,7 +304,9 @@ MALFORMED = [
      "line 5: bond (0,4) references a missing crystal"),
     ("walk-empty", "bond-walk", "", "line 1: missing length line"),
     ("walk-late-visit-first", "bond-walk", "\n\nvisit 0\n", "line 3: missing length line"),
-    ("walk-bare-length", "bond-walk", "length\n", "line 1: missing length line"),
+    ("walk-bare-length", "bond-walk", "length\n", "line 1: bad length in 'length'"),
+    ("walk-bad-visit-before-missing", "bond-walk", "visit 0\nvisit x\n",
+     "line 2: expected integers, got 'x'"),
     ("walk-bad-length", "bond-walk", "length abc\nvisit 0\n",
      "line 1: bad length in 'length abc'"),
     ("walk-bad-visit", "bond-walk", "length 5\nvisit x\n", "line 2: expected integers, got 'x'"),
@@ -381,6 +383,9 @@ MALFORMED = [
      "line 2: bad verdict line 'verdict'"),
     ("cert-verdict-double-space", "certificate", "vertices 2\nverdict  digraph maybe\n",
      "line 2: bad verdict line 'verdict  digraph maybe'"),
+    ("cert-verdict-repeated", "certificate",
+     "vertices 2\nverdict clock yes\nverdict digraph no\nverdict clock no\narc 0 x\n",
+     "line 4: repeated verdict clock line"),
     ("cert-verdict-before-missing", "certificate", "verdict clock sure\nvertices 2\n",
      "line 1: bad verdict line 'verdict clock sure'"),
     ("cert-zero-node", "certificate", "vertices 2\nnode 0 0\n",
