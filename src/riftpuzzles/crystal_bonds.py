@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .geometry import (
@@ -139,6 +140,30 @@ def _roots(n: int, edges) -> list[int]:
     return [find(v) for v in range(n)]
 
 
+def _matching_cost(
+    metric: list[list[float]], members: list[int], table: dict, partner: bytearray, mask: int
+) -> float:
+    """Cost of the cheapest pairing of the set bits of `mask` over `members`.
+    Each mask it solves stores its cost in `table`, and in `partner` the
+    partner its lowest bit took: the first in bit order under a strict <."""
+    if mask in table:
+        return table[mask]
+    low = (mask & -mask).bit_length() - 1
+    best, choice = math.inf, 0
+    rest = mask & ~(1 << low)
+    m = rest
+    while m:
+        j = (m & -m).bit_length() - 1
+        sub = _matching_cost(metric, members, table, partner, rest & ~(1 << j))
+        cand = metric[members[low]][members[j]] + sub
+        if cand < best:
+            best, choice = cand, j
+        m &= m - 1
+    table[mask] = best
+    partner[mask] = choice
+    return best
+
+
 def _min_matching(
     metric: list[list[float]], members: list[int]
 ) -> tuple[Callable[[int], float], Callable[[int], list[tuple[int, int]]]]:
@@ -147,29 +172,11 @@ def _min_matching(
     Returns (cost, pairs): cost(mask) is the cheapest way to pair up exactly
     the set bits of a bitmask over `members`, and pairs(mask) reads one such
     pairing back along the partner each solved mask recorded for its lowest
-    bit, picked by the same strict < that set its cost.  Subset DP, solved
-    on demand, so only the masks a caller reaches are filled; len(members)
-    stays small, and a partner index fits in a byte.
+    bit.  Subset DP, solved on demand, so only the masks a caller reaches
+    are filled; len(members) stays small, and a partner index fits in a
+    byte.  No function refers to itself, so no cycle keeps the table alive.
     """
-    table = {0: 0.0}
     partner = bytearray(1 << len(members))
-
-    def solve(mask: int) -> float:
-        if mask in table:
-            return table[mask]
-        low = (mask & -mask).bit_length() - 1
-        best, choice = math.inf, 0
-        rest = mask & ~(1 << low)
-        m = rest
-        while m:
-            j = (m & -m).bit_length() - 1
-            cand = metric[members[low]][members[j]] + solve(rest & ~(1 << j))
-            if cand < best:
-                best, choice = cand, j
-            m &= m - 1
-        table[mask] = best
-        partner[mask] = choice
-        return best
 
     def pairs(mask: int) -> list[tuple[int, int]]:
         out = []
@@ -179,7 +186,7 @@ def _min_matching(
             mask &= ~(1 << low) & ~(1 << j)
         return out
 
-    return solve, pairs
+    return partial(_matching_cost, metric, members, {0: 0.0}, partner), pairs
 
 
 def _euler_trail(
@@ -250,25 +257,16 @@ def rural_postman_connected(
 
     matching, pairs = _min_matching(metric, odd)
     full = (1 << len(odd)) - 1
-    best = None
-    for i, a in enumerate(odd):
-        for j in range(len(odd)):
-            if i == j:
-                continue
-            mask = full & ~(1 << i) & ~(1 << j)
-            cost = required_weight + matching(mask)
-            if start_index is not None:
-                cost += metric[start_index][a]
-            if best is None or cost < best[0]:
-                best = (cost, a, mask)
-    closed_entries = touched if start_index is not None else touched[:1]
-    for u in closed_entries:
-        cost = required_weight + matching(full)
-        if start_index is not None:
-            cost += metric[start_index][u]
-        if best is None or cost < best[0]:
-            best = (cost, u, full)
-    cost, a, mask = best
+    # (first crystal, mask of the odd crystals to match): the open walks,
+    # then the closed tours; min keeps the first cheapest
+    walks = [(a, full & ~(1 << i) & ~(1 << j)) for i, a in enumerate(odd) for j in range(len(odd)) if i != j]
+    walks += [(u, full) for u in (touched if start_index is not None else touched[:1])]
+
+    def cost(walk: tuple[int, int]) -> float:
+        leg = 0.0 if start_index is None else metric[start_index][walk[0]]
+        return required_weight + matching(walk[1]) + leg
+
+    a, mask = min(walks, key=cost)
     trail = _euler_trail(touched, list(required_edges) + pairs(mask), a)
     total = sum(metric[u][w] for u, w in zip(trail, trail[1:]))
     if start_index is not None:
@@ -309,19 +307,20 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     table: list[dict] = [{} for _ in range(full)]
     table.append({x: (0.0, None) for bond in bonds for x in bond})
     for mask in range(full - 1, -1, -1):
-        # the mask's first steps, bond by bond, each orientation in turn:
+        # the crystals a covered bond can leave the walk on, and the mask's
+        # first steps, bond by bond, each orientation in turn:
         # (u, metric[u][w], cost of the rest from w, step)
-        steps = []
+        lasts, steps = set(), []
         for i, (p, q) in enumerate(bonds):
             bit = 1 << i
             if mask & bit:
+                lasts.update((p, q))
                 continue
             after = table[mask | bit]
             for u, w in ((p, q), (q, p)):
                 steps.append((u, metric[u][w], after[w][0], (mask | bit, u, w)))
-        lasts = {x for i, bond in enumerate(bonds) if mask >> i & 1 for x in bond} or {root}
         row = table[mask]
-        for last in lasts:
+        for last in lasts or (root,):
             lead = free_start if last is None else metric[last]
             best, first = math.inf, None
             for u, hop, tail, step in steps:

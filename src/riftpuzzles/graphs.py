@@ -15,9 +15,9 @@ a bounding-box-sized int.  Distances are symmetric, so the BFS from the i-th
 tile of a list stops once it has reached every later tile and fills both
 halves of the matrix.  Reachability
 alone (connectivity and both prunes) need not pay per level: a flood that
-is still going once it has run a few more levels than two fill rounds
-cost switches to rounds that each fill whole row and column runs, so a
-long corridor costs a few rounds per turn instead of a level per tile.
+is still going after a fixed dozen levels switches to rounds that each
+fill whole row and column runs, so a long corridor costs a few rounds per
+turn instead of a level per tile.
 """
 
 from __future__ import annotations
@@ -134,10 +134,10 @@ def _pack(cells: Collection[Vertex], max_density: float = math.inf) -> _Bitboard
     return _Bitboard(x0, y0, stride, int(digits, 2))
 
 
-# Every flood runs this many plain levels before it works out when to switch
-# to fill rounds: a board whose switch point comes sooner has at most 7
-# cells, so none of its floods last this long.
-_FIRST_LEVELS = range(12)
+# Plain levels a flood runs before it hands over to fill rounds.  One
+# `_run_fill` call costs about 17 levels on a 6x6 to 12x12 board (CPython
+# 3.11), so the many floods that end sooner never pay for it.
+_FIRST_LEVELS = 12
 
 
 def _reaches(seed: int, open_: int, need: int, stride: int) -> bool:
@@ -145,36 +145,24 @@ def _reaches(seed: int, open_: int, need: int, stride: int) -> bool:
 
     `seed` need not be open itself; the flood stops as soon as it succeeds,
     and a `need` bit that is neither open nor the seed fails it at once.
-    Shallow floods, the common case on compact boards, run plain BFS levels
-    of four shifts each.  A flood still going after a few more levels
-    than two fill rounds cost (twice the width's plus four times the
-    height's bit length) switches to `_run_fill`, whose rounds cross whole
-    runs of open bits, so a corridor costs a few rounds per turn, not a
-    level per tile.
+    It runs plain BFS levels of four shifts each, and a flood still going
+    after `_FIRST_LEVELS` of them switches to `_run_fill`, whose rounds
+    cross whole runs of open bits, so a corridor costs a few rounds per
+    turn, not a level per tile.
     """
     if need & ~(open_ | seed):
         return False
     frontier = seed
     unseen = open_ & ~seed
-    levels = _FIRST_LEVELS
-    while need & unseen:
-        for _ in levels:
-            step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
-            frontier = step & unseen
-            if not frontier:
-                return False
-            unseen ^= frontier
-            if not need & unseen:
-                return True
-        if levels is not _FIRST_LEVELS:
-            return _run_fill(open_ & ~unseen, open_, need & unseen, stride)
-        # a fill round takes one doubling step per bit of the width and two
-        # per bit of the height; building the steps and running two rounds
-        # costs 1 to 1.5 plain levels per step, and waiting for two levels
-        # per step keeps the floods of compact boards on plain levels
-        width, height = stride - 1, open_.bit_length() // stride + 1
-        levels = range(2 * (width.bit_length() + 2 * height.bit_length()) - len(_FIRST_LEVELS))
-    return True
+    for _ in range(_FIRST_LEVELS):
+        if not need & unseen:
+            return True
+        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+        frontier = step & unseen
+        if not frontier:
+            return False
+        unseen ^= frontier
+    return not need & unseen or _run_fill(open_ & ~unseen, open_, need & unseen, stride)
 
 
 def _run_fill(reached: int, open_: int, need: int, stride: int) -> bool:
@@ -353,7 +341,6 @@ def _ham_search(g: GridGraph, starts: list[Vertex], anchor: Vertex | None) -> bo
     keeps one neighbour iterator per path vertex on an explicit stack, so its
     depth is not bounded by the interpreter's recursion limit.
     """
-    n = len(g)
     board = _pack(g.vertices)
     bit = {v: 1 << board.index(v) for v in g.vertices}
     anchor_bit = 0 if anchor is None else bit[anchor]
@@ -366,12 +353,13 @@ def _ham_search(g: GridGraph, starts: list[Vertex], anchor: Vertex | None) -> bo
             if len(stack) < len(path):
                 # the path's head just joined it: give it the neighbours to try
                 head = path[-1]
-                if len(path) == n and (anchor is None or anchor in g.neighbors(head)):
-                    return True
-                # every unvisited vertex (and the cycle anchor, if any) must
-                # still be reachable from the head through unvisited territory
+                # every unvisited vertex and the cycle anchor, if any, must stay
+                # reachable from the head through unvisited territory; with none
+                # left, that is the goal test: only a head beside the anchor passes
                 open_ = free | anchor_bit
-                grow = len(path) < n and _reaches(bit[head], open_, open_, board.stride)
+                grow = _reaches(bit[head], open_, open_, board.stride)
+                if grow and not free:
+                    return True
                 stack.append(iter(g.neighbors(head) if grow else ()))
             for nxt in stack[-1]:
                 if free & bit[nxt]:

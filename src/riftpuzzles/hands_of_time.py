@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .graphs import BudgetExhausted, Digraph, Verdict
+from .graphs import BudgetExhausted, Digraph, Verdict, has_directed_ham_path
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -319,8 +319,6 @@ def evaluate_certificate(cert: ReductionCertificate, budget: int | None = None) 
     runs solve_clock on the constructed instance.  Deliberately two separate
     search implementations, so agreement between the verdicts is evidence.
     """
-    from .graphs import has_directed_ham_path
-
     digraph_verdict = has_directed_ham_path(cert.source)
     clock_verdict = solve_clock(cert.instance, budget=budget) is not None
     return replace(cert, digraph_verdict=digraph_verdict, clock_verdict=clock_verdict)

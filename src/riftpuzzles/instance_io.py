@@ -418,20 +418,16 @@ KINDS = tuple(_FORMATS)
 _KIND_OF_TYPE = {value_type: kind for kind, (value_type, _, _) in _FORMATS.items()}
 
 
-def _kind(x) -> str:
+def kind_of(x) -> str:
+    """Document kind tag for a value, by exact type."""
     kind = _KIND_OF_TYPE.get(type(x))
     if kind is None:
         raise TypeError(f"no document format for {type(x).__name__}")
     return kind
 
 
-def kind_of(x) -> str:
-    """Document kind tag for a value, by exact type."""
-    return _kind(x)
-
-
 def serialize(x) -> str:
-    return _FORMATS[_kind(x)][1](x)
+    return _FORMATS[kind_of(x)][1](x)
 
 
 def parse(kind: str, text: str):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 from collections import Counter
@@ -361,6 +362,19 @@ def test_recorded_partners_match_former_reconstruction(monkeypatch):
         assert got.visit_sequence == want.visit_sequence, board
         assert got.total_length.hex() == want.total_length.hex(), board
     assert odd_counts[16] >= 3 and odd_counts[14] >= 2
+
+
+def test_solve_leaves_no_reference_cycle():
+    # the matching table and partner array of a 16-odd-crystal board are
+    # freed when the postman returns, not when the cyclic collector runs
+    board = spider_board(0, 30, 15, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_crystal_bonds(board)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_brute_force_bond_limit():

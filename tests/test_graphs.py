@@ -41,6 +41,11 @@ def test_ham_cycle_small_cases():
     # 2x3 block cycles, 1x4 path does not
     assert has_ham_cycle_grid(gg(*[(x, y) for x in range(3) for y in range(2)]))
     assert not has_ham_cycle_grid(gg((0, 0), (1, 0), (2, 0), (3, 0)))
+    # two unit squares joined by a bridge two tiles long: colour-balanced,
+    # every degree at least 2, a Hamiltonian path leaves the minimum vertex,
+    # but it cannot come back
+    dumbbell = [(x, y) for x in (0, 1, 4, 5) for y in (0, 1)] + [(2, 0), (3, 0)]
+    assert has_ham_path_grid(gg(*dumbbell)) and not has_ham_cycle_grid(gg(*dumbbell))
 
 
 def test_ham_cycle_parity_obstruction():

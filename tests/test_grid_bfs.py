@@ -224,15 +224,33 @@ def flood_boards(count):
         yield rng, sorted((x + dx, y + dy) for x, y in tiles)
 
 
+def end_floods():
+    """Corridors whose floods from their first tile end one level before, at
+    and one level after the switch to fill rounds, and a 2x200 ladder."""
+    for length in range(graphs._FIRST_LEVELS, graphs._FIRST_LEVELS + 3):
+        yield [(x, 0) for x in range(length)]
+    yield [(x, y) for x in range(2) for y in range(200)]
+
+
+def assert_flood(tiles, seed, open_cells, need):
+    """`_reaches` gives the per-cell flood's verdict, which it returns."""
+    board = _pack(tiles)
+    bit = {t: 1 << board.index(t) for t in tiles}
+    lost = 1 << (board.stride - 1)  # the tile solver's pad-bit marker
+    open_ = sum(bit[t] for t in open_cells)
+    need_bits = sum(bit[t] for t in need)
+    want = need <= reference_bfs(open_cells, seed).keys()  # the seed, open or not, counts
+    assert _reaches(bit[seed], open_, need_bits, board.stride) == want, (tiles, seed)
+    assert not _reaches(bit[seed], open_, need_bits | lost, board.stride)
+    return want
+
+
 def test_reaches_matches_per_cell_flood(monkeypatch):
     fills = []  # the verdicts of floods deep enough for fill rounds
     run_fill = graphs._run_fill
     monkeypatch.setattr(graphs, "_run_fill", lambda *args: fills.append(run_fill(*args)) or fills[-1])
     verdicts = set()
     for rng, tiles in flood_boards(360):
-        board = _pack(tiles)
-        bit = {t: 1 << board.index(t) for t in tiles}
-        lost = 1 << (board.stride - 1)  # the tile solver's pad-bit marker
         for _ in range(4):
             keep = rng.choice((1.0, 1.0, 0.9, 0.7, 0.5))
             open_cells = {t for t in tiles if rng.random() < keep}
@@ -244,14 +262,19 @@ def test_reaches_matches_per_cell_flood(monkeypatch):
                 need = set(rng.sample(sorted(open_cells), min(len(open_cells), 3)))
             else:
                 need = set(rng.sample(tiles, rng.randint(0, min(len(tiles), 4))))
-            open_ = sum(bit[t] for t in open_cells)
-            need_bits = sum(bit[t] for t in need)
-            want = need <= reference_bfs(open_cells, seed).keys()  # the seed, open or not, counts
-            assert _reaches(bit[seed], open_, need_bits, board.stride) == want, (tiles, seed)
-            assert not _reaches(bit[seed], open_, need_bits | lost, board.stride)
-            verdicts.add(want)
+            verdicts.add(assert_flood(tiles, seed, open_cells, need))
     assert verdicts == {False, True}
     assert len(fills) >= 100 and set(fills) == {False, True}
+    # whole, only a flood deeper than _FIRST_LEVELS fills; with a middle
+    # BFS level closed, the far end is cut off
+    for tiles in end_floods():
+        dist = reference_bfs(set(tiles), tiles[0])
+        depth = max(dist.values())
+        calls = len(fills)
+        assert assert_flood(tiles, tiles[0], set(tiles), set(tiles))
+        assert len(fills) == calls + (depth > graphs._FIRST_LEVELS)
+        cut = set(tiles) - {t for t in tiles if dist[t] == depth // 2}
+        assert not assert_flood(tiles, tiles[0], cut, cut)
 
 
 def test_reaches_fill_rounds_turn_every_way():
