@@ -14,6 +14,7 @@ keep that guarantee under --jobs by merging worker results in input order.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -98,6 +99,7 @@ def _box(text: str) -> tuple[int, int]:
         raise CliError(f"--box wants integers, got {text!r}")
 
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser() -> _Parser:
     top = _Parser(prog="riftpuzzles", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -441,9 +443,10 @@ def _cmd_render(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line and return its exit status.  Repeated calls in
+    one process reuse one parser; each call parses into a fresh namespace."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -448,14 +448,15 @@ def gen_random_region(seed: int, box_w: int, box_h: int, n_tiles: int) -> TileRe
     tiles = {start}
     frontier = [start]
     while len(tiles) < n_tiles and frontier:
-        x, y = frontier[rng.randrange(len(frontier))]
+        i = rng.randrange(len(frontier))
+        x, y = frontier[i]
         options = [
             (x + dx, y + dy)
             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
             if 0 <= x + dx < box_w and 0 <= y + dy < box_h and (x + dx, y + dy) not in tiles
         ]
         if not options:
-            frontier.remove((x, y))
+            del frontier[i]  # every tile enters the frontier once
             continue
         nxt = options[rng.randrange(len(options))]
         tiles.add(nxt)

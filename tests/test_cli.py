@@ -584,3 +584,32 @@ def test_commands_call_names_rebound_after_import(capsys, monkeypatch, rebound_d
     code, _, err = run(capsys, *(a.format(**rebound_docs) for a in argv))
     assert code == 0, err
     assert calls, f"{' '.join(argv)} did not call the rebound {name}"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, rebound_docs):
+    import riftpuzzles.cli as cli
+
+    lines = dict.fromkeys(argv for _, argv in REBOUND)
+    good = [tuple(a.format(**rebound_docs) for a in argv) for argv in lines]
+    assert {argv[0] for argv in good} == {"solve", "reduce", "verify", "gen", "sweep", "render"}
+    unknown_kind = ("solve", "nope", rebound_docs["tile"])
+    bad_box = ("gen", "grid-graph", "--box", "3")  # raised from inside argparse
+    fresh = {}
+    for argv in [unknown_kind, bad_box, *good]:
+        cli._build_parser.cache_clear()
+        fresh[argv] = run(capsys, *argv)
+    assert fresh[unknown_kind][0] == fresh[bad_box][0] == 3
+
+    builds = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    # each usage error is followed by a valid call on the same parser
+    for argv in [unknown_kind, *good, bad_box, *good]:
+        assert run(capsys, *argv) == fresh[argv], argv
+    assert builds.count("riftpuzzles") == 1

@@ -192,6 +192,44 @@ def test_gen_random_region_connected_and_seeded():
     assert all(m[0][j] < math.inf for j in range(len(tiles)))  # connected
 
 
+def former_gen_random_region(seed, box_w, box_h, n_tiles):
+    """gen_random_region's former tiles: it removed a dead frontier tile by
+    value, with a linear search of the frontier."""
+    rng = random.Random(seed)
+    start = (rng.randrange(box_w), rng.randrange(box_h))
+    tiles = {start}
+    frontier = [start]
+    while len(tiles) < n_tiles and frontier:
+        x, y = frontier[rng.randrange(len(frontier))]
+        options = [
+            (x + dx, y + dy)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+            if 0 <= x + dx < box_w and 0 <= y + dy < box_h and (x + dx, y + dy) not in tiles
+        ]
+        if not options:
+            frontier.remove((x, y))
+            continue
+        nxt = options[rng.randrange(len(options))]
+        tiles.add(nxt)
+        frontier.append(nxt)
+    return frozenset(tiles)
+
+
+def test_gen_random_region_matches_former_generator():
+    rng = random.Random(13)
+    cases = [(rng.randrange(1 << 30), 1, 1, n) for n in (1, 2, 5)]
+    cases += [(seed, 80, 80, 4266) for seed in (1, 2)] + [(3, 50, 50, 1666), (4, 30, 30, 600)]
+    for _ in range(300):
+        w, h = rng.randint(1, 12), rng.randint(1, 12)
+        # some draw, the whole box, or more than the box holds
+        n = rng.choice((rng.randint(1, w * h), w * h, w * h + rng.randint(1, 5)))
+        cases.append((rng.randrange(1 << 30), w, h, n))
+    for seed, w, h, n in cases:
+        tiles = gen_random_region(seed, w, h, n).tiles
+        assert tiles == former_gen_random_region(seed, w, h, n), (seed, w, h, n)
+        assert len(tiles) == min(n, w * h)
+
+
 # Reference segment oracle: cut the segment at every grid-line crossing,
 # probe each piece's midpoint and each crossing point with an EPS tolerance.
 # Floating point throughout, and shares no code with the integer cell walk.
