@@ -13,6 +13,7 @@ applies (optimizing that variant is as hard as Hamiltonian path).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -480,8 +481,6 @@ def gen_random_tree_board(
     The tree starts as a chain and gets a few leaf rewires, which keeps the
     number of odd-degree crystals at or below max_odd regardless of r.
     """
-    import random
-
     rng = random.Random(seed)
     n_tiles = max(r + 1, (box_w * box_h * 2) // 3)
     region = gen_random_region(rng.randrange(2**32), box_w, box_h, n_tiles)

@@ -15,7 +15,10 @@ Three distance notions live here:
   points that see each other are at their straight distance, so Dijkstra
   runs only until the query points a source does not see are settled,
 * ``fine_grid_distance`` -- 8-connected shortest path on a 1/k sublattice,
-  an upper distance oracle used to sanity-check the geodesics.
+  an upper distance oracle used to sanity-check the geodesics.  One rule
+  admits all eight moves: the target node and the move's midpoint lie in
+  the region.  Its A* keeps distances per reached node, so memory follows
+  the nodes it explores, not the region's bounding box.
 
 Point membership and segment visibility are exact integer predicates: every
 float is a dyadic rational, so scaling by the common power-of-two
@@ -32,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import _grid_distances
+from .graphs import ORTHO_STEPS, _grid_distances
 
 Tile = tuple[int, int]
 Point = tuple[float, float]
@@ -117,14 +120,15 @@ def _scaled(*coords: float) -> tuple[int, list[int]]:
     return s, [n * (s // d) for n, d in ratios]
 
 
-def _cells_at(v: int, s: int) -> tuple[int, ...]:
-    """Cell indices whose closed span [c*s, (c+1)*s] holds coordinate v."""
-    c, r = divmod(v, s)
-    return (c - 1, c) if r == 0 else (c,)
-
-
 def _point_in(tiles: frozenset[Tile], x: int, y: int, s: int) -> bool:
-    return any((cx, cy) in tiles for cx in _cells_at(x, s) for cy in _cells_at(y, s))
+    """Some tile's closed square holds the point (x, y) / s."""
+    cx, rx = divmod(x, s)
+    cy, ry = divmod(y, s)
+    return (
+        (cx, cy) in tiles
+        or (not rx and (cx - 1, cy) in tiles)
+        or (not ry and ((cx, cy - 1) in tiles or (not rx and (cx - 1, cy - 1) in tiles)))
+    )
 
 
 def region_contains_point(region: TileRegion, p: Point) -> bool:
@@ -334,15 +338,19 @@ def grid_distance_matrix(region: TileRegion, tiles: list[Tile]) -> list[list[flo
 def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
     """Shortest 8-connected path on the 1/k sublattice of the region.
 
-    Nodes are lattice multiples of 1/k; pinch corners are removed.  Every
-    move's interior stays inside a single cell row/column (k divides the
-    tile size), so admissibility is exact integer arithmetic.  Any returned
-    length is the length of a real admissible path, hence an upper bound on
-    the Euclidean geodesic.  Both endpoints must lie on the sublattice.
+    Nodes are lattice multiples of 1/k; pinch corners are removed.  A move
+    to one of the eight neighbouring nodes is admissible when its target is
+    a node and its midpoint, a point of the 1/(2k) lattice, lies in the
+    closed region.  That is exact: k divides the tile size, so a move's
+    interior lies inside one cell, or on the wall between two with its
+    midpoint on that wall, and meets no lattice corner.  Any returned
+    length is that of a real admissible path, hence an upper bound on the
+    Euclidean geodesic.  Both endpoints must lie on the sublattice.
 
     A tile-level BFS answers unreachable queries first; otherwise A* with
-    the octile heuristic (consistent, so the result stays exact) searches
-    a flat distance table over the sublattice of the bounding box.
+    the octile heuristic (consistent, so the result stays exact) keeps its
+    distances keyed by node, so memory follows the nodes it reaches, not
+    the region's bounding box.
     """
     if k < 2:
         raise ValueError("subdivision k must be at least 2")
@@ -357,26 +365,15 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
 
     tiles = region.tiles
 
-    def node_tiles(i: int, j: int) -> list[Tile]:
-        return [(cx, cy) for cx in _cells_at(i, k) for cy in _cells_at(j, k) if (cx, cy) in tiles]
+    def node_tile(i: int, j: int) -> Tile:
+        # a tile holding the node; c // k and (c - 1) // k differ only on a wall
+        cols, rows = (i // k, (i - 1) // k), (j // k, (j - 1) // k)
+        return next((cx, cy) for cx in cols for cy in rows if (cx, cy) in tiles)
 
     def node_ok(i: int, j: int) -> bool:
         if i % k == 0 and j % k == 0 and (i // k, j // k) in pinches:
             return False
-        return bool(node_tiles(i, j))
-
-    def h_step_ok(i: int, j: int) -> bool:
-        # interior of the step from (i,j) to (i+1,j)
-        cx = i // k
-        if j % k == 0:
-            return (cx, j // k) in tiles or (cx, j // k - 1) in tiles
-        return (cx, j // k) in tiles
-
-    def v_step_ok(i: int, j: int) -> bool:
-        cy = j // k
-        if i % k == 0:
-            return (i // k, cy) in tiles or (i // k - 1, cy) in tiles
-        return (i // k, cy) in tiles
+        return _point_in(tiles, i, j, k)
 
     src = to_node(p)
     dst = to_node(q)
@@ -386,13 +383,9 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
         return 0.0
     # a node off the pinches lies in tiles of one edge-connected component
     # (a diagonal pair meeting at a non-pinch corner shares a third tile)
-    if math.isinf(grid_distance(region, node_tiles(*src)[0], node_tiles(*dst)[0])):
+    if math.isinf(grid_distance(region, node_tile(*src), node_tile(*dst))):
         return math.inf
 
-    i0 = k * min(x for x, _ in tiles)
-    j0 = k * min(y for _, y in tiles)
-    height = k * (max(y for _, y in tiles) + 1) - j0 + 1
-    width = k * (max(x for x, _ in tiles) + 1) - i0 + 1
     ti, tj = dst
     sqrt2 = math.sqrt(2.0)
 
@@ -401,40 +394,22 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
         b = abs(j - tj)
         return abs(a - b) + sqrt2 * min(a, b)
 
-    dist = [math.inf] * (width * height)
-    dist[(src[0] - i0) * height + src[1] - j0] = 0.0
-    heap = [(octile(*src), 0.0, src[0], src[1])]
+    moves = [(di, dj, sqrt2 if di and dj else 1.0) for di in (1, -1, 0) for dj in (1, -1, 0) if di or dj]
+    dist = {src: 0.0}
+    heap = [(octile(*src), 0.0, *src)]
     while heap:
         _, d, i, j = heapq.heappop(heap)
         if i == ti and j == tj:
             return d / k
-        if d > dist[(i - i0) * height + j - j0] + EPS:
+        if d > dist[i, j] + EPS:
             continue
-        moves = []
-        if h_step_ok(i, j):
-            moves.append((i + 1, j, 1.0))
-        if h_step_ok(i - 1, j):
-            moves.append((i - 1, j, 1.0))
-        if v_step_ok(i, j):
-            moves.append((i, j + 1, 1.0))
-        if v_step_ok(i, j - 1):
-            moves.append((i, j - 1, 1.0))
-        # a diagonal step's interior lies strictly inside one cell
-        if (i // k, j // k) in tiles:
-            moves.append((i + 1, j + 1, sqrt2))
-        if ((i - 1) // k, (j - 1) // k) in tiles:
-            moves.append((i - 1, j - 1, sqrt2))
-        if ((i - 1) // k, j // k) in tiles:
-            moves.append((i - 1, j + 1, sqrt2))
-        if (i // k, (j - 1) // k) in tiles:
-            moves.append((i + 1, j - 1, sqrt2))
-        for ni, nj, w in moves:
-            if not node_ok(ni, nj):
+        for di, dj, w in moves:
+            ni, nj = i + di, j + dj
+            if not _point_in(tiles, 2 * i + di, 2 * j + dj, 2 * k) or not node_ok(ni, nj):
                 continue
             nd = d + w
-            at = (ni - i0) * height + nj - j0
-            if nd < dist[at] - EPS:
-                dist[at] = nd
+            if nd < dist.get((ni, nj), math.inf) - EPS:
+                dist[ni, nj] = nd
                 heapq.heappush(heap, (nd + octile(ni, nj), nd, ni, nj))
     return math.inf
 
@@ -452,7 +427,7 @@ def gen_random_region(seed: int, box_w: int, box_h: int, n_tiles: int) -> TileRe
         x, y = frontier[i]
         options = [
             (x + dx, y + dy)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+            for dx, dy in ORTHO_STEPS
             if 0 <= x + dx < box_w and 0 <= y + dy < box_h and (x + dx, y + dy) not in tiles
         ]
         if not options:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .graphs import BudgetExhausted, Digraph, Verdict, has_directed_ham_path
 
@@ -86,6 +87,20 @@ class ClockInstance:
     def is_dense(self) -> bool:
         return len(self.occupied) == self.circumference
 
+    @cached_property
+    def _move_graph(self) -> Digraph:
+        """clock_to_digraph's result, built on first use and kept."""
+        if not self.occupied:
+            raise ValueError("no occupied nodes")
+        index = {p: i for i, p in enumerate(self.positions)}
+        n = self.circumference
+        arcs = []
+        for i, (p, m) in enumerate(self.occupied):
+            for q in sorted({(p + m) % n, (p - m) % n}):
+                if q in index:
+                    arcs.append((i, index[q]))
+        return Digraph(len(index), tuple(arcs))
+
 
 @dataclass(frozen=True)
 class ClockSolution:
@@ -135,6 +150,15 @@ class ReductionCertificate:
                 raise ValueError(f"primary ({j},0) must sit at {repunit(j)}, got {p}")
         if len(norm) != len(occupied):
             raise ValueError("unlabeled occupied positions")
+        d = self.source
+        if not d.outdeg12:
+            raise ValueError("every vertex needs outdegree 1 or 2")
+        # (j, 0) for every vertex, and (j, 1) for each second out-arc
+        want = {(j, t) for j in range(d.vertex_count) for t in range(len(d.out_neighbors(j)))}
+        stray = sorted(want.symmetric_difference(label for label, _ in norm))
+        if stray:
+            j, t = stray[0]
+            raise ValueError(f"label ({j},{t}) {'missing' if stray[0] in want else 'names no out-arc'}")
 
     @property
     def label_map(self) -> dict[tuple[int, int], int]:
@@ -193,18 +217,10 @@ def clock_to_digraph(c: ClockInstance) -> Digraph:
 
     Vertex i is the i-th occupied position in sorted order.  An arc points
     wherever a cw or ccw jump lands on another occupied node; the two
-    directions collapse to one arc when the value is exactly N/2.
+    directions collapse to one arc when the value is exactly N/2.  Built
+    once per instance: a certificate's audit and its solve share it.
     """
-    if not c.occupied:
-        raise ValueError("no occupied nodes")
-    index = {p: i for i, p in enumerate(c.positions)}
-    n = c.circumference
-    arcs = []
-    for i, (p, m) in enumerate(c.occupied):
-        for q in sorted({(p + m) % n, (p - m) % n}):
-            if q in index:
-                arcs.append((i, index[q]))
-    return Digraph(len(index), tuple(arcs))
+    return c._move_graph
 
 
 def _moves_from_indices(c: ClockInstance, seq) -> ClockSolution:

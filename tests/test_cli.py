@@ -7,6 +7,7 @@ from riftpuzzles.cli import main
 PATH6 = "0 0\n1 0\n2 0\n3 0\n4 0\n5 0\n"
 SQUARE = "0 0\n1 0\n0 1\n1 1\n"
 TRIANGLE = "3\n0 1\n1 2\n2 0\n"
+FORK = "3\n0 1\n0 2\n1 2\n2 0\n"
 STUCK_CLOCK = "4\n0 2\n1 2\n2 2\n3 2\n"
 
 
@@ -110,6 +111,35 @@ def test_verify_cert_clean(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "cert", cert)
     assert code == 0
     assert "digraph yes" in out and "clock yes" in out
+
+
+def test_verify_cert_refuses_labels_that_do_not_match_the_digraph(tmp_path, capsys):
+    # a second out-arc whose secondary node and label are deleted, and a
+    # vertex whose only arc is deleted: the audit once crashed on both (exit 1)
+    code, cert, _ = run(capsys, "reduce", "clock", doc(tmp_path, "fork.digraph", FORK))
+    assert code == 0
+    for dropped, message in [
+        ({"label 0 1 110", "node 110 12"}, "line 12: label (0,1) missing"),
+        ({"arc 2 0"}, "line 13: every vertex needs outdegree 1 or 2"),
+    ]:
+        text = "".join(line + "\n" for line in cert.splitlines() if line not in dropped)
+        got = run(capsys, "verify", "cert", doc(tmp_path, "bad.cert", text))
+        assert got == (3, "", f"input error: {message}\n")
+
+
+def test_move_graph_built_once_per_certificate(tmp_path, capsys, monkeypatch):
+    import riftpuzzles.hands_of_time as hands_of_time
+
+    code, cert, _ = run(capsys, "reduce", "clock", doc(tmp_path, "fork.digraph", FORK))
+    assert code == 0
+    builds = []
+    digraph = hands_of_time.Digraph
+    monkeypatch.setattr(hands_of_time, "Digraph", lambda *args: builds.append(args) or digraph(*args))
+    code, _, _ = run(capsys, "verify", "cert", doc(tmp_path, "fork.cert", cert))
+    assert code == 0 and len(builds) == 1
+    builds.clear()
+    code, out, _ = run(capsys, "sweep", "clock", "--count", "12", "--max-v", "5")
+    assert out.startswith("pass ") and len(builds) == 12
 
 
 def test_sweep_tile_trial_passes(capsys):

@@ -400,6 +400,130 @@ def test_fine_grid_hand_values_around_holes():
         assert abs(got - want) <= 1e-12 * want, (p, q, got)
 
 
+def former_fine_grid_distance(r, p, q, k):
+    """fine_grid_distance's former A*: a step rule per move direction and a
+    flat distance table over the fine lattice of the bounding box."""
+    if k < 2:
+        raise ValueError("subdivision k must be at least 2")
+    pinches = pinch_corners(r)
+    tiles = r.tiles
+
+    def cells_at(v):
+        c, rem = divmod(v, k)
+        return (c - 1, c) if rem == 0 else (c,)
+
+    def to_node(pt):
+        i, j = round(pt[0] * k), round(pt[1] * k)
+        if abs(pt[0] * k - i) > 1e-6 or abs(pt[1] * k - j) > 1e-6:
+            raise ValueError(f"point {pt} is not on the 1/{k} sublattice")
+        return (i, j)
+
+    def node_tiles(i, j):
+        return [(cx, cy) for cx in cells_at(i) for cy in cells_at(j) if (cx, cy) in tiles]
+
+    def node_ok(i, j):
+        if i % k == 0 and j % k == 0 and (i // k, j // k) in pinches:
+            return False
+        return bool(node_tiles(i, j))
+
+    def h_step_ok(i, j):
+        cx = i // k
+        if j % k == 0:
+            return (cx, j // k) in tiles or (cx, j // k - 1) in tiles
+        return (cx, j // k) in tiles
+
+    def v_step_ok(i, j):
+        cy = j // k
+        if i % k == 0:
+            return (i // k, cy) in tiles or (i // k - 1, cy) in tiles
+        return (i // k, cy) in tiles
+
+    src, dst = to_node(p), to_node(q)
+    if not node_ok(*src) or not node_ok(*dst):
+        return math.inf
+    if src == dst:
+        return 0.0
+    if math.isinf(grid_distance(r, node_tiles(*src)[0], node_tiles(*dst)[0])):
+        return math.inf
+    i0 = k * min(x for x, _ in tiles)
+    j0 = k * min(y for _, y in tiles)
+    height = k * (max(y for _, y in tiles) + 1) - j0 + 1
+    width = k * (max(x for x, _ in tiles) + 1) - i0 + 1
+    ti, tj = dst
+
+    def octile(i, j):
+        a, b = abs(i - ti), abs(j - tj)
+        return abs(a - b) + SQRT2 * min(a, b)
+
+    dist = [math.inf] * (width * height)
+    dist[(src[0] - i0) * height + src[1] - j0] = 0.0
+    heap = [(octile(*src), 0.0, src[0], src[1])]
+    while heap:
+        _, d, i, j = heapq.heappop(heap)
+        if i == ti and j == tj:
+            return d / k
+        if d > dist[(i - i0) * height + j - j0] + 1e-9:
+            continue
+        moves = []
+        if h_step_ok(i, j):
+            moves.append((i + 1, j, 1.0))
+        if h_step_ok(i - 1, j):
+            moves.append((i - 1, j, 1.0))
+        if v_step_ok(i, j):
+            moves.append((i, j + 1, 1.0))
+        if v_step_ok(i, j - 1):
+            moves.append((i, j - 1, 1.0))
+        if (i // k, j // k) in tiles:
+            moves.append((i + 1, j + 1, SQRT2))
+        if ((i - 1) // k, (j - 1) // k) in tiles:
+            moves.append((i - 1, j - 1, SQRT2))
+        if ((i - 1) // k, j // k) in tiles:
+            moves.append((i - 1, j + 1, SQRT2))
+        if (i // k, (j - 1) // k) in tiles:
+            moves.append((i + 1, j - 1, SQRT2))
+        for ni, nj, w in moves:
+            if not node_ok(ni, nj):
+                continue
+            nd = d + w
+            at = (ni - i0) * height + nj - j0
+            if nd < dist[at] - 1e-9:
+                dist[at] = nd
+                heapq.heappush(heap, (nd + octile(ni, nj), nd, ni, nj))
+    return math.inf
+
+
+def test_fine_grid_matches_former_oracle():
+    rng = random.Random(14)
+    queries = reached = 0
+    while queries < 4500:
+        w, h = rng.randint(1, 6), rng.randint(1, 6)
+        tiles = set(gen_random_region(rng.randrange(1 << 30), w, h, rng.randint(1, w * h)).tiles)
+        if rng.randrange(3) == 0:
+            # scattered extra tiles make pinches and cut-off parts
+            tiles.update((rng.randrange(w), rng.randrange(h)) for _ in range(rng.randint(1, 4)))
+        r = TileRegion(frozenset(tiles))
+        for _ in range(15):
+            k = rng.choice((2, 3, 4, 5, 8, 16))
+            # endpoints on the 1/k lattice of the box widened by one step
+            p, q = [(rng.randint(-1, k * w + 1) / k, rng.randint(-1, k * h + 1) / k) for _ in "pq"]
+            got = fine_grid_distance(r, p, q, k)
+            assert got.hex() == former_fine_grid_distance(r, p, q, k).hex(), (sorted(tiles), p, q, k)
+            queries += 1
+            reached += got < math.inf
+    assert 1000 < reached < 3500
+
+
+def test_fine_grid_memory_follows_the_explored_nodes():
+    # tiles 10**18 apart: a table over the bounding box cannot even be sized
+    near = region((0, 0), (1, 0), (1, 1), (2, 1))
+    far = TileRegion(near.tiles | {(10**18, 10**18), (10**18, 0)})
+    p, q = (0.25, 0.5), (2.75, 1.5)
+    want = fine_grid_distance(near, p, q, 8)
+    assert want < math.inf
+    assert fine_grid_distance(far, p, q, 8).hex() == want.hex()
+    assert fine_grid_distance(far, p, (10**18 + 0.5, 0.5), 8) == math.inf
+
+
 # Reference matrix: the full-Dijkstra construction, built on the public
 # segment_admissible.  Every query point runs Dijkstra to exhaustion over the
 # same nodes (query points, then reflex corners in sorted order), the same

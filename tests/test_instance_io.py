@@ -400,6 +400,18 @@ MALFORMED = [
      "vertices 2\narc 0 1\narc 1 0\ncircumference 11\nnode 0 1\nnode 1 1\nlabel 0 0 0\n"
      "label 1 0 0\n",
      "line 8: label map is not injective"),
+    ("cert-label-missing", "certificate",
+     "vertices 3\narc 0 1\narc 0 2\narc 1 2\narc 2 0\ncircumference 111\nnode 0 1\nnode 1 10\n"
+     "node 11 11\nlabel 0 0 0\nlabel 1 0 1\nlabel 2 0 11\n",
+     "line 12: label (0,1) missing"),
+    ("cert-label-without-arc", "certificate",
+     "vertices 3\narc 0 1\narc 1 2\narc 2 0\ncircumference 111\nnode 0 1\nnode 1 10\n"
+     "node 11 11\nnode 110 12\nlabel 0 0 0\nlabel 0 1 110\nlabel 1 0 1\nlabel 2 0 11\n",
+     "line 13: label (0,1) names no out-arc"),
+    ("cert-vertex-without-arcs", "certificate",
+     "vertices 3\narc 0 1\narc 1 2\ncircumference 111\nnode 0 1\nnode 1 10\nnode 11 11\n"
+     "label 0 0 0\nlabel 1 0 1\nlabel 2 0 11\n",
+     "line 10: every vertex needs outdegree 1 or 2"),
     ("cert-node-outside", "certificate", "vertices 1\ncircumference 4\nnode 9 1\n",
      "line 3: position 9 outside [0, 4)"),
 ]
