@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .geometry import (
@@ -60,6 +60,10 @@ class BondBoard:
             raise ValueError(f"distance model must be one of {MODELS}")
         for p in self.crystals + (() if self.start is None else (self.start,)):
             t = tile_of(p)
+            # every tile with |x| < 2**52 has an exact float center x + 0.5; the
+            # center of tile 2**52 rounds to its wall, which a board would measure from
+            if abs(t[0]) >= 2**52 or abs(t[1]) >= 2**52:
+                raise ValueError(f"point {p}: tile coordinates must lie strictly between -2**52 and 2**52")
             if t not in self.region.tiles or p != tile_center(t):
                 raise ValueError(f"point {p} is not a region tile center")
         if len(set(self.crystals)) != len(self.crystals):
@@ -104,25 +108,33 @@ class BondWalk:
             raise ValueError("walk length cannot be negative")
 
 
-def crystal_metric(board: BondBoard) -> list[list[float]]:
+def crystal_metric(board: BondBoard) -> tuple[tuple[float, ...], ...]:
     """Pairwise walking distances over the crystals, start appended last.
 
     Row/column i < r is crystal i; when the board has a start point it
     occupies the final index r.  Raises UnreachableCrystal if any pair is
-    separated.
+    separated.  A process keeps the last metric built, keyed on the region,
+    the points and the distance model, so an equal board (a walk solved,
+    then verified) reuses it; its rows are tuples, so no caller can change
+    it.  A separated board caches nothing and raises on every call.
     """
-    points = list(board.crystals)
-    if board.start is not None:
-        points.append(board.start)
-    if board.distance_model == "grid":
-        matrix = grid_distance_matrix(board.region, [tile_of(p) for p in points])
+    points = board.crystals if board.start is None else board.crystals + (board.start,)
+    return _metric_of(board.region, points, board.distance_model)
+
+
+@lru_cache(maxsize=1)
+def _metric_of(
+    region: TileRegion, points: tuple[Point, ...], model: str
+) -> tuple[tuple[float, ...], ...]:
+    if model == "grid":
+        matrix = grid_distance_matrix(region, [tile_of(p) for p in points])
     else:
-        matrix = euclidean_geodesic_matrix(board.region, points)
+        matrix = euclidean_geodesic_matrix(region, list(points))
     for row in matrix:
         for d in row:
             if math.isinf(d):
                 raise UnreachableCrystal("region does not connect all crystals")
-    return matrix
+    return tuple(map(tuple, matrix))
 
 
 def _roots(n: int, edges) -> list[int]:
@@ -146,20 +158,25 @@ def _matching_cost(
 ) -> float:
     """Cost of the cheapest pairing of the set bits of `mask` over `members`.
     Each mask it solves stores its cost in `table`, and in `partner` the
-    partner its lowest bit took: the first in bit order under a strict <."""
+    partner its lowest bit took: the first in bit order under a strict <.
+    A submask already in `table` is read there; only a miss recurses."""
     if mask in table:
         return table[mask]
     low = (mask & -mask).bit_length() - 1
+    row = metric[members[low]]
     best, choice = math.inf, 0
     rest = mask & ~(1 << low)
     m = rest
     while m:
-        j = (m & -m).bit_length() - 1
-        sub = _matching_cost(metric, members, table, partner, rest & ~(1 << j))
-        cand = metric[members[low]][members[j]] + sub
+        bit = m & -m
+        sub = table.get(rest ^ bit)
+        if sub is None:
+            sub = _matching_cost(metric, members, table, partner, rest ^ bit)
+        j = bit.bit_length() - 1
+        cand = row[members[j]] + sub
         if cand < best:
             best, choice = cand, j
-        m &= m - 1
+        m ^= bit
     table[mask] = best
     partner[mask] = choice
     return best

@@ -142,6 +142,74 @@ def test_move_graph_built_once_per_certificate(tmp_path, capsys, monkeypatch):
     assert out.startswith("pass ") and len(builds) == 12
 
 
+def test_bond_board_beyond_the_tile_limit_exits_3(tmp_path, capsys):
+    text = "model grid\nstart free\ntile {0} 0\ncrystal {0} 0\n"
+    assert run(capsys, "solve", "dcb", doc(tmp_path, "near.bond", text.format(2**51))) == (0, "length 0.0\n", "")
+    for x in (2**52, -(2**52)):
+        code, out, err = run(capsys, "solve", "dcb", doc(tmp_path, "far.bond", text.format(x)))
+        assert (code, out) == (3, "") and "strictly between -2**52 and 2**52" in err
+
+
+def spy_metric_builds(monkeypatch, fresh):
+    """Count distance-matrix builds; with `fresh`, every crystal_metric call
+    starts on an empty cache, as before the cache existed."""
+    from riftpuzzles import crystal_bonds
+
+    builds = []
+    for name in ("euclidean_geodesic_matrix", "grid_distance_matrix"):
+        build = getattr(crystal_bonds, name)
+        monkeypatch.setattr(crystal_bonds, name, lambda *args, build=build: builds.append(1) or build(*args))
+    metric = crystal_bonds.crystal_metric
+
+    def uncached(board):
+        crystal_bonds._metric_of.cache_clear()
+        return metric(board)
+
+    monkeypatch.setattr(crystal_bonds, "crystal_metric", uncached if fresh else metric)
+    crystal_bonds._metric_of.cache_clear()
+    return builds
+
+
+def test_verify_dcb_reuses_the_metric_solve_dcb_built(tmp_path, capsys, monkeypatch):
+    boards = []
+    for seed in (1, 2, 3):
+        for model, side, crystals in (("grid", 14, 12), ("euclid", 12, 10)):
+            _, text, _ = run(
+                capsys, "gen", "bond-board", "--seed", str(seed), "--box", f"{side}x{side}",
+                "--max-v", str(crystals), "--model", model,
+            )
+            boards.append(doc(tmp_path, f"{model}{seed}.bond", text))
+
+    def transcript():
+        out = []
+        for i, board in enumerate(boards):
+            solved = run(capsys, "solve", "dcb", board)
+            walk = doc(tmp_path, f"{i}.walk", solved[1])
+            wrong = doc(tmp_path, f"{i}.wrong", solved[1].replace("length ", "length 1"))
+            out += [solved, run(capsys, "verify", "dcb", board, walk), run(capsys, "verify", "dcb", board, wrong)]
+        return out
+
+    with monkeypatch.context() as patch:
+        builds = spy_metric_builds(patch, fresh=True)
+        want = transcript()
+        assert len(builds) == 3 * len(boards)
+    builds = spy_metric_builds(monkeypatch, fresh=False)
+    assert transcript() == want
+    assert len(builds) == len(boards)
+    assert [code for code, _, _ in want] == [0, 0, 2] * len(boards)
+
+
+def test_sweep_cb_oracle_builds_one_metric_per_item(capsys, monkeypatch):
+    argv = ("sweep", "cb-oracle", "--count", "20")
+    with monkeypatch.context() as patch:
+        builds = spy_metric_builds(patch, fresh=True)
+        want = run(capsys, *argv)
+        assert len(builds) == 4 * 20
+    builds = spy_metric_builds(monkeypatch, fresh=False)
+    assert run(capsys, *argv) == want == (0, "pass 20 fail 0\n", "")
+    assert len(builds) == 20
+
+
 def test_sweep_tile_trial_passes(capsys):
     code, out, _ = run(capsys, "sweep", "tile-trial", "--box", "2x3", "--max-v", "6")
     assert code == 0

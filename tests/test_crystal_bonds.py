@@ -8,6 +8,7 @@ import pytest
 
 from riftpuzzles import crystal_bonds
 from riftpuzzles.crystal_bonds import (
+    MODELS,
     BondBoard,
     BondWalk,
     UnreachableCrystal,
@@ -29,6 +30,7 @@ from riftpuzzles.graphs import (
     has_ham_cycle_grid,
     has_ham_path_grid,
 )
+from riftpuzzles.instance_io import parse, serialize
 
 
 def corridor(n):
@@ -70,6 +72,23 @@ def test_board_validation():
             BondWalk((0,), float(length))
 
 
+def test_board_refuses_tile_centers_no_float_holds():
+    # below 2**52 a float holds x + 0.5 exactly; the center of tile 2**52
+    # rounds to its wall, and tile -2**52 sits at the limit's other side
+    for x, ok in ((2**51, True), (2**52 - 1, True), (1 - 2**52, True), (2**52, False), (-(2**52), False)):
+        region = TileRegion(frozenset({(x, 0), (x, 1)}))
+        for start in (None, tile_center((x, 1))):
+            args = (region, (tile_center((x, 0)),), start, (), "euclid")
+            if ok:
+                assert BondBoard(*args).crystals == (tile_center((x, 0)),)
+            else:
+                with pytest.raises(ValueError, match=r"strictly between -2\*\*52 and 2\*\*52"):
+                    BondBoard(*args)
+    far = TileRegion(frozenset({(0, 0), (2**52, 0)}))
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        BondBoard(far, (tile_center((0, 0)),), tile_center((2**52, 0)), (), "grid")
+
+
 def test_connected_flag():
     region = corridor(4)
     pts = tuple(tile_center((x, 0)) for x in range(4))
@@ -90,6 +109,72 @@ def test_metric_examples():
     )
     with pytest.raises(UnreachableCrystal):
         crystal_metric(bad)
+
+
+def spy_builds(monkeypatch):
+    """Count the distance matrices crystal_metric builds, on an empty cache."""
+    builds = []
+    for name in ("euclidean_geodesic_matrix", "grid_distance_matrix"):
+        build = getattr(crystal_bonds, name)
+        monkeypatch.setattr(
+            crystal_bonds, name, lambda *args, build=build, name=name: builds.append(name) or build(*args)
+        )
+    crystal_bonds._metric_of.cache_clear()
+    return builds
+
+
+def test_equal_boards_share_one_metric(monkeypatch):
+    builds = spy_builds(monkeypatch)
+    for model in MODELS:
+        text = serialize(gen_random_tree_board(5, 9, 9, 8, model))
+        first, second = parse("bond-board", text), parse("bond-board", text)
+        assert first == second and first is not second and first.region is not second.region
+        assert crystal_metric(first) is crystal_metric(second)
+    assert builds == ["grid_distance_matrix", "euclidean_geodesic_matrix"]
+
+
+def test_metric_cache_never_serves_another_board(monkeypatch):
+    builds = spy_builds(monkeypatch)
+    ends = (tile_center((0, 0)), tile_center((2, 0)))
+    straight = BondBoard(corridor(3), ends, None, ((0, 1),), "grid")
+    bent = dataclasses.replace(straight, region=TileRegion(frozenset({(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)})))
+    assert crystal_metric(straight) == ((0, 2), (2, 0))
+    assert crystal_metric(bent) == ((0, 4), (4, 0))
+    square = TileRegion(frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
+    diagonal = BondBoard(square, (tile_center((0, 0)), tile_center((1, 1))), None, ((0, 1),), "grid")
+    assert crystal_metric(diagonal) == ((0, 2), (2, 0))
+    assert crystal_metric(dataclasses.replace(diagonal, distance_model="euclid")) == (
+        (0, math.sqrt(2)), (math.sqrt(2), 0)
+    )
+    with_start = dataclasses.replace(diagonal, start=tile_center((1, 0)))
+    assert crystal_metric(with_start) == ((0, 2, 1), (2, 0, 1), (1, 1, 0))
+    assert len(builds) == 5
+
+
+def test_metric_of_a_cut_board_raises_every_time(monkeypatch):
+    builds = spy_builds(monkeypatch)
+    split = TileRegion(frozenset({(0, 0), (5, 5)}))
+    cut = BondBoard(split, (tile_center((0, 0)), tile_center((5, 5))), None, ((0, 1),), "grid")
+    whole = trio_board((0, 0))
+    counts = []
+    for board in (cut, cut, whole, cut, whole):
+        if board is cut:
+            with pytest.raises(UnreachableCrystal):
+                crystal_metric(board)
+        else:
+            assert crystal_metric(board)[0] == (0, 1, 2, 0)
+        counts.append(len(builds))
+    # a cut board is built on every call and never evicts the last good one
+    assert counts == [1, 2, 3, 4, 4]
+
+
+def test_metric_rows_are_read_only():
+    m = crystal_metric(trio_board((0, 0)))
+    with pytest.raises(TypeError):
+        m[0][1] = 5
+    with pytest.raises(TypeError):
+        m[0] = (0, 0, 0, 0)
+    assert crystal_metric(trio_board((0, 0)))[0][1] == 1
 
 
 def test_metric_euclid_straight_line():
@@ -362,6 +447,50 @@ def test_recorded_partners_match_former_reconstruction(monkeypatch):
         assert got.visit_sequence == want.visit_sequence, board
         assert got.total_length.hex() == want.total_length.hex(), board
     assert odd_counts[16] >= 3 and odd_counts[14] >= 2
+
+
+def former_matching_cost(metric, members, table, partner, mask):
+    """_matching_cost's former form: it recursed on every submask and
+    returned at once on a memo hit."""
+    if mask in table:
+        return table[mask]
+    low = (mask & -mask).bit_length() - 1
+    best, choice = math.inf, 0
+    rest = mask & ~(1 << low)
+    m = rest
+    while m:
+        j = (m & -m).bit_length() - 1
+        sub = former_matching_cost(metric, members, table, partner, rest & ~(1 << j))
+        cand = metric[members[low]][members[j]] + sub
+        if cand < best:
+            best, choice = cand, j
+        m &= m - 1
+    table[mask] = best
+    partner[mask] = choice
+    return best
+
+
+def test_matching_cost_matches_former_recursion():
+    # the same masks in the same bit order, the same sums and the same
+    # strict <: bit-equal costs and the same recorded partners, ties too
+    rng = random.Random(15)
+    for n in range(2, 17, 2):
+        for tied in (False, True):
+            size = n + 3
+            metric = [[0.0] * size for _ in range(size)]
+            for a in range(size):
+                for b in range(a):
+                    metric[a][b] = metric[b][a] = float(rng.randint(1, 3)) if tied else rng.uniform(0.5, 60)
+            members = sorted(rng.sample(range(size), n))
+            full = (1 << n) - 1
+            masks = [full] + [full & ~(1 << i) & ~(1 << j) for i in range(n) for j in range(i)]
+            rng.shuffle(masks)
+            got, want = ({0: 0.0}, bytearray(1 << n)), ({0: 0.0}, bytearray(1 << n))
+            for mask in masks:
+                cost = crystal_bonds._matching_cost(metric, members, *got, mask)
+                assert cost.hex() == former_matching_cost(metric, members, *want, mask).hex()
+            assert {k: v.hex() for k, v in got[0].items()} == {k: v.hex() for k, v in want[0].items()}
+            assert got[1] == want[1], (n, tied)
 
 
 def test_solve_leaves_no_reference_cycle():

@@ -102,6 +102,15 @@ def test_bond_board_rejections():
         )
 
 
+def test_bond_board_tile_limit():
+    text = "model euclid\nstart free\ntile {0} 0\ntile {0} 1\ncrystal {0} 0\ncrystal {0} 1\nbond 0 1\n"
+    board = parse("bond-board", text.format(2**51))
+    assert board.crystals == (tile_center((2**51, 0)), tile_center((2**51, 1)))
+    for x in (2**52, -(2**52)):
+        with pytest.raises(ParseError, match=r"line 7: point .* strictly between -2\*\*52 and 2\*\*52"):
+            parse("bond-board", text.format(x))
+
+
 def test_clock_roundtrip_and_dense_form():
     cert = reduce_digraph_to_phot(Digraph(3, ((0, 1), (1, 2), (2, 0))))
     text = roundtrip(cert.instance)
