@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .crystal_bonds import (
     BondBoard,
@@ -378,6 +378,11 @@ _SWEEPS = {
 def _cmd_sweep(args) -> int:
     items, worker = _SWEEPS[args.family]
     if args.jobs > 1:
+        cpus = os.cpu_count() or 1
+        if args.jobs > cpus:
+            raise CliError(f"--jobs wants at most the CPU count {cpus}, got {args.jobs}")
+        from concurrent.futures import ProcessPoolExecutor  # a third of this module's import time
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(worker, items(args)))
     else:

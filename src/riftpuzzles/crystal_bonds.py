@@ -26,6 +26,7 @@ from .geometry import (
     gen_random_region,
     tile_center,
     tile_of,
+    _exact_tile,
 )
 from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges
 
@@ -59,11 +60,7 @@ class BondBoard:
         if self.distance_model not in MODELS:
             raise ValueError(f"distance model must be one of {MODELS}")
         for p in self.crystals + (() if self.start is None else (self.start,)):
-            t = tile_of(p)
-            # every tile with |x| < 2**52 has an exact float center x + 0.5; the
-            # center of tile 2**52 rounds to its wall, which a board would measure from
-            if abs(t[0]) >= 2**52 or abs(t[1]) >= 2**52:
-                raise ValueError(f"point {p}: tile coordinates must lie strictly between -2**52 and 2**52")
+            t = _exact_tile(p)
             if t not in self.region.tiles or p != tile_center(t):
                 raise ValueError(f"point {p} is not a region tile center")
         if len(set(self.crystals)) != len(self.crystals):

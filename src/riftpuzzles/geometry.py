@@ -76,6 +76,15 @@ def tile_of(p: Point) -> Tile:
     return (math.floor(p[0]), math.floor(p[1]))
 
 
+def _exact_tile(p: Point) -> Tile:
+    """tile_of(p), refused at +-2**52 or beyond: a float holds the center
+    x + 0.5 of every tile with |x| < 2**52, but rounds that of 2**52 to its wall."""
+    t = tile_of(p)
+    if abs(t[0]) >= 2**52 or abs(t[1]) >= 2**52:
+        raise ValueError(f"point {p}: tile coordinates must lie strictly between -2**52 and 2**52")
+    return t
+
+
 def _classify_corners(
     tiles: frozenset[Tile],
 ) -> tuple[frozenset[Tile], list[tuple[Tile, Tile]]]:
@@ -260,6 +269,7 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
     """
     pinches, reflex = _classify_corners(region.tiles)
     for p in points:
+        _exact_tile(p)
         if not region_contains_point(region, p):
             raise PointOutsideRegion(f"point {p} is outside the region")
     nodes: list[Point] = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
@@ -357,6 +367,7 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
     pinches = pinch_corners(region)
 
     def to_node(pt: Point) -> tuple[int, int]:
+        _exact_tile(pt)
         i = round(pt[0] * k)
         j = round(pt[1] * k)
         if abs(pt[0] * k - i) > 1e-6 or abs(pt[1] * k - j) > 1e-6:

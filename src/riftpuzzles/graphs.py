@@ -456,17 +456,6 @@ def has_directed_ham_path(d: Digraph) -> bool:
     return dp[full] != 0
 
 
-def symmetric_orientation(g: GridGraph) -> Digraph:
-    """Both orientations of every grid edge, vertices indexed in sorted order."""
-    order = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(order)}
-    arcs = []
-    for a, b in sorted(grid_edges(g)):
-        arcs.append((index[a], index[b]))
-        arcs.append((index[b], index[a]))
-    return Digraph(len(order), tuple(arcs))
-
-
 def gen_random_digraph(v: int, seed: int, min_out: int = 1, max_out: int = 2) -> Digraph:
     """Seeded random digraph with per-vertex outdegree in [min_out, max_out]."""
     if v < 2:

@@ -6,9 +6,8 @@ Instances are sparse: the circumference N may be astronomically larger than
 the number of occupied nodes, so positions and values are arbitrary-precision
 integers and nothing ever iterates over empty positions.  The reduction from
 outdegree-{1,2} digraphs produces such instances (N is the repunit with one
-digit per vertex) together with a certificate naming which absolute position
-plays which role, so its arithmetic can be audited wholesale: every reachable
-landing either hits the intended node or provably falls on an empty one.
+digit per vertex) with a certificate naming each occupied node's role, which
+audit_certificate checks against a rebuild and against the exact move graph.
 """
 
 from __future__ import annotations
@@ -82,10 +81,6 @@ class ClockInstance:
     @property
     def positions(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.occupied)
-
-    @property
-    def is_dense(self) -> bool:
-        return len(self.occupied) == self.circumference
 
     @cached_property
     def _move_graph(self) -> Digraph:
@@ -172,9 +167,9 @@ def reduce_digraph_to_phot(d: Digraph) -> ReductionCertificate:
     jump_value(j, k) toward its first out-neighbor k.  A second arc to m
     (labeled so k < m) adds one secondary node reachable by the primary's
     other direction, whose value then lands exactly on R_m; its position and
-    value depend on how j orders against k and m.  All values fit [1, N//2]
-    and all positions are distinct; both are rechecked here because a
-    violation would falsify the whole construction.
+    value depend on how j orders against k and m.  The asserts recheck that
+    values fit [1, N//2] and positions are distinct: audit_certificate
+    compares certificates with this construction.
     """
     if d.vertex_count < 2:
         raise ValueError("need at least 2 vertices")
@@ -340,50 +335,20 @@ def evaluate_certificate(cert: ReductionCertificate, budget: int | None = None) 
     return replace(cert, digraph_verdict=digraph_verdict, clock_verdict=clock_verdict)
 
 
-def _vertex_cases(d: Digraph):
-    """(j, k, m, case) per vertex; m is None and case '' for outdegree 1."""
-    for j in range(d.vertex_count):
-        outs = sorted(d.out_neighbors(j))
-        if len(outs) == 1:
-            yield j, outs[0], None, ""
-        elif outs[1] < j:
-            yield j, outs[0], outs[1], "a"
-        elif outs[0] < j:
-            yield j, outs[0], outs[1], "b"
-        else:
-            yield j, outs[0], outs[1], "c"
-
-
 def intended_position_arcs(cert: ReductionCertificate) -> set[tuple[int, int]]:
     """Arcs the construction wants, as (from_position, to_position) pairs:
     primary to each out-neighbor's primary via the secondary for the second
     arc."""
     lab = cert.label_map
+    d = cert.source
     arcs = set()
-    for j, k, m, _ in _vertex_cases(cert.source):
+    for j in range(d.vertex_count):
+        k, *second = sorted(d.out_neighbors(j))
         arcs.add((lab[(j, 0)], lab[(k, 0)]))
-        if m is not None:
+        for m in second:
             arcs.add((lab[(j, 0)], lab[(j, 1)]))
             arcs.add((lab[(j, 1)], lab[(m, 0)]))
     return arcs
-
-
-def _stray_targets(cert: ReductionCertificate) -> list[tuple[int, int, str]]:
-    """(node_position, landing_position, node_kind) for every possible move
-    that is not an intended arc.  Outdegree-2 primaries have none: both of
-    their directions are intended."""
-    occ = cert.instance.occupied_map
-    n = cert.instance.circumference
-    intended = intended_position_arcs(cert)
-    lab = cert.label_map
-    secondary = {pos for (j, t), pos in lab.items() if t == 1}
-    strays = []
-    for p, m in cert.instance.occupied:
-        kind = "secondary" if p in secondary else "primary"
-        for q in sorted({(p + m) % n, (p - m) % n}):
-            if (p, q) not in intended:
-                strays.append((p, q, kind))
-    return strays
 
 
 def check_jump_values_distinct(v: int) -> list[str]:
@@ -400,57 +365,31 @@ def check_jump_values_distinct(v: int) -> list[str]:
     return problems
 
 
-def check_secondary_wrap_offsets(cert: ReductionCertificate) -> list[str]:
-    """Wrap-around secondaries sit in the topmost gap with offsets whose
-    leading decimal digit is 8 or 9, far from every primary."""
-    problems = []
-    v = cert.source.vertex_count
-    lab = cert.label_map
-    base = repunit(v - 1)
-    for j, k, m, case in _vertex_cases(cert.source):
-        if case != "c":
-            continue
-        offset = lab[(j, 1)] - base
-        if offset <= 0:
-            problems.append(f"wrap secondary of vertex {j} below the top gap")
-        elif str(offset)[0] not in "89":
-            problems.append(f"wrap secondary offset {offset} leads with {str(offset)[0]}")
-        elif 9 * offset < 8 * 10 ** (v - 1) + 1:
-            problems.append(f"wrap secondary offset {offset} under the 8/9 bound")
-    return problems
-
-
-def check_stray_digits(cert: ReductionCertificate) -> list[str]:
-    """Occupied positions use only decimal digits 0..2; stray landings from
-    secondaries always contain a digit 3 or larger (overshoot analysis), and
-    no stray landing of any kind is occupied."""
-    problems = []
-    occupied = set(cert.instance.positions)
-    for p in cert.instance.positions:
-        if any(ch not in "012" for ch in str(p)):
-            problems.append(f"occupied position {p} uses a digit above 2")
-    for p, q, kind in _stray_targets(cert):
-        if q in occupied:
-            problems.append(f"stray landing from {p} hits occupied {q}")
-        if kind == "secondary" and all(ch in "012" for ch in str(q)):
-            problems.append(f"secondary stray target {q} has no digit above 2")
-    return problems
-
-
 def audit_certificate(cert: ReductionCertificate) -> list[str]:
-    """All construction checks at once: the move graph must equal the
-    intended arcs exactly, and the three digit arguments that guarantee it
-    must hold.  Empty result means clean."""
+    """Problems found in a certificate; an empty list means clean.
+
+    The clock and labels must equal reduce_digraph_to_phot's rebuild; the
+    first differing node and label are named.  The move graph must equal the
+    intended arcs: that check reads only the clock, so it also finds a fault
+    of the construction, which a rebuild repeats.  Landmark distances must
+    be pairwise distinct.
+    """
+    built = reduce_digraph_to_phot(cert.source)
+    clock, n = cert.instance, built.instance.circumference
     problems = []
-    positions = cert.instance.positions
-    graph = clock_to_digraph(cert.instance)
-    actual = {(positions[s], positions[t]) for s, t in graph.arcs}
+    if clock.circumference != n:
+        problems.append(f"circumference {clock.circumference} here, {n} in the construction")
+    for kind, got, want in (
+        ("node", clock.occupied_map, built.instance.occupied_map),
+        ("label", cert.label_map, built.label_map),
+    ):
+        key = min((key for key in got.keys() | want.keys() if got.get(key) != want.get(key)), default=None)
+        if key is not None:
+            problems.append(f"{kind} {key}: {got.get(key)} here, {want.get(key)} in the construction")
+    positions = clock.positions
+    actual = {(positions[s], positions[t]) for s, t in clock_to_digraph(clock).arcs}
     intended = intended_position_arcs(cert)
-    for arc in sorted(intended - actual):
-        problems.append(f"intended arc {arc} missing from the move graph")
-    for arc in sorted(actual - intended):
-        problems.append(f"unintended arc {arc} in the move graph")
+    problems += [f"intended arc {arc} missing from the move graph" for arc in sorted(intended - actual)]
+    problems += [f"unintended arc {arc} in the move graph" for arc in sorted(actual - intended)]
     problems.extend(check_jump_values_distinct(cert.source.vertex_count))
-    problems.extend(check_secondary_wrap_offsets(cert))
-    problems.extend(check_stray_digits(cert))
     return problems

@@ -248,11 +248,38 @@ def test_sweep_clock_reports_counterexample(capsys):
     assert "circumference" in out
 
 
-def test_sweep_jobs_output_is_deterministic(capsys):
+def test_sweep_jobs_output_is_deterministic(capsys, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # so --jobs 2 runs on any machine
     argv = ["sweep", "geo-oracle", "--box", "4x4", "--count", "8"]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv, "--jobs", "2")
     assert (code1, out1) == (code2, out2) == (0, "pass 8 fail 0\n")
+
+
+def test_sweep_jobs_above_the_cpu_count_exits_3_before_any_pool(capsys, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pools.append(k))
+    for cpus in (1, None):  # an unknown count counts as one CPU
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        code, out, err = run(capsys, "sweep", "geo-oracle", "--count", "2", "--jobs", "2")
+        assert (code, out) == (3, "") and "--jobs wants at most the CPU count 1, got 2" in err
+    assert pools == []
+
+
+def test_import_loads_no_process_pool():
+    import os
+    import subprocess
+    import sys
+
+    import riftpuzzles
+
+    src = os.path.dirname(os.path.dirname(riftpuzzles.__file__))
+    probe = "import sys, riftpuzzles.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout == "False\n"
 
 
 def test_gen_is_deterministic(capsys):

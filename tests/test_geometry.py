@@ -2,6 +2,7 @@ import heapq
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from riftpuzzles.geometry import (
     segment_admissible,
     tile_center,
 )
+from riftpuzzles.geometry import _classify_corners, _point_in
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,6 +45,54 @@ def test_point_membership():
     assert region_contains_point(r, (0.0, 0.0))  # closed squares include corners
     assert region_contains_point(r, (1.0, 1.0))
     assert not region_contains_point(r, (1.5, 0.5))
+
+
+def _small_tile_sets(seed, count):
+    """Scattered tile sets (pinches and lone corners) and random regions."""
+    rng = random.Random(seed)
+    cells = [(x, y) for x in range(-2, 4) for y in range(-2, 4)]
+    for n in range(count):
+        if n % 2:
+            yield gen_random_region(rng.randrange(1 << 30), 6, 6, rng.randint(1, 20)).tiles
+        else:
+            yield frozenset(rng.sample(cells, rng.randint(1, 12)))
+
+
+def test_point_in_matches_fraction_reference():
+    # the point (x/s, y/s) as an exact rational against every closed square
+    rng = random.Random(31)
+    seen = set()
+    for tiles in _small_tile_sets(31, 200):
+        for s in (1, 2, 3, 5, 8, 32):
+            for _ in range(25):
+                x, y = rng.randint(-3 * s, 7 * s), rng.randint(-3 * s, 7 * s)
+                px, py = Fraction(x, s), Fraction(y, s)
+                want = any(tx <= px <= tx + 1 and ty <= py <= ty + 1 for tx, ty in tiles)
+                assert _point_in(tiles, x, y, s) == want, (sorted(tiles), x, y, s)
+                seen.add((want, x % s == 0 or y % s == 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_classify_corners_matches_brute_force_count():
+    # every lattice point of the bounding box, with the tile in each of its
+    # four quadrants (dx, dy) looked up on its own
+    quadrants = [(dx, dy) for dx in (-1, 1) for dy in (-1, 1)]
+    reflex_seen = pinch_seen = 0
+    for tiles in _small_tile_sets(47, 300):
+        xs = [x for x, _ in tiles]
+        ys = [y for _, y in tiles]
+        pinches, reflex = set(), []
+        for cx in range(min(xs), max(xs) + 2):
+            for cy in range(min(ys), max(ys) + 2):
+                filled = {q for q in quadrants if (cx + min(q[0], 0), cy + min(q[1], 0)) in tiles}
+                if len(filled) == 3:
+                    reflex.append(((cx, cy), next(q for q in quadrants if q not in filled)))
+                elif filled in ({(-1, -1), (1, 1)}, {(-1, 1), (1, -1)}):
+                    pinches.add((cx, cy))
+        assert _classify_corners(tiles) == (frozenset(pinches), reflex), sorted(tiles)
+        reflex_seen += len(reflex)
+        pinch_seen += len(pinches)
+    assert reflex_seen > 400 and pinch_seen > 150
 
 
 def test_geodesic_straight_corridor():
@@ -113,6 +163,21 @@ def test_fine_grid_off_lattice_rejected():
     r = region((0, 0))
     with pytest.raises(ValueError):
         fine_grid_distance(r, (0.3, 0.3), (0.5, 0.5), 4)
+
+
+def test_query_points_past_the_tile_limit_rejected():
+    # BondBoard's rule: below 2**52 a float holds x + 0.5 exactly, and the
+    # center of tile 2**52 rounds to its wall
+    for x, ok in ((2**52 - 1, True), (1 - 2**52, True), (2**52, False), (-(2**52), False)):
+        r = region((x, 0), (x, 1))
+        p, q = tile_center((x, 0)), tile_center((x, 1))
+        for distance in (euclidean_geodesic, lambda r, p, q: fine_grid_distance(r, p, q, 2)):
+            if ok:
+                assert distance(r, p, q) == distance(r, q, p) == 1.0
+            else:
+                for a, b in ((p, q), (q, p)):
+                    with pytest.raises(ValueError, match=r"strictly between -2\*\*52 and 2\*\*52"):
+                        distance(r, a, b)
 
 
 def _random_cases(count, seed0):
@@ -516,12 +581,15 @@ def test_fine_grid_matches_former_oracle():
 def test_fine_grid_memory_follows_the_explored_nodes():
     # tiles 10**18 apart: a table over the bounding box cannot even be sized
     near = region((0, 0), (1, 0), (1, 1), (2, 1))
-    far = TileRegion(near.tiles | {(10**18, 10**18), (10**18, 0)})
+    far = TileRegion(near.tiles | {(10**18, 10**18), (10**18, 0), (2**52 - 1, 0)})
     p, q = (0.25, 0.5), (2.75, 1.5)
     want = fine_grid_distance(near, p, q, 8)
     assert want < math.inf
     assert fine_grid_distance(far, p, q, 8).hex() == want.hex()
-    assert fine_grid_distance(far, p, (10**18 + 0.5, 0.5), 8) == math.inf
+    assert fine_grid_distance(far, p, (2**52 - 0.5, 0.5), 8) == math.inf
+    # no float holds the center 10**18 + 0.5 of a far tile, so it is refused
+    with pytest.raises(ValueError, match=r"strictly between -2\*\*52 and 2\*\*52"):
+        fine_grid_distance(far, p, (10**18 + 0.5, 0.5), 8)
 
 
 # Reference matrix: the full-Dijkstra construction, built on the public
@@ -640,13 +708,17 @@ def test_matrix_bit_identical_to_full_dijkstra():
 
 
 def test_sparse_region_is_not_walked_cell_by_cell():
-    # tiles 10^9 or 10^18 apart: the walk must stop at the first gap, not
-    # cover the bounding box
-    for far in (10**9, 10**18):
+    # tiles 10^9, 2^52 - 1 or 10^18 apart: the walk must stop at the first
+    # gap, not cover the bounding box
+    for far in (10**9, 2**52 - 1, 10**18):
         r = region((0, 0), (far, far))
         p, q = (0.5, 0.5), (float(far), float(far))
         start = time.perf_counter()
-        assert euclidean_geodesic_matrix(r, [p, q]) == [[0.0, math.inf], [math.inf, 0.0]]
+        if far < 2**52:
+            assert euclidean_geodesic_matrix(r, [p, q]) == [[0.0, math.inf], [math.inf, 0.0]]
+        else:  # a query point past the tile limit
+            with pytest.raises(ValueError, match=r"strictly between -2\*\*52 and 2\*\*52"):
+                euclidean_geodesic_matrix(r, [p, q])
         assert not segment_admissible(r, frozenset(), p, q)
         assert not segment_admissible(r, frozenset(), q, p)
         assert time.perf_counter() - start < 1.0

@@ -13,7 +13,6 @@ from riftpuzzles.graphs import (
     has_directed_ham_path,
     has_ham_cycle_grid,
     has_ham_path_grid,
-    symmetric_orientation,
 )
 
 
@@ -167,6 +166,17 @@ def test_directed_ham_path_limit():
     big = Digraph(17, tuple((i, (i + 1) % 17) for i in range(17)))
     with pytest.raises(InstanceTooLarge):
         has_directed_ham_path(big)
+
+
+def symmetric_orientation(g: GridGraph) -> Digraph:
+    """Both orientations of every grid edge, vertices indexed in sorted order."""
+    order = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(order)}
+    arcs = []
+    for a, b in sorted(grid_edges(g)):
+        arcs.append((index[a], index[b]))
+        arcs.append((index[b], index[a]))
+    return Digraph(len(order), tuple(arcs))
 
 
 def test_directed_oracle_agrees_with_grid_path_oracle():

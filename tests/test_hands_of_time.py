@@ -24,6 +24,10 @@ from riftpuzzles.hands_of_time import _moves_from_indices
 THREE_CYCLE = Digraph(3, ((0, 1), (1, 2), (2, 0)))
 
 
+def is_dense(c):
+    return len(c.occupied) == c.circumference
+
+
 def test_jump_value_examples():
     assert jump_value(0, 1) == 1
     assert jump_value(0, 2) == 11
@@ -46,9 +50,9 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         ClockInstance(10, ((3, 6),))
     dense = ClockInstance.dense([1, 1])
-    assert dense.is_dense and dense.circumference == 2
+    assert is_dense(dense) and dense.circumference == 2
     sparse = ClockInstance(111, {11: 11, 0: 1, 1: 10})
-    assert sparse.positions == (0, 1, 11) and not sparse.is_dense
+    assert sparse.positions == (0, 1, 11) and not is_dense(sparse)
     with pytest.raises(ValueError):
         ClockSolution(((0, "up"),))
 
@@ -158,7 +162,7 @@ def test_gen_solvable_clock_is_solvable():
     for seed in range(12):
         n = 4 + seed
         inst = gen_solvable_clock(n, seed)
-        assert inst.is_dense
+        assert is_dense(inst)
         sol = solve_clock(inst)
         assert sol is not None, (n, seed)
         assert verify_clock_solution(inst, sol).ok
@@ -293,3 +297,125 @@ def test_second_arc_detours_can_block_solutions():
             for a, b in zip(order, order[1:])
         )
         assert not legal, order
+
+
+def test_audit_names_what_differs_from_the_construction():
+    d = Digraph(4, ((0, 1), (0, 2), (1, 0), (1, 3), (2, 1), (2, 3), (3, 0), (3, 2)))
+    cert = reduce_digraph_to_phot(d)
+    n = cert.instance.circumference
+    lab = cert.label_map
+    a, b = lab[(0, 1)], lab[(1, 1)]
+    occ = cert.instance.occupied_map
+    swapped = ReductionCertificate(d, cert.instance, tuple({**lab, (0, 1): b, (1, 1): a}.items()))
+    assert f"label (0, 1): {b} here, {a} in the construction" in audit_certificate(swapped)
+    nudged = ReductionCertificate(d, ClockInstance(n, {**occ, a: occ[a] + 1}), cert.labels)
+    assert audit_certificate(nudged)[0] == f"node {a}: {occ[a] + 1} here, {occ[a]} in the construction"
+    wider = ReductionCertificate(d, ClockInstance(10 * n, occ), cert.labels)
+    assert audit_certificate(wider)[0] == f"circumference {10 * n} here, {n} in the construction"
+
+
+# The digit-argument checks the audit once ran on top of its exact move-graph
+# check, kept as references: the mutation test below shows the rebuild and the
+# move-graph check flag every certificate these did.
+
+
+def former_vertex_cases(d):
+    """(j, k, m, case) per vertex; m is None and case '' for outdegree 1."""
+    for j in range(d.vertex_count):
+        outs = sorted(d.out_neighbors(j))
+        if len(outs) == 1:
+            yield j, outs[0], None, ""
+        elif outs[1] < j:
+            yield j, outs[0], outs[1], "a"
+        elif outs[0] < j:
+            yield j, outs[0], outs[1], "b"
+        else:
+            yield j, outs[0], outs[1], "c"
+
+
+def former_stray_targets(cert):
+    """(node_position, landing_position, node_kind) for every possible move
+    that is not an intended arc."""
+    n = cert.instance.circumference
+    intended = intended_position_arcs(cert)
+    secondary = {pos for (j, t), pos in cert.labels if t == 1}
+    strays = []
+    for p, m in cert.instance.occupied:
+        kind = "secondary" if p in secondary else "primary"
+        for q in sorted({(p + m) % n, (p - m) % n}):
+            if (p, q) not in intended:
+                strays.append((p, q, kind))
+    return strays
+
+
+def former_check_secondary_wrap_offsets(cert):
+    """Wrap-around secondaries sit in the topmost gap with offsets whose
+    leading decimal digit is 8 or 9, far from every primary."""
+    problems = []
+    v = cert.source.vertex_count
+    lab = cert.label_map
+    base = repunit(v - 1)
+    for j, k, m, case in former_vertex_cases(cert.source):
+        if case != "c":
+            continue
+        offset = lab[(j, 1)] - base
+        if offset <= 0:
+            problems.append(f"wrap secondary of vertex {j} below the top gap")
+        elif str(offset)[0] not in "89":
+            problems.append(f"wrap secondary offset {offset} leads with {str(offset)[0]}")
+        elif 9 * offset < 8 * 10 ** (v - 1) + 1:
+            problems.append(f"wrap secondary offset {offset} under the 8/9 bound")
+    return problems
+
+
+def former_check_stray_digits(cert):
+    """Occupied positions use only decimal digits 0..2; stray landings from
+    secondaries always contain a digit 3 or larger, and no stray landing of
+    any kind is occupied."""
+    problems = []
+    occupied = set(cert.instance.positions)
+    for p in cert.instance.positions:
+        if any(ch not in "012" for ch in str(p)):
+            problems.append(f"occupied position {p} uses a digit above 2")
+    for p, q, kind in former_stray_targets(cert):
+        if q in occupied:
+            problems.append(f"stray landing from {p} hits occupied {q}")
+        if kind == "secondary" and all(ch in "012" for ch in str(q)):
+            problems.append(f"secondary stray target {q} has no digit above 2")
+    return problems
+
+
+def mutants(cert):
+    """The certificate with one node's position (mod N) or value moved by
+    +-10^i, for every i below N's digit count; labels follow a moved node.
+    Mutants that certificate or clock validation refuses are left out."""
+    n = cert.instance.circumference
+    for p, m in cert.instance.occupied:
+        rest = {q: value for q, value in cert.instance.occupied if q != p}
+        for i in range(len(str(n))):
+            for delta in (10**i, -(10**i)):
+                for q, value in (((p + delta) % n, m), (p, m + delta)):
+                    if q in rest:
+                        continue
+                    labels = tuple((label, q if pos == p else pos) for label, pos in cert.labels)
+                    try:
+                        yield ReductionCertificate(cert.source, ClockInstance(n, {**rest, q: value}), labels)
+                    except ValueError:
+                        continue
+
+
+def test_audit_flags_every_mutant_the_former_checks_flag():
+    total = former_flagged = 0
+    for seed in range(24):
+        cert = reduce_digraph_to_phot(gen_random_digraph(2 + seed % 6, seed + 3000))
+        assert former_check_secondary_wrap_offsets(cert) == former_check_stray_digits(cert) == []
+        for mutant in mutants(cert):
+            total += 1
+            former = former_check_secondary_wrap_offsets(mutant) + former_check_stray_digits(mutant)
+            former_flagged += bool(former)
+            problems = audit_certificate(mutant)
+            # the rebuild names every mutant, and the move-graph check on its
+            # own flags every one the former checks flag
+            assert problems[0].startswith("node "), (mutant, problems)
+            assert any(" arc " in line for line in problems) or not former, (mutant, former)
+    assert 0 < former_flagged < total
