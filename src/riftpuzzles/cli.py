@@ -20,6 +20,7 @@ import os
 import sys
 
 from .crystal_bonds import (
+    MODELS,
     BondBoard,
     UnreachableCrystal,
     apply_start_gadget,
@@ -131,7 +132,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--box", type=_box, default=(6, 6), help="WxH sampling box")
     gen.add_argument("--max-v", type=int, help="size parameter (vertices, crystals, or clock nodes)")
-    gen.add_argument("--model", choices=("grid", "euclid"), default="grid")
+    gen.add_argument("--model", choices=MODELS, default="grid")
 
     sweep = sub.add_parser("sweep", help="run an equivalence family")
     sweep.set_defaults(run=_cmd_sweep)
@@ -142,7 +143,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--budget", type=int)
-    sweep.add_argument("--model", choices=("grid", "euclid"))
+    sweep.add_argument("--model", choices=MODELS)
 
     render = sub.add_parser("render", help="ASCII picture of a document")
     render.set_defaults(run=_cmd_render)
@@ -356,7 +357,7 @@ def _clock_items(args) -> list[tuple[int, int, int | None]]:
 
 
 def _cb_items(args) -> list[tuple[int, str]]:
-    models = (args.model,) if args.model else ("grid", "euclid")
+    models = (args.model,) if args.model else MODELS
     return [(args.seed + i, models[i % len(models)]) for i in range(args.count)]
 
 

@@ -488,12 +488,11 @@ def gen_random_tree_board(
     box_h: int = 8,
     r: int = 7,
     model: str = "grid",
-    max_odd: int = ODD_SET_LIMIT,
 ) -> BondBoard:
     """Random connected region with a random spanning bond tree.
 
     The tree starts as a chain and gets a few leaf rewires, which keeps the
-    number of odd-degree crystals at or below max_odd regardless of r.
+    number of odd-degree crystals at or below ODD_SET_LIMIT regardless of r.
     """
     rng = random.Random(seed)
     n_tiles = max(r + 1, (box_w * box_h * 2) // 3)
@@ -510,7 +509,7 @@ def gen_random_tree_board(
     for a, b in edges:
         degree[a] += 1
         degree[b] += 1
-    rewires = rng.randint(0, max(0, (max_odd - 2) // 2)) if r > 3 else 0
+    rewires = rng.randint(0, max(0, (ODD_SET_LIMIT - 2) // 2)) if r > 3 else 0
     for _ in range(rewires):
         leaves = [i for i in range(r) if degree[i] == 1]
         leaf = rng.choice(leaves)

@@ -368,11 +368,13 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
 
     def to_node(pt: Point) -> tuple[int, int]:
         _exact_tile(pt)
-        i = round(pt[0] * k)
-        j = round(pt[1] * k)
-        if abs(pt[0] * k - i) > 1e-6 or abs(pt[1] * k - j) > 1e-6:
+        # each c * k within 1e-6 of its nearest integer, measured exactly: a
+        # float product drops the fraction of a large coordinate
+        ratios = [c.as_integer_ratio() for c in pt]
+        node = tuple((2 * a * k + b) // (2 * b) for a, b in ratios)
+        if any(10**6 * abs(a * k - i * b) > b for (a, b), i in zip(ratios, node)):
             raise ValueError(f"point {pt} is not on the 1/{k} sublattice")
-        return (i, j)
+        return node
 
     tiles = region.tiles
 

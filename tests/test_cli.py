@@ -571,8 +571,11 @@ def test_gen_output_pinned(capsys, argv, digest):
          "436464e52fc99e6522fab4a11cb1aa6a155a9d6c25b77052dca9be825fa78863"),
         (("clock",), "4\n0 1\n1 2\n2 3\n3 0\n1 3\n",
          "c718ade6259e7739cfbc5325b74d78a093ee039d5e165bffdc019d965f0ff966"),
+        # second arcs on either side of j and past it: m < j, k < j < m, j < k
+        (("clock",), "4\n0 1\n0 2\n1 0\n1 3\n2 0\n2 1\n3 0\n",
+         "982b0e3db46e714933032d91572471166dd624e6bebc5cbad6c25bef85b1ffe1"),
     ],
-    ids=("tile", "dcb", "dcb-gadget-cycle", "dcb-gadget-path", "clock"),
+    ids=("tile", "dcb", "dcb-gadget-cycle", "dcb-gadget-path", "clock", "clock-all-placements"),
 )
 def test_reduce_output_pinned(tmp_path, capsys, argv, source, digest):
     code, out, _ = run(capsys, "reduce", argv[0], doc(tmp_path, "in.doc", source), *argv[1:])

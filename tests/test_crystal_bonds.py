@@ -9,6 +9,7 @@ import pytest
 from riftpuzzles import crystal_bonds
 from riftpuzzles.crystal_bonds import (
     MODELS,
+    ODD_SET_LIMIT,
     BondBoard,
     BondWalk,
     UnreachableCrystal,
@@ -593,13 +594,15 @@ def test_reduction_equivalence_small_sweep():
 
 
 def test_generator_is_deterministic_and_bounded():
-    a = gen_random_tree_board(7, box_w=7, box_h=7, r=12, max_odd=6)
-    b = gen_random_tree_board(7, box_w=7, box_h=7, r=12, max_odd=6)
-    assert a == b
-    assert len(a.crystals) == 12 and a.connected
-    degree = [0] * 12
-    for u, w in a.required_bonds:
-        degree[u] += 1
-        degree[w] += 1
-    assert sum(1 for d in degree if d % 2 == 1) <= 6
+    assert gen_random_tree_board(7, box_w=7, box_h=7, r=20) == gen_random_tree_board(7, box_w=7, box_h=7, r=20)
+    odd_counts = Counter()
+    # more crystals than ODD_SET_LIMIT, so only the rewire cap keeps the bound
+    for seed in range(8):
+        for r in (17, 24, 32, 40):
+            board = gen_random_tree_board(seed, box_w=8, box_h=8, r=r)
+            assert len(board.crystals) == r and board.connected
+            degree = Counter(c for bond in board.required_bonds for c in bond)
+            odd_counts[sum(1 for c in range(r) if degree[c] % 2)] += 1
+    assert max(odd_counts) <= ODD_SET_LIMIT
+    assert len(odd_counts) > 3
     assert gen_random_tree_board(8, model="euclid").distance_model == "euclid"

@@ -165,6 +165,20 @@ def test_fine_grid_off_lattice_rejected():
         fine_grid_distance(r, (0.3, 0.3), (0.5, 0.5), 4)
 
 
+def test_fine_grid_sublattice_test_is_exact():
+    # at 2**51 a float's spacing is 0.5, so the product x * 3 lands on an
+    # integer although x = 2**51 + 0.5 is not a multiple of 1/3
+    far = region((2**51, 0), (2**51, 1))
+    with pytest.raises(ValueError, match=r"not on the 1/3 sublattice"):
+        fine_grid_distance(far, (2**51 + 0.5, 0.0), (2**51 + 0.5, 2.0), 3)
+    # i / k floats stay accepted: on these tiles they round by far less than 1e-6 / k
+    for k in (3, 5, 7):
+        for t in (0, 5, 10**6):
+            r = region((t, 0))
+            for i in range(k * t, k * t + k + 1):
+                assert fine_grid_distance(r, (i / k, 0.0), (i / k, 1.0), k) == 1.0, (k, t, i)
+
+
 def test_query_points_past_the_tile_limit_rejected():
     # BondBoard's rule: below 2**52 a float holds x + 0.5 exactly, and the
     # center of tile 2**52 rounds to its wall

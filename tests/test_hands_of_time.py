@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from riftpuzzles.graphs import Digraph, gen_random_digraph, has_directed_ham_path
@@ -314,9 +316,12 @@ def test_audit_names_what_differs_from_the_construction():
     assert audit_certificate(wider)[0] == f"circumference {10 * n} here, {n} in the construction"
 
 
-# The digit-argument checks the audit once ran on top of its exact move-graph
-# check, kept as references: the mutation test below shows the rebuild and the
-# move-graph check flag every certificate these did.
+# Former code kept as references.  The construction once placed each
+# secondary node by one of three formulas, chosen by how j orders against k
+# and m; the reflection rule must reproduce them node for node.  The audit
+# once ran digit-argument checks on top of its exact move-graph check: the
+# mutation test below shows the rebuild and the move-graph check flag every
+# certificate these did.
 
 
 def former_vertex_cases(d):
@@ -331,6 +336,54 @@ def former_vertex_cases(d):
             yield j, outs[0], outs[1], "b"
         else:
             yield j, outs[0], outs[1], "c"
+
+
+def former_reduce_digraph_to_phot(d):
+    """(circumference, nodes, labels) of the construction's former placement
+    of each secondary node: one formula per order of j against k and m."""
+    v = d.vertex_count
+    n = repunit(v)
+    occupied, labels = {}, {}
+    for j, k, m, case in former_vertex_cases(d):
+        occupied[repunit(j)] = jump_value(j, k)
+        labels[(j, 0)] = repunit(j)
+        if case == "a":
+            pos = repunit(j) + jump_value(j, k)
+            value = jump_value(j, m) + jump_value(j, k)
+        elif case == "b":
+            pos = repunit(j) + jump_value(j, k)
+            value = jump_value(j, m) - jump_value(j, k)
+        elif case == "c":
+            pos = (repunit(v - 1) + 10 ** (v - 1) + jump_value(0, j) - jump_value(j, k)) % n
+            value = jump_value(j, m) + jump_value(j, k)
+        else:
+            continue
+        occupied[pos] = value
+        labels[(j, 1)] = pos
+    return n, occupied, labels
+
+
+def outdeg12_digraphs(v):
+    """Every digraph on v vertices with outdegree 1 or 2 at each vertex."""
+    heads = [
+        [outs for size in (1, 2) for outs in itertools.combinations([t for t in range(v) if t != s], size)]
+        for s in range(v)
+    ]
+    for pick in itertools.product(*heads):
+        yield Digraph(v, tuple((s, t) for s, outs in enumerate(pick) for t in outs))
+
+
+def test_reflection_matches_former_three_way_placement():
+    digraphs = [gen_random_digraph(v, seed) for v in range(2, 17) for seed in range(100)]
+    digraphs += [d for v in (3, 4) for d in outdeg12_digraphs(v)]
+    assert len(digraphs) == 1500 + 3**3 + 6**4
+    cases = set()
+    for d in digraphs:
+        cert = reduce_digraph_to_phot(d)
+        got = (cert.instance.circumference, cert.instance.occupied_map, cert.label_map)
+        assert got == former_reduce_digraph_to_phot(d), d
+        cases.update(case for *_, case in former_vertex_cases(d))
+    assert cases == {"", "a", "b", "c"}
 
 
 def former_stray_targets(cert):
