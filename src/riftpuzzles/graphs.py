@@ -6,18 +6,19 @@ deliberately brute force; they referee the puzzle reductions on small
 instances and are not meant to scale.
 
 One grid BFS serves the package (connectivity, the Hamiltonian search's
-remainder prune, grid distances, the Tile Trial prune).  A tile set whose
-bounding box holds at most ``_PACK_BOX`` cells, or at most ``_PACK_DENSITY``
-cells per tile, is packed into one Python int, a row per stride of width + 1
-bits, and a BFS level is four shifts and a mask over the whole set.  Sparser
-sets with a larger box keep a per-cell loop, so far-apart tiles never cost
-a bounding-box-sized int.  Distances are symmetric, so the BFS from the i-th
-tile of a list stops once it has reached every later tile and fills both
-halves of the matrix.  Reachability
-alone (connectivity and both prunes) need not pay per level: a flood that
-is still going after a fixed dozen levels switches to rounds that each
-fill whole row and column runs, so a long corridor costs a few rounds per
-turn instead of a level per tile.
+remainder prune, grid distances, the Tile Trial prune).  Connectivity is
+asked once per set, so it floods cell by cell.  Where one set is flooded
+many times, a tile set whose bounding box holds at most ``_PACK_BOX`` cells,
+or at most ``_PACK_DENSITY`` cells per tile, is packed into one Python int,
+a row per stride of width + 1 bits, and a BFS level is four shifts and a
+mask over the whole set.  Sparser sets with a larger box keep a per-cell
+loop, so far-apart tiles never cost a bounding-box-sized int.  Distances are
+symmetric, so the BFS from the i-th tile of a list stops once it has reached
+every later tile and fills both halves of the matrix.  Reachability alone
+(both prunes) need not pay per level: a flood that is still going after a
+fixed dozen levels switches to rounds that each fill whole row and column
+runs, so a long corridor costs a few rounds per turn instead of a level per
+tile.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def _grid_bfs(
     """Per-cell orthogonal-step distances from `start` through `cells`.
 
     Stops once every tile of `targets`, when given, has its distance.  The
-    path for sparse tile sets and for callers that need the reached cells.
+    path for connectivity, for sparse tile sets and for callers that need
+    the reached cells.
     """
     dist = {start: 0}
     left = set() if targets is None else set(targets) - {start}
@@ -284,13 +286,7 @@ def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex]) -> list[list
 
 
 def _connected(cells: Collection[Vertex]) -> bool:
-    if not cells:
-        return False
-    start = next(iter(cells))
-    board = _pack(cells, _PACK_DENSITY)
-    if board is None:
-        return len(_grid_bfs(cells, start)) == len(cells)
-    return _reaches(1 << board.index(start), board.cells, board.cells, board.stride)
+    return bool(cells) and len(_grid_bfs(cells, next(iter(cells)))) == len(cells)
 
 
 def grid_edges(g: GridGraph) -> set[tuple[Vertex, Vertex]]:
@@ -324,8 +320,6 @@ def has_ham_cycle_grid(g: GridGraph) -> bool:
 
 def has_ham_path_grid(g: GridGraph) -> bool:
     """Exhaustive Hamiltonian-path test; a single vertex counts as a path."""
-    if len(g) == 1:
-        return True
     if _colour_excess(g) > 1 or not g.is_connected():
         return False
     return _ham_search(g, g.sorted_vertices(), None)
@@ -336,38 +330,35 @@ def _ham_search(g: GridGraph, starts: list[Vertex], anchor: Vertex | None) -> bo
 
     With an anchor the path must end beside it, closing a cycle through the
     anchor; without one any covering path counts.  `g` must be connected,
-    which bounds its bitboard by its vertex count squared.  The starts are
-    tried in order and share one bitboard and one vertex-bit map.  The search
-    keeps one neighbour iterator per path vertex on an explicit stack, so its
-    depth is not bounded by the interpreter's recursion limit.
+    which bounds its bitboard by its vertex count squared.  One loop keeps a
+    neighbour iterator per path vertex on an explicit stack, so its depth is
+    not bounded by the interpreter's recursion limit; the root iterator
+    offers the starts in order, and every deeper one its vertex's neighbours.
     """
     board = _pack(g.vertices)
     bit = {v: 1 << board.index(v) for v in g.vertices}
     anchor_bit = 0 if anchor is None else bit[anchor]
-
-    for start in starts:
-        path = [start]
-        free = board.cells ^ bit[start]
-        stack: list[Iterator[Vertex]] = []
-        while path:
-            if len(stack) < len(path):
-                # the path's head just joined it: give it the neighbours to try
-                head = path[-1]
-                # every unvisited vertex and the cycle anchor, if any, must stay
-                # reachable from the head through unvisited territory; with none
-                # left, that is the goal test: only a head beside the anchor passes
+    path: list[Vertex] = []
+    free = board.cells
+    stack: list[Iterator[Vertex]] = [iter(starts)]
+    while stack:
+        for nxt in stack[-1]:
+            if free & bit[nxt]:
+                free ^= bit[nxt]
+                path.append(nxt)
+                # every unvisited vertex and the cycle anchor, if any, must
+                # stay reachable from the new head through unvisited
+                # territory; with none left, that is the goal test: only a
+                # head beside the anchor passes
                 open_ = free | anchor_bit
-                grow = _reaches(bit[head], open_, open_, board.stride)
+                grow = _reaches(bit[nxt], open_, open_, board.stride)
                 if grow and not free:
                     return True
-                stack.append(iter(g.neighbors(head) if grow else ()))
-            for nxt in stack[-1]:
-                if free & bit[nxt]:
-                    free ^= bit[nxt]
-                    path.append(nxt)
-                    break
-            else:
-                stack.pop()
+                stack.append(iter(g.neighbors(nxt) if grow else ()))
+                break
+        else:
+            stack.pop()
+            if path:
                 free ^= bit[path.pop()]
     return False
 
@@ -456,16 +447,14 @@ def has_directed_ham_path(d: Digraph) -> bool:
     return dp[full] != 0
 
 
-def gen_random_digraph(v: int, seed: int, min_out: int = 1, max_out: int = 2) -> Digraph:
-    """Seeded random digraph with per-vertex outdegree in [min_out, max_out]."""
+def gen_random_digraph(v: int, seed: int) -> Digraph:
+    """Seeded random digraph with per-vertex outdegree 1 or 2."""
     if v < 2:
         raise ValueError("need at least 2 vertices")
     rng = random.Random(seed)
     arcs = []
     for s in range(v):
-        cap = min(max_out, v - 1)
-        lo = min(min_out, cap)
-        deg = rng.randint(lo, cap)
+        deg = rng.randint(1, min(2, v - 1))
         targets = rng.sample([t for t in range(v) if t != s], deg)
         for t in sorted(targets):
             arcs.append((s, t))

@@ -56,10 +56,6 @@ class TileBoard:
             if t in self.crystals or tiles[t] != 1:
                 raise ValueError(f"{name} must be an ordinary capacity-1 tile")
 
-    @property
-    def tiles(self) -> set[Tile]:
-        return set(self.capacities)
-
 
 @dataclass(frozen=True)
 class TilePath:
@@ -114,7 +110,6 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     """
     caps = board.capacities
     finish = board.finish
-    used = {board.start: 1}
     path = [board.start]
     # Only the start's component is ever reached, and a connected set packs
     # into at most (tile count)^2 bits however far apart a board built in
@@ -130,10 +125,12 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     for c in board.crystals:
         pending |= bit.get(c, lost)
     open_ = packed.cells ^ bit[board.start]
+    # the capacity-2 tiles not yet stepped on: a step onto one leaves it open
+    spare = sum(b for t, b in bit.items() if caps[t] == 2)
     nodes = 0
 
     def dfs(pos: Tile) -> bool:
-        nonlocal nodes, open_, pending
+        nonlocal nodes, open_, pending, spare
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExhausted(f"no verdict within {node_budget} nodes")
@@ -142,15 +139,14 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
         x, y = pos
         for dx, dy in ORTHO_STEPS:
             nxt = (x + dx, y + dy)
-            if nxt not in caps or used.get(nxt, 0) >= caps[nxt]:
+            b = bit.get(nxt, 0)
+            if not open_ & b:
                 continue
-            b = bit[nxt]
             was_pending = pending & b
+            once = spare & b
             pending ^= was_pending
-            used[nxt] = used.get(nxt, 0) + 1
-            full = used[nxt] == caps[nxt]
-            if full:
-                open_ ^= b
+            spare ^= once
+            open_ ^= b ^ once
             path.append(nxt)
             if nxt == finish:
                 if not pending:
@@ -158,9 +154,8 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
             elif dfs(nxt):
                 return True
             pending ^= was_pending
-            if full:
-                open_ ^= b
-            used[nxt] -= 1
+            spare ^= once
+            open_ ^= b ^ once
             path.pop()
         return False
 

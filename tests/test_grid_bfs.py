@@ -138,6 +138,9 @@ def test_side_columns_do_not_wrap_between_rows():
     assert grid_distance(TileRegion(bars), (5, 4), (0, 5)) == math.inf
     assert not _connected(bars)
     assert packable(tiles) and packable(bars)
+    # and on the bars' own bitboard, where the pad column keeps them apart
+    board = _pack(bars)
+    assert not _reaches(1 << board.index((5, 4)), board.cells, 1 << board.index((0, 5)), board.stride)
 
 
 def test_single_tile_and_duplicate_targets():

@@ -233,7 +233,7 @@ def test_solver_returns_the_per_cell_solvers_path():
     for board in boards:
         assert solve_tile_trial(board) == per_cell_solver(board)
     # the node count, hence where a budget runs out, is the same too
-    for board in boards[::20] + random_boards(60):
+    for board in boards[::20] + random_boards(200):
         for budget in (None, 1, 2, 5, 13, 40):
             want = outcome(per_cell_solver, board, budget)
             assert outcome(solve_tile_trial, board, budget) == want
