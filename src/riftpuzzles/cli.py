@@ -58,7 +58,7 @@ from .hands_of_time import (
     solve_clock,
     verify_clock_solution,
 )
-from .instance_io import ParseError, parse, serialize
+from .instance_io import ParseError, _picture, _tile_rows, parse, serialize
 from .tile_trial import (
     reduce_grid_to_tile_trial,
     solve_tile_trial,
@@ -83,11 +83,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+class _Unreadable(Exception):
+    """A document that could not be read; main() reports it as an input error."""
+
+
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise _Unreadable(exc) from exc
 
 
 def _box(text: str) -> tuple[int, int]:
@@ -242,6 +249,8 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     if args.solution is None:
         raise CliError(f"verify {args.kind} needs a solution document")
+    if args.instance == args.solution == "-":
+        raise CliError(f"verify {args.kind} cannot read both documents from stdin")
     instance_kind, solution_kind, verify, detail = _VERIFIERS[args.kind]
     instance = parse(instance_kind, _read(args.instance))
     solution = parse(solution_kind, _read(args.solution))
@@ -402,22 +411,12 @@ def _cmd_sweep(args) -> int:
 # render
 
 
-def _render_grid(points, mark) -> str:
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    return "".join(
-        "".join(mark((x, y)) for x in range(min(xs), max(xs) + 1)) + "\n"
-        for y in range(max(ys), min(ys) - 1, -1)
-    )
-
-
 def _render_bond_board(board: BondBoard) -> str:
-    marks = {tile_of(p): chr(ord("a") + i) if i < 26 else "+" for i, p in enumerate(board.crystals)}
+    marks = dict.fromkeys(board.region.tiles, ".")
+    marks.update({tile_of(p): chr(ord("a") + i) if i < 26 else "+" for i, p in enumerate(board.crystals)})
     if board.start is not None:
         marks[tile_of(board.start)] = "S"
-    tiles = board.region.tiles
-    picture = _render_grid(tiles, lambda t: marks.get(t, ".") if t in tiles else "#")
-    return picture + "".join(f"bond {i}-{j}\n" for i, j in board.required_bonds)
+    return _picture(marks, "#") + "".join(f"bond {i}-{j}\n" for i, j in board.required_bonds)
 
 
 def _render_clock(instance) -> str:
@@ -432,12 +431,9 @@ def _render_clock(instance) -> str:
 
 # document kind -> renderer returning the picture
 _RENDERERS = {
-    "grid-graph": lambda g: _render_grid(g.vertices, lambda t: "o" if t in g.vertices else "."),
+    "grid-graph": lambda g: _picture(dict.fromkeys(g.vertices, "o"), "."),
     "digraph": lambda d: "".join(f"{s} -> {t}\n" for s, t in d.arcs),
-    # a tile board's rows, without the offset line
-    "tile-board": lambda b: "".join(
-        row for row in serialize(b).splitlines(True) if not row.startswith("offset")
-    ),
+    "tile-board": _tile_rows,
     "bond-board": _render_bond_board,
     "clock": _render_clock,
 }
@@ -457,7 +453,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, _Unreadable) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InstanceTooLarge, BudgetExhausted) as exc:

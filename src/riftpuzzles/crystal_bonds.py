@@ -250,9 +250,10 @@ def rural_postman_connected(
     open walk when the start sits beside an even-degree crystal (the open
     endpoints are then both far away, while the full matching is cheap).  The
     cheapest candidate's deadheads, read back from the partners its matching
-    recorded, are unrolled with the required edges into an Euler trail.  With
-    start_index None the walk may begin at any crystal and open walks always
-    win, since the full matching contains each reduced one.
+    recorded, are unrolled with the required edges into an Euler trail.  The
+    legs are the start's metric row, or a row of int zeros when start_index
+    is None: the walk may then begin at any crystal, every closed tour costs
+    the same, and an integer metric keeps an integer total.
     """
     if not required_edges:
         return (), 0.0
@@ -275,18 +276,11 @@ def rural_postman_connected(
     # (first crystal, mask of the odd crystals to match): the open walks,
     # then the closed tours; min keeps the first cheapest
     walks = [(a, full & ~(1 << i) & ~(1 << j)) for i, a in enumerate(odd) for j in range(len(odd)) if i != j]
-    walks += [(u, full) for u in (touched if start_index is not None else touched[:1])]
-
-    def cost(walk: tuple[int, int]) -> float:
-        leg = 0.0 if start_index is None else metric[start_index][walk[0]]
-        return required_weight + matching(walk[1]) + leg
-
-    a, mask = min(walks, key=cost)
+    walks += [(u, full) for u in touched]
+    legs = [0] * len(metric) if start_index is None else metric[start_index]
+    a, mask = min(walks, key=lambda walk: required_weight + matching(walk[1]) + legs[walk[0]])
     trail = _euler_trail(touched, list(required_edges) + pairs(mask), a)
-    total = sum(metric[u][w] for u, w in zip(trail, trail[1:]))
-    if start_index is not None:
-        total += metric[start_index][trail[0]]
-    return tuple(trail), total
+    return tuple(trail), sum(metric[u][w] for u, w in zip(trail, trail[1:])) + legs[trail[0]]
 
 
 def solve_crystal_bonds(board: BondBoard) -> BondWalk:
@@ -439,32 +433,20 @@ def apply_start_gadget(board: BondBoard, g: GridGraph) -> tuple[BondBoard, int, 
     min_x = min(x for x, _ in g.vertices)
     column = [p for p in g.vertices if p[0] == min_x]
     leaf_anchors = sorted(p for p in column if g.degree(p) == 1)
-    if leaf_anchors:
-        ax, ay = leaf_anchors[0]
-        sax, say = scale * ax, scale * ay
-        start_tile = (sax - 1, say)
-        region = TileRegion(board.region.tiles | {start_tile})
-        out = BondBoard(
-            region,
-            board.crystals,
-            tile_center(start_tile),
-            board.required_bonds,
-            "grid",
-        )
-        return out, (v - 1) * scale + 2 * v, "ham-path"
-
-    ax, ay = max(column, key=lambda p: p[1])
-    if g.degree((ax, ay)) != 2:
+    ax, ay = leaf_anchors[0] if leaf_anchors else max(column, key=lambda p: p[1])
+    if not leaf_anchors and g.degree((ax, ay)) != 2:
         raise AssertionError("topmost leftmost vertex must have degree 2 here")
     sax, say = scale * ax, scale * ay
     start_tile = (sax - 1, say)
-    hook = [(sax - 1, say - 2), (sax - 2, say - 2)]
-    tiles = (board.region.tiles | {start_tile, *hook}) - {(sax, say - 1)}
-    region = TileRegion(tiles)
+    # the cycle branch's westward hook; it cuts the anchor's south corridor
+    hook = [] if leaf_anchors else [(sax - 1, say - 2), (sax - 2, say - 2)]
+    tiles = board.region.tiles | {start_tile, *hook}
+    if hook:
+        tiles -= {(sax, say - 1)}
     crystals = board.crystals + tuple(tile_center(t) for t in hook)
-    bonds = board.required_bonds + ((2 * v, 2 * v + 1),)
-    out = BondBoard(region, crystals, tile_center(start_tile), bonds, "grid")
-    return out, v * scale + 2 * v, "ham-cycle"
+    bonds = board.required_bonds + (((2 * v, 2 * v + 1),) if hook else ())
+    out = BondBoard(TileRegion(tiles), crystals, tile_center(start_tile), bonds, "grid")
+    return out, (v if hook else v - 1) * scale + 2 * v, "ham-cycle" if hook else "ham-path"
 
 
 def decide_dcb(board: BondBoard, threshold: float) -> bool:

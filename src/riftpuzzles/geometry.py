@@ -59,9 +59,6 @@ class TileRegion:
         if not self.tiles:
             raise ValueError("region must contain at least one tile")
 
-    def __contains__(self, tile: Tile) -> bool:
-        return tile in self.tiles
-
     def __len__(self) -> int:
         return len(self.tiles)
 

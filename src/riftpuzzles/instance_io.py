@@ -172,17 +172,25 @@ _GLYPH_OF = {cell: glyph for glyph, cell in _GLYPHS.items()}
 _ENDS = {"S": "start", "F": "finish"}
 
 
-def _serialize_tile_board(b: TileBoard) -> str:
+def _picture(marks: dict, blank: str) -> str:
+    """The bounding box of the tiles `marks` names, one line per row, top row
+    first: each cell is its tile's mark, or `blank` for a tile with none."""
+    xs, ys = zip(*marks)
+    columns = range(min(xs), max(xs) + 1)
+    rows = range(max(ys), min(ys) - 1, -1)
+    return "".join("".join([marks.get((x, y), blank) for x in columns]) + "\n" for y in rows)
+
+
+def _tile_rows(b: TileBoard) -> str:
+    """A tile board's document without its offset line: its glyph rows."""
     glyph = {t: _GLYPH_OF[cap, t in b.crystals] for t, cap in b.capacities.items()}
     glyph.update({b.start: "S", b.finish: "F"})
-    xs = [x for x, _ in glyph]
-    ys = [y for _, y in glyph]
-    x0, y0 = min(xs), min(ys)
-    columns = range(x0, max(xs) + 1)
-    out = [] if (x0, y0) == (0, 0) else [f"offset {x0} {y0}\n"]
-    for y in range(max(ys), y0 - 1, -1):
-        out.append("".join([glyph.get((x, y), "#") for x in columns]) + "\n")
-    return "".join(out)
+    return _picture(glyph, "#")
+
+
+def _serialize_tile_board(b: TileBoard) -> str:
+    x0, y0 = map(min, zip(*b.capacities))
+    return ("" if (x0, y0) == (0, 0) else f"offset {x0} {y0}\n") + _tile_rows(b)
 
 
 def _parse_tile_board(text: str) -> TileBoard:

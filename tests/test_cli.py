@@ -317,6 +317,29 @@ def test_missing_file_exits_3(capsys):
     assert "input error:" in err
 
 
+@pytest.mark.parametrize("argv", [("solve", "tile"), ("render", "clock")])
+@pytest.mark.parametrize("name", ["", "missing.doc"], ids=["directory", "missing"])
+def test_unreadable_input_exits_3(tmp_path, capsys, argv, name):
+    # a document that cannot be read decides nothing: exit 3 with the OS's
+    # own message, never a traceback with exit 1 ("unsolvable")
+    path = tmp_path / name
+    with pytest.raises(OSError) as raised:
+        open(path, encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (3, "", f"input error: {raised.value}\n")
+
+
+def test_verify_refuses_both_documents_on_stdin(capsys, monkeypatch):
+    import io
+
+    stdin = io.StringIO("5\n0 1\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "verify", "clock", "-", "-")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    assert stdin.tell() == 0  # refused before anything was read
+
+
 def test_parse_error_exits_3(tmp_path, capsys):
     bad = doc(tmp_path, "bad.clock", "4\n0 zero\n")
     code, _, err = run(capsys, "solve", "clock", bad)

@@ -243,6 +243,23 @@ def test_rural_postman_rejects_disconnected_required_set():
         )
 
 
+@pytest.mark.parametrize(
+    "edges,want",
+    [
+        ([(0, 1), (1, 2), (0, 2)], ((0, 1, 2, 0), 6)),
+        ([(1, 2), (2, 3), (1, 3)], ((1, 2, 3, 1), 5)),
+        ([(0, 1), (1, 2), (2, 3), (0, 3)], ((0, 1, 2, 3, 0), 6)),
+    ],
+)
+def test_free_start_closed_tour_enters_at_the_first_crystal(edges, want):
+    # no start and no odd crystal: only closed tours compete, all at one
+    # cost, and the first touched crystal opens the tour
+    metric = [[0, 2, 3, 1], [2, 0, 1, 2], [3, 1, 0, 2], [1, 2, 2, 0]]
+    got = rural_postman_connected(metric, edges)
+    assert got == want
+    assert type(got[1]) is int  # an integer metric keeps an integer total
+
+
 def test_empty_bond_set():
     b = BondBoard(corridor(2), (tile_center((0, 0)),), None, (), "grid")
     walk = brute_force_crystal_bonds(b)
