@@ -233,6 +233,8 @@ _VERIFIERS = {
 
 def _cmd_verify(args) -> int:
     if args.kind == "cert":
+        if args.solution is not None:
+            raise CliError("verify cert takes no solution document")
         cert = parse("certificate", _read(args.instance))
         problems = audit_certificate(cert)
         for p in problems:
@@ -299,13 +301,10 @@ def _sweep_tile_item(g: GridGraph) -> tuple[bool, str]:
 def _sweep_dcb_item(g: GridGraph) -> tuple[bool, str]:
     board, threshold = reduce_grid_to_dcb(g)
     has_path = has_ham_path_grid(g)
-    if decide_dcb(board, threshold) != has_path:
-        return False, serialize(g)
     gadget, gthreshold, detects = apply_start_gadget(board, g)
     want = has_path if detects == "ham-path" else has_ham_cycle_grid(g)
-    if decide_dcb(gadget, gthreshold) != want:
-        return False, serialize(g)
-    return True, serialize(g)
+    ok = decide_dcb(board, threshold) == has_path and decide_dcb(gadget, gthreshold) == want
+    return ok, serialize(g)
 
 
 def _sweep_clock_item(task: tuple[int, int, int | None]) -> tuple[bool, str]:
@@ -334,6 +333,7 @@ def _sweep_geo_item(task: tuple[int, int, int]) -> tuple[bool, str]:
     seed, w, h = task
     region = gen_random_region(seed, w, h, max(2, 2 * w * h // 3))
     tiles = sorted(region.tiles)
+    p = tile_center(tiles[seed % len(tiles)])
     if seed % 5 == 4:
         # far-away twin cluster: distances between the parts must be
         # unreachable under both metrics
@@ -341,10 +341,8 @@ def _sweep_geo_item(task: tuple[int, int, int]) -> tuple[bool, str]:
         extra = gen_random_region(seed + 1, w, h, max(2, w * h // 3))
         tiles2 = [(x + shift, y) for x, y in sorted(extra.tiles)]
         region = TileRegion(frozenset(tiles) | frozenset(tiles2))
-        p = tile_center(tiles[seed % len(tiles)])
         q = tile_center(tiles2[seed % len(tiles2)])
     else:
-        p = tile_center(tiles[seed % len(tiles)])
         q = tile_center(tiles[(seed * 7 + 3) % len(tiles)])
     exact = euclidean_geodesic(region, p, q)
     fine = fine_grid_distance(region, p, q, FINE_K)
@@ -387,6 +385,8 @@ _SWEEPS = {
 
 def _cmd_sweep(args) -> int:
     items, worker = _SWEEPS[args.family]
+    if args.jobs < 1:
+        raise CliError(f"--jobs wants at least 1, got {args.jobs}")
     if args.jobs > 1:
         cpus = os.cpu_count() or 1
         if args.jobs > cpus:

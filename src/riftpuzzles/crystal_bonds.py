@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -262,10 +263,7 @@ def rural_postman_connected(
     if len({roots[v] for v in touched}) > 1:
         raise ValueError("required edges are disconnected; use the exhaustive oracle")
 
-    degree = {v: 0 for v in touched}
-    for a, b in required_edges:
-        degree[a] += 1
-        degree[b] += 1
+    degree = Counter(v for e in required_edges for v in e)
     odd = [v for v in touched if degree[v] % 2 == 1]
     if len(odd) > ODD_SET_LIMIT:
         raise InstanceTooLarge(f"{len(odd)} odd-degree crystals exceed {ODD_SET_LIMIT}")
@@ -498,10 +496,7 @@ def gen_random_tree_board(
         neighbor = next(
             (b if a == leaf else a) for a, b in edges if leaf in (a, b)
         )
-        choices = [c for c in range(r) if c not in (leaf, neighbor)]
-        if not choices:
-            break
-        c = rng.choice(choices)
+        c = rng.choice([c for c in range(r) if c not in (leaf, neighbor)])
         edges.remove((min(leaf, neighbor), max(leaf, neighbor)))
         edges.add((min(leaf, c), max(leaf, c)))
         degree[neighbor] -= 1

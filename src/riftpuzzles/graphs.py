@@ -374,7 +374,6 @@ def enumerate_grid_graphs(box_w: int, box_h: int, max_vertices: int) -> Iterator
     if box_w * box_h > ENUM_BOX_LIMIT:
         raise InstanceTooLarge(f"box {box_w}x{box_h} exceeds the {ENUM_BOX_LIMIT}-cell enumeration limit")
     cells = [(x, y) for x in range(box_w) for y in range(box_h)]
-    cells.sort()
     top = min(max_vertices, len(cells))
     for size in range(1, top + 1):
         for combo in combinations(cells, size):

@@ -132,8 +132,6 @@ def _invariant(lineno: int, build):
     """Run a constructor, converting its complaint into a located error."""
     try:
         return build()
-    except ParseError:
-        raise
     except ValueError as exc:
         _fail(lineno, str(exc))
 

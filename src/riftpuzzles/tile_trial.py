@@ -183,17 +183,16 @@ def reduce_grid_to_tile_trial(g: GridGraph) -> TileBoard:
     if len(g) < 2 or not g.is_connected():
         raise ValueError("reduction needs a connected graph with at least 2 vertices")
     xs = [x for x, _ in g.vertices]
-    ys = [y for _, y in g.vertices]
-    min_x, max_x, min_y = min(xs), max(xs), min(ys)
+    min_x, max_x = min(xs), max(xs)
     chosen = min(g.vertices, key=lambda v: (v[1], v[0]))
-    x0, y0 = chosen  # y0 == min_y
+    x0, y0 = chosen  # y0 is the lowest row
 
     caps: dict[Tile, int] = {v: 1 for v in g.vertices}
     if len(g) >= 3:
         caps[chosen] = 2
     caps[(x0, y0 - 1)] = 2
     caps[(x0, y0 - 2)] = 2
-    corridor_y = min_y - 2
+    corridor_y = y0 - 2
     for x in range(min_x - 1, max_x + 2):
         caps.setdefault((x, corridor_y), 1)
     start = (min_x - 1, corridor_y)

@@ -113,6 +113,47 @@ def test_verify_cert_clean(tmp_path, capsys):
     assert "digraph yes" in out and "clock yes" in out
 
 
+def test_verify_cert_refuses_a_solution_document(tmp_path, capsys, monkeypatch):
+    import io
+
+    code, text, _ = run(capsys, "reduce", "clock", doc(tmp_path, "tri.digraph", TRIANGLE))
+    assert code == 0
+    cert = doc(tmp_path, "tri.cert", text)
+    refused = (3, "", "error: verify cert takes no solution document\n")
+    assert run(capsys, "verify", "cert", cert, "/nonexistent/sol") == refused
+    stdin = io.StringIO(text)
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(capsys, "verify", "cert", "-", cert) == refused
+    assert stdin.tell() == 0  # refused before anything was read
+
+
+def test_verify_cert_prints_the_audit_and_exits_2(tmp_path, capsys):
+    # one secondary node moved off its construction value: both verdicts
+    # still agree, so only the audit makes this a failure
+    code, cert, _ = run(capsys, "reduce", "clock", doc(tmp_path, "fork.digraph", FORK))
+    assert code == 0 and "node 110 12\n" in cert
+    bad = doc(tmp_path, "bad.cert", cert.replace("node 110 12\n", "node 110 13\n"))
+    assert run(capsys, "verify", "cert", bad) == (
+        2,
+        "node 110: 13 here, 12 in the construction\n"
+        "intended arc (110, 11) missing from the move graph\n"
+        "digraph yes\nclock yes\n",
+        "",
+    )
+
+
+def test_verify_cert_flags_stored_verdicts_that_disagree(tmp_path, capsys):
+    code, cert, _ = run(capsys, "reduce", "clock", doc(tmp_path, "tri.digraph", TRIANGLE))
+    assert code == 0
+    fresh = "digraph yes\nclock yes\n"
+    stored = doc(tmp_path, "same.cert", cert + "verdict digraph yes\nverdict clock yes\n")
+    assert run(capsys, "verify", "cert", stored) == (0, fresh, "")
+    for verdicts in ("verdict digraph no\nverdict clock no\n", "verdict clock no\n"):
+        stale = doc(tmp_path, "stale.cert", cert + verdicts)
+        got = run(capsys, "verify", "cert", stale)
+        assert got == (2, fresh + "stored verdicts disagree with recomputation\n", ""), verdicts
+
+
 def test_verify_cert_refuses_labels_that_do_not_match_the_digraph(tmp_path, capsys):
     # a second out-arc whose secondary node and label are deleted, and a
     # vertex whose only arc is deleted: the audit once crashed on both (exit 1)
@@ -248,6 +289,67 @@ def test_sweep_clock_reports_counterexample(capsys):
     assert "circumference" in out
 
 
+def negated(referee):
+    return lambda *args: not referee(*args)
+
+
+def doubled(referee):
+    return lambda *args: 2 * referee(*args)
+
+
+# (family's referee in riftpuzzles.cli, how it is broken, command line,
+# stdout): a sweep whose referee is wrong must report the first item it
+# disagrees on
+BROKEN_REFEREES = [
+    ("has_ham_cycle_grid", negated, ("tile-trial", "--box", "2x2", "--max-v", "4"),
+     "pass 0 fail 9\nfirst counterexample:\n0 0\n0 1\n"),
+    ("has_ham_path_grid", negated, ("dcb", "--box", "2x2", "--max-v", "4"),
+     "pass 0 fail 9\nfirst counterexample:\n0 0\n0 1\n"),
+    # the plain reduction still agrees; only the square's cycle gadget is
+    # checked against the broken referee
+    ("has_ham_cycle_grid", negated, ("dcb", "--box", "2x2", "--max-v", "4"),
+     "pass 8 fail 1\nfirst counterexample:\n0 0\n0 1\n1 0\n1 1\n"),
+    ("fine_grid_distance", doubled, ("geo-oracle", "--box", "4x4", "--count", "10"),
+     "pass 2 fail 8\nfirst counterexample:\nseed 0 p (1.5, 0.5) q (2.5, 0.5) exact 1.0 fine 2.0\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,wrap,argv,out", BROKEN_REFEREES, ids=["tile-trial", "dcb-path", "dcb-gadget", "geo-oracle"]
+)
+def test_sweep_reports_a_broken_referee(capsys, monkeypatch, name, wrap, argv, out):
+    import riftpuzzles.cli as cli
+
+    monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+    assert run(capsys, "sweep", *argv) == (2, out, "")
+
+
+def one_longer(board, walk):
+    # the same bonds in the same order, claiming one more step than it walks
+    return walk.visit_sequence, walk.total_length + 1
+
+
+def with_detour(board, walk):
+    # a valid walk one step longer: back to the crystal before the last
+    from riftpuzzles.crystal_bonds import crystal_metric
+
+    seq = walk.visit_sequence
+    return seq + (seq[-2],), walk.total_length + crystal_metric(board)[seq[-1]][seq[-2]]
+
+
+@pytest.mark.parametrize("worse", [one_longer, with_detour])
+def test_sweep_cb_oracle_reports_a_longer_referee_walk(capsys, monkeypatch, worse):
+    import riftpuzzles.cli as cli
+    from riftpuzzles.crystal_bonds import BondWalk, gen_random_tree_board
+    from riftpuzzles.instance_io import serialize
+
+    referee = cli.brute_force_crystal_bonds
+    monkeypatch.setattr(cli, "brute_force_crystal_bonds", lambda b: BondWalk(*worse(b, referee(b))))
+    first = serialize(gen_random_tree_board(0, box_w=8, box_h=8, r=5, model="grid"))
+    code, out, err = run(capsys, "sweep", "cb-oracle", "--count", "3")
+    assert (code, out, err) == (2, "pass 0 fail 3\nfirst counterexample:\n" + first, "")
+
+
 def test_sweep_jobs_output_is_deterministic(capsys, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)  # so --jobs 2 runs on any machine
     argv = ["sweep", "geo-oracle", "--box", "4x4", "--count", "8"]
@@ -268,6 +370,12 @@ def test_sweep_jobs_above_the_cpu_count_exits_3_before_any_pool(capsys, monkeypa
     assert pools == []
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_exits_3(capsys, jobs):
+    code, out, err = run(capsys, "sweep", "geo-oracle", "--count", "2", "--jobs", jobs)
+    assert (code, out, err) == (3, "", f"error: --jobs wants at least 1, got {jobs}\n")
+
+
 def test_import_loads_no_process_pool():
     import os
     import subprocess
@@ -280,6 +388,18 @@ def test_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert result.stdout == "False\n"
+
+
+# running an imported module again as __main__ warns that it is already loaded
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_module_run_as_a_script_exits_with_the_status(capsys, monkeypatch):
+    import runpy
+
+    monkeypatch.setattr("sys.argv", ["riftpuzzles", "solve", "clock", "/nonexistent/x.clock"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("riftpuzzles.cli", run_name="__main__")
+    assert exited.value.code == 3
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_gen_is_deterministic(capsys):
@@ -411,6 +531,33 @@ def test_bad_box_exits_3(capsys):
     code, _, err = run(capsys, "sweep", "geo-oracle", "--box", "four")
     assert code == 3
     assert "WxH" in err
+
+
+def test_refusals_pinned(tmp_path, capsys):
+    code, board, _ = run(capsys, "reduce", "tile", doc(tmp_path, "sq.grid", SQUARE))
+    assert code == 0
+    for argv, err in [
+        (("gen", "grid-graph", "--box", "3xa"), "error: --box wants integers, got '3xa'"),
+        (("verify", "tile", doc(tmp_path, "sq.tile", board)), "error: verify tile needs a solution document"),
+        (("gen", "digraph", "--max-v", "1"), "invalid input: need at least 2 vertices"),
+        (("sweep", "tile-trial", "--box", "0x3"), "invalid input: box dimensions must be positive"),
+    ]:
+        assert run(capsys, *argv) == (3, "", err + "\n"), argv
+
+
+def test_solve_dcb_gives_up_beyond_the_matching_limit(tmp_path, capsys):
+    # a hub with 17 one-crystal legs: the hub and the 17 feet are odd
+    from riftpuzzles.crystal_bonds import BondBoard
+    from riftpuzzles.geometry import TileRegion, tile_center
+    from riftpuzzles.instance_io import serialize
+
+    tiles = sorted((x, y) for x in range(6) for y in range(3))
+    board = BondBoard(
+        TileRegion(frozenset(tiles)), tuple(map(tile_center, tiles)), None,
+        tuple((0, leg) for leg in range(1, 18)), "grid",
+    )
+    code, out, err = run(capsys, "solve", "dcb", doc(tmp_path, "spider.bond", serialize(board)))
+    assert (code, out, err) == (3, "", "gave up: 18 odd-degree crystals exceed 16\n")
 
 
 # `solve dcb` stdout on seeded Euclidean boards, pinned byte for byte:

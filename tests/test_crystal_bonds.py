@@ -73,6 +73,15 @@ def test_board_validation():
             BondWalk((0,), float(length))
 
 
+def test_board_and_walk_store_sequences_as_tuples():
+    a, b = tile_center((0, 0)), tile_center((1, 0))
+    board = BondBoard(corridor(2), [a, b], None, ((0, 1),), "grid")
+    assert board.crystals == (a, b) and board == BondBoard(corridor(2), (a, b), None, ((0, 1),), "grid")
+    walk = BondWalk([0, 1], 1)
+    assert walk.visit_sequence == (0, 1) and walk.total_length == 1.0
+    assert hash(walk) == hash(BondWalk((0, 1), 1.0))
+
+
 def test_board_refuses_tile_centers_no_float_holds():
     # below 2**52 a float holds x + 0.5 exactly; the center of tile 2**52
     # rounds to its wall, and tile -2**52 sits at the limit's other side
@@ -597,6 +606,14 @@ def test_gadget_cycle_branch_rejects_cycleless_graph():
     gadget, gthreshold, detects = apply_start_gadget(board, g)
     assert detects == "ham-cycle"
     assert not decide_dcb(gadget, gthreshold)
+
+
+def test_gadget_refuses_a_board_it_built():
+    g = GridGraph(frozenset({(0, 0), (1, 0), (2, 0)}))
+    board, _ = reduce_grid_to_dcb(g)
+    gadget, _, _ = apply_start_gadget(board, g)
+    with pytest.raises(ValueError, match="^board is not an unmodified reduction output$"):
+        apply_start_gadget(gadget, g)
 
 
 def test_reduction_equivalence_small_sweep():

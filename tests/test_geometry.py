@@ -163,6 +163,17 @@ def test_fine_grid_off_lattice_rejected():
     r = region((0, 0))
     with pytest.raises(ValueError):
         fine_grid_distance(r, (0.3, 0.3), (0.5, 0.5), 4)
+    with pytest.raises(ValueError, match="^subdivision k must be at least 2$"):
+        fine_grid_distance(r, (0.5, 0.5), (0.5, 0.5), 1)
+
+
+def test_region_refusals_and_coercion():
+    with pytest.raises(ValueError, match="^region must contain at least one tile$"):
+        TileRegion(frozenset())
+    with pytest.raises(ValueError, match="^need at least one tile$"):
+        gen_random_region(0, 3, 3, 0)
+    r = TileRegion({(0, 0), (1, 0)})
+    assert type(r.tiles) is frozenset and hash(r) == hash(region((0, 0), (1, 0)))
 
 
 def test_fine_grid_sublattice_test_is_exact():

@@ -31,6 +31,17 @@ def test_empty_graph_rejected():
         GridGraph(frozenset())
 
 
+def test_graph_stores_vertices_frozen():
+    g = GridGraph({(0, 0), (1, 0)})
+    assert type(g.vertices) is frozenset and g == gg((0, 0), (1, 0))
+    assert hash(g) == hash(gg((0, 0), (1, 0)))
+
+
+def test_failed_verdict_is_false():
+    assert bool(graphs.Verdict(False, "rule", 1)) is False
+    assert bool(graphs.Verdict(True)) is True
+
+
 def test_ham_cycle_small_cases():
     # fewer than 4 vertices can never close a cycle
     assert not has_ham_cycle_grid(gg((0, 0)))

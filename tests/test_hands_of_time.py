@@ -98,6 +98,15 @@ def test_reduce_rejects_bad_digraphs():
         reduce_digraph_to_phot(
             Digraph(4, ((0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)))
         )
+    with pytest.raises(ValueError, match="^need at least 2 vertices$"):
+        reduce_digraph_to_phot(Digraph(1, ()))
+
+
+def test_size_refusals_pinned():
+    with pytest.raises(ValueError, match="^repunit needs k >= 0$"):
+        repunit(-1)
+    with pytest.raises(ValueError, match="^need n >= 2$"):
+        gen_solvable_clock(1, 0)
 
 
 def test_certificate_validation():

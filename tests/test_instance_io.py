@@ -423,6 +423,14 @@ MALFORMED = [
      "line 10: every vertex needs outdegree 1 or 2"),
     ("cert-node-outside", "certificate", "vertices 1\ncircumference 4\nnode 9 1\n",
      "line 3: position 9 outside [0, 4)"),
+    ("cert-label-on-empty-position", "certificate",
+     "vertices 3\narc 0 1\narc 0 2\narc 1 2\narc 2 0\ncircumference 111\nnode 0 1\nnode 1 10\n"
+     "node 11 11\nnode 110 12\nlabel 0 0 0\nlabel 0 1 100\nlabel 1 0 1\nlabel 2 0 11\n",
+     "line 14: label (0,1) points at empty position 100"),
+    ("cert-unlabeled-node", "certificate",
+     "vertices 3\narc 0 1\narc 0 2\narc 1 2\narc 2 0\ncircumference 111\nnode 0 1\nnode 1 10\n"
+     "node 11 11\nnode 110 12\nlabel 0 0 0\nlabel 1 0 1\nlabel 2 0 11\n",
+     "line 13: unlabeled occupied positions"),
 ]
 
 

@@ -35,6 +35,15 @@ def test_board_validation():
         TileBoard({(0, 0): 1}, frozenset(), (0, 0), (0, 0))
     with pytest.raises(ValueError):  # start may not carry a crystal
         TileBoard({(0, 0): 1, (1, 0): 1}, frozenset({(0, 0)}), (0, 0), (1, 0))
+    with pytest.raises(ValueError, match="^board must have at least one tile$"):
+        TileBoard({}, frozenset(), (0, 0), (1, 0))
+    with pytest.raises(ValueError, match="^start and finish must be board tiles$"):
+        TileBoard({(0, 0): 1, (1, 0): 1}, frozenset(), (5, 5), (1, 0))
+
+
+def test_board_stores_crystals_frozen():
+    board = TileBoard({(0, 0): 1, (1, 0): 1, (2, 0): 1}, {(1, 0)}, (0, 0), (2, 0))
+    assert type(board.crystals) is frozenset and board == straight_board()
 
 
 def test_board_is_hashable_and_owns_its_capacities():
