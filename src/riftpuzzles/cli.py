@@ -385,18 +385,23 @@ _SWEEPS = {
 
 def _cmd_sweep(args) -> int:
     items, worker = _SWEEPS[args.family]
-    if args.jobs < 1:
-        raise CliError(f"--jobs wants at least 1, got {args.jobs}")
+    for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
+        if value < 1:
+            raise CliError(f"{flag} wants at least 1, got {value}")
+    cpus = os.cpu_count() or 1
+    if args.jobs > cpus:
+        raise CliError(f"--jobs wants at most the CPU count {cpus}, got {args.jobs}")
+    todo = items(args)
+    if not todo:
+        # a sweep that checked nothing must not read as an all-pass
+        raise CliError(f"sweep {args.family} has no items; nothing was checked")
     if args.jobs > 1:
-        cpus = os.cpu_count() or 1
-        if args.jobs > cpus:
-            raise CliError(f"--jobs wants at most the CPU count {cpus}, got {args.jobs}")
         from concurrent.futures import ProcessPoolExecutor  # a third of this module's import time
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(worker, items(args)))
+            results = list(pool.map(worker, todo))
     else:
-        results = [worker(item) for item in items(args)]
+        results = [worker(item) for item in todo]
     passed = sum(1 for ok, _ in results if ok)
     failed = len(results) - passed
     print(f"pass {passed} fail {failed}")

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
 
 from .geometry import (
     Point,
@@ -28,13 +27,14 @@ from .geometry import (
     tile_center,
     tile_of,
     _exact_tile,
+    _scaled,
 )
 from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges
 
 MODELS = ("grid", "euclid")
 
-# metric-closure matching is exact subset DP; beyond this the table explodes
-ODD_SET_LIMIT = 16
+# leaf rewires of a random bond tree: a chain's two odd crystals, plus two per rewire
+REWIRE_LIMIT = 7
 
 
 class UnreachableCrystal(ValueError):
@@ -151,58 +151,204 @@ def _roots(n: int, edges) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _matching_cost(
-    metric: list[list[float]], members: list[int], table: dict, partner: bytearray, mask: int
-) -> float:
-    """Cost of the cheapest pairing of the set bits of `mask` over `members`.
-    Each mask it solves stores its cost in `table`, and in `partner` the
-    partner its lowest bit took: the first in bit order under a strict <.
-    A submask already in `table` is read there; only a miss recurses."""
-    if mask in table:
-        return table[mask]
-    low = (mask & -mask).bit_length() - 1
-    row = metric[members[low]]
-    best, choice = math.inf, 0
-    rest = mask & ~(1 << low)
-    m = rest
-    while m:
-        bit = m & -m
-        sub = table.get(rest ^ bit)
-        if sub is None:
-            sub = _matching_cost(metric, members, table, partner, rest ^ bit)
-        j = bit.bit_length() - 1
-        cand = row[members[j]] + sub
-        if cand < best:
-            best, choice = cand, j
-        m ^= bit
-    table[mask] = best
-    partner[mask] = choice
-    return best
+class _Blossom:
+    """Minimum-cost perfect matching of the complete graph on len(cost)
+    vertices (an even number) under symmetric integer costs: Edmonds'
+    primal-dual blossom algorithm in its dense O(n^3) form (Galil, 1986).
+    It maximizes the weights top - cost with doubled duals, so every step is
+    an integer; no vertex dual is bounded below, so the matching is perfect.
+    Vertices are 1..n, blossoms n+1..2n, 0 is none; no method recurses."""
 
+    def __init__(self, cost: list[list[int]]) -> None:
+        n = self.n = self.nx = len(cost)
+        top, m = max(map(max, cost)) + 1, 2 * n + 1
+        self.w2 = [[0] * (n + 1)] + [[0] + [2 * (top - c) for c in row] for row in cost]
+        self.lab = [0] + [top] * n + [0] * n
+        # g[x][y]: the least-slack edge (vertex of x, vertex of y) between two tops
+        self.g = [[None] + [(u, v) for v in range(1, n + 1)] + [None] * n for u in range(n + 1)]
+        self.g += [[None] * m for _ in range(n)]
+        self.flower: list[list[int]] = [[] for _ in range(m)]
+        # label: 0 outer, 1 inner, -1 free; slack[x]: the outer vertex u whose
+        # edge g[u][x] has the least slack, sv[x], into a free or outer top x
+        # st[x]: the top blossom holding x; pa[x]: the outer vertex inner top x hangs from
+        self.match, self.slack, self.sv, self.pa, self.label = ([0] * m for _ in range(5))
+        self.st, self.queue = list(range(n + 1)) + [0] * n, deque()
 
-def _min_matching(
-    metric: list[list[float]], members: list[int]
-) -> tuple[Callable[[int], float], Callable[[int], list[tuple[int, int]]]]:
-    """Exact minimum-weight perfect matching of an even subset.
+    def mate(self) -> list[int]:
+        while self.phase():
+            pass
+        return [self.match[u] - 1 for u in range(1, self.n + 1)]
 
-    Returns (cost, pairs): cost(mask) is the cheapest way to pair up exactly
-    the set bits of a bitmask over `members`, and pairs(mask) reads one such
-    pairing back along the partner each solved mask recorded for its lowest
-    bit.  Subset DP, solved on demand, so only the masks a caller reaches
-    are filled; len(members) stays small, and a partner index fits in a
-    byte.  No function refers to itself, so no cycle keeps the table alive.
-    """
-    partner = bytearray(1 << len(members))
+    def delta(self, e: tuple[int, int]) -> int:
+        return self.lab[e[0]] + self.lab[e[1]] - self.w2[e[0]][e[1]]
 
-    def pairs(mask: int) -> list[tuple[int, int]]:
-        out = []
-        while mask:
-            low, j = (mask & -mask).bit_length() - 1, partner[mask]
-            out.append((members[low], members[j]))
-            mask &= ~(1 << low) & ~(1 << j)
+    def note_slack(self, u: int, x: int) -> None:
+        d = self.delta(self.g[u][x])
+        if not self.slack[x] or d < self.sv[x]:
+            self.slack[x], self.sv[x] = u, d
+
+    def reset_slack(self, x: int) -> None:
+        self.slack[x] = 0
+        for u in range(1, self.n + 1):
+            if self.st[u] != x and self.label[self.st[u]] == 0:
+                self.note_slack(u, x)
+
+    def nested(self, x: int) -> list[int]:
+        out = [x]
+        for y in out:
+            out += self.flower[y]
         return out
 
-    return partial(_matching_cost, metric, members, {0: 0.0}, partner), pairs
+    def push(self, x: int) -> None:
+        self.queue.extend([x] if x <= self.n else [y for y in self.nested(x) if y <= self.n])
+
+    def orient(self, b: int, v: int) -> tuple[int, int]:
+        """The member of b's cycle that holds vertex v, and its place in the
+        cycle, reversed first if that makes the place even."""
+        fl = self.flower[b]
+        xr = next(xs for xs in fl if v in self.nested(xs))
+        if fl.index(xr) % 2:
+            fl[1:] = fl[:0:-1]
+        return xr, fl.index(xr)
+
+    def set_match(self, u: int, v: int) -> None:
+        todo = [(u, v)]
+        while todo:
+            u, v = todo.pop()
+            e = self.g[u][v]
+            self.match[u] = e[1]
+            if u > self.n:
+                xr, pr = self.orient(u, e[0])
+                fl = self.flower[u]
+                todo += [(fl[i], fl[i ^ 1]) for i in range(pr)] + [(xr, v)]
+                self.flower[u] = fl[pr:] + fl[:pr]
+
+    def augment(self, u: int, v: int) -> None:
+        while True:
+            xnv = self.st[self.match[u]]
+            self.set_match(u, v)
+            if not xnv:
+                return
+            self.set_match(xnv, self.st[self.pa[xnv]])
+            u, v = self.st[self.pa[xnv]], xnv
+
+    def lca(self, u: int, v: int) -> int:
+        """Where the tree paths up from u and v meet; 0 in two trees."""
+        seen = set()
+        for x in (u, v):
+            while x:
+                if x in seen:
+                    return x
+                seen.add(x)
+                x = self.st[self.match[x]]
+                x = x and self.st[self.pa[x]]
+        return 0
+
+    def add_blossom(self, u: int, a: int, v: int) -> None:
+        n, st, g = self.n, self.st, self.g
+        b = next(b for b in range(n + 1, 2 * n + 1) if b > self.nx or not st[b])
+        self.nx = max(self.nx, b)
+        self.lab[b], self.label[b], self.match[b] = 0, 0, self.match[a]
+        fl = [a]
+        for x, back in ((u, True), (v, False)):
+            path = []
+            while x != a:
+                y = st[self.match[x]]
+                path += [x, y]
+                self.push(y)
+                x = st[self.pa[y]]
+            fl += path[::-1] if back else path
+        self.flower[b] = fl
+        for y in self.nested(b):
+            st[y] = b
+        g[b] = [None] * (2 * n + 1)  # the first member fills row and column b
+        for xs in fl:
+            for x in range(1, self.nx + 1):
+                e = g[xs][x]
+                if g[b][x] is None or (e and self.delta(e) < self.delta(g[b][x])):
+                    g[b][x], g[x][b] = e, g[x][xs]
+        self.reset_slack(b)
+
+    def expand(self, b: int) -> None:
+        for x in self.flower[b]:
+            for y in self.nested(x):
+                self.st[y] = x
+        xr, pr = self.orient(b, self.g[b][self.pa[b]][0])
+        fl = self.flower[b]
+        for i in range(0, pr, 2):
+            xs, xns = fl[i], fl[i + 1]
+            self.pa[xs] = self.g[xns][xs][0]
+            self.label[xs], self.label[xns], self.slack[xs] = 1, 0, 0
+            self.reset_slack(xns)
+            self.push(xns)
+        self.label[xr], self.pa[xr] = 1, self.pa[b]
+        for xs in fl[pr + 1 :]:
+            self.label[xs] = -1
+            self.reset_slack(xs)
+        self.st[b] = 0
+
+    def found(self, e: tuple[int, int]) -> bool:
+        """Grow a tree, shrink a blossom or augment on the tight edge e."""
+        u, v = self.st[e[0]], self.st[e[1]]
+        if self.label[v] == -1:
+            self.pa[v], self.label[v] = e[0], 1
+            nu = self.st[self.match[v]]
+            self.slack[v] = self.slack[nu] = self.label[nu] = 0
+            self.push(nu)
+        elif self.label[v] == 0:
+            a = self.lca(u, v)
+            if not a:
+                self.augment(u, v)
+                self.augment(v, u)
+                return True
+            self.add_blossom(u, a, v)
+        return False
+
+    def phase(self) -> bool:
+        """Grow every free vertex's tree until one augmentation, if any."""
+        n, nx, st, lab, label, slack, sv = self.n, self.nx, self.st, self.lab, self.label, self.slack, self.sv
+        w2, found = self.w2, self.found
+        label[1 : nx + 1], slack[1 : nx + 1] = [-1] * nx, [0] * nx
+        self.queue.clear()
+        roots = [x for x in range(1, nx + 1) if st[x] == x and not self.match[x]]
+        for x in roots:
+            self.pa[x] = label[x] = 0
+            self.push(x)
+        while roots:
+            while self.queue:
+                u = self.queue.popleft()
+                top, lu, wu = st[u], lab[u], w2[u]
+                for v in range(1, n + 1) if label[top] != 1 else ():
+                    x = st[v]
+                    if x == top or label[x] == 1:
+                        continue
+                    dl = lu + lab[v] - wu[v]
+                    if not dl:
+                        if found((u, v)):
+                            return True
+                        top = st[u]
+                    elif x > n:
+                        self.note_slack(u, x)  # u's least slack into x, whichever v of x this is
+                    elif not slack[x] or dl < sv[x]:
+                        slack[x], sv[x] = u, dl
+            tops = [x for x in range(1, self.nx + 1) if st[x] == x]
+            # the dual step: an inner blossom's dual, or a free or outer top's least slack
+            d = min([lab[b] // 2 for b in tops if b > n and label[b] == 1]
+                    + [sv[x] // (2 + label[x]) for x in tops if slack[x] and label[x] != 1])
+            for u in range(1, n + 1):
+                lab[u] += (-d, d, 0)[label[st[u]]]
+            for x in tops:
+                lab[x] += (2 * d, -2 * d, 0)[label[x]] if x > n else 0
+                sv[x] -= (2 + label[x]) * d if slack[x] and label[x] != 1 else 0
+            self.queue.clear()
+            for x in tops:
+                if st[x] == x and slack[x] and label[x] != 1 and st[slack[x]] != x and not sv[x]:
+                    if self.found(self.g[slack[x]][x]):
+                        return True
+            for b in range(n + 1, self.nx + 1):
+                if st[b] == b and label[b] == 1 and lab[b] == 0:
+                    self.expand(b)
+        return False
 
 
 def _euler_trail(
@@ -241,20 +387,17 @@ def rural_postman_connected(
 ) -> tuple[tuple[int, ...], float]:
     """Minimum walk covering each required edge as a consecutive pair.
 
-    The required edges must be connected over the vertices they touch.  Let O
-    be the odd-degree vertices of the required multigraph.  Each ordered
-    endpoint choice (a, b) from O costs the required weight plus a minimum
-    perfect matching of the remaining odd vertices (deadheads through the
-    metric closure) plus the leg from the start.  Closed tours compete too:
-    pairing up all of O and re-entering at any covered vertex u costs the
-    required weight plus the full matching plus the leg to u, and beats every
-    open walk when the start sits beside an even-degree crystal (the open
-    endpoints are then both far away, while the full matching is cheap).  The
-    cheapest candidate's deadheads, read back from the partners its matching
-    recorded, are unrolled with the required edges into an Euler trail.  The
-    legs are the start's metric row, or a row of int zeros when start_index
-    is None: the walk may then begin at any crystal, every closed tour costs
-    the same, and an integer metric keeps an integer total.
+    The required edges must be connected over the vertices they touch.  One
+    perfect matching over T = O + {S, Z}, where O holds the odd-degree
+    vertices, picks the walk's first crystal (S's partner), its end (Z's
+    partner) and its deadheads (Edmonds & Johnson, 1973).  Two crystals of O
+    cost their metric distance, S and u the leg to u, Z and u nothing, and S
+    and Z a closed tour: the leg to the first cheapest touched crystal.  The
+    legs are the start's metric row, or int zeros when start_index is None.
+    Costs are scaled to exact integers, and a penalty below one unit keeps
+    the walk the former subset DP chose among equal ones: the first crystal
+    earliest in O, closed tours last; then the end earliest in O; then, for
+    each unpaired crystal of O in order, the earliest partner.
     """
     if not required_edges:
         return (), 0.0
@@ -265,19 +408,25 @@ def rural_postman_connected(
 
     degree = Counter(v for e in required_edges for v in e)
     odd = [v for v in touched if degree[v] % 2 == 1]
-    if len(odd) > ODD_SET_LIMIT:
-        raise InstanceTooLarge(f"{len(odd)} odd-degree crystals exceed {ODD_SET_LIMIT}")
-    required_weight = sum(metric[a][b] for a, b in required_edges)
-
-    matching, pairs = _min_matching(metric, odd)
-    full = (1 << len(odd)) - 1
-    # (first crystal, mask of the odd crystals to match): the open walks,
-    # then the closed tours; min keeps the first cheapest
-    walks = [(a, full & ~(1 << i) & ~(1 << j)) for i, a in enumerate(odd) for j in range(len(odd)) if i != j]
-    walks += [(u, full) for u in touched]
     legs = [0] * len(metric) if start_index is None else metric[start_index]
-    a, mask = min(walks, key=lambda walk: required_weight + matching(walk[1]) + legs[walk[0]])
-    trail = _euler_trail(touched, list(required_edges) + pairs(mask), a)
+    tour = min(touched, key=legs.__getitem__)
+    # T is O in order, then S = k and Z = k + 1.  A pair costs its scaled length
+    # in units of power[k + 2], plus its rank among the choices of the end that
+    # picks it (S, then Z, then O in order) at that end's place; all sum below a unit
+    k = len(odd)
+    power = [(k + 1) ** p for p in range(k + 3)]
+    pairs = {(i, j): (metric[odd[i]][odd[j]], j, k - 1 - i) for i in range(k) for j in range(i + 1, k)}
+    pairs.update({(i, k): (legs[odd[i]], i, k + 1) for i in range(k)})
+    pairs.update({(i, k + 1): (0, i, k) for i in range(k)})
+    pairs[k, k + 1] = (legs[tour], k, k + 1)
+    _, units = _scaled(*(length for length, _, _ in pairs.values()))
+    cost = [[0] * (k + 2) for _ in range(k + 2)]
+    for ((i, j), (_, rank, place)), length in zip(pairs.items(), units):
+        cost[i][j] = cost[j][i] = length * power[k + 2] + rank * power[place]
+    mate = _Blossom(cost).mate()
+    deadheads = [(odd[i], odd[j]) for i, j in enumerate(mate[:k]) if i < j < k]
+    first = tour if mate[k] == k + 1 else odd[mate[k]]
+    trail = _euler_trail(touched, list(required_edges) + deadheads, first)
     return tuple(trail), sum(metric[u][w] for u, w in zip(trail, trail[1:])) + legs[trail[0]]
 
 
@@ -471,8 +620,8 @@ def gen_random_tree_board(
 ) -> BondBoard:
     """Random connected region with a random spanning bond tree.
 
-    The tree starts as a chain and gets a few leaf rewires, which keeps the
-    number of odd-degree crystals at or below ODD_SET_LIMIT regardless of r.
+    The tree starts as a chain and gets at most REWIRE_LIMIT leaf rewires,
+    so it has at most 16 odd-degree crystals whatever r is.
     """
     rng = random.Random(seed)
     n_tiles = max(r + 1, (box_w * box_h * 2) // 3)
@@ -489,7 +638,7 @@ def gen_random_tree_board(
     for a, b in edges:
         degree[a] += 1
         degree[b] += 1
-    rewires = rng.randint(0, max(0, (ODD_SET_LIMIT - 2) // 2)) if r > 3 else 0
+    rewires = rng.randint(0, REWIRE_LIMIT) if r > 3 else 0
     for _ in range(rewires):
         leaves = [i for i in range(r) if degree[i] == 1]
         leaf = rng.choice(leaves)

@@ -376,6 +376,20 @@ def test_sweep_jobs_below_one_exits_3(capsys, jobs):
     assert (code, out, err) == (3, "", f"error: --jobs wants at least 1, got {jobs}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (("clock", "--count", "0"), "--count wants at least 1, got 0"),
+        (("geo-oracle", "--count", "-3"), "--count wants at least 1, got -3"),
+        (("cb-oracle", "--count", "0"), "--count wants at least 1, got 0"),
+        (("tile-trial", "--max-v", "1"), "sweep tile-trial has no items; nothing was checked"),
+    ],
+)
+def test_sweep_that_would_check_nothing_exits_3(capsys, argv, err):
+    # `pass 0 fail 0` would read as an all-pass
+    assert run(capsys, "sweep", *argv) == (3, "", f"error: {err}\n")
+
+
 def test_import_loads_no_process_pool():
     import os
     import subprocess
@@ -527,6 +541,25 @@ def test_render_smoke(tmp_path, capsys):
     assert "circumference 4" in out
 
 
+@pytest.mark.parametrize(
+    "kind,text,err",
+    [
+        ("grid-graph", "0 0\n0 9007199254740992\n1 1\n", "a 2x9007199254740993 picture of 3 marks"),
+        ("bond-board", "model grid\nstart free\ntile 0 0\ntile 0 100000\ncrystal 0 0\n",
+         "a 1x100001 picture of 2 marks"),
+    ],
+)
+def test_render_refuses_a_picture_far_larger_than_its_marks(tmp_path, capsys, kind, text, err):
+    # a few lines must not ask for an unbounded picture: it would end in a
+    # MemoryError and exit 1, the code for "unsolvable"
+    import time
+
+    began = time.perf_counter()
+    code, out, got = run(capsys, "render", kind, doc(tmp_path, "far.doc", text))
+    assert time.perf_counter() - began < 1.0
+    assert (code, out, got) == (3, "", f"invalid input: {err} is too large to draw\n")
+
+
 def test_bad_box_exits_3(capsys):
     code, _, err = run(capsys, "sweep", "geo-oracle", "--box", "four")
     assert code == 3
@@ -545,8 +578,9 @@ def test_refusals_pinned(tmp_path, capsys):
         assert run(capsys, *argv) == (3, "", err + "\n"), argv
 
 
-def test_solve_dcb_gives_up_beyond_the_matching_limit(tmp_path, capsys):
-    # a hub with 17 one-crystal legs: the hub and the 17 feet are odd
+def test_solve_dcb_solves_past_the_former_matching_limit(tmp_path, capsys):
+    # a hub with 17 one-crystal legs: the hub and the 17 feet are odd, two
+    # more than the former subset-DP matching took
     from riftpuzzles.crystal_bonds import BondBoard
     from riftpuzzles.geometry import TileRegion, tile_center
     from riftpuzzles.instance_io import serialize
@@ -556,8 +590,10 @@ def test_solve_dcb_gives_up_beyond_the_matching_limit(tmp_path, capsys):
         TileRegion(frozenset(tiles)), tuple(map(tile_center, tiles)), None,
         tuple((0, leg) for leg in range(1, 18)), "grid",
     )
-    code, out, err = run(capsys, "solve", "dcb", doc(tmp_path, "spider.bond", serialize(board)))
-    assert (code, out, err) == (3, "", "gave up: 18 odd-degree crystals exceed 16\n")
+    path = doc(tmp_path, "spider.bond", serialize(board))
+    code, out, err = run(capsys, "solve", "dcb", path)
+    assert (code, err) == (0, "")
+    assert run(capsys, "verify", "dcb", path, doc(tmp_path, "spider.walk", out)) == (0, "ok\n", "")
 
 
 # `solve dcb` stdout on seeded Euclidean boards, pinned byte for byte:

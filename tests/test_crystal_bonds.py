@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from riftpuzzles import crystal_bonds
 from riftpuzzles.crystal_bonds import (
     MODELS,
-    ODD_SET_LIMIT,
+    REWIRE_LIMIT,
     BondBoard,
     BondWalk,
     UnreachableCrystal,
@@ -394,27 +395,73 @@ def test_brute_force_matches_former_recursion():
         assert got.total_length.hex() == want.total_length.hex(), board
 
 
-def former_matching_pairs(metric, members, matching, mask):
-    """rural_postman_connected's former deadhead reconstruction: walk the
-    cost table again and take, for the lowest bit, the first partner whose
-    candidate cost lies within a 1e-12 relative tolerance of the optimum."""
+def former_matching_cost(metric, members, table, partner, mask):
+    """The subset DP the postman matched with before its blossom matching:
+    the cheapest pairing of the set bits of `mask` over `members`.  Each
+    solved mask stores its cost in `table` and, in `partner`, the partner
+    its lowest bit took: the first in bit order under a strict <."""
+    if mask in table:
+        return table[mask]
+    low = (mask & -mask).bit_length() - 1
+    row = metric[members[low]]
+    best, choice = math.inf, 0
+    rest = mask & ~(1 << low)
+    m = rest
+    while m:
+        bit = m & -m
+        sub = former_matching_cost(metric, members, table, partner, rest ^ bit)
+        j = bit.bit_length() - 1
+        cand = row[members[j]] + sub
+        if cand < best:
+            best, choice = cand, j
+        m ^= bit
+    table[mask] = best
+    partner[mask] = choice
+    return best
+
+
+def former_postman(metric, required_edges, start_index=None):
+    """rural_postman_connected as it was with the subset DP: every ordered
+    pair of odd ends, then every closed tour, as candidate walks; min keeps
+    the first cheapest, and its deadheads are read back along the recorded
+    partners.  Returns the walk, its length and the deadhead pairs."""
+    touched = sorted({v for e in required_edges for v in e})
+    degree = Counter(v for e in required_edges for v in e)
+    odd = [v for v in touched if degree[v] % 2 == 1]
+    required_weight = sum(metric[a][b] for a, b in required_edges)
+    table, partner = {0: 0.0}, {}
+    full = (1 << len(odd)) - 1
+    walks = [(a, full & ~(1 << i) & ~(1 << j)) for i, a in enumerate(odd) for j in range(len(odd)) if i != j]
+    walks += [(u, full) for u in touched]
+    legs = [0] * len(metric) if start_index is None else metric[start_index]
+
+    def cost(walk):
+        return required_weight + former_matching_cost(metric, odd, table, partner, walk[1]) + legs[walk[0]]
+
+    a, mask = min(walks, key=cost)
     pairs = []
     while mask:
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << low)
-        m = rest
-        while m:
-            j = (m & -m).bit_length() - 1
-            nxt = rest & ~(1 << j)
-            cost = metric[members[low]][members[j]] + matching(nxt)
-            if abs(cost - matching(mask)) <= 1e-12 * max(1.0, abs(cost)):
-                pairs.append((members[low], members[j]))
-                mask = nxt
-                break
-            m &= m - 1
-        else:
-            raise AssertionError("matching table reconstruction failed")
-    return pairs
+        low, j = (mask & -mask).bit_length() - 1, partner[mask]
+        pairs.append((odd[low], odd[j]))
+        mask &= ~(1 << low) & ~(1 << j)
+    trail = crystal_bonds._euler_trail(touched, list(required_edges) + pairs, a)
+    return tuple(trail), sum(metric[u][w] for u, w in zip(trail, trail[1:])) + legs[trail[0]], pairs
+
+
+def deadheads(monkeypatch, metric, required_edges, start_index):
+    """The new postman's walk, its length and the deadhead pairs it handed
+    to the Euler trail."""
+    seen = []
+
+    def spy(vertices, edges, start):
+        seen.append(edges[len(required_edges):])
+        return euler_trail(vertices, edges, start)
+
+    euler_trail = crystal_bonds._euler_trail
+    with monkeypatch.context() as patch:
+        patch.setattr(crystal_bonds, "_euler_trail", spy)
+        trail, length = rural_postman_connected(metric, required_edges, start_index)
+    return trail, length, seen[0]
 
 
 def spider_board(seed, side, legs, leg_len):
@@ -435,9 +482,8 @@ def spider_board(seed, side, legs, leg_len):
 
 
 def test_recorded_partners_match_former_reconstruction(monkeypatch):
-    # the recorded partner is the first one in lowest-bit order that reaches
-    # the optimum under the same strict <; the former reconstruction took
-    # the first one within 1e-12 of it, and no board here tells them apart
+    # the matching's tie order is the subset DP's: the same first crystal,
+    # the same end and the same partners give the same walk, bit for bit
     boards = [gen_random_tree_board(seed, 30, 30, 40, "euclid") for seed in range(4)]
     boards += [spider_board(seed, 30, 15, 2) for seed in range(3)]
     boards += [spider_board(seed, 50, 13, 3) for seed in range(3, 5)]
@@ -447,83 +493,65 @@ def test_recorded_partners_match_former_reconstruction(monkeypatch):
         boards += [board, dataclasses.replace(board, start=None)]
     assert sum(board.distance_model == "euclid" for board in boards) >= 120
 
-    recorded = crystal_bonds._min_matching
-
-    def former(metric, members):
-        cost = recorded(metric, members)[0]
-        return cost, lambda mask: former_matching_pairs(metric, members, cost, mask)
-
     odd_counts = Counter()
     for board in boards:
         metric = crystal_metric(board)
-        degree = Counter(v for bond in board.required_bonds for v in bond)
-        odd = sorted(v for v, d in degree.items() if d % 2)
-        odd_counts[len(odd)] += 1
-        # every mask the postman can read back: all odd crystals, or all
-        # but an open walk's two ends
-        cost, pairs = recorded(metric, odd)
-        full = (1 << len(odd)) - 1
-        masks = [full] + [full & ~(1 << i) & ~(1 << j) for j in range(len(odd)) for i in range(j)]
-        for mask in masks:
-            cost(mask)
-            assert pairs(mask) == former_matching_pairs(metric, odd, cost, mask), board
-        got = solve_crystal_bonds(board)
-        with monkeypatch.context() as patch:
-            patch.setattr(crystal_bonds, "_min_matching", former)
-            want = solve_crystal_bonds(board)
-        assert got.visit_sequence == want.visit_sequence, board
-        assert got.total_length.hex() == want.total_length.hex(), board
+        start = None if board.start is None else len(board.crystals)
+        bonds = list(board.required_bonds)
+        trail, length, pairs = deadheads(monkeypatch, metric, bonds, start)
+        want_trail, want_length, want_pairs = former_postman(metric, bonds, start)
+        odd_counts[sum(d % 2 for d in Counter(v for bond in bonds for v in bond).values())] += 1
+        assert sorted(map(sorted, pairs)) == sorted(map(sorted, want_pairs)), board
+        assert trail == want_trail, board
+        assert float(length).hex() == float(want_length).hex(), board
+        assert solve_crystal_bonds(board) == BondWalk(trail, length)
     assert odd_counts[16] >= 3 and odd_counts[14] >= 2
 
 
-def former_matching_cost(metric, members, table, partner, mask):
-    """_matching_cost's former form: it recursed on every submask and
-    returned at once on a memo hit."""
-    if mask in table:
-        return table[mask]
-    low = (mask & -mask).bit_length() - 1
-    best, choice = math.inf, 0
-    rest = mask & ~(1 << low)
-    m = rest
-    while m:
-        j = (m & -m).bit_length() - 1
-        sub = former_matching_cost(metric, members, table, partner, rest & ~(1 << j))
-        cand = metric[members[low]][members[j]] + sub
-        if cand < best:
-            best, choice = cand, j
-        m &= m - 1
-    table[mask] = best
-    partner[mask] = choice
-    return best
-
-
-def test_matching_cost_matches_former_recursion():
-    # the same masks in the same bit order, the same sums and the same
-    # strict <: bit-equal costs and the same recorded partners, ties too
+def test_matching_cost_matches_former_recursion(monkeypatch):
+    # a hub with n - 1 legs of one crystal each has n odd crystals; on
+    # random weights, a third of them tie-heavy integers 0-5, the matching
+    # takes the DP's cost and the DP's pairs, and so the same walk.  A start
+    # on a float board stays off the crystals: a leg equal to a deadhead
+    # ties two walks in the reals, and the DP's float sums break that tie by
+    # rounding
     rng = random.Random(15)
-    for n in range(2, 17, 2):
-        for tied in (False, True):
-            size = n + 3
-            metric = [[0.0] * size for _ in range(size)]
-            for a in range(size):
-                for b in range(a):
-                    metric[a][b] = metric[b][a] = float(rng.randint(1, 3)) if tied else rng.uniform(0.5, 60)
-            members = sorted(rng.sample(range(size), n))
-            full = (1 << n) - 1
-            masks = [full] + [full & ~(1 << i) & ~(1 << j) for i in range(n) for j in range(i)]
-            rng.shuffle(masks)
-            got, want = ({0: 0.0}, bytearray(1 << n)), ({0: 0.0}, bytearray(1 << n))
-            for mask in masks:
-                cost = crystal_bonds._matching_cost(metric, members, *got, mask)
-                assert cost.hex() == former_matching_cost(metric, members, *want, mask).hex()
-            assert {k: v.hex() for k, v in got[0].items()} == {k: v.hex() for k, v in want[0].items()}
-            assert got[1] == want[1], (n, tied)
+    for trial in range(240):
+        n = 2 + 2 * (trial % 8)
+        tied = trial % 3 == 0
+        size = n + 3
+        metric = [[0] * size for _ in range(size)]
+        for a in range(size):
+            for b in range(a):
+                metric[a][b] = metric[b][a] = rng.randint(0, 5) if tied else rng.uniform(0.5, 60)
+        members = sorted(rng.sample(range(size), n))
+        starts = range(size) if tied else sorted(set(range(size)) - set(members))
+        hub, start = members[0], rng.choice([None, *starts])
+        bonds = [(hub, leaf) for leaf in members[1:]]
+        trail, length, pairs = deadheads(monkeypatch, metric, bonds, start)
+        want_trail, want_length, want_pairs = former_postman(metric, bonds, start)
+        cost = sum(metric[a][b] for a, b in pairs)
+        assert math.isclose(cost, sum(metric[a][b] for a, b in want_pairs), abs_tol=1e-9), (trial, metric)
+        assert sorted(map(sorted, pairs)) == sorted(map(sorted, want_pairs)), (trial, metric)
+        assert (trail, float(length).hex()) == (want_trail, float(want_length).hex())
+
+
+def test_spiders_past_the_former_limit_solve_within_a_second():
+    # the subset DP refused more than 16 odd crystals; the matching is cubic
+    for legs in (19, 31, 47):
+        board = spider_board(legs, 30, legs, 2)
+        began = time.perf_counter()
+        walk = solve_crystal_bonds(board)
+        assert verify_bond_walk(board, walk).ok
+        assert time.perf_counter() - began < 1.0, legs
+        degree = Counter(v for bond in board.required_bonds for v in bond)
+        assert sum(d % 2 for d in degree.values()) == legs + 1
 
 
 def test_solve_leaves_no_reference_cycle():
-    # the matching table and partner array of a 16-odd-crystal board are
-    # freed when the postman returns, not when the cyclic collector runs
-    board = spider_board(0, 30, 15, 2)
+    # the matching's tables on a 48-odd-crystal board are freed when the
+    # postman returns, not when the cyclic collector runs
+    board = spider_board(0, 30, 47, 1)
     gc.collect()
     gc.disable()
     try:
@@ -630,13 +658,13 @@ def test_reduction_equivalence_small_sweep():
 def test_generator_is_deterministic_and_bounded():
     assert gen_random_tree_board(7, box_w=7, box_h=7, r=20) == gen_random_tree_board(7, box_w=7, box_h=7, r=20)
     odd_counts = Counter()
-    # more crystals than ODD_SET_LIMIT, so only the rewire cap keeps the bound
+    # more crystals than 16, so only the rewire cap keeps the bound
     for seed in range(8):
         for r in (17, 24, 32, 40):
             board = gen_random_tree_board(seed, box_w=8, box_h=8, r=r)
             assert len(board.crystals) == r and board.connected
             degree = Counter(c for bond in board.required_bonds for c in bond)
             odd_counts[sum(1 for c in range(r) if degree[c] % 2)] += 1
-    assert max(odd_counts) <= ODD_SET_LIMIT
+    assert max(odd_counts) <= 2 + 2 * REWIRE_LIMIT == 16
     assert len(odd_counts) > 3
     assert gen_random_tree_board(8, model="euclid").distance_model == "euclid"

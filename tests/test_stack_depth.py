@@ -1,10 +1,19 @@
-"""The exhaustive searches keep their own stacks: each decides an instance
-whose search goes far deeper than 50 frames with only 50 frames to spare.
+"""The exhaustive searches and the bond matching keep their own stacks: each
+decides an instance whose search goes far deeper than 50 frames with only 50
+frames to spare.
 """
 
 import sys
 
-from riftpuzzles.crystal_bonds import apply_start_gadget, brute_force_crystal_bonds, reduce_grid_to_dcb
+from riftpuzzles.crystal_bonds import (
+    BondBoard,
+    apply_start_gadget,
+    brute_force_crystal_bonds,
+    reduce_grid_to_dcb,
+    solve_crystal_bonds,
+    verify_bond_walk,
+)
+from riftpuzzles.geometry import TileRegion, tile_center
 from riftpuzzles.graphs import GridGraph, enumerate_grid_graphs, has_ham_path_grid
 from riftpuzzles.hands_of_time import gen_solvable_clock, solve_clock, verify_clock_solution
 
@@ -23,14 +32,22 @@ def test_searches_run_within_fifty_spare_frames():
     gadget = apply_start_gadget(board, g)[0]
     assert len(gadget.required_bonds) == 8
     ladder = GridGraph(frozenset((x, y) for x in range(2) for y in range(300)))
+    # a hub with 47 one-crystal legs: 48 odd crystals for the matching
+    tiles = sorted((x, y) for x in range(7) for y in range(7))
+    spider = BondBoard(
+        TileRegion(frozenset(tiles)), tuple(map(tile_center, tiles[:48])), tile_center(tiles[48]),
+        tuple((0, leg) for leg in range(1, 48)), "grid",
+    )
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(depth() + 50)
     try:
         solution = solve_clock(clock)
         walk = brute_force_crystal_bonds(gadget)
         has_path = has_ham_path_grid(ladder)
+        bonds = solve_crystal_bonds(spider)
     finally:
         sys.setrecursionlimit(old)
     assert solution is not None and verify_clock_solution(clock, solution).ok
     assert walk.visit_sequence
     assert has_path
+    assert verify_bond_walk(spider, bonds).ok
