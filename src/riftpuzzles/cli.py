@@ -123,7 +123,7 @@ def _build_parser() -> _Parser:
     reduce.set_defaults(run=_cmd_reduce)
     reduce.add_argument("kind", choices=tuple(_REDUCERS))
     reduce.add_argument("input", help="grid-graph or digraph document path, or -")
-    reduce.add_argument("--gadget", action="store_true", help="dcb: pin the start tile")
+    reduce.add_argument("--gadget", action="store_true", default=None, help="dcb: pin the start tile")
 
     verify = sub.add_parser("verify", help="check a solution or certificate")
     verify.set_defaults(run=_cmd_verify)
@@ -143,7 +143,7 @@ def _build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="run an equivalence family")
     sweep.set_defaults(run=_cmd_sweep)
-    sweep.add_argument("family", choices=tuple(_SWEEPS))
+    sweep.add_argument("kind", choices=tuple(_SWEEPS), metavar="family")
     sweep.add_argument("--box", type=_box, default=(3, 3))
     sweep.add_argument("--max-v", type=int, default=6)
     sweep.add_argument("--count", type=int, default=100)
@@ -384,7 +384,7 @@ _SWEEPS = {
 
 
 def _cmd_sweep(args) -> int:
-    items, worker = _SWEEPS[args.family]
+    items, worker = _SWEEPS[args.kind]
     for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
         if value < 1:
             raise CliError(f"{flag} wants at least 1, got {value}")
@@ -394,7 +394,7 @@ def _cmd_sweep(args) -> int:
     todo = items(args)
     if not todo:
         # a sweep that checked nothing must not read as an all-pass
-        raise CliError(f"sweep {args.family} has no items; nothing was checked")
+        raise CliError(f"sweep {args.kind} has no items; nothing was checked")
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # a third of this module's import time
 
@@ -449,11 +449,23 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+# verb -> {option defaulting to None: the kinds that read it}; others refuse it
+_READERS = {
+    "solve": {"threshold": {"dcb"}, "budget": {"tile", "clock"}},
+    "reduce": {"gadget": {"dcb"}},
+    "verify": {"budget": {"cert"}},
+    "sweep": {"budget": {"clock"}, "model": {"cb-oracle"}},
+}
+
+
 def main(argv=None) -> int:
     """Run one command line and return its exit status.  Repeated calls in
     one process reuse one parser; each call parses into a fresh namespace."""
     try:
         args = _build_parser().parse_args(argv)
+        for option, kinds in _READERS.get(args.command, {}).items():
+            if getattr(args, option) is not None and args.kind not in kinds:
+                raise CliError(f"{args.command} {args.kind} takes no --{option}")
         return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,24 +1,23 @@
-"""Grid graphs, digraphs, and exhaustive Hamiltonicity oracles.
+"""Grid graphs, digraphs, and exact Hamiltonicity oracles.
 
 A grid graph is an induced subgraph of the integer lattice: two vertices are
-adjacent exactly when their Euclidean distance is 1.  The oracles here are
-deliberately brute force; they referee the puzzle reductions on small
-instances and are not meant to scale.
+adjacent exactly when their Euclidean distance is 1.  The oracles referee
+the puzzle reductions: grid Hamiltonicity is a frontier DP whose states grow
+with the box's narrower side, and directed paths a subset DP.
 
-One grid BFS serves the package (connectivity, the Hamiltonian search's
-remainder prune, grid distances, the Tile Trial prune).  Connectivity is
-asked once per set, so it floods cell by cell.  Where one set is flooded
-many times, a tile set whose bounding box holds at most ``_PACK_BOX`` cells,
-or at most ``_PACK_DENSITY`` cells per tile, is packed into one Python int,
-a row per stride of width + 1 bits, and a BFS level is four shifts and a
-mask over the whole set.  Sparser sets with a larger box keep a per-cell
-loop, so far-apart tiles never cost a bounding-box-sized int.  Distances are
-symmetric, so the BFS from the i-th tile of a list stops once it has reached
-every later tile and fills both halves of the matrix.  Reachability alone
-(both prunes) need not pay per level: a flood that is still going after a
-fixed dozen levels switches to rounds that each fill whole row and column
-runs, so a long corridor costs a few rounds per turn instead of a level per
-tile.
+One grid BFS serves the package (connectivity, grid distances, the Tile
+Trial prune).  Connectivity is asked once per set, so it floods cell by
+cell.  Where one set is flooded many times, a tile set whose bounding box
+holds at most ``_PACK_BOX`` cells, or at most ``_PACK_DENSITY`` cells per
+tile, is packed into one Python int, a row per stride of width + 1 bits,
+and a BFS level is four shifts and a mask over the whole set.  Sparser sets
+with a larger box keep a per-cell loop, so far-apart tiles never cost a
+bounding-box-sized int.  Distances are symmetric, so the BFS from the i-th
+tile of a list stops once it has reached every later tile and fills both
+halves of the matrix.  Reachability alone (the Tile Trial prune) need not
+pay per level: a flood that is still going after a fixed dozen levels
+switches to rounds that each fill whole row and column runs, so a long
+corridor costs a few rounds per turn instead of a level per tile.
 """
 
 from __future__ import annotations
@@ -36,6 +35,9 @@ ORTHO_STEPS: tuple[Vertex, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 # subset-DP oracle refuses anything bigger than this
 DIRECTED_SEARCH_LIMIT = 16
+
+# grid Hamiltonicity gives up past this many frontier states at one vertex
+FRONTIER_STATE_LIMIT = 10_000
 
 ENUM_BOX_LIMIT = 12
 
@@ -299,67 +301,60 @@ def grid_edges(g: GridGraph) -> set[tuple[Vertex, Vertex]]:
     return edges
 
 
-def _colour_excess(g: GridGraph) -> int:
-    """How many more vertices one colour class has than the other, a vertex
-    (x, y) being coloured (x + y) mod 2.  Every edge joins the two classes,
-    so a Hamiltonian path alternates them: it needs an excess of at most 1,
-    and a cycle needs none (Itai, Papadimitriou & Szwarcfiter, 1982)."""
-    odd = sum((x + y) & 1 for x, y in g.vertices)
-    return abs(len(g) - 2 * odd)
-
-
 def has_ham_cycle_grid(g: GridGraph) -> bool:
-    """Exhaustive Hamiltonian-cycle test; graphs on fewer than 4 vertices fail."""
-    if len(g) < 4 or _colour_excess(g):
-        return False
-    if any(g.degree(v) < 2 for v in g.vertices) or not g.is_connected():
-        return False
-    start = min(g.vertices)
-    return _ham_search(g, [start], start)
+    """Hamiltonian-cycle test; graphs on fewer than 4 vertices fail."""
+    return _ham_frontier(g, cycle=True)
 
 
 def has_ham_path_grid(g: GridGraph) -> bool:
-    """Exhaustive Hamiltonian-path test; a single vertex counts as a path."""
-    if _colour_excess(g) > 1 or not g.is_connected():
-        return False
-    return _ham_search(g, g.sorted_vertices(), None)
+    """Hamiltonian-path test; a single vertex counts as a path."""
+    return _ham_frontier(g, cycle=False)
 
 
-def _ham_search(g: GridGraph, starts: list[Vertex], anchor: Vertex | None) -> bool:
-    """Backtracking search for a Hamiltonian path from any of `starts`.
+# (edge right, edge up) a vertex may add, by [has a right][has an upper] neighbour
+_MOVES = (((0, 0),), ((0, 0), (0, 1))), (((0, 0), (1, 0)), ((0, 0), (0, 1), (1, 0), (1, 1)))
 
-    With an anchor the path must end beside it, closing a cycle through the
-    anchor; without one any covering path counts.  `g` must be connected,
-    which bounds its bitboard by its vertex count squared.  One loop keeps a
-    neighbour iterator per path vertex on an explicit stack, so its depth is
-    not bounded by the interpreter's recursion limit; the root iterator
-    offers the starts in order, and every deeper one its vertex's neighbours.
+
+def _ham_frontier(g: GridGraph, cycle: bool) -> bool:
+    """Frontier DP over the vertices in row order, rows across the narrower
+    side of the box (the transfer-matrix method: Knuth's SIMPATH, TAOCP 4A
+    7.1.4; Kawahara, Inoue, Iwashita & Minato, 2017).  A state is the path
+    ends placed (at most 2) and the tour's edges from the vertices seen to
+    the rest, keyed by the vertex each enters (from the left, then up, in
+    visiting order) and labelled by segment, renumbered by first occurrence.
+    A loop may close, or a segment finish, only at the last vertex, with an
+    empty frontier: that one rule covers degree, connectivity and parity.
     """
-    board = _pack(g.vertices)
-    bit = {v: 1 << board.index(v) for v in g.vertices}
-    anchor_bit = 0 if anchor is None else bit[anchor]
-    path: list[Vertex] = []
-    free = board.cells
-    stack: list[Iterator[Vertex]] = [iter(starts)]
-    while stack:
-        for nxt in stack[-1]:
-            if free & bit[nxt]:
-                free ^= bit[nxt]
-                path.append(nxt)
-                # every unvisited vertex and the cycle anchor, if any, must
-                # stay reachable from the new head through unvisited
-                # territory; with none left, that is the goal test: only a
-                # head beside the anchor passes
-                open_ = free | anchor_bit
-                grow = _reaches(bit[nxt], open_, open_, board.stride)
-                if grow and not free:
-                    return True
-                stack.append(iter(g.neighbors(nxt) if grow else ()))
-                break
-        else:
-            stack.pop()
-            if path:
-                free ^= bit[path.pop()]
+    xs, ys = zip(*g.vertices)
+    order = sorted(g.vertices) if max(xs) - min(xs) > max(ys) - min(ys) else sorted(zip(ys, xs))
+    cells = set(order)
+    most = 0 if cycle else 2  # path ends a finished tour has
+    states = {(0,): 0}  # labels -> path ends; a label seen once has a path end
+    for i, (r, c) in enumerate(order):
+        below, up = (r - 1, c) in cells, (r + 1, c) in cells
+        moves = _MOVES[(r, c + 1) in cells][up]
+        new = {}
+        for s, ends in states.items():
+            a, b, rest = (s[0], s[1], s[2:]) if below else (s[0], 0, s[1:])
+            if a and b and a != b:  # two segments join
+                rest = tuple([a if x == b else x for x in rest])
+            label = a or b or -1  # -1 starts a segment
+            for h, u in moves:
+                degree = (a > 0) + (b > 0) + h + u
+                placed = ends + 2 - degree
+                if degree > 2 or placed > most:
+                    continue
+                t = (label * h, *rest, label * u) if up else (label * h, *rest)
+                if label not in t:  # the segment is finished
+                    if i == len(order) - 1 and placed == most:
+                        return True
+                    continue
+                new[tuple([t.index(x) + 1 if x else 0 for x in t])] = placed
+        if len(new) > FRONTIER_STATE_LIMIT:
+            raise InstanceTooLarge(f"over {FRONTIER_STATE_LIMIT} frontier states at vertex {i + 1} of {len(order)}")
+        if not new:
+            break
+        states = new
     return False
 
 
@@ -387,14 +382,14 @@ class Digraph:
 
     vertex_count: int
     arcs: tuple[tuple[int, int], ...]
-    _succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)  # tail -> heads
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("digraph must have at least one vertex")
         object.__setattr__(self, "arcs", tuple((int(s), int(t)) for s, t in self.arcs))
         seen = set()
-        succ = [[] for _ in range(self.vertex_count)]
+        succ: dict[int, tuple[int, ...]] = {}
         for s, t in self.arcs:
             if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
                 raise ValueError(f"arc ({s},{t}) outside vertex range")
@@ -403,17 +398,17 @@ class Digraph:
             if (s, t) in seen:
                 raise ValueError(f"duplicate arc ({s},{t})")
             seen.add((s, t))
-            succ[s].append(t)
-        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
+            succ[s] = succ.get(s, ()) + (t,)
+        object.__setattr__(self, "_succ", succ)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         """Heads of v's arcs, in arc order."""
-        return self._succ[v]
+        return self._succ.get(v, ())
 
     @property
     def outdeg12(self) -> bool:
         """True when every vertex has outdegree 1 or 2."""
-        return all(len(heads) in (1, 2) for heads in self._succ)
+        return len(self._succ) == self.vertex_count and all(len(heads) <= 2 for heads in self._succ.values())
 
 
 def has_directed_ham_path(d: Digraph) -> bool:

@@ -143,19 +143,20 @@ class ReductionCertificate:
         for (j, t), p in norm:
             if p not in occupied:
                 raise ValueError(f"label ({j},{t}) points at empty position {p}")
-            if t == 0 and p != repunit(j):
-                raise ValueError(f"primary ({j},0) must sit at {repunit(j)}, got {p}")
         if len(norm) != len(occupied):
             raise ValueError("unlabeled occupied positions")
         d = self.source
         if not d.outdeg12:
             raise ValueError("every vertex needs outdegree 1 or 2")
-        # (j, 0) for every vertex, and (j, 1) for each second out-arc
+        # (j, 0) per vertex, (j, 1) per second out-arc: before any repunit of j
         want = {(j, t) for j in range(d.vertex_count) for t in range(len(d.out_neighbors(j)))}
         stray = sorted(want.symmetric_difference(label for label, _ in norm))
         if stray:
             j, t = stray[0]
             raise ValueError(f"label ({j},{t}) {'missing' if stray[0] in want else 'names no out-arc'}")
+        for (j, t), p in norm:
+            if t == 0 and p != repunit(j):
+                raise ValueError(f"primary ({j},0) must sit at {repunit(j)}, got {p}")
 
     @property
     def label_map(self) -> dict[tuple[int, int], int]:

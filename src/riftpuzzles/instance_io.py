@@ -173,12 +173,12 @@ _ENDS = {"S": "start", "F": "finish"}
 def _picture(marks: dict, blank: str) -> str:
     """The bounding box of the tiles `marks` names, one line per row, top row
     first: each cell is its tile's mark, or `blank` for a tile with none.
-    A box of more than 64 cells per mark plus 4,096 is refused (ValueError),
-    so a few far-apart marks cannot ask for an unbounded picture."""
+    A box past (marks + 64)^2 cells, which no connected set of marks nears,
+    is refused (ValueError): far-apart marks must not ask for a vast picture."""
     xs, ys = zip(*marks)
     columns = range(min(xs), max(xs) + 1)
     rows = range(max(ys), min(ys) - 1, -1)
-    if len(columns) * len(rows) > 64 * len(marks) + 4096:
+    if len(columns) * len(rows) > (len(marks) + 64) ** 2:
         raise ValueError(f"a {len(columns)}x{len(rows)} picture of {len(marks)} marks is too large to draw")
     return "".join("".join([marks.get((x, y), blank) for x in columns]) + "\n" for y in rows)
 

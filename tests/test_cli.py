@@ -560,6 +560,51 @@ def test_render_refuses_a_picture_far_larger_than_its_marks(tmp_path, capsys, ki
     assert (code, out, got) == (3, "", f"invalid input: {err} is too large to draw\n")
 
 
+@pytest.mark.parametrize("n", [400, 1000])
+def test_connected_staircases_render_and_reduce(tmp_path, capsys, n):
+    # a diagonal staircase's box grows with the square of its vertex count,
+    # and a connected set must still be drawn: as a grid graph, and as the
+    # tile board `reduce tile` writes and reads back
+    from riftpuzzles.graphs import GridGraph
+    from riftpuzzles.instance_io import parse, serialize
+    from riftpuzzles.tile_trial import reduce_grid_to_tile_trial
+
+    g = GridGraph(frozenset(((i + 1) // 2, i // 2) for i in range(n)))
+    path = doc(tmp_path, "stair.grid", serialize(g))
+    code, out, err = run(capsys, "render", "grid-graph", path)
+    assert (code, err, out.count("o")) == (0, "", n)
+    assert len(out.splitlines()) == n // 2 and {len(row) for row in out.splitlines()} == {n // 2 + 1}
+    code, out, err = run(capsys, "reduce", "tile", path)
+    assert (code, err) == (0, "")
+    board = parse("tile-board", out)
+    assert board == reduce_grid_to_tile_trial(g) and serialize(board) == out
+    assert run(capsys, "render", "tile-board", doc(tmp_path, "stair.tile", out))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "tile", "--gadget"),
+        ("reduce", "clock", "--gadget"),
+        ("solve", "tile", "--threshold", "1"),
+        ("solve", "clock", "--threshold", "0"),
+        ("solve", "dcb", "--budget", "1"),
+        ("sweep", "tile-trial", "--budget", "1"),
+        ("sweep", "geo-oracle", "--budget", "0"),
+        ("sweep", "dcb", "--model", "euclid"),
+        ("verify", "tile", "--budget", "1"),
+        ("verify", "dcb", "--budget", "1"),
+        ("verify", "clock", "--budget", "1"),
+    ],
+)
+def test_option_the_kind_would_ignore_is_refused(capsys, argv):
+    # refused before any document is read, so none need exist
+    verb, kind, option = argv[:3]
+    document = () if verb == "sweep" else ("missing.doc",)
+    code, out, err = run(capsys, verb, kind, *document, *argv[2:])
+    assert (code, out, err) == (3, "", f"error: {verb} {kind} takes no {option}\n")
+
+
 def test_bad_box_exits_3(capsys):
     code, _, err = run(capsys, "sweep", "geo-oracle", "--box", "four")
     assert code == 3

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -75,25 +76,111 @@ def test_ham_path_small_cases():
 
 
 def test_long_ladder_searched_without_recursion():
-    # 2x1000 ladders: 2,000 path steps, deeper than the default recursion
-    # limit allows for one frame per step, each pruned by a flood that
-    # crosses the ladder's length in fill rounds, not one level per rung
+    # 2x1000 ladders: a search would take 2,000 path steps, deeper than the
+    # default recursion limit allows for one frame per step; the DP keeps a
+    # few states per vertex whichever side the rows run across
     for w, h in ((2, 1000), (1000, 2)):
         g = gg(*[(x, y) for x in range(w) for y in range(h)])
         assert has_ham_cycle_grid(g)
         assert has_ham_path_grid(g)
 
 
-def test_colour_imbalance_decided_without_search(monkeypatch):
-    def search(*args):
-        raise AssertionError("searched a colour-imbalanced graph")
-
-    monkeypatch.setattr(graphs, "_ham_search", search)
+def test_colour_imbalanced_graphs_have_no_tour():
     # odd area: one colour class has a vertex more, so no cycle
     for w, h in ((5, 5), (3, 7)):
         assert not has_ham_cycle_grid(gg(*[(x, y) for x in range(w) for y in range(h)]))
     # the plus: four leaves of one colour round a centre of the other
     assert not has_ham_path_grid(gg((1, 1), (0, 1), (2, 1), (1, 0), (1, 2)))
+
+
+def former_colour_excess(g):
+    odd = sum((x + y) & 1 for x, y in g.vertices)
+    return abs(len(g) - 2 * odd)
+
+
+def former_ham_search(g, cycle):
+    """The backtracking search the frontier DP replaced, with its colour,
+    degree and connectivity pre-checks: an explicit stack of neighbour
+    iterators, each step pruned by a bitboard flood that must still reach
+    every unvisited vertex and, for a cycle, the anchor it has to close on."""
+    if cycle and (len(g) < 4 or former_colour_excess(g) or any(g.degree(v) < 2 for v in g.vertices)):
+        return False
+    if former_colour_excess(g) > 1 or not g.is_connected():
+        return False
+    starts = [min(g.vertices)] if cycle else g.sorted_vertices()
+    board = graphs._pack(g.vertices)
+    bit = {v: 1 << board.index(v) for v in g.vertices}
+    anchor_bit = bit[starts[0]] if cycle else 0
+    path, free, stack = [], board.cells, [iter(starts)]
+    while stack:
+        for nxt in stack[-1]:
+            if free & bit[nxt]:
+                free ^= bit[nxt]
+                path.append(nxt)
+                open_ = free | anchor_bit
+                grow = graphs._reaches(bit[nxt], open_, open_, board.stride)
+                if grow and not free:
+                    return True
+                stack.append(iter(g.neighbors(nxt) if grow else ()))
+                break
+        else:
+            stack.pop()
+            if path:
+                free ^= bit[path.pop()]
+    return False
+
+
+def test_frontier_dp_matches_former_search():
+    # every enumeration Tier-1 sweeps, both orientations of the narrow boxes
+    total = 0
+    for box in ((3, 4, 9), (2, 6, 12), (6, 2, 12), (3, 3, 9), (1, 12, 12), (12, 1, 12)):
+        for g in enumerate_grid_graphs(*box):
+            total += 1
+            for cycle, dp in ((True, has_ham_cycle_grid), (False, has_ham_path_grid)):
+                assert dp(g) == former_ham_search(g, cycle), (cycle, sorted(g.vertices))
+    assert total == 1051 + 2 * 681 + 218 + 2 * 78
+
+
+def holed_boards():
+    """The seeded holed boards: width 2-6, length 4-30, each cell kept with
+    probability 0.9; the 5x15 and 5x16 ones among the first 250."""
+    rng = random.Random(1)
+    for _ in range(250):
+        w, length = rng.randint(2, 6), rng.randint(4, 30)
+        cells = {(x, y) for x in range(w) for y in range(length) if rng.random() < 0.9}
+        if (w, length) in ((5, 15), (5, 16)):
+            yield gg(*cells)
+
+
+def test_holed_boards_decided_within_a_second():
+    boards = list(holed_boards())
+    assert [len(g) for g in boards] == [76, 69, 72, 72, 66]
+    for g in boards:
+        for oracle in (has_ham_cycle_grid, has_ham_path_grid):
+            began = time.perf_counter()
+            oracle(g)
+            assert time.perf_counter() - began < 1.0, (oracle.__name__, sorted(g.vertices))
+    assert [(has_ham_cycle_grid(g), has_ham_path_grid(g)) for g in boards] == [
+        (False, False), (False, True), (False, True), (False, False), (False, False),
+    ]
+
+
+def test_far_apart_vertices_decided_at_once():
+    g = gg((0, 0), (0, 2**53), (1, 1))
+    began = time.perf_counter()
+    assert not has_ham_cycle_grid(g) and not has_ham_path_grid(g)
+    assert time.perf_counter() - began < 1.0
+
+
+def test_wide_board_gives_up_at_the_state_cap():
+    # a 30x30 square: its rows cross 30 columns, far past the cap
+    square = gg(*[(x, y) for x in range(30) for y in range(30)])
+    for oracle in (has_ham_cycle_grid, has_ham_path_grid):
+        began = time.perf_counter()
+        with pytest.raises(InstanceTooLarge) as refused:
+            oracle(square)
+        assert str(refused.value).startswith(f"over {graphs.FRONTIER_STATE_LIMIT} frontier states at vertex ")
+        assert time.perf_counter() - began < 1.0
 
 
 def test_ham_cycle_matches_permutation_brute_force():
@@ -114,6 +201,20 @@ def test_ham_cycle_matches_permutation_brute_force():
     assert sum(has_ham_cycle_grid(g) for g in graphs) > 5
     for g in graphs:
         assert has_ham_cycle_grid(g) == naive(g), sorted(g.vertices)
+
+
+def test_ham_path_matches_permutation_brute_force():
+    def naive(g):
+        edges = grid_edges(g)
+        return any(
+            all((min(a, b), max(a, b)) in edges for a, b in zip(order, order[1:]))
+            for order in itertools.permutations(g.sorted_vertices())
+        )
+
+    graphs = list(enumerate_grid_graphs(3, 3, 6))
+    assert sum(has_ham_path_grid(g) for g in graphs) > 20
+    for g in graphs:
+        assert has_ham_path_grid(g) == naive(g), sorted(g.vertices)
 
 
 def test_cycle_implies_path():
@@ -203,7 +304,7 @@ def symmetric_orientation(g: GridGraph) -> Digraph:
 
 
 def test_directed_oracle_agrees_with_grid_path_oracle():
-    # independent routes: backtracking on the lattice vs subset DP on the
+    # independent routes: frontier DP on the lattice vs subset DP on the
     # symmetric orientation
     for g in enumerate_grid_graphs(3, 3, 7):
         assert has_directed_ham_path(symmetric_orientation(g)) == has_ham_path_grid(g)

@@ -3,9 +3,9 @@
 Dense tile sets and sets in a small bounding box run as bitboards (one int,
 a pad column per row), sparse ones in a large box through the per-cell
 loop; both must give the reference's values and types: an int step count,
-or math.inf when cut off.  The searches' flood, `_reaches`, must give the
-reference's verdict whether it stays on plain levels or switches to
-whole-run fill rounds.
+or math.inf when cut off.  The Tile Trial prune's flood, `_reaches`, must
+give the reference's verdict whether it stays on plain levels or switches
+to whole-run fill rounds.
 """
 
 import math

@@ -21,9 +21,7 @@ PACKAGE = pathlib.Path(riftpuzzles.__file__).parent
 
 # (solver, referee) -> the private helpers both reach
 SHARED = {
-    ("tile_trial.solve_tile_trial", "graphs.has_ham_cycle_grid"): {
-        "graphs._Bitboard", "graphs._grid_bfs", "graphs._pack", "graphs._reaches", "graphs._run_fill",
-    },
+    ("tile_trial.solve_tile_trial", "graphs.has_ham_cycle_grid"): set(),
     ("geometry.euclidean_geodesic", "geometry.fine_grid_distance"): {
         "geometry._classify_corners", "geometry._exact_tile", "geometry._point_in",
     },
@@ -34,9 +32,7 @@ SHARED = {
         "geometry._line_walk", "geometry._point_in", "geometry._scaled", "geometry._walk",
         "graphs._Bitboard", "graphs._grid_bfs", "graphs._grid_distances", "graphs._pack",
     },
-    ("crystal_bonds.decide_dcb", "graphs.has_ham_path_grid"): {
-        "graphs._Bitboard", "graphs._grid_bfs", "graphs._pack",
-    },
+    ("crystal_bonds.decide_dcb", "graphs.has_ham_path_grid"): set(),
     ("hands_of_time.solve_clock", "graphs.has_directed_ham_path"): set(),
 }
 
@@ -46,8 +42,6 @@ REFERENCES = {
     "graphs._pack": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
     "graphs._grid_bfs": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
     "graphs._grid_distances": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
-    "graphs._reaches": ["test_grid_bfs::test_reaches_matches_per_cell_flood"],
-    "graphs._run_fill": ["test_grid_bfs::test_reaches_matches_per_cell_flood"],
     "geometry._classify_corners": ["test_geometry::test_classify_corners_matches_brute_force_count"],
     "geometry._point_in": ["test_geometry::test_point_in_matches_fraction_reference"],
     "geometry._exact_tile": ["test_geometry::test_query_points_past_the_tile_limit_rejected"],

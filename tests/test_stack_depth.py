@@ -1,6 +1,6 @@
-"""The exhaustive searches and the bond matching keep their own stacks: each
-decides an instance whose search goes far deeper than 50 frames with only 50
-frames to spare.
+"""The exhaustive searches, the grid Hamiltonicity DP and the bond matching
+keep their own stacks: each decides an instance whose search would go far
+deeper than 50 frames with only 50 frames to spare.
 """
 
 import sys
@@ -14,7 +14,7 @@ from riftpuzzles.crystal_bonds import (
     verify_bond_walk,
 )
 from riftpuzzles.geometry import TileRegion, tile_center
-from riftpuzzles.graphs import GridGraph, enumerate_grid_graphs, has_ham_path_grid
+from riftpuzzles.graphs import GridGraph, enumerate_grid_graphs, has_ham_cycle_grid, has_ham_path_grid
 from riftpuzzles.hands_of_time import gen_solvable_clock, solve_clock, verify_clock_solution
 
 
@@ -31,7 +31,7 @@ def test_searches_run_within_fifty_spare_frames():
     board, _ = reduce_grid_to_dcb(g)
     gadget = apply_start_gadget(board, g)[0]
     assert len(gadget.required_bonds) == 8
-    ladder = GridGraph(frozenset((x, y) for x in range(2) for y in range(300)))
+    ladder = GridGraph(frozenset((x, y) for x in range(2) for y in range(5000)))
     # a hub with 47 one-crystal legs: 48 odd crystals for the matching
     tiles = sorted((x, y) for x in range(7) for y in range(7))
     spider = BondBoard(
@@ -43,11 +43,12 @@ def test_searches_run_within_fifty_spare_frames():
     try:
         solution = solve_clock(clock)
         walk = brute_force_crystal_bonds(gadget)
+        has_cycle = has_ham_cycle_grid(ladder)
         has_path = has_ham_path_grid(ladder)
         bonds = solve_crystal_bonds(spider)
     finally:
         sys.setrecursionlimit(old)
     assert solution is not None and verify_clock_solution(clock, solution).ok
     assert walk.visit_sequence
-    assert has_path
+    assert has_cycle and has_path
     assert verify_bond_walk(spider, bonds).ok
