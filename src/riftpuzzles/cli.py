@@ -137,14 +137,14 @@ def _build_parser() -> _Parser:
     gen.add_argument("kind", choices=tuple(_GENERATORS))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1)
-    gen.add_argument("--box", type=_box, default=(6, 6), help="WxH sampling box")
+    gen.add_argument("--box", type=_box, help="WxH sampling box (default 6x6)")
     gen.add_argument("--max-v", type=int, help="size parameter (vertices, crystals, or clock nodes)")
-    gen.add_argument("--model", choices=MODELS, default="grid")
+    gen.add_argument("--model", choices=MODELS, help="bond-board distance model (default grid)")
 
     sweep = sub.add_parser("sweep", help="run an equivalence family")
     sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("kind", choices=tuple(_SWEEPS), metavar="family")
-    sweep.add_argument("--box", type=_box, default=(3, 3))
+    sweep.add_argument("--box", type=_box, help="WxH box (default 3x3)")
     sweep.add_argument("--max-v", type=int, default=6)
     sweep.add_argument("--count", type=int, default=100)
     sweep.add_argument("--seed", type=int, default=0)
@@ -274,7 +274,7 @@ _GENERATORS = {
     ),
     "digraph": lambda seed, w, h, args: gen_random_digraph(args.max_v or 5, seed),
     "bond-board": lambda seed, w, h, args: gen_random_tree_board(
-        seed, box_w=w, box_h=h, r=args.max_v or 7, model=args.model
+        seed, box_w=w, box_h=h, r=args.max_v or 7, model=args.model or "grid"
     ),
     "clock": lambda seed, w, h, args: gen_random_clock(args.max_v or 8, seed),
     "solvable-clock": lambda seed, w, h, args: gen_solvable_clock(args.max_v or 8, seed),
@@ -283,7 +283,7 @@ _GENERATORS = {
 
 def _cmd_gen(args) -> int:
     generate = _GENERATORS[args.kind]
-    docs = [serialize(generate(args.seed + i, *args.box, args)) for i in range(args.count)]
+    docs = [serialize(generate(args.seed + i, *(args.box or (6, 6)), args)) for i in range(args.count)]
     sys.stdout.write("---\n".join(docs))
     return EXIT_OK
 
@@ -354,7 +354,7 @@ def _sweep_geo_item(task: tuple[int, int, int]) -> tuple[bool, str]:
 
 
 def _box_graph_items(args) -> list[GridGraph]:
-    w, h = args.box
+    w, h = args.box or (3, 3)
     return [g for g in enumerate_grid_graphs(w, h, args.max_v) if len(g) >= 2]
 
 
@@ -369,7 +369,7 @@ def _cb_items(args) -> list[tuple[int, str]]:
 
 
 def _geo_items(args) -> list[tuple[int, int, int]]:
-    w, h = args.box
+    w, h = args.box or (3, 3)
     return [(args.seed + i, w, h) for i in range(args.count)]
 
 
@@ -449,12 +449,14 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-# verb -> {option defaulting to None: the kinds that read it}; others refuse it
+# verb -> {option defaulting to None: the kinds that read it}; other kinds
+# refuse it (--box and gen's --model take their defaults where they are read)
 _READERS = {
     "solve": {"threshold": {"dcb"}, "budget": {"tile", "clock"}},
     "reduce": {"gadget": {"dcb"}},
     "verify": {"budget": {"cert"}},
-    "sweep": {"budget": {"clock"}, "model": {"cb-oracle"}},
+    "gen": {"box": {"grid-graph", "bond-board"}, "model": {"bond-board"}},
+    "sweep": {"box": {"tile-trial", "dcb", "geo-oracle"}, "budget": {"clock"}, "model": {"cb-oracle"}},
 }
 
 

@@ -36,8 +36,10 @@ ORTHO_STEPS: tuple[Vertex, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 # subset-DP oracle refuses anything bigger than this
 DIRECTED_SEARCH_LIMIT = 16
 
-# grid Hamiltonicity gives up past this many frontier states at one vertex
+# grid Hamiltonicity gives up past this many frontier states at one vertex,
+# or past 20 times as many summed over its scan (about a second)
 FRONTIER_STATE_LIMIT = 10_000
+_SCAN_STATE_LIMIT = 20 * FRONTIER_STATE_LIMIT
 
 ENUM_BOX_LIMIT = 12
 
@@ -330,6 +332,7 @@ def _ham_frontier(g: GridGraph, cycle: bool) -> bool:
     cells = set(order)
     most = 0 if cycle else 2  # path ends a finished tour has
     states = {(0,): 0}  # labels -> path ends; a label seen once has a path end
+    seen = 0
     for i, (r, c) in enumerate(order):
         below, up = (r - 1, c) in cells, (r + 1, c) in cells
         moves = _MOVES[(r, c + 1) in cells][up]
@@ -352,6 +355,9 @@ def _ham_frontier(g: GridGraph, cycle: bool) -> bool:
                 new[tuple([t.index(x) + 1 if x else 0 for x in t])] = placed
         if len(new) > FRONTIER_STATE_LIMIT:
             raise InstanceTooLarge(f"over {FRONTIER_STATE_LIMIT} frontier states at vertex {i + 1} of {len(order)}")
+        seen += len(new)
+        if seen > _SCAN_STATE_LIMIT:
+            raise InstanceTooLarge(f"over {_SCAN_STATE_LIMIT} frontier states in all by vertex {i + 1} of {len(order)}")
         if not new:
             break
         states = new

@@ -33,9 +33,15 @@ invariants are checked last.  A repeated `model`, `start`, `vertices` or
 `circumference` line, or a second `verdict` line of the same name, is an
 error at the repeat.  A bond-walk length must be finite: a NaN would pass
 the verifier's length check.
+
+A bond board in the serializer's own form (`model`, `start`, then the
+`tile`, `crystal` and `bond` blocks, LF endings, a final newline) is read in
+bulk; any other text is read line by line, the path that reports errors.
 """
 
 from __future__ import annotations
+
+import re
 
 from .crystal_bonds import BondBoard, BondWalk
 from .geometry import TileRegion, tile_center, tile_of
@@ -262,9 +268,34 @@ _BOND_BOARD_LINES = {
     "bond": (_ints, 2),
 }
 
+# the serializer's head, and a line out of form in a block of `key` lines
+_BOND_HEAD = re.compile(r"model (grid|euclid)\nstart (?:free|(-?[0-9]+) (-?[0-9]+))\n")
+_OUT_OF_FORM = {key: re.compile(rf"\n(?!{key} -?[0-9]+ -?[0-9]+\n|\Z)") for key in ("tile", "crystal", "bond")}
+
+
+def _bulk_bond_board(text: str) -> tuple[dict[str, list], int] | None:
+    """`_keyed`'s result for a document in the serializer's form, or None."""
+    head = _BOND_HEAD.match(text)
+    if head is None:
+        return None
+    cuts = [head.end(), text.find("\ncrystal ", head.end() - 1) + 1]
+    cuts += [text.find("\nbond ", cuts[1] - 1) + 1, len(text)]
+    if 0 in cuts:  # no crystal or no bond line
+        return None
+    try:  # int() refuses a field past its digit limit
+        got = {"model": [head[1]], "start": [None if head[2] is None else (int(head[2]), int(head[3]))]}
+        for key, lo, hi in zip(_OUT_OF_FORM, cuts, cuts[1:]):
+            if _OUT_OF_FORM[key].search(text, lo - 1, hi):  # from the newline before the block
+                return None
+            fields = map(int, text[lo:hi].replace(key + " ", "").split())
+            got[key] = list(zip(fields, fields))
+    except ValueError:
+        return None
+    return got, text.count("\n")
+
 
 def _parse_bond_board(text: str) -> BondBoard:
-    got, last = _keyed(_lines(text), _BOND_BOARD_LINES, {"model": 1, "start": 1})
+    got, last = _bulk_bond_board(text) or _keyed(_lines(text), _BOND_BOARD_LINES, {"model": 1, "start": 1})
     if not got["model"]:
         _fail(last, "missing model line")
     if not got["start"]:

@@ -595,12 +595,19 @@ def test_connected_staircases_render_and_reduce(tmp_path, capsys, n):
         ("verify", "tile", "--budget", "1"),
         ("verify", "dcb", "--budget", "1"),
         ("verify", "clock", "--budget", "1"),
+        ("sweep", "clock", "--box", "3x3"),
+        ("sweep", "cb-oracle", "--box", "3x3"),
+        ("gen", "digraph", "--box", "5x5"),
+        ("gen", "clock", "--box", "5x5"),
+        ("gen", "solvable-clock", "--box", "5x5"),
+        ("gen", "grid-graph", "--model", "euclid"),
+        ("gen", "clock", "--model", "grid"),
     ],
 )
 def test_option_the_kind_would_ignore_is_refused(capsys, argv):
     # refused before any document is read, so none need exist
     verb, kind, option = argv[:3]
-    document = () if verb == "sweep" else ("missing.doc",)
+    document = () if verb in ("sweep", "gen") else ("missing.doc",)
     code, out, err = run(capsys, verb, kind, *document, *argv[2:])
     assert (code, out, err) == (3, "", f"error: {verb} {kind} takes no {option}\n")
 

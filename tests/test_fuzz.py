@@ -7,6 +7,10 @@ or a line dropped, duplicated, truncated or swapped.  It then goes in
 process through every `solve`, `reduce`, `render` and `verify` command that
 reads its kind.  Every call must end within its alarm with an exit status
 of 0 to 3, and no exception may escape `cli.main`.
+
+Bond-board mutants also go through both of `instance_io`'s readers: the
+bulk reader of serializer-form documents and the line reader.  They must
+give equal values, or errors of the same type and message.
 """
 
 import contextlib
@@ -17,7 +21,11 @@ import time
 
 import pytest
 
+from riftpuzzles import instance_io
 from riftpuzzles.cli import main
+from riftpuzzles.crystal_bonds import MODELS, apply_start_gadget, gen_random_tree_board, reduce_grid_to_dcb
+from riftpuzzles.graphs import GridGraph
+from riftpuzzles.instance_io import parse, serialize
 
 FIELDS = ("0", "-1", str(2**53), "nan", "1e400", "x")
 MUTANTS_PER_SEED = 30
@@ -150,3 +158,27 @@ def test_vast_indices_in_small_documents_answer_at_once(tmp_path, alarmed):
     outdegree = "invalid input: every vertex needs outdegree 1 or 2\n"
     assert call("reduce", "clock", digraph) == (3, "", outdegree)
     assert call("verify", "cert", cert) == (3, "", "input error: line 8: label (0,0) missing\n")
+
+
+def outcome(text):
+    """`parse("bond-board", text)`: its value, or its error's type and message."""
+    try:
+        return parse("bond-board", text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_bulk_and_line_readers_agree_on_mutants(monkeypatch):
+    graph = GridGraph(frozenset({(0, 0), (1, 0), (1, 1), (0, 1), (2, 1)}))
+    board, _ = reduce_grid_to_dcb(graph)
+    boards = [board, apply_start_gadget(board, graph)[0]]  # start free, start -1 0
+    boards += [gen_random_tree_board(seed, 6, 6, 2 + seed, model) for seed in range(6) for model in MODELS]
+    rng = random.Random(11)
+    docs = [serialize(b) for b in boards]
+    texts = docs + [mutate(doc, rng) for doc in docs for _ in range(150)]
+    bulk = sum(instance_io._bulk_bond_board(text) is not None for text in texts)
+    assert len(docs) < bulk < len(texts)  # both readers are exercised
+    got = [outcome(text) for text in texts]
+    monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: None)
+    for text, value in zip(texts, got):
+        assert outcome(text) == value, text

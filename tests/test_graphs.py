@@ -183,6 +183,18 @@ def test_wide_board_gives_up_at_the_state_cap():
         assert time.perf_counter() - began < 1.0
 
 
+def test_long_board_gives_up_at_the_scan_cap():
+    # 8 wide and 1,000 long: under the cap at each vertex, but the states
+    # summed over the scan pass theirs within seconds (the whole scan would
+    # take minutes)
+    board = gg(*[(x, y) for x in range(8) for y in range(1000)])
+    began = time.perf_counter()
+    with pytest.raises(InstanceTooLarge) as refused:
+        has_ham_path_grid(board)
+    assert str(refused.value).startswith(f"over {graphs._SCAN_STATE_LIMIT} frontier states in all by vertex ")
+    assert time.perf_counter() - began < 10.0
+
+
 def test_ham_cycle_matches_permutation_brute_force():
     # fix the minimum vertex, try every order of the rest, close the loop
     def naive(g):

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from riftpuzzles import instance_io
 from riftpuzzles.crystal_bonds import (
     BondBoard,
     apply_start_gadget,
@@ -9,7 +11,7 @@ from riftpuzzles.crystal_bonds import (
     gen_random_tree_board,
     reduce_grid_to_dcb,
 )
-from riftpuzzles.geometry import gen_random_region, tile_center
+from riftpuzzles.geometry import TileRegion, gen_random_region, tile_center
 from riftpuzzles.graphs import (
     Digraph,
     GridGraph,
@@ -109,6 +111,60 @@ def test_bond_board_tile_limit():
     for x in (2**52, -(2**52)):
         with pytest.raises(ParseError, match=r"line 7: point .* strictly between -2\*\*52 and 2\*\*52"):
             parse("bond-board", text.format(x))
+
+
+SMALL_BOARD = "model grid\nstart free\ntile 1 2\ntile 2 2\ncrystal 1 2\ncrystal 2 2\nbond 0 1\n"
+WIDE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        (SMALL_BOARD.replace("tile 1 2", "tile +1 2"), parse("bond-board", SMALL_BOARD)),
+        (SMALL_BOARD.replace("tile 1 2", "tile 1_0 2").replace("crystal 1 2", "crystal 10 2"),
+         parse("bond-board", SMALL_BOARD.replace("1 2\n", "10 2\n"))),
+        (SMALL_BOARD.replace("\n", "\r\n"), parse("bond-board", SMALL_BOARD)),
+        (SMALL_BOARD[:-1], parse("bond-board", SMALL_BOARD)),
+        (SMALL_BOARD.replace("tile 1 2", f"tile {WIDE} 2"), f"line 3: expected integers, got '{WIDE} 2'"),
+        (SMALL_BOARD.replace("tile 2 2\ncrystal 1 2", "crystal 1 2\ntile 2 2"), parse("bond-board", SMALL_BOARD)),
+        ("model grid\n" + SMALL_BOARD, "line 2: repeated model line"),
+    ],
+    ids=["plus-sign", "underscore", "crlf", "no-final-newline", "5000-digits", "crystal-among-tiles",
+         "repeated-model"],
+)
+def test_bond_board_out_of_form_read_line_by_line(text, want):
+    # serializer-form text is read in bulk; anything else keeps the line
+    # reader's value or message
+    assert instance_io._bulk_bond_board(SMALL_BOARD) is not None
+    assert instance_io._bulk_bond_board(text) is None
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as refused:
+            parse("bond-board", text)
+        assert str(refused.value) == want
+    else:
+        assert parse("bond-board", text) == want
+
+
+def test_bulk_reader_memory_stays_near_the_line_reader(monkeypatch):
+    # a 64x64 board: a regex that validates a block by backtracking over a
+    # repeated group takes nearly twice the line reader's memory
+    tiles = frozenset((x, y) for x in range(64) for y in range(64))
+    crystals = tuple(tile_center((x, 0)) for x in range(0, 64, 2))
+    board = BondBoard(TileRegion(tiles), crystals, None, tuple((i, i + 1) for i in range(31)), "grid")
+    text = serialize(board)
+    assert instance_io._bulk_bond_board(text) is not None
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert parse("bond-board", text) == board
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bulk = peak()
+    monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: None)
+    assert bulk <= 1.5 * peak()
 
 
 def test_clock_roundtrip_and_dense_form():
