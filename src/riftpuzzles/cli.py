@@ -145,9 +145,9 @@ def _build_parser() -> _Parser:
     sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("kind", choices=tuple(_SWEEPS), metavar="family")
     sweep.add_argument("--box", type=_box, help="WxH box (default 3x3)")
-    sweep.add_argument("--max-v", type=int, default=6)
-    sweep.add_argument("--count", type=int, default=100)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--max-v", type=int)
+    sweep.add_argument("--count", type=int)
+    sweep.add_argument("--seed", type=int)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--budget", type=int)
     sweep.add_argument("--model", choices=MODELS)
@@ -386,8 +386,11 @@ _SWEEPS = {
 def _cmd_sweep(args) -> int:
     items, worker = _SWEEPS[args.kind]
     for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
-        if value < 1:
+        if value is not None and value < 1:
             raise CliError(f"{flag} wants at least 1, got {value}")
+    for option, default in (("count", 100), ("seed", 0), ("max_v", 6)):
+        if getattr(args, option) is None:
+            setattr(args, option, default)
     cpus = os.cpu_count() or 1
     if args.jobs > cpus:
         raise CliError(f"--jobs wants at most the CPU count {cpus}, got {args.jobs}")
@@ -450,13 +453,18 @@ def _cmd_render(args) -> int:
 
 
 # verb -> {option defaulting to None: the kinds that read it}; other kinds
-# refuse it (--box and gen's --model take their defaults where they are read)
+# refuse it (--box and gen's --model take their defaults where they are read,
+# sweep's --count, --seed and --max-v in _cmd_sweep)
 _READERS = {
     "solve": {"threshold": {"dcb"}, "budget": {"tile", "clock"}},
     "reduce": {"gadget": {"dcb"}},
     "verify": {"budget": {"cert"}},
     "gen": {"box": {"grid-graph", "bond-board"}, "model": {"bond-board"}},
-    "sweep": {"box": {"tile-trial", "dcb", "geo-oracle"}, "budget": {"clock"}, "model": {"cb-oracle"}},
+    "sweep": {
+        "box": {"tile-trial", "dcb", "geo-oracle"}, "budget": {"clock"}, "model": {"cb-oracle"},
+        "count": {"clock", "cb-oracle", "geo-oracle"}, "seed": {"clock", "cb-oracle", "geo-oracle"},
+        "max_v": {"tile-trial", "dcb", "clock"},
+    },
 }
 
 
@@ -467,7 +475,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         for option, kinds in _READERS.get(args.command, {}).items():
             if getattr(args, option) is not None and args.kind not in kinds:
-                raise CliError(f"{args.command} {args.kind} takes no --{option}")
+                raise CliError(f"{args.command} {args.kind} takes no --{option.replace('_', '-')}")
         return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,11 +9,11 @@ Three distance notions live here:
 
 * ``grid_distance``    -- orthogonal tile steps (BFS between tiles, on the
   shared bitboard engine of ``graphs`` when the region is dense enough),
-* ``euclidean_geodesic`` -- true shortest path length, via Dijkstra over a
-  reduced visibility graph: the query points plus the region's reflex
-  corners, keeping only corner pairs that can be bitangent.  Two query
-  points that see each other are at their straight distance, so Dijkstra
-  runs only until the query points a source does not see are settled,
+* ``euclidean_geodesic`` -- true shortest path length, over a reduced
+  visibility graph of the query points and the reflex corners, keeping only
+  corner pairs that can be bitangent.  Query points are never bend points,
+  so Dijkstra runs over the corners only; a query point out of sight takes
+  its distance from the settled corners in pop order, by the same EPS rule,
 * ``fine_grid_distance`` -- 8-connected shortest path on a 1/k sublattice,
   an upper distance oracle used to sanity-check the geodesics.  One rule
   admits all eight moves: the target node and the move's midpoint lie in
@@ -251,18 +251,19 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
     """Pairwise geodesic distances between query points.
 
     Builds one visibility graph over the query points plus the region's
-    reflex corners and runs Dijkstra from each query point.  A pair is not
-    tested when it meets a corner head-on, from the quadrant opposite the
-    missing one (or from inside it): a shortest path never bends there, so
-    only pairs that can be bitangent at their corner ends are kept
-    (Lozano-Pérez & Wesley 1979).  All nodes are scaled to integers once,
-    by their common denominator, for segment_admissible's cell walk.
+    reflex corners.  A pair is not tested when it meets a corner head-on,
+    from the quadrant opposite the missing one (or from inside it): a
+    shortest path never bends there, so only pairs that can be bitangent
+    at their corner ends are kept (Lozano-Pérez & Wesley 1979).  All nodes
+    are scaled to integers once, by their common denominator, for
+    segment_admissible's cell walk.
 
-    Two query points that see each other are at their straight distance:
-    no path is shorter, and Dijkstra's EPS test keeps the value the source's
-    own relaxation gives.  So each run stops once every query point the
-    source does not see has been popped, and a source that sees them all
-    pops only itself.
+    Query points are never bend points, so Dijkstra runs over the reflex
+    corners only.  A source is at its straight distance from every query
+    point it sees, and one that sees them all is done.  Otherwise each
+    query point out of its sight scans the corners settled from it, in
+    pop order, and keeps d + w whenever that beats its value by more than
+    EPS: the updates a full Dijkstra makes to it.
     """
     pinches, reflex = _classify_corners(region.tiles)
     for p in points:
@@ -279,7 +280,8 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
     free = [x % s or y % s or (x // s, y // s) not in pinches for x, y in scaled]
     tiles = region.tiles
     n = len(nodes)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    k = len(points)
+    nbrs: list[dict[int, float]] = [{} for _ in range(n)]  # each node's neighbour -> length
     for i in range(n):
         if not free[i]:
             continue
@@ -292,30 +294,33 @@ def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[l
             if dxdy * mi > 0 or dxdy * quadrant[j] > 0 or not free[j]:
                 continue
             if _walk(tiles, pinches, s, ai, bi, *scaled[j]):
-                w = math.hypot(xi - xj, yi - yj)
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-    k = len(points)
+                nbrs[i][j] = nbrs[j][i] = math.hypot(xi - xj, yi - yj)
+    corners = [[(v, w) for v, w in near.items() if v >= k] for near in nbrs]  # as lists, for the search
     result = []
     for src in range(k):
-        # the query points src does not see, and src itself
-        need = set(range(k)).difference(v for v, _ in adj[src])
-        dist = [math.inf] * n
-        dist[src] = 0.0
-        heap = [(0.0, src)]
+        row = [nbrs[src].get(q, math.inf) for q in range(k)]
+        row[src] = 0.0
+        out = [q for q in range(k) if row[q] == math.inf]
+        # Dijkstra over the corners, seeded by src's corner edges
+        heap = sorted((w, v) for v, w in corners[src]) if out else []
+        dist = {v: w for w, v in heap}
+        settled = []
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u] + EPS:
                 continue
-            for v, w in adj[u]:
+            settled.append((u, d))
+            for v, w in corners[u]:
                 nd = d + w
-                if nd < dist[v] - EPS:
+                if nd < dist.get(v, math.inf) - EPS:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-            need.discard(u)
-            if not need:
-                break
-        result.append(dist[:k])
+        for q in out:
+            near = nbrs[q]
+            for u, d in settled:
+                if u in near and d + near[u] < row[q] - EPS:
+                    row[q] = d + near[u]
+        result.append(row)
     return result
 
 

@@ -597,6 +597,9 @@ def test_connected_staircases_render_and_reduce(tmp_path, capsys, n):
         ("verify", "clock", "--budget", "1"),
         ("sweep", "clock", "--box", "3x3"),
         ("sweep", "cb-oracle", "--box", "3x3"),
+        ("sweep", "tile-trial", "--count", "5", "--seed", "3", "--box", "2x2"),
+        ("sweep", "geo-oracle", "--max-v", "9", "--count", "1"),
+        ("sweep", "cb-oracle", "--max-v", "9", "--count", "1"),
         ("gen", "digraph", "--box", "5x5"),
         ("gen", "clock", "--box", "5x5"),
         ("gen", "solvable-clock", "--box", "5x5"),

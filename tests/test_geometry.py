@@ -673,9 +673,74 @@ def reference_geodesic_matrix(r, points):
     return result
 
 
+def _serpentine(length, runs, width):
+    """Corridors `width` tiles wide, joined at alternate ends."""
+    tiles = set()
+    for r in range(runs):
+        y = r * (width + 1)
+        tiles |= {(x, y + dy) for x in range(length) for dy in range(width)}
+        if r + 1 < runs:
+            tiles.add((length - 1 if r % 2 == 0 else 0, y + width))
+    return TileRegion(frozenset(tiles))
+
+
+def _comb(teeth, height, gap):
+    """A spine row with teeth `height` tiles tall, `gap` tiles apart."""
+    span = teeth * (gap + 1)
+    tiles = {(x, 0) for x in range(span)} | {(x, y) for x in range(0, span, gap + 1) for y in range(height)}
+    return TileRegion(frozenset(tiles))
+
+
+def _bending_cases():
+    """Regions where most query pairs are out of sight and geodesics bend at
+    several corners, with query points on reflex corners and on the segment
+    between two of them."""
+    rng = random.Random(24)
+    cases = []
+    for n in range(40):
+        r = (_serpentine if n % 2 else _comb)(rng.randint(3, 7), rng.randint(2, 6), rng.randint(1, 3))
+        tiles = sorted(r.tiles)
+        reflex = [c for c, _ in _reflex_corners(r.tiles)]
+        points = [tile_center(t) for t in rng.sample(tiles, min(len(tiles), 8))]
+        points += rng.sample(reflex, min(len(reflex), 2))
+        x, y = tiles[rng.randrange(len(tiles))]
+        points.append((x + rng.randrange(5) / 4, y + rng.randrange(3) / 2))
+        cases.append((r, points))
+    # a strip with a bump at each end: the geodesic between the bump tops
+    # bends at the reflex corners (1, 1) and (5, 1), both query points here,
+    # and runs through the query point (3, 1) between them
+    bumps = region(*((x, 0) for x in range(6)), (0, 1), (5, 1))
+    cases.append((bumps, [(0.5, 1.5), (5.5, 1.5), (1.0, 1.0), (3.0, 1.0), (5.0, 1.0), (2.5, 0.5)]))
+    # a plus: its centre sees every other query point, the arm tips see
+    # only the centre and their own arm
+    plus = region(*((x, 2) for x in range(5)), *((2, y) for y in range(5)))
+    cases.append((plus, [(2.5, 2.5), (0.5, 2.5), (4.5, 2.5), (2.5, 0.5), (2.5, 4.5), (1.5, 2.5)]))
+    return cases
+
+
+def test_bending_cases_take_the_corner_search():
+    # pairs whose geodesic bends: a floor, so the cases cannot silently
+    # become open boards where every source sees every query point
+    cases = _bending_cases()
+    bent = 0
+    for r, points in cases:
+        for p, row in zip(points, euclidean_geodesic_matrix(r, points)):
+            bent += sum(math.hypot(p[0] - q[0], p[1] - q[1]) + 1e-9 < d < math.inf for q, d in zip(points, row))
+    assert bent > 2000
+    (bumps, points), (plus, plus_points) = cases[-2:]
+    m = euclidean_geodesic_matrix(bumps, points)
+    assert m[0][1] == pytest.approx(4 + SQRT2)
+    assert m[0][3] + m[3][1] == pytest.approx(m[0][1])
+    assert m[0][2] + m[2][4] + m[4][1] == pytest.approx(m[0][1])
+    m = euclidean_geodesic_matrix(plus, plus_points)
+    assert m[0] == [math.hypot(2.5 - x, 2.5 - y) for x, y in plus_points]
+    # two arm tips: around the corner (2, 2), not straight
+    assert m[1][3] == pytest.approx(2 * math.hypot(1.5, 0.5))
+
+
 def _identity_cases():
     rng = random.Random(77)
-    cases = []
+    cases = _bending_cases()
     # the benchmark's board sizes, and smaller ones
     for seed, size, r in [(1, 30, 40), (2, 30, 40), (3, 30, 40), (4, 50, 60), (5, 50, 60)]:
         board = gen_random_tree_board(seed, size, size, r, model="euclid")
