@@ -283,6 +283,9 @@ _GENERATORS = {
 
 def _cmd_gen(args) -> int:
     generate = _GENERATORS[args.kind]
+    if args.count < 1:
+        # an empty stdout with exit 0 would read as a generated set
+        raise CliError(f"--count wants at least 1, got {args.count}")
     docs = [serialize(generate(args.seed + i, *(args.box or (6, 6)), args)) for i in range(args.count)]
     sys.stdout.write("---\n".join(docs))
     return EXIT_OK

@@ -15,21 +15,22 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import (
     Point,
     TileRegion,
-    euclidean_geodesic_matrix,
     grid_distance_matrix,
     gen_random_region,
     tile_center,
     tile_of,
     _exact_tile,
+    _Geodesics,
     _scaled,
 )
-from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges
+from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges, _joined
 
 MODELS = ("grid", "euclid")
 
@@ -106,33 +107,36 @@ class BondWalk:
             raise ValueError("walk length cannot be negative")
 
 
-def crystal_metric(board: BondBoard) -> tuple[tuple[float, ...], ...]:
+def crystal_metric(board: BondBoard) -> Sequence[Sequence[float]]:
     """Pairwise walking distances over the crystals, start appended last.
 
     Row/column i < r is crystal i; when the board has a start point it
     occupies the final index r.  Raises UnreachableCrystal if any pair is
-    separated.  A process keeps the last metric built, keyed on the region,
-    the points and the distance model, so an equal board (a walk solved,
-    then verified) reuses it; its rows are tuples, so no caller can change
-    it.  A separated board caches nothing and raises on every call.
+    separated.  A grid metric is a tuple of tuples.  A euclid metric is a
+    tuple of read-only geometry._Row views that compute each entry on its
+    first read, after one tile flood from the first point has found every
+    point.
+    A process keeps the last metric built, keyed on the region, the points
+    and the distance model, so an equal board (a walk solved, then verified)
+    reuses it and the entries already read.  A separated board caches
+    nothing and raises on every call.
     """
     points = board.crystals if board.start is None else board.crystals + (board.start,)
     return _metric_of(board.region, points, board.distance_model)
 
 
 @lru_cache(maxsize=1)
-def _metric_of(
-    region: TileRegion, points: tuple[Point, ...], model: str
-) -> tuple[tuple[float, ...], ...]:
+def _metric_of(region: TileRegion, points: tuple[Point, ...], model: str) -> Sequence[Sequence[float]]:
+    cells = [tile_of(p) for p in points]
     if model == "grid":
-        matrix = grid_distance_matrix(region, [tile_of(p) for p in points])
+        metric = tuple(map(tuple, grid_distance_matrix(region, cells)))
+        joined = all(d < math.inf for row in metric for d in row)
     else:
-        matrix = euclidean_geodesic_matrix(region, list(points))
-    for row in matrix:
-        for d in row:
-            if math.isinf(d):
-                raise UnreachableCrystal("region does not connect all crystals")
-    return tuple(map(tuple, matrix))
+        joined = not cells or _joined(region.tiles, cells)
+        metric = _Geodesics(region, list(points)).rows() if joined else None
+    if not joined:
+        raise UnreachableCrystal("region does not connect all crystals")
+    return metric
 
 
 def _roots(n: int, edges) -> list[int]:

@@ -13,7 +13,9 @@ Three distance notions live here:
   visibility graph of the query points and the reflex corners, keeping only
   corner pairs that can be bitangent.  Query points are never bend points,
   so Dijkstra runs over the corners only; a query point out of sight takes
-  its distance from the settled corners in pop order, by the same EPS rule,
+  its distance from the settled corners in pop order, by the same EPS rule.
+  ``_Geodesics`` computes each entry when it is first read, so a caller
+  walks only the segments its entries need,
 * ``fine_grid_distance`` -- 8-connected shortest path on a 1/k sublattice,
   an upper distance oracle used to sanity-check the geodesics.  One rule
   admits all eight moves: the target node and the move's midpoint lie in
@@ -247,86 +249,119 @@ def _walk(
     return True
 
 
-def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[list[float]]:
-    """Pairwise geodesic distances between query points.
+class _Geodesics:
+    """Geodesic distances between query points, each computed when first
+    read; rows() gives them as a tuple of read-only _Row views.
 
-    Builds one visibility graph over the query points plus the region's
-    reflex corners.  A pair is not tested when it meets a corner head-on,
-    from the quadrant opposite the missing one (or from inside it): a
-    shortest path never bends there, so only pairs that can be bitangent
-    at their corner ends are kept (Lozano-Pérez & Wesley 1979).  All nodes
-    are scaled to integers once, by their common denominator, for
-    segment_admissible's cell walk.
+    The nodes are the query points, then the reflex corners in sorted order,
+    scaled to integers once by their common denominator for the cell walk.
+    A pair that meets a corner head-on, from the quadrant opposite the
+    missing one (or from inside it), is not tested: a shortest path never
+    bends there, so only pairs that can be bitangent at their corner ends
+    are kept (Lozano-Pérez & Wesley 1979).  A node on a pinch sees nothing.
 
-    Query points are never bend points, so Dijkstra runs over the reflex
-    corners only.  A source is at its straight distance from every query
-    point it sees, and one that sees them all is done.  Otherwise each
-    query point out of its sight scans the corners settled from it, in
-    pop order, and keeps d + w whenever that beats its value by more than
-    EPS: the updates a full Dijkstra makes to it.
+    Query points are never bend points, so Dijkstra runs over the corners
+    only.  Entry (i, j) is the straight length when the pair sees each
+    other; otherwise j scans the corners settled from i, in pop order, and
+    keeps d + w whenever that beats its value by more than EPS: the updates
+    a full Dijkstra from i makes to it.  Pair visibility, each node's corner
+    edges and each source's settled corners are kept, so no read order
+    changes a value.
     """
-    pinches, reflex = _classify_corners(region.tiles)
-    for p in points:
-        _exact_tile(p)
-        if not region_contains_point(region, p):
-            raise PointOutsideRegion(f"point {p} is outside the region")
-    nodes: list[Point] = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
-    # mx*my of each node's missing quadrant; 0 for query points
-    quadrant = [0] * len(points) + [mx * my for _, (mx, my) in reflex]
-    # every node as integers over the common power-of-two denominator s; a
-    # node on a pinch sees nothing
-    s, coords = _scaled(*(c for node in nodes for c in node))
-    scaled = list(zip(coords[::2], coords[1::2]))
-    free = [x % s or y % s or (x // s, y // s) not in pinches for x, y in scaled]
-    tiles = region.tiles
-    n = len(nodes)
-    k = len(points)
-    nbrs: list[dict[int, float]] = [{} for _ in range(n)]  # each node's neighbour -> length
-    for i in range(n):
-        if not free[i]:
-            continue
-        xi, yi = nodes[i]
-        mi = quadrant[i]
-        ai, bi = scaled[i]
-        for j in range(i + 1, n):
-            xj, yj = nodes[j]
+
+    def __init__(self, region: TileRegion, points: list[Point]) -> None:
+        pinches, reflex = _classify_corners(region.tiles)
+        for p in points:
+            _exact_tile(p)
+            if not region_contains_point(region, p):
+                raise PointOutsideRegion(f"point {p} is outside the region")
+        self.nodes = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
+        # mx*my of each node's missing quadrant; 0 for query points
+        self.quadrant = [0] * len(points) + [mx * my for _, (mx, my) in reflex]
+        s, coords = _scaled(*(c for node in self.nodes for c in node))
+        self.scaled = list(zip(coords[::2], coords[1::2]))
+        self.free = [x % s or y % s or (x // s, y // s) not in pinches for x, y in self.scaled]
+        self.walk_args = (region.tiles, pinches, s)
+        self.sight: dict[tuple[int, int], float | None] = {}  # (i, j), i < j -> length or None
+        self.corner_edges: dict[int, dict[int, float]] = {}
+        self.settled: dict[int, list[tuple[int, float]]] = {}
+        self.k = len(points)
+
+    def rows(self) -> tuple[_Row, ...]:
+        # the rows refer to the engine, never the reverse: no reference cycle
+        # keeps an evicted engine alive until the cyclic collector runs
+        return tuple(_Row(self, i) for i in range(self.k))
+
+    def _edge(self, i: int, j: int) -> float | None:
+        """The length of segment i-j when a geodesic may take it, else None."""
+        i, j = key = (i, j) if i < j else (j, i)
+        if key not in self.sight:
+            (xi, yi), (xj, yj) = self.nodes[i], self.nodes[j]
             dxdy = (xj - xi) * (yj - yi)
-            if dxdy * mi > 0 or dxdy * quadrant[j] > 0 or not free[j]:
-                continue
-            if _walk(tiles, pinches, s, ai, bi, *scaled[j]):
-                nbrs[i][j] = nbrs[j][i] = math.hypot(xi - xj, yi - yj)
-    corners = [[(v, w) for v, w in near.items() if v >= k] for near in nbrs]  # as lists, for the search
-    result = []
-    for src in range(k):
-        row = [nbrs[src].get(q, math.inf) for q in range(k)]
-        row[src] = 0.0
-        out = [q for q in range(k) if row[q] == math.inf]
-        # Dijkstra over the corners, seeded by src's corner edges
-        heap = sorted((w, v) for v, w in corners[src]) if out else []
-        dist = {v: w for w, v in heap}
-        settled = []
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] + EPS:
-                continue
-            settled.append((u, d))
-            for v, w in corners[u]:
-                nd = d + w
-                if nd < dist.get(v, math.inf) - EPS:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        for q in out:
-            near = nbrs[q]
-            for u, d in settled:
-                if u in near and d + near[u] < row[q] - EPS:
-                    row[q] = d + near[u]
-        result.append(row)
-    return result
+            seen = self.free[i] and self.free[j] and max(dxdy * self.quadrant[i], dxdy * self.quadrant[j]) <= 0
+            seen = seen and _walk(*self.walk_args, *self.scaled[i], *self.scaled[j])
+            self.sight[key] = math.hypot(xi - xj, yi - yj) if seen else None
+        return self.sight[key]
+
+    def _corners(self, u: int) -> dict[int, float]:
+        """Node u's edges to the reflex corners."""
+        if u not in self.corner_edges:
+            lengths = ((v, self._edge(u, v)) for v in range(self.k, len(self.nodes)) if v != u)
+            self.corner_edges[u] = {v: w for v, w in lengths if w is not None}
+        return self.corner_edges[u]
+
+    def _settled(self, src: int) -> list[tuple[int, float]]:
+        """The corners Dijkstra settles from src, in pop order, with their distances."""
+        if src not in self.settled:
+            heap = sorted((w, v) for v, w in self._corners(src).items())
+            dist = {v: w for w, v in heap}
+            settled = self.settled[src] = []
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u] + EPS:
+                    continue
+                settled.append((u, d))
+                for v, w in self._corners(u).items():
+                    if d + w < dist.get(v, math.inf) - EPS:
+                        dist[v] = d + w
+                        heapq.heappush(heap, (d + w, v))
+        return self.settled[src]
+
+    def entry(self, i: int, j: int) -> float:
+        best = 0.0 if i == j else self._edge(i, j)
+        if best is None:
+            best, near = math.inf, self._corners(j)
+            for u, d in self._settled(i):
+                if u in near and d + near[u] < best - EPS:
+                    best = d + near[u]
+        return best
+
+
+class _Row:
+    """Row i of a _Geodesics; an entry is computed on its first read, then kept."""
+
+    def __init__(self, geodesics: _Geodesics, i: int) -> None:
+        self.geodesics, self.i, self.memo = geodesics, i, [None] * geodesics.k
+
+    def __len__(self) -> int:
+        return len(self.memo)
+
+    def __getitem__(self, j: int) -> float:
+        d = self.memo[j]
+        if d is None:
+            d = self.memo[j] = self.geodesics.entry(self.i, j % len(self.memo))
+        return d
+
+
+def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[list[float]]:
+    """Pairwise geodesic distances between query points: every entry of a
+    _Geodesics, row i from a Dijkstra over the reflex corners from point i."""
+    return [list(row) for row in _Geodesics(region, points).rows()]
 
 
 def euclidean_geodesic(region: TileRegion, p: Point, q: Point) -> float:
     """Length of the shortest admissible path from p to q (inf if none)."""
-    return euclidean_geodesic_matrix(region, [p, q])[0][1]
+    return _Geodesics(region, [p, q]).entry(0, 1)
 
 
 def grid_distance(region: TileRegion, a: Tile, b: Tile) -> float:

@@ -289,6 +289,16 @@ def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex]) -> list[list
     return rows
 
 
+def _joined(cells: Collection[Vertex], tiles: list[Vertex]) -> bool:
+    """True when one flood from tiles[0] through `cells` reaches every tile:
+    `_reaches` where `_pack` packs the cells, else `_grid_bfs`."""
+    board = _pack(cells, _PACK_DENSITY)
+    if board is None:
+        return _grid_bfs(cells, tiles[0], tiles).keys() >= set(tiles)
+    need = sum({1 << board.index(t) for t in tiles})  # distinct bits: the sum is their union
+    return _reaches(1 << board.index(tiles[0]), board.cells, need, board.stride)
+
+
 def _connected(cells: Collection[Vertex]) -> bool:
     return bool(cells) and len(_grid_bfs(cells, next(iter(cells)))) == len(cells)
 

@@ -80,14 +80,15 @@ def test_solve_dcb_threshold_exit(tmp_path, capsys):
 
 def test_solve_dcb_threshold_on_a_cut_region_is_no(tmp_path, capsys):
     # the gadget's corridor break severs the bridge (0,1)-(0,2): no walk
-    # exists, which decide_dcb and sweep dcb read as "no"
+    # exists, which decide_dcb and sweep dcb read as "no"; the euclid metric
+    # finds the cut by its tile flood
     grid = doc(tmp_path, "u.grid", "0 0\n0 1\n0 2\n1 0\n1 2\n")
     code, out, _ = run(capsys, "reduce", "dcb", grid, "--gadget")
-    assert out.splitlines()[:2] == ["threshold 65", "detects ham-cycle"]
-    board = doc(tmp_path, "u.bond", out.split("\n", 2)[2])
-    assert run(capsys, "solve", "dcb", board, "--threshold", "65") == (1, "UNSOLVABLE\n", "")
-    code, out, err = run(capsys, "solve", "dcb", board)
-    assert (code, out, err) == (3, "", "invalid input: region does not connect all crystals\n")
+    assert out.splitlines()[:3] == ["threshold 65", "detects ham-cycle", "model grid"]
+    for model in ("grid", "euclid"):
+        board = doc(tmp_path, "u.bond", out.split("\n", 2)[2].replace("model grid", f"model {model}"))
+        assert run(capsys, "solve", "dcb", board, "--threshold", "65") == (1, "UNSOLVABLE\n", "")
+        assert run(capsys, "solve", "dcb", board) == (3, "", "invalid input: region does not connect all crystals\n")
 
 
 def test_solve_and_verify_tile(tmp_path, capsys):
@@ -192,14 +193,18 @@ def test_bond_board_beyond_the_tile_limit_exits_3(tmp_path, capsys):
 
 
 def spy_metric_builds(monkeypatch, fresh):
-    """Count distance-matrix builds; with `fresh`, every crystal_metric call
-    starts on an empty cache, as before the cache existed."""
-    from riftpuzzles import crystal_bonds
+    """Count metric builds (grid matrices and euclid engines) and segment
+    walks; with `fresh`, every crystal_metric call starts on an empty cache,
+    as before the cache existed."""
+    from riftpuzzles import crystal_bonds, geometry
 
-    builds = []
-    for name in ("euclidean_geodesic_matrix", "grid_distance_matrix"):
-        build = getattr(crystal_bonds, name)
-        monkeypatch.setattr(crystal_bonds, name, lambda *args, build=build: builds.append(1) or build(*args))
+    builds, walks = [], []
+    for module, name, log in (
+        (crystal_bonds, "_Geodesics", builds), (crystal_bonds, "grid_distance_matrix", builds),
+        (geometry, "_walk", walks),
+    ):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, build=build, log=log: log.append(1) or build(*args))
     metric = crystal_bonds.crystal_metric
 
     def uncached(board):
@@ -208,11 +213,14 @@ def spy_metric_builds(monkeypatch, fresh):
 
     monkeypatch.setattr(crystal_bonds, "crystal_metric", uncached if fresh else metric)
     crystal_bonds._metric_of.cache_clear()
-    return builds
+    return builds, walks
 
 
 def test_verify_dcb_reuses_the_metric_solve_dcb_built(tmp_path, capsys, monkeypatch):
-    boards = []
+    from riftpuzzles.geometry import euclidean_geodesic_matrix
+    from riftpuzzles.instance_io import parse
+
+    boards, texts = [], []
     for seed in (1, 2, 3):
         for model, side, crystals in (("grid", 14, 12), ("euclid", 12, 10)):
             _, text, _ = run(
@@ -220,33 +228,51 @@ def test_verify_dcb_reuses_the_metric_solve_dcb_built(tmp_path, capsys, monkeypa
                 "--max-v", str(crystals), "--model", model,
             )
             boards.append(doc(tmp_path, f"{model}{seed}.bond", text))
+            texts.append(text)
 
-    def transcript():
-        out = []
+    def transcript(walks):
+        # every op's result, and the segment walks each `verify dcb` of the
+        # solver's own walk ran
+        out, verify_walks = [], []
         for i, board in enumerate(boards):
             solved = run(capsys, "solve", "dcb", board)
             walk = doc(tmp_path, f"{i}.walk", solved[1])
             wrong = doc(tmp_path, f"{i}.wrong", solved[1].replace("length ", "length 1"))
-            out += [solved, run(capsys, "verify", "dcb", board, walk), run(capsys, "verify", "dcb", board, wrong)]
-        return out
+            before = len(walks)
+            checked = run(capsys, "verify", "dcb", board, walk)
+            verify_walks.append(len(walks) - before)
+            out += [solved, checked, run(capsys, "verify", "dcb", board, wrong)]
+        return out, verify_walks
 
     with monkeypatch.context() as patch:
-        builds = spy_metric_builds(patch, fresh=True)
-        want = transcript()
+        builds, walks = spy_metric_builds(patch, fresh=True)
+        want, fresh_walks = transcript(walks)
         assert len(builds) == 3 * len(boards)
-    builds = spy_metric_builds(monkeypatch, fresh=False)
-    assert transcript() == want
+        for text, count in zip(texts, fresh_walks):
+            board = parse("bond-board", text)
+            if board.distance_model == "grid":
+                assert count == 0
+                continue
+            before = len(walks)
+            euclidean_geodesic_matrix(board.region, list(board.crystals) + [board.start])
+            # a fresh verify walks only the pairs it reads
+            assert 0 < count < len(walks) - before, (text, count)
+    builds, walks = spy_metric_builds(monkeypatch, fresh=False)
+    got, cached_walks = transcript(walks)
+    assert got == want
+    # one metric per board, and verify reads only entries solve already read
     assert len(builds) == len(boards)
+    assert cached_walks == [0] * len(boards)
     assert [code for code, _, _ in want] == [0, 0, 2] * len(boards)
 
 
 def test_sweep_cb_oracle_builds_one_metric_per_item(capsys, monkeypatch):
     argv = ("sweep", "cb-oracle", "--count", "20")
     with monkeypatch.context() as patch:
-        builds = spy_metric_builds(patch, fresh=True)
+        builds, _ = spy_metric_builds(patch, fresh=True)
         want = run(capsys, *argv)
         assert len(builds) == 4 * 20
-    builds = spy_metric_builds(monkeypatch, fresh=False)
+    builds, _ = spy_metric_builds(monkeypatch, fresh=False)
     assert run(capsys, *argv) == want == (0, "pass 20 fail 0\n", "")
     assert len(builds) == 20
 
@@ -629,6 +655,8 @@ def test_refusals_pinned(tmp_path, capsys):
         (("verify", "tile", doc(tmp_path, "sq.tile", board)), "error: verify tile needs a solution document"),
         (("gen", "digraph", "--max-v", "1"), "invalid input: need at least 2 vertices"),
         (("sweep", "tile-trial", "--box", "0x3"), "invalid input: box dimensions must be positive"),
+        (("gen", "bond-board", "--count", "0"), "error: --count wants at least 1, got 0"),
+        (("gen", "bond-board", "--count", "-2"), "error: --count wants at least 1, got -2"),
     ]:
         assert run(capsys, *argv) == (3, "", err + "\n"), argv
 

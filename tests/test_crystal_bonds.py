@@ -24,7 +24,9 @@ from riftpuzzles.crystal_bonds import (
     solve_crystal_bonds,
     verify_bond_walk,
 )
-from riftpuzzles.geometry import TileRegion, gen_random_region, tile_center
+from riftpuzzles.geometry import (
+    TileRegion, euclidean_geodesic_matrix, gen_random_region, pinch_corners, tile_center,
+)
 from riftpuzzles.graphs import (
     GridGraph,
     InstanceTooLarge,
@@ -123,9 +125,10 @@ def test_metric_examples():
 
 
 def spy_builds(monkeypatch):
-    """Count the distance matrices crystal_metric builds, on an empty cache."""
+    """Count the metrics crystal_metric builds, on an empty cache: grid
+    matrices and on-demand euclid engines."""
     builds = []
-    for name in ("euclidean_geodesic_matrix", "grid_distance_matrix"):
+    for name in ("_Geodesics", "grid_distance_matrix"):
         build = getattr(crystal_bonds, name)
         monkeypatch.setattr(
             crystal_bonds, name, lambda *args, build=build, name=name: builds.append(name) or build(*args)
@@ -141,7 +144,7 @@ def test_equal_boards_share_one_metric(monkeypatch):
         first, second = parse("bond-board", text), parse("bond-board", text)
         assert first == second and first is not second and first.region is not second.region
         assert crystal_metric(first) is crystal_metric(second)
-    assert builds == ["grid_distance_matrix", "euclidean_geodesic_matrix"]
+    assert builds == ["grid_distance_matrix", "_Geodesics"]
 
 
 def test_metric_cache_never_serves_another_board(monkeypatch):
@@ -154,9 +157,10 @@ def test_metric_cache_never_serves_another_board(monkeypatch):
     square = TileRegion(frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
     diagonal = BondBoard(square, (tile_center((0, 0)), tile_center((1, 1))), None, ((0, 1),), "grid")
     assert crystal_metric(diagonal) == ((0, 2), (2, 0))
-    assert crystal_metric(dataclasses.replace(diagonal, distance_model="euclid")) == (
-        (0, math.sqrt(2)), (math.sqrt(2), 0)
-    )
+    # a euclid metric's rows are read on demand; read every entry
+    assert [list(row) for row in crystal_metric(dataclasses.replace(diagonal, distance_model="euclid"))] == [
+        [0, math.sqrt(2)], [math.sqrt(2), 0]
+    ]
     with_start = dataclasses.replace(diagonal, start=tile_center((1, 0)))
     assert crystal_metric(with_start) == ((0, 2, 1), (2, 0, 1), (1, 1, 0))
     assert len(builds) == 5
@@ -177,6 +181,33 @@ def test_metric_of_a_cut_board_raises_every_time(monkeypatch):
         counts.append(len(builds))
     # a cut board is built on every call and never evicts the last good one
     assert counts == [1, 2, 3, 4, 4]
+
+
+def test_euclid_metric_is_cut_exactly_when_the_full_matrix_holds_an_inf():
+    # the tile flood that guards the on-demand metric against the inf entries
+    # a full matrix would hold: scattered tiles meet at pinches, and every
+    # fifth region adds a far cluster that the bitboard cannot pack
+    rng = random.Random(26)
+    cut = pinched = 0
+    for n in range(300):
+        w = rng.choice((4, 5, 6, 8))
+        cells = [(x, y) for x in range(w) for y in range(w)]
+        tiles = rng.sample(cells, rng.randint(w, w * w * 4 // 5))
+        if n % 5 == 4:
+            tiles += [(x + 10**7, y) for x, y in rng.sample(cells, 3)]
+        points = [tile_center(t) for t in rng.sample(tiles, min(len(tiles), rng.randint(2, 6)))]
+        board = BondBoard(TileRegion(frozenset(tiles)), tuple(points[1:]), points[0], (), "euclid")
+        pinched += bool(pinch_corners(board.region))
+        holds_inf = any(math.inf in row for row in euclidean_geodesic_matrix(board.region, points[1:] + points[:1]))
+        crystal_bonds._metric_of.cache_clear()
+        try:
+            crystal_metric(board)
+        except UnreachableCrystal:
+            assert holds_inf, (sorted(tiles), points)
+            cut += 1
+        else:
+            assert not holds_inf, (sorted(tiles), points)
+    assert 50 < cut < 250 and pinched > 150, (cut, pinched)
 
 
 def test_metric_rows_are_read_only():

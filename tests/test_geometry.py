@@ -21,7 +21,7 @@ from riftpuzzles.geometry import (
     segment_admissible,
     tile_center,
 )
-from riftpuzzles.geometry import _classify_corners, _point_in
+from riftpuzzles.geometry import _classify_corners, _Geodesics, _point_in
 
 SQRT2 = math.sqrt(2.0)
 
@@ -795,6 +795,26 @@ def test_matrix_bit_identical_to_full_dijkstra():
         finite += sum(0 < d < math.inf for d in flat)
         unreachable += flat.count(math.inf)
     assert finite > 10_000 and unreachable > 1_000
+
+
+def test_on_demand_entries_match_the_full_matrix_in_any_read_order():
+    # each entry is computed on its first read, from memoized visibility,
+    # corner edges and settled lists; reading (j, i) before (i, j), or in any
+    # other order, must not change a bit
+    rng = random.Random(25)
+    cases = _bending_cases()
+    for seed, size, r in [(6, 30, 40), (7, 30, 40), (8, 50, 60)]:
+        board = gen_random_tree_board(seed, size, size, r, model="euclid")
+        cases.append((board.region, list(board.crystals) + [board.start]))
+    for r, points in cases:
+        want = [[d.hex() for d in row] for row in reference_geodesic_matrix(r, points)]
+        assert [[d.hex() for d in row] for row in euclidean_geodesic_matrix(r, points)] == want
+        pairs = [(i, j) for i in range(len(points)) for j in range(len(points))]
+        shuffled = rng.sample(pairs, len(pairs))
+        for order in (pairs, pairs[::-1], shuffled):
+            geodesics = _Geodesics(r, points).rows()
+            got = {(i, j): geodesics[i][j].hex() for i, j in order}
+            assert all(got[i, j] == want[i][j] for i, j in pairs), (sorted(r.tiles), points)
 
 
 def test_sparse_region_is_not_walked_cell_by_cell():

@@ -155,20 +155,21 @@ def test_single_tile_and_duplicate_targets():
 
 
 def test_far_apart_tiles_keep_the_per_cell_path(tmp_path, capsys):
-    # packing these would take a 10^18-bit int
+    # packing these would take a 10^18-bit int; under either model
     doc = tmp_path / "far.bond"
-    doc.write_text(
-        "model grid\nstart 0 0\ntile 0 0\ntile 1 0\ntile 1000000000 1000000000\n"
-        "tile 1000000001 1000000000\ncrystal 1 0\ncrystal 1000000000 1000000000\n"
-        "bond 0 1\n"
-    )
-    began = time.perf_counter()
-    code = main(["solve", "dcb", str(doc)])
-    captured = capsys.readouterr()
-    assert time.perf_counter() - began < 5.0
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == "invalid input: region does not connect all crystals\n"
+    for model in ("grid", "euclid"):
+        doc.write_text(
+            f"model {model}\nstart 0 0\ntile 0 0\ntile 1 0\ntile 1000000000 1000000000\n"
+            "tile 1000000001 1000000000\ncrystal 1 0\ncrystal 1000000000 1000000000\n"
+            "bond 0 1\n"
+        )
+        began = time.perf_counter()
+        code = main(["solve", "dcb", str(doc)])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - began < 5.0
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "invalid input: region does not connect all crystals\n"
 
 
 def test_staircase_runs_per_cell_and_matches_reference():

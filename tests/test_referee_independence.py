@@ -25,12 +25,16 @@ SHARED = {
     ("geometry.euclidean_geodesic", "geometry.fine_grid_distance"): {
         "geometry._classify_corners", "geometry._exact_tile", "geometry._point_in",
     },
-    # all of crystal_metric: criterion 7, the full-Dijkstra matrix and the
-    # per-cell BFS reference check it apart from either solver
+    # all of crystal_metric: criterion 7, the full-Dijkstra matrix read in
+    # three orders, the flood-against-inf check and the per-cell BFS
+    # reference check it apart from either solver
     ("crystal_bonds.solve_crystal_bonds", "crystal_bonds.brute_force_crystal_bonds"): {
         "crystal_bonds._metric_of", "geometry._classify_corners", "geometry._exact_tile",
+        "geometry._Geodesics", "geometry._Geodesics._corners", "geometry._Geodesics._edge",
+        "geometry._Geodesics._settled", "geometry._Row",
         "geometry._line_walk", "geometry._point_in", "geometry._scaled", "geometry._walk",
-        "graphs._Bitboard", "graphs._grid_bfs", "graphs._grid_distances", "graphs._pack",
+        "graphs._Bitboard", "graphs._grid_bfs", "graphs._grid_distances", "graphs._joined", "graphs._pack",
+        "graphs._reaches", "graphs._run_fill",
     },
     ("crystal_bonds.decide_dcb", "graphs.has_ham_path_grid"): set(),
     ("hands_of_time.solve_clock", "graphs.has_directed_ham_path"): set(),
@@ -48,9 +52,19 @@ REFERENCES = {
     "geometry._scaled": ["test_geometry::test_segment_walk_matches_float_oracle"],
     "geometry._walk": ["test_geometry::test_segment_walk_matches_float_oracle"],
     "geometry._line_walk": ["test_geometry::test_segment_walk_matches_float_oracle"],
+    "graphs._reaches": ["test_grid_bfs::test_reaches_matches_per_cell_flood"],
+    "graphs._run_fill": ["test_grid_bfs::test_reaches_matches_per_cell_flood"],
+    "graphs._joined": ["test_crystal_bonds::test_euclid_metric_is_cut_exactly_when_the_full_matrix_holds_an_inf"],
+    **dict.fromkeys(
+        ("geometry._Geodesics", "geometry._Geodesics._corners", "geometry._Geodesics._edge",
+         "geometry._Geodesics._settled", "geometry._Row"),
+        ["test_geometry::test_on_demand_entries_match_the_full_matrix_in_any_read_order"],
+    ),
     "crystal_bonds._metric_of": [
         "test_acceptance::test_criterion_7_geodesic_oracle_band",
         "test_geometry::test_matrix_bit_identical_to_full_dijkstra",
+        "test_geometry::test_on_demand_entries_match_the_full_matrix_in_any_read_order",
+        "test_crystal_bonds::test_euclid_metric_is_cut_exactly_when_the_full_matrix_holds_an_inf",
         "test_grid_bfs::test_engine_matches_reference_on_seeded_sets",
     ],
 }
