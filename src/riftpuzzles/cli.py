@@ -102,9 +102,12 @@ def _box(text: str) -> tuple[int, int]:
     if not sep:
         raise CliError(f"--box wants WxH, got {text!r}")
     try:
-        return int(w), int(h)
+        box = int(w), int(h)
     except ValueError:
         raise CliError(f"--box wants integers, got {text!r}")
+    if min(box) < 1:
+        raise CliError(f"--box wants positive sides, got {text!r}")
+    return box
 
 
 @functools.cache  # built on the first main() call, then reused

@@ -627,6 +627,8 @@ def gen_random_tree_board(
     The tree starts as a chain and gets at most REWIRE_LIMIT leaf rewires,
     so it has at most 16 odd-degree crystals whatever r is.
     """
+    if box_w * box_h < r:
+        raise ValueError(f"a {box_w}x{box_h} box holds fewer than {r} crystals")
     rng = random.Random(seed)
     n_tiles = max(r + 1, (box_w * box_h * 2) // 3)
     region = gen_random_region(rng.randrange(2**32), box_w, box_h, n_tiles)

@@ -15,7 +15,11 @@ Three distance notions live here:
   so Dijkstra runs over the corners only; a query point out of sight takes
   its distance from the settled corners in pop order, by the same EPS rule.
   ``_Geodesics`` computes each entry when it is first read, so a caller
-  walks only the segments its entries need,
+  walks only the segments its entries need.  The corner pass that finds
+  the reflex corners and the pinches runs on the bitboard of ``graphs``
+  (a few shifts and masks over the whole region), or, for a region too
+  sparse to pack, tile by tile; and the bitangent test runs on the
+  coordinates before any segment is looked up or walked,
 * ``fine_grid_distance`` -- 8-connected shortest path on a 1/k sublattice,
   an upper distance oracle used to sanity-check the geodesics.  One rule
   admits all eight moves: the target node and the move's midpoint lie in
@@ -37,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import ORTHO_STEPS, _grid_distances
+from .graphs import _PACK_DENSITY, ORTHO_STEPS, _grid_distances, _pack
 
 Tile = tuple[int, int]
 Point = tuple[float, float]
@@ -92,24 +96,56 @@ def _classify_corners(
     Returns the pinch corners and, in sorted order, each reflex corner
     (exactly three surrounding tiles, the only possible bend points) with
     the direction (mx, my) of its missing quadrant.
+
+    A region that `_pack` packs is classified all at once on its bitboard:
+    corner (x, y) takes the bit of tile (x, y), its north-east tile, and
+    shifts by 1, by the stride and by both bring in its north-west,
+    south-east and south-west tiles.  The empty pad column ending each row
+    keeps a shift from wrapping a tile into the next row, and holds the
+    corners on the east edge.  A region too sparse to pack looks up the
+    four tiles of each corner of each tile, so its cost follows the tile
+    count, not the bounding box.
     """
-    corners = set()
-    for x, y in tiles:
-        corners.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
-    pinches = set()
-    reflex = []
-    for cx, cy in sorted(corners):
-        sw = (cx - 1, cy - 1) in tiles
-        se = (cx, cy - 1) in tiles
-        nw = (cx - 1, cy) in tiles
-        ne = (cx, cy) in tiles
-        count = sw + se + nw + ne
-        if count == 3:
-            mx = -1 if not (sw and nw) else 1
-            my = -1 if not (sw and se) else 1
-            reflex.append(((cx, cy), (mx, my)))
-        elif count == 2 and sw == ne:
-            pinches.add((cx, cy))
+    pinches, reflex = set(), []
+    board = _pack(tiles, _PACK_DENSITY)
+    if board is None:
+        corners = set()
+        for x, y in tiles:
+            corners.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
+        for cx, cy in corners:
+            sw = (cx - 1, cy - 1) in tiles
+            se = (cx, cy - 1) in tiles
+            nw = (cx - 1, cy) in tiles
+            ne = (cx, cy) in tiles
+            count = sw + se + nw + ne
+            if count == 3:
+                mx = -1 if not (sw and nw) else 1
+                my = -1 if not (sw and se) else 1
+                reflex.append(((cx, cy), (mx, my)))
+            elif count == 2 and sw == ne:
+                pinches.add((cx, cy))
+    else:
+        x0, y0, stride, ne = board
+        nw = ne << 1
+        se = ne << stride
+        sw = se << 1
+        # each reflex mask with its missing quadrant, then the pinch mask
+        for mask, quadrant in (
+            (nw & se & sw & ~ne, (1, 1)),
+            (ne & se & sw & ~nw, (-1, 1)),
+            (ne & nw & sw & ~se, (1, -1)),
+            (ne & nw & se & ~sw, (-1, -1)),
+            ((sw & ne & ~(se | nw)) | (se & nw & ~(sw | ne)), None),
+        ):
+            while mask:
+                low = mask & -mask
+                cy, cx = divmod(low.bit_length() - 1, stride)
+                if quadrant:
+                    reflex.append(((x0 + cx, y0 + cy), quadrant))
+                else:
+                    pinches.add((x0 + cx, y0 + cy))
+                mask ^= low
+    reflex.sort()
     return frozenset(pinches), reflex
 
 
@@ -258,7 +294,10 @@ class _Geodesics:
     A pair that meets a corner head-on, from the quadrant opposite the
     missing one (or from inside it), is not tested: a shortest path never
     bends there, so only pairs that can be bitangent at their corner ends
-    are kept (Lozano-Pérez & Wesley 1979).  A node on a pinch sees nothing.
+    are kept (Lozano-Pérez & Wesley 1979).  That test is a sign check on the
+    coordinates, so a node's corner edges apply it to every corner first,
+    and only the pairs it keeps meet the visibility memo and the cell walk.
+    A node on a pinch sees nothing.
 
     Query points are never bend points, so Dijkstra runs over the corners
     only.  Entry (i, j) is the straight length when the pair sees each
@@ -286,6 +325,9 @@ class _Geodesics:
         self.corner_edges: dict[int, dict[int, float]] = {}
         self.settled: dict[int, list[tuple[int, float]]] = {}
         self.k = len(points)
+        # index, coordinates and quadrant of each corner; three tiles meet at
+        # a reflex corner, so none is a pinch
+        self.corner_nodes = [(v, *self.nodes[v], self.quadrant[v]) for v in range(self.k, len(self.nodes))]
 
     def rows(self) -> tuple[_Row, ...]:
         # the rows refer to the engine, never the reverse: no reference cycle
@@ -293,21 +335,30 @@ class _Geodesics:
         return tuple(_Row(self, i) for i in range(self.k))
 
     def _edge(self, i: int, j: int) -> float | None:
-        """The length of segment i-j when a geodesic may take it, else None."""
+        """The length of segment i-j when it is admissible, else None; a
+        pair with a corner end must pass the bitangent test first."""
         i, j = key = (i, j) if i < j else (j, i)
         if key not in self.sight:
+            seen = self.free[i] and self.free[j] and _walk(*self.walk_args, *self.scaled[i], *self.scaled[j])
             (xi, yi), (xj, yj) = self.nodes[i], self.nodes[j]
-            dxdy = (xj - xi) * (yj - yi)
-            seen = self.free[i] and self.free[j] and max(dxdy * self.quadrant[i], dxdy * self.quadrant[j]) <= 0
-            seen = seen and _walk(*self.walk_args, *self.scaled[i], *self.scaled[j])
             self.sight[key] = math.hypot(xi - xj, yi - yj) if seen else None
         return self.sight[key]
 
     def _corners(self, u: int) -> dict[int, float]:
-        """Node u's edges to the reflex corners."""
+        """Node u's edges to the reflex corners; only the pairs that pass
+        the bitangent test reach the memo and the cell walk."""
         if u not in self.corner_edges:
-            lengths = ((v, self._edge(u, v)) for v in range(self.k, len(self.nodes)) if v != u)
-            self.corner_edges[u] = {v: w for v, w in lengths if w is not None}
+            edges = self.corner_edges[u] = {}
+            if self.free[u]:
+                (xu, yu), qu = self.nodes[u], self.quadrant[u]
+                tangent = [
+                    v for v, x, y, q in self.corner_nodes
+                    if v != u and (d := (x - xu) * (y - yu)) * q <= 0 and d * qu <= 0
+                ]
+                for v in tangent:
+                    w = self._edge(u, v)
+                    if w is not None:
+                        edges[v] = w
         return self.corner_edges[u]
 
     def _settled(self, src: int) -> list[tuple[int, float]]:

@@ -654,7 +654,11 @@ def test_refusals_pinned(tmp_path, capsys):
         (("gen", "grid-graph", "--box", "3xa"), "error: --box wants integers, got '3xa'"),
         (("verify", "tile", doc(tmp_path, "sq.tile", board)), "error: verify tile needs a solution document"),
         (("gen", "digraph", "--max-v", "1"), "invalid input: need at least 2 vertices"),
-        (("sweep", "tile-trial", "--box", "0x3"), "invalid input: box dimensions must be positive"),
+        (("sweep", "tile-trial", "--box", "0x3"), "error: --box wants positive sides, got '0x3'"),
+        (("gen", "grid-graph", "--box", "0x0"), "error: --box wants positive sides, got '0x0'"),
+        (("sweep", "geo-oracle", "--box", "0x4"), "error: --box wants positive sides, got '0x4'"),
+        (("gen", "bond-board", "--box", "1x1"), "invalid input: a 1x1 box holds fewer than 7 crystals"),
+        (("gen", "bond-board", "--box", "3x3", "--max-v", "10"), "invalid input: a 3x3 box holds fewer than 10 crystals"),
         (("gen", "bond-board", "--count", "0"), "error: --count wants at least 1, got 0"),
         (("gen", "bond-board", "--count", "-2"), "error: --count wants at least 1, got -2"),
     ]:

@@ -22,6 +22,7 @@ from riftpuzzles.geometry import (
     tile_center,
 )
 from riftpuzzles.geometry import _classify_corners, _Geodesics, _point_in
+from riftpuzzles.graphs import _PACK_DENSITY, _pack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -73,26 +74,40 @@ def test_point_in_matches_fraction_reference():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _corner_pass_sets():
+    """The small sets, benchmark-size regions at negative coordinates, and
+    sets `_pack` refuses: far tiles and a sparse diagonal staircase."""
+    yield from _small_tile_sets(47, 300)
+    for seed, size, n_tiles in [(1, 30, 600), (2, 30, 600), (3, 50, 1666)]:
+        yield frozenset((x - 70, y - 45) for x, y in gen_random_region(seed, size, size, n_tiles).tiles)
+    near = gen_random_region(9, 6, 6, 20).tiles
+    for far in (10**9, 2**52 - 1):
+        # a reflex corner and a pinch out at `far`
+        yield near | {(far, far), (far + 1, far), (far + 1, far + 1), (far + 2, far + 2)}
+    yield frozenset({(i, i) for i in range(-50, 50)} | {(i + 1, i) for i in range(-50, 50)})
+
+
 def test_classify_corners_matches_brute_force_count():
-    # every lattice point of the bounding box, with the tile in each of its
+    # every lattice point that touches a tile, with the tile in each of its
     # four quadrants (dx, dy) looked up on its own
     quadrants = [(dx, dy) for dx in (-1, 1) for dy in (-1, 1)]
-    reflex_seen = pinch_seen = 0
-    for tiles in _small_tile_sets(47, 300):
-        xs = [x for x, _ in tiles]
-        ys = [y for _, y in tiles]
+    seen = {True: [0, 0, 0], False: [0, 0, 0]}  # packed -> sets, reflex, pinches
+    for tiles in _corner_pass_sets():
         pinches, reflex = set(), []
-        for cx in range(min(xs), max(xs) + 2):
-            for cy in range(min(ys), max(ys) + 2):
-                filled = {q for q in quadrants if (cx + min(q[0], 0), cy + min(q[1], 0)) in tiles}
-                if len(filled) == 3:
-                    reflex.append(((cx, cy), next(q for q in quadrants if q not in filled)))
-                elif filled in ({(-1, -1), (1, 1)}, {(-1, 1), (1, -1)}):
-                    pinches.add((cx, cy))
+        for cx, cy in sorted({(x + a, y + b) for x, y in tiles for a in (0, 1) for b in (0, 1)}):
+            filled = {q for q in quadrants if (cx + min(q[0], 0), cy + min(q[1], 0)) in tiles}
+            if len(filled) == 3:
+                reflex.append(((cx, cy), next(q for q in quadrants if q not in filled)))
+            elif filled in ({(-1, -1), (1, 1)}, {(-1, 1), (1, -1)}):
+                pinches.add((cx, cy))
         assert _classify_corners(tiles) == (frozenset(pinches), reflex), sorted(tiles)
-        reflex_seen += len(reflex)
-        pinch_seen += len(pinches)
-    assert reflex_seen > 400 and pinch_seen > 150
+        counts = seen[_pack(tiles, _PACK_DENSITY) is not None]
+        counts[0] += 1
+        counts[1] += len(reflex)
+        counts[2] += len(pinches)
+    # both branches, each with reflex corners and pinches to get right
+    assert seen[True][0] > 300 and seen[True][1] > 500 and seen[True][2] > 150, seen
+    assert seen[False][0] == 3 and seen[False][1] > 200 and seen[False][2] == 2, seen
 
 
 def test_geodesic_straight_corridor():
@@ -815,6 +830,45 @@ def test_on_demand_entries_match_the_full_matrix_in_any_read_order():
             geodesics = _Geodesics(r, points).rows()
             got = {(i, j): geodesics[i][j].hex() for i, j in order}
             assert all(got[i, j] == want[i][j] for i, j in pairs), (sorted(r.tiles), points)
+
+
+def test_corner_edges_match_the_quadrant_rule_and_segment_walk():
+    # every node's edges to the reflex corners, keys in order and lengths
+    # bit for bit: the matrix alone would not show a dropped or extra edge
+    # that lies on no shortest path
+    cases = []
+    for seed, size, r in [*((s, 30, 40) for s in range(1, 9)), (3, 50, 60), (4, 50, 60), (5, 50, 60)]:
+        board = gen_random_tree_board(seed, size, size, r, model="euclid")
+        # the start, a reflex corner and every pinch as query points too
+        points = [*board.crystals, board.start, _reflex_corners(board.region.tiles)[seed][0]]
+        points += [(float(x), float(y)) for x, y in sorted(pinch_corners(board.region))]
+        cases.append((board.region, points))
+    pairs = kept = edges = on_pinches = 0
+    for r, points in cases:
+        pinches = pinch_corners(r)
+        reflex = _reflex_corners(r.tiles)
+        nodes = list(points) + [c for c, _ in reflex]
+        quadrant = [0] * len(points) + [m for _, m in reflex]
+        geodesics = _Geodesics(r, points)
+        assert geodesics.nodes == nodes
+        for u, (xu, yu) in enumerate(nodes):
+            want = []
+            for v in range(len(points), len(nodes)):
+                xv, yv = nodes[v]
+                dxdy = (xv - xu) * (yv - yu)
+                pairs += v != u
+                if v == u or dxdy * quadrant[u] > 0 or dxdy * quadrant[v] > 0:
+                    continue
+                kept += 1
+                if segment_admissible(r, pinches, nodes[u], nodes[v]):
+                    want.append((v, math.hypot(xu - xv, yu - yv).hex()))
+            got = [(v, w.hex()) for v, w in geodesics._corners(u).items()]
+            assert got == want, (sorted(r.tiles), nodes[u])
+            edges += len(want)
+            on_pinches += (xu, yu) in pinches
+    # the quadrant rule and the walk each drop pairs; the pinch query points
+    # are refused by segment_admissible, so their edges must come out empty
+    assert edges > 10_000 and edges < kept < pairs and on_pinches == 12, (edges, kept, pairs, on_pinches)
 
 
 def test_sparse_region_is_not_walked_cell_by_cell():

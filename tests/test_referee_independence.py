@@ -22,8 +22,10 @@ PACKAGE = pathlib.Path(riftpuzzles.__file__).parent
 # (solver, referee) -> the private helpers both reach
 SHARED = {
     ("tile_trial.solve_tile_trial", "graphs.has_ham_cycle_grid"): set(),
+    # the corner pass packs the region with the grid BFS's bitboard
     ("geometry.euclidean_geodesic", "geometry.fine_grid_distance"): {
         "geometry._classify_corners", "geometry._exact_tile", "geometry._point_in",
+        "graphs._Bitboard", "graphs._pack",
     },
     # all of crystal_metric: criterion 7, the full-Dijkstra matrix read in
     # three orders, the flood-against-inf check and the per-cell BFS
@@ -56,10 +58,13 @@ REFERENCES = {
     "graphs._run_fill": ["test_grid_bfs::test_reaches_matches_per_cell_flood"],
     "graphs._joined": ["test_crystal_bonds::test_euclid_metric_is_cut_exactly_when_the_full_matrix_holds_an_inf"],
     **dict.fromkeys(
-        ("geometry._Geodesics", "geometry._Geodesics._corners", "geometry._Geodesics._edge",
-         "geometry._Geodesics._settled", "geometry._Row"),
+        ("geometry._Geodesics", "geometry._Geodesics._edge", "geometry._Geodesics._settled", "geometry._Row"),
         ["test_geometry::test_on_demand_entries_match_the_full_matrix_in_any_read_order"],
     ),
+    "geometry._Geodesics._corners": [
+        "test_geometry::test_on_demand_entries_match_the_full_matrix_in_any_read_order",
+        "test_geometry::test_corner_edges_match_the_quadrant_rule_and_segment_walk",
+    ],
     "crystal_bonds._metric_of": [
         "test_acceptance::test_criterion_7_geodesic_oracle_band",
         "test_geometry::test_matrix_bit_identical_to_full_dijkstra",
