@@ -4,8 +4,8 @@ Subcommands: solve, reduce, verify, gen, sweep, render.  Documents go in and
 out in the instance_io text formats; `-` reads standard input.  Exit status
 is the interesting result: 0 for solvable/valid/all-pass, 1 for unsolvable or
 over-threshold, 2 for a failed verification or a sweep counterexample, 3 for
-usage and input errors (including exhausted search budgets, which decide
-nothing).
+usage and input errors (including searches that exhaust their budget, the
+stack or memory, which decide nothing).
 
 Identical command lines with identical seeds print identical bytes; sweeps
 keep that guarantee under --jobs by merging worker results in input order.
@@ -120,7 +120,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("kind", choices=tuple(_SOLVERS))
     solve.add_argument("input", help="document path or -")
     solve.add_argument("--threshold", type=int, help="dcb: exit 1 when the optimum exceeds this")
-    solve.add_argument("--budget", type=int, help="search node budget")
+    solve.add_argument("--budget", type=int, help="clock: search nodes; tile: frontier states")
 
     reduce = sub.add_parser("reduce", help="construct a hardness instance")
     reduce.set_defaults(run=_cmd_reduce)
@@ -286,9 +286,10 @@ _GENERATORS = {
 
 def _cmd_gen(args) -> int:
     generate = _GENERATORS[args.kind]
-    if args.count < 1:
-        # an empty stdout with exit 0 would read as a generated set
-        raise CliError(f"--count wants at least 1, got {args.count}")
+    # an empty stdout with exit 0 would read as a generated set; 0 is --max-v's default
+    for flag, value, least in (("--count", args.count, 1), ("--max-v", args.max_v or 0, 0)):
+        if value < least:
+            raise CliError(f"{flag} wants at least {least}, got {value}")
     docs = [serialize(generate(args.seed + i, *(args.box or (6, 6)), args)) for i in range(args.count)]
     sys.stdout.write("---\n".join(docs))
     return EXIT_OK
@@ -365,8 +366,9 @@ def _box_graph_items(args) -> list[GridGraph]:
 
 
 def _clock_items(args) -> list[tuple[int, int, int | None]]:
-    span = max(1, args.max_v - 1)
-    return [(2 + i % span, args.seed + i, args.budget) for i in range(args.count)]
+    if args.max_v < 2:
+        raise CliError(f"--max-v wants at least 2, got {args.max_v}")
+    return [(2 + i % (args.max_v - 1), args.seed + i, args.budget) for i in range(args.count)]
 
 
 def _cb_items(args) -> list[tuple[int, str]]:
@@ -489,8 +491,8 @@ def main(argv=None) -> int:
     except (ParseError, _Unreadable) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InstanceTooLarge, BudgetExhausted) as exc:
-        print(f"gave up: {exc}", file=sys.stderr)
+    except (InstanceTooLarge, BudgetExhausted, RecursionError, MemoryError) as exc:
+        print(f"gave up: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from .geometry import (
     _Geodesics,
     _scaled,
 )
-from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges, _joined
+from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges, _euler_trail, _joined
 
 MODELS = ("grid", "euclid")
 
@@ -353,35 +353,6 @@ class _Blossom:
                 if st[b] == b and label[b] == 1 and lab[b] == 0:
                     self.expand(b)
         return False
-
-
-def _euler_trail(
-    vertices: list[int], edges: list[tuple[int, int]], start: int
-) -> list[int]:
-    """Open Euler trail through every edge, starting at `start` (Hierholzer)."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for eid, (a, b) in enumerate(edges):
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-    for v in adj:
-        adj[v].sort(reverse=True)
-    used = [False] * len(edges)
-    stack = [start]
-    trail = []
-    while stack:
-        v = stack[-1]
-        while adj[v] and used[adj[v][-1][1]]:
-            adj[v].pop()
-        if adj[v]:
-            w, eid = adj[v].pop()
-            used[eid] = True
-            stack.append(w)
-        else:
-            trail.append(stack.pop())
-    trail.reverse()
-    if len(trail) != len(edges) + 1:
-        raise AssertionError("required multigraph is not connected")
-    return trail
 
 
 def rural_postman_connected(

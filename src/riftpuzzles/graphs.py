@@ -1,23 +1,21 @@
-"""Grid graphs, digraphs, and exact Hamiltonicity oracles.
+"""Grid graphs, digraphs, exact Hamiltonicity oracles, and the Euler trail.
 
 A grid graph is an induced subgraph of the integer lattice: two vertices are
 adjacent exactly when their Euclidean distance is 1.  The oracles referee
 the puzzle reductions: grid Hamiltonicity is a frontier DP whose states grow
 with the box's narrower side, and directed paths a subset DP.
 
-One grid BFS serves the package (connectivity, grid distances, the Tile
-Trial prune).  Connectivity is asked once per set, so it floods cell by
-cell.  Where one set is flooded many times, a tile set whose bounding box
-holds at most ``_PACK_BOX`` cells, or at most ``_PACK_DENSITY`` cells per
-tile, is packed into one Python int, a row per stride of width + 1 bits,
-and a BFS level is four shifts and a mask over the whole set.  Sparser sets
-with a larger box keep a per-cell loop, so far-apart tiles never cost a
-bounding-box-sized int.  Distances are symmetric, so the BFS from the i-th
-tile of a list stops once it has reached every later tile and fills both
-halves of the matrix.  Reachability alone (the Tile Trial prune) need not
-pay per level: a flood that is still going after a fixed dozen levels
-switches to rounds that each fill whole row and column runs, so a long
-corridor costs a few rounds per turn instead of a level per tile.
+One grid BFS serves the package: connectivity, grid distances, and whether
+a region joins its crystals.  Connectivity is asked once per set, so it
+floods cell by cell.  Where one set is flooded many times, a tile set whose
+bounding box holds at most ``_PACK_BOX`` cells, or at most
+``_PACK_DENSITY`` cells per tile, is packed into one Python int, a row per
+stride of width + 1 bits, and a BFS level is four shifts and a mask over the
+whole set.  Sparser sets with a larger box keep a per-cell loop, so
+far-apart tiles never cost a bounding-box-sized int.  Distances are
+symmetric, so the BFS from the i-th tile of a list stops once it has reached
+every later tile and fills both halves of the matrix.  One Hierholzer trail,
+`_euler_trail`, walks the Crystal Bonds postman and the Tile Trial path.
 """
 
 from __future__ import annotations
@@ -27,9 +25,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple, TypeVar
 
 Vertex = tuple[int, int]
+T = TypeVar("T")
 
 ORTHO_STEPS: tuple[Vertex, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -93,12 +92,7 @@ class GridGraph:
         return sorted(self.vertices)
 
 
-# A tile set is packed into a bitboard when its bounding box holds at most
-# _PACK_BOX cells (64 words, whatever the density) or at most _PACK_DENSITY
-# cells per tile; sparser sets with a larger box (far-apart tiles in a grid
-# or bond document) keep the per-cell BFS, whose cost and memory follow the
-# tile count instead of the bounding box.
-_PACK_BOX = 4096
+_PACK_BOX = 4096  # 64 words
 _PACK_DENSITY = 4
 
 
@@ -137,77 +131,6 @@ def _pack(cells: Collection[Vertex], max_density: float = math.inf) -> _Bitboard
     for x, y in cells:
         digits[top - y * stride - x] = 49
     return _Bitboard(x0, y0, stride, int(digits, 2))
-
-
-# Plain levels a flood runs before it hands over to fill rounds.  One
-# `_run_fill` call costs about 17 levels on a 6x6 to 12x12 board (CPython
-# 3.11), so the many floods that end sooner never pay for it.
-_FIRST_LEVELS = 12
-
-
-def _reaches(seed: int, open_: int, need: int, stride: int) -> bool:
-    """True when a flood from `seed` through the `open_` bits covers `need`.
-
-    `seed` need not be open itself; the flood stops as soon as it succeeds,
-    and a `need` bit that is neither open nor the seed fails it at once.
-    It runs plain BFS levels of four shifts each, and a flood still going
-    after `_FIRST_LEVELS` of them switches to `_run_fill`, whose rounds
-    cross whole runs of open bits, so a corridor costs a few rounds per
-    turn, not a level per tile.
-    """
-    if need & ~(open_ | seed):
-        return False
-    frontier = seed
-    unseen = open_ & ~seed
-    for _ in range(_FIRST_LEVELS):
-        if not need & unseen:
-            return True
-        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
-        frontier = step & unseen
-        if not frontier:
-            return False
-        unseen ^= frontier
-    return not need & unseen or _run_fill(open_ & ~unseen, open_, need & unseen, stride)
-
-
-def _run_fill(reached: int, open_: int, need: int, stride: int) -> bool:
-    """True when flooding the `open_` bits from `reached`, a subset of them,
-    covers `need`; in rounds that each cross whole runs of open bits.
-
-    A carry-add floods every row run toward higher bits: adding a reached
-    bit to a run of ones carries through to the run's end, where the empty
-    pad column stops it.  Doubling steps flood toward lower bits and along
-    columns: a step with shift k adds a bit whose k-th neighbour in that
-    direction is reached when every bit in between is open, so after shifts
-    1, 2, 4, ... the flood has crossed every run it touched.  Rounds repeat
-    until `need` is covered or one adds nothing.
-    """
-    # (shift k, the bits that start k / unit open cells in a line toward
-    # their k-th neighbour): such a bit joins once that neighbour has
-    lower: list[tuple[int, int]] = []
-    for unit in (1, stride):
-        k, run = unit, open_
-        while run:
-            lower.append((k, run))
-            run &= run >> k
-            k <<= 1
-    higher: list[tuple[int, int]] = []
-    k, run = stride, open_
-    while run:
-        higher.append((k, run))
-        run &= run << k
-        k <<= 1
-    while True:
-        was = reached
-        reached |= open_ & (((open_ + reached) ^ open_) | reached)
-        for k, run in lower:
-            reached |= run & (reached >> k)
-        for k, run in higher:
-            reached |= run & (reached << k)
-        if not need & ~reached:
-            return True
-        if reached == was:
-            return False
 
 
 def _grid_bfs(
@@ -291,16 +214,53 @@ def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex]) -> list[list
 
 def _joined(cells: Collection[Vertex], tiles: list[Vertex]) -> bool:
     """True when one flood from tiles[0] through `cells` reaches every tile:
-    `_reaches` where `_pack` packs the cells, else `_grid_bfs`."""
+    `_grid_distances`' bitboard levels where `_pack` packs the cells, else
+    `_grid_bfs`."""
     board = _pack(cells, _PACK_DENSITY)
     if board is None:
         return _grid_bfs(cells, tiles[0], tiles).keys() >= set(tiles)
-    need = sum({1 << board.index(t) for t in tiles})  # distinct bits: the sum is their union
-    return _reaches(1 << board.index(tiles[0]), board.cells, need, board.stride)
+    stride = board.stride
+    frontier = 1 << board.index(tiles[0])
+    unseen = board.cells ^ frontier
+    left = sum({1 << board.index(t) for t in tiles}) & unseen  # distinct bits: the sum is their union
+    while left and frontier:
+        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+        frontier = step & unseen
+        unseen ^= frontier
+        left &= unseen
+    return not left
 
 
 def _connected(cells: Collection[Vertex]) -> bool:
     return bool(cells) and len(_grid_bfs(cells, next(iter(cells)))) == len(cells)
+
+
+def _euler_trail(vertices: list[T], edges: list[tuple[T, T]], start: T) -> list[T]:
+    """Open Euler trail through every edge of a connected multigraph,
+    starting at `start` (Hierholzer): the postman's walk and the tile path."""
+    adj: dict[T, list[tuple[T, int]]] = {v: [] for v in vertices}
+    for eid, (a, b) in enumerate(edges):
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
+    for v in adj:
+        adj[v].sort(reverse=True)
+    used = [False] * len(edges)
+    stack = [start]
+    trail = []
+    while stack:
+        v = stack[-1]
+        while adj[v] and used[adj[v][-1][1]]:
+            adj[v].pop()
+        if adj[v]:
+            w, eid = adj[v].pop()
+            used[eid] = True
+            stack.append(w)
+        else:
+            trail.append(stack.pop())
+    trail.reverse()
+    if len(trail) != len(edges) + 1:
+        raise AssertionError("required multigraph is not connected")
+    return trail
 
 
 def grid_edges(g: GridGraph) -> set[tuple[Vertex, Vertex]]:

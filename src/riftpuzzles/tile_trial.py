@@ -1,5 +1,6 @@
-"""The step-limit tile puzzle: boards, path verification, exact solving,
-and the reduction from grid-graph Hamiltonian cycles.
+"""The step-limit tile puzzle: boards, path verification, an exact solver
+exponential only in the board's width, and the reduction from grid-graph
+Hamiltonian cycles, whose hardness needs wide or holed boards.
 
 A board is a set of tiles with step capacities 1 or 2.  The player walks
 orthogonally from the start tile to the finish tile, may stand on each tile
@@ -8,16 +9,18 @@ at most its capacity, and must touch every crystal tile at least once.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .graphs import (
+    FRONTIER_STATE_LIMIT,
     ORTHO_STEPS,
+    _SCAN_STATE_LIMIT,
     BudgetExhausted,
     GridGraph,
     Verdict,
-    _grid_bfs,
-    _pack,
-    _reaches,
+    _euler_trail,
 )
 
 Tile = tuple[int, int]
@@ -96,72 +99,96 @@ def verify_tile_path(board: TileBoard, path: TilePath) -> Verdict:
 
 
 def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePath | None:
-    """Exact backtracking solver.
+    """Exact solver: a frontier DP over the multiset of the walk's steps.
 
-    Returns a valid path or None when provably unsolvable.  Raises
-    BudgetExhausted when the budget runs out first.  Prunes branches
-    where the finish or any untouched crystal is no longer reachable through
-    residual capacity: one bitboard flood (`_reaches`) from the path head
-    over the open mask, the tiles with capacity left, which each step
-    updates in place.  The flood runs plain BFS levels while it is shallow
-    and whole-run fill rounds once it is deep, so on a long corridor, such
-    as a 2xL ladder's reduction, a step's prune costs a few rounds rather
-    than about L levels.
+    Returns a valid path or None when provably unsolvable.  A multiset of
+    grid edges is a valid walk's step set exactly when it is connected, the
+    start and finish have degree 1, every other tile even degree at most
+    twice its capacity, and every crystal degree at least 2 (Euler, 1736).
+    The scan is `graphs._ham_frontier`'s.  A state is the steps from the
+    tiles seen to the rest, each with its count and a component label.  A
+    component may close only when nothing else is open and no start, finish
+    or crystal is left; one back-pointer per state gives back its multiset.
+    Raises BudgetExhausted past `FRONTIER_STATE_LIMIT` states at one tile or
+    `node_budget` (default 200,000) in all.
     """
     caps = board.capacities
-    finish = board.finish
-    path = [board.start]
-    # Only the start's component is ever reached, and a connected set packs
-    # into at most (tile count)^2 bits however far apart a board built in
-    # code puts its parts.  A finish or crystal outside it maps to a pad
-    # bit, which no flood reaches, so the root prune fails.
-    component = _grid_bfs(caps, board.start)
-    packed = _pack(component)
-    stride = packed.stride
-    bit = {t: 1 << packed.index(t) for t in component}
-    lost = 1 << (stride - 1)
-    finish_bit = bit.get(finish, lost)
-    pending = 0
-    for c in board.crystals:
-        pending |= bit.get(c, lost)
-    open_ = packed.cells ^ bit[board.start]
-    # the capacity-2 tiles not yet stepped on: a step onto one leaves it open
-    spare = sum(b for t, b in bit.items() if caps[t] == 2)
-    nodes = 0
-
-    def dfs(pos: Tile) -> bool:
-        nonlocal nodes, open_, pending, spare
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExhausted(f"no verdict within {node_budget} nodes")
-        if not _reaches(bit[pos], open_, pending | finish_bit, stride):
-            return False
-        x, y = pos
-        for dx, dy in ORTHO_STEPS:
-            nxt = (x + dx, y + dy)
-            b = bit.get(nxt, 0)
-            if not open_ & b:
-                continue
-            was_pending = pending & b
-            once = spare & b
-            pending ^= was_pending
-            spare ^= once
-            open_ ^= b ^ once
-            path.append(nxt)
-            if nxt == finish:
-                if not pending:
-                    return True
-            elif dfs(nxt):
-                return True
-            pending ^= was_pending
-            spare ^= once
-            open_ ^= b ^ once
-            path.pop()
-        return False
-
-    if dfs(board.start):
-        return TilePath(tuple(path))
+    xs, ys = zip(*caps)
+    wide = max(xs) - min(xs) > max(ys) - min(ys)
+    # scan position (row, column) -> board tile, in scan order
+    tile = dict(sorted((v if wide else v[::-1], v) for v in caps))
+    rule = {v: (1 if t in (board.start, board.finish) else 2 * caps[t], t in board.crystals) for v, t in tile.items()}
+    last = max(i for i, (most, crystal) in enumerate(rule.values()) if most == 1 or crystal)
+    limit = _SCAN_STATE_LIMIT if node_budget is None else node_budget
+    states: list[tuple[int, ...]] = [(0,)]  # slots are label << 2 | steps, 0 when empty
+    back: list[array] = []
+    seen = 0
+    for i, (r, c) in enumerate(tile):
+        up = (r + 1, c) in tile
+        fits = _fits(rule[r, c], rule.get((r, c + 1)), rule.get((r + 1, c)))
+        new: dict[tuple[int, ...], int] = {}
+        for k, s in enumerate(states):
+            a, b, rest = (s[0], s[1], s[2:]) if (r - 1, c) in tile else (s[0], 0, s[1:])
+            la, lb = a >> 2, b >> 2
+            if la and lb and la != lb:  # two components join
+                rest = tuple([la << 2 | x & 3 if x >> 2 == lb else x for x in rest])
+            label = la or lb or -1  # -1 starts a component
+            closing = (la or lb) and label not in [x >> 2 for x in rest]
+            for h, u in fits[a & 3][b & 3]:
+                if closing and not (h or u):
+                    if i >= last and not any(rest):
+                        return _trail(board, tile, back, i, k << 4)
+                    continue
+                slots = (h and label << 2 | h, *rest, u and label << 2 | u) if up else (h and label << 2 | h, *rest)
+                labels = [x >> 2 for x in slots]
+                key = tuple([labels.index(x >> 2) + 1 << 2 | x & 3 if x else 0 for x in slots])
+                if key not in new:
+                    new[key] = k << 4 | h << 2 | u
+        if len(new) > FRONTIER_STATE_LIMIT:
+            raise BudgetExhausted(f"over {FRONTIER_STATE_LIMIT} frontier states at tile {i + 1} of {len(tile)}")
+        seen += len(new)
+        if seen > limit:
+            raise BudgetExhausted(f"over {limit} frontier states in all by tile {i + 1} of {len(tile)}")
+        if not new:
+            break
+        back.append(array("l", new.values()))
+        states = list(new)
     return None
+
+
+@lru_cache(maxsize=None)
+def _fits(here: tuple[int, bool], right: tuple[int, bool] | None, up: tuple[int, bool] | None) -> tuple:
+    """[a][b] -> the (right, up) step counts a tile may add to a steps in
+    from the left and b from below, by the rules (most steps, 1 at an end;
+    is a crystal) of the tile and its neighbours, None off the board.  An
+    edge carries 2 steps only where a walk may need both: a third can always
+    go, as can a doubled dead end onto a tile that is not a crystal."""
+    most, crystal = here
+
+    def carry(there: tuple[int, bool] | None) -> int:
+        if there is None:
+            return 0
+        return 2 if 4 in (most, there[0]) and all(m == 4 or x for m, x in (here, there)) else 1
+
+    def ok(steps: tuple[int, ...]) -> bool:
+        degree = sum(steps)
+        if degree > most or (most - degree) % 2 or crystal and degree < 2:
+            return False
+        return crystal or degree != 2 or 2 not in steps
+
+    moves = [(h, u) for h in range(carry(right) + 1) for u in range(carry(up) + 1)]
+    return tuple(tuple(tuple(m for m in moves if ok((a, b, *m))) for b in range(3)) for a in range(3))
+
+
+def _trail(board: TileBoard, tile: dict[Tile, Tile], back: list[array], i: int, pointer: int) -> TilePath:
+    """An Euler trail from the start of the steps `pointer`, at scan position i, leads back to."""
+    steps: list[tuple[Tile, Tile]] = []
+    for j, (r, c) in reversed(list(enumerate(tile))[: i + 1]):
+        for end, count in ((r, c + 1), pointer >> 2 & 3), ((r + 1, c), pointer & 3):
+            steps += [(tile[r, c], tile[end])] * count if count else []
+        if j:
+            pointer = back[j - 1][pointer >> 4]
+    return TilePath(tuple(_euler_trail(sorted({v for e in steps for v in e}), steps, board.start)))
 
 
 def reduce_grid_to_tile_trial(g: GridGraph) -> TileBoard:

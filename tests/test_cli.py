@@ -661,8 +661,26 @@ def test_refusals_pinned(tmp_path, capsys):
         (("gen", "bond-board", "--box", "3x3", "--max-v", "10"), "invalid input: a 3x3 box holds fewer than 10 crystals"),
         (("gen", "bond-board", "--count", "0"), "error: --count wants at least 1, got 0"),
         (("gen", "bond-board", "--count", "-2"), "error: --count wants at least 1, got -2"),
+        (("gen", "bond-board", "--max-v", "-1"), "error: --max-v wants at least 0, got -1"),
+        (("sweep", "clock", "--max-v", "-1"), "error: --max-v wants at least 2, got -1"),
+        (("sweep", "clock", "--max-v", "1"), "error: --max-v wants at least 2, got 1"),
     ]:
         assert run(capsys, *argv) == (3, "", err + "\n"), argv
+
+
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
+def test_search_out_of_stack_or_memory_gives_up(tmp_path, capsys, monkeypatch, error):
+    # exit 1 would read as "unsolvable"; the search decided nothing
+    from riftpuzzles import cli
+
+    def spent(*args, **kwargs):
+        raise error
+
+    code, board, _ = run(capsys, "reduce", "tile", doc(tmp_path, "sq.grid", SQUARE))
+    assert code == 0
+    monkeypatch.setattr(cli, "solve_tile_trial", spent)
+    got = run(capsys, "solve", "tile", doc(tmp_path, "sq.tile", board))
+    assert got == (3, "", f"gave up: {str(error) or type(error).__name__}\n")
 
 
 def test_solve_dcb_solves_past_the_former_matching_limit(tmp_path, capsys):

@@ -98,6 +98,21 @@ def former_colour_excess(g):
     return abs(len(g) - 2 * odd)
 
 
+def level_flood(seed, open_, need, stride):
+    """True when a bitboard flood from `seed` through the `open_` bits
+    covers `need`, one BFS level at a time."""
+    seen = frontier = seed
+    unseen = open_ & ~seed
+    while need & ~seen:
+        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+        frontier = step & unseen
+        if not frontier:
+            return False
+        unseen ^= frontier
+        seen |= frontier
+    return True
+
+
 def former_ham_search(g, cycle):
     """The backtracking search the frontier DP replaced, with its colour,
     degree and connectivity pre-checks: an explicit stack of neighbour
@@ -118,7 +133,7 @@ def former_ham_search(g, cycle):
                 free ^= bit[nxt]
                 path.append(nxt)
                 open_ = free | anchor_bit
-                grow = graphs._reaches(bit[nxt], open_, open_, board.stride)
+                grow = level_flood(bit[nxt], open_, open_, board.stride)
                 if grow and not free:
                     return True
                 stack.append(iter(g.neighbors(nxt) if grow else ()))

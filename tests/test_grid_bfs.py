@@ -3,9 +3,8 @@
 Dense tile sets and sets in a small bounding box run as bitboards (one int,
 a pad column per row), sparse ones in a large box through the per-cell
 loop; both must give the reference's values and types: an int step count,
-or math.inf when cut off.  The Tile Trial prune's flood, `_reaches`, must
-give the reference's verdict whether it stays on plain levels or switches
-to whole-run fill rounds.
+or math.inf when cut off.  The connectivity flood, `_joined`, must give the
+reference's verdict.
 """
 
 import math
@@ -14,11 +13,10 @@ import time
 from collections import deque
 from itertools import chain
 
-from riftpuzzles import graphs
 from riftpuzzles.cli import main
 from riftpuzzles.crystal_bonds import apply_start_gadget, reduce_grid_to_dcb
 from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, grid_distance_matrix
-from riftpuzzles.graphs import _PACK_DENSITY, _connected, _pack, _reaches, enumerate_grid_graphs
+from riftpuzzles.graphs import _PACK_DENSITY, _connected, _joined, _pack, enumerate_grid_graphs
 
 
 def reference_bfs(tiles, src):
@@ -139,8 +137,7 @@ def test_side_columns_do_not_wrap_between_rows():
     assert not _connected(bars)
     assert packable(tiles) and packable(bars)
     # and on the bars' own bitboard, where the pad column keeps them apart
-    board = _pack(bars)
-    assert not _reaches(1 << board.index((5, 4)), board.cells, 1 << board.index((0, 5)), board.stride)
+    assert not _joined(bars, [(5, 4), (0, 5)])
 
 
 def test_single_tile_and_duplicate_targets():
@@ -228,72 +225,39 @@ def flood_boards(count):
         yield rng, sorted((x + dx, y + dy) for x, y in tiles)
 
 
-def end_floods():
-    """Corridors whose floods from their first tile end one level before, at
-    and one level after the switch to fill rounds, and a 2x200 ladder."""
-    for length in range(graphs._FIRST_LEVELS, graphs._FIRST_LEVELS + 3):
-        yield [(x, 0) for x in range(length)]
-    yield [(x, y) for x in range(2) for y in range(200)]
-
-
-def assert_flood(tiles, seed, open_cells, need):
-    """`_reaches` gives the per-cell flood's verdict, which it returns."""
-    board = _pack(tiles)
-    bit = {t: 1 << board.index(t) for t in tiles}
-    lost = 1 << (board.stride - 1)  # the tile solver's pad-bit marker
-    open_ = sum(bit[t] for t in open_cells)
-    need_bits = sum(bit[t] for t in need)
-    want = need <= reference_bfs(open_cells, seed).keys()  # the seed, open or not, counts
-    assert _reaches(bit[seed], open_, need_bits, board.stride) == want, (tiles, seed)
-    assert not _reaches(bit[seed], open_, need_bits | lost, board.stride)
+def assert_joined(cells, tiles):
+    """`_joined` gives the per-cell flood's verdict, which it returns."""
+    want = set(tiles) <= reference_bfs(cells, tiles[0]).keys()
+    assert _joined(cells, tiles) == want, (sorted(cells), tiles)
     return want
 
 
-def test_reaches_matches_per_cell_flood(monkeypatch):
-    fills = []  # the verdicts of floods deep enough for fill rounds
-    run_fill = graphs._run_fill
-    monkeypatch.setattr(graphs, "_run_fill", lambda *args: fills.append(run_fill(*args)) or fills[-1])
-    verdicts = set()
+def test_joined_matches_per_cell_flood():
+    verdicts, packed = set(), 0
     for rng, tiles in flood_boards(360):
         for _ in range(4):
             keep = rng.choice((1.0, 1.0, 0.9, 0.7, 0.5))
-            open_cells = {t for t in tiles if rng.random() < keep}
-            seed = rng.choice(tiles)  # open or not
-            pick = rng.random()
-            if pick < 0.3:
-                need = open_cells | {seed}
-            elif pick < 0.5:
-                need = set(rng.sample(sorted(open_cells), min(len(open_cells), 3)))
-            else:
-                need = set(rng.sample(tiles, rng.randint(0, min(len(tiles), 4))))
-            verdicts.add(assert_flood(tiles, seed, open_cells, need))
-    assert verdicts == {False, True}
-    assert len(fills) >= 100 and set(fills) == {False, True}
-    # whole, only a flood deeper than _FIRST_LEVELS fills; with a middle
-    # BFS level closed, the far end is cut off
-    for tiles in end_floods():
+            cells = {t for t in tiles if rng.random() < keep} or {tiles[0]}
+            need = rng.sample(sorted(cells), rng.randint(1, min(len(cells), 4)))
+            verdicts.add(assert_joined(cells, need))
+            packed += packable(cells)
+    assert verdicts == {False, True} and packed >= 1000
+    # a corridor and a 2x200 ladder whole, then with a middle BFS level
+    # closed, which cuts off the far end
+    for tiles in ([(x, 0) for x in range(14)], [(x, y) for x in range(2) for y in range(200)]):
         dist = reference_bfs(set(tiles), tiles[0])
-        depth = max(dist.values())
-        calls = len(fills)
-        assert assert_flood(tiles, tiles[0], set(tiles), set(tiles))
-        assert len(fills) == calls + (depth > graphs._FIRST_LEVELS)
-        cut = set(tiles) - {t for t in tiles if dist[t] == depth // 2}
-        assert not assert_flood(tiles, tiles[0], cut, cut)
+        far = max(tiles, key=dist.get)
+        assert assert_joined(set(tiles), [tiles[0], far])
+        cut = {t for t in tiles if dist[t] != dist[far] // 2}
+        assert not assert_joined(cut, [tiles[0], far])
 
 
-def test_reaches_fill_rounds_turn_every_way():
-    # a serpentine needs fill rounds that run both ways along its rows; the
-    # flood from each end of the corridor must reach the other and stop at
-    # a cut
-    tiles = sorted(serpentine(9, 20))
+def test_joined_crosses_a_serpentine_both_ways():
+    # the flood from each end of a turning corridor must reach the other
+    # and stop at a cut
+    tiles = serpentine(9, 20)
+    assert packable(tiles)
     ends = (0, 0), (0, 38)
-    board = _pack(tiles)
-    bit = {t: 1 << board.index(t) for t in tiles}
-    open_ = sum(bit.values())
     for seed, far in (ends, ends[::-1]):
-        assert _reaches(bit[seed], open_, open_, board.stride)
-        assert _reaches(bit[seed], open_, bit[far], board.stride)
-        # a closed seed still counts as reached
-        assert _reaches(bit[seed], open_ ^ bit[seed], open_, board.stride)
-        cut = (4, 20)  # mid-row: splits the corridor
-        assert not _reaches(bit[seed], open_ ^ bit[cut], open_ ^ bit[cut], board.stride)
+        assert assert_joined(tiles, [seed, far])
+        assert not assert_joined(tiles - {(4, 20)}, [seed, far])  # mid-row: splits the corridor

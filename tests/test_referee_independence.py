@@ -36,7 +36,6 @@ SHARED = {
         "geometry._Geodesics._settled", "geometry._Row",
         "geometry._line_walk", "geometry._point_in", "geometry._scaled", "geometry._walk",
         "graphs._Bitboard", "graphs._grid_bfs", "graphs._grid_distances", "graphs._joined", "graphs._pack",
-        "graphs._reaches", "graphs._run_fill",
     },
     ("crystal_bonds.decide_dcb", "graphs.has_ham_path_grid"): set(),
     ("hands_of_time.solve_clock", "graphs.has_directed_ham_path"): set(),
@@ -54,9 +53,10 @@ REFERENCES = {
     "geometry._scaled": ["test_geometry::test_segment_walk_matches_float_oracle"],
     "geometry._walk": ["test_geometry::test_segment_walk_matches_float_oracle"],
     "geometry._line_walk": ["test_geometry::test_segment_walk_matches_float_oracle"],
-    "graphs._reaches": ["test_grid_bfs::test_reaches_matches_per_cell_flood"],
-    "graphs._run_fill": ["test_grid_bfs::test_reaches_matches_per_cell_flood"],
-    "graphs._joined": ["test_crystal_bonds::test_euclid_metric_is_cut_exactly_when_the_full_matrix_holds_an_inf"],
+    "graphs._joined": [
+        "test_crystal_bonds::test_euclid_metric_is_cut_exactly_when_the_full_matrix_holds_an_inf",
+        "test_grid_bfs::test_joined_matches_per_cell_flood",
+    ],
     **dict.fromkeys(
         ("geometry._Geodesics", "geometry._Geodesics._edge", "geometry._Geodesics._settled", "geometry._Row"),
         ["test_geometry::test_on_demand_entries_match_the_full_matrix_in_any_read_order"],

@@ -1,11 +1,12 @@
 import random
+import time
 from collections import deque
 
 import pytest
 
-from riftpuzzles import tile_trial
 from riftpuzzles.geometry import gen_random_region
 from riftpuzzles.graphs import (
+    FRONTIER_STATE_LIMIT,
     BudgetExhausted,
     GridGraph,
     enumerate_grid_graphs,
@@ -18,6 +19,8 @@ from riftpuzzles.tile_trial import (
     solve_tile_trial,
     verify_tile_path,
 )
+
+from test_graphs import holed_boards
 
 
 def straight_board():
@@ -121,7 +124,7 @@ def test_solver_detects_unsolvable():
 def test_solver_budget():
     g = GridGraph(frozenset((x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)))
     board = reduce_grid_to_tile_trial(g)
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match="^over 2 frontier states in all by tile "):
         solve_tile_trial(board, node_budget=2)
 
 
@@ -173,14 +176,14 @@ def test_reduction_equivalence_small_sweep():
         assert solvable == has_ham_cycle_grid(g), sorted(g.vertices)
 
 
-def per_cell_solver(board, node_budget=None):
-    """The solver as it was before the bitboard prune: a per-cell BFS over
-    the tiles with capacity left, run anew at every node."""
+def per_cell_solver(board):
+    """The backtracking search the frontier DP replaced, as it was before
+    its bitboard prune: a per-cell BFS over the tiles with capacity left,
+    run anew at every node."""
     caps, finish = board.capacities, board.finish
     used = {board.start: 1}
     path = [board.start]
     pending = set(board.crystals)
-    nodes = 0
 
     def reachable_ok(pos):
         seen = {pos}
@@ -196,10 +199,6 @@ def per_cell_solver(board, node_budget=None):
         return finish in seen and pending <= seen
 
     def dfs(pos):
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExhausted("budget")
         if not reachable_ok(pos):
             return False
         x, y = pos
@@ -225,27 +224,28 @@ def per_cell_solver(board, node_budget=None):
     return TilePath(tuple(path)) if dfs(board.start) else None
 
 
-def outcome(solver, board, node_budget=None):
-    try:
-        return solver(board, node_budget)
-    except BudgetExhausted:
-        return "budget"
-
-
-def test_solver_returns_the_per_cell_solvers_path():
+def test_solver_agrees_with_the_per_cell_solver():
     boards = [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(3, 3, 9) if len(g) >= 2]
     rng = random.Random(7)
     for i in range(50):
         region = gen_random_region(rng.randrange(2**32), 6, 6, 20 + i % 11)
         boards.append(reduce_grid_to_tile_trial(GridGraph(region.tiles)))
     assert len(boards) == 209 + 50
-    for board in boards:
-        assert solve_tile_trial(board) == per_cell_solver(board)
-    # the node count, hence where a budget runs out, is the same too
+    verdicts = set()
+    for board in boards + random_boards(1000):
+        path = solve_tile_trial(board)
+        assert (path is None) == (per_cell_solver(board) is None), board
+        assert path is None or verify_tile_path(board, path).ok, (board, path)
+        verdicts.add(path is None)
+    assert verdicts == {False, True}
+    # a budget gives up or gives the same verdict
     for board in boards[::20] + random_boards(200):
-        for budget in (None, 1, 2, 5, 13, 40):
-            want = outcome(per_cell_solver, board, budget)
-            assert outcome(solve_tile_trial, board, budget) == want
+        want = per_cell_solver(board) is None
+        for budget in (1, 2, 5, 13, 40):
+            try:
+                assert (solve_tile_trial(board, budget) is None) == want
+            except BudgetExhausted:
+                pass
 
 
 def random_boards(count):
@@ -264,34 +264,17 @@ def random_boards(count):
     return boards
 
 
-def level_flood(seed, open_, need, stride):
-    """The prune's flood one BFS level at a time: the reference for fill rounds."""
-    seen = frontier = seed
-    unseen = open_ & ~seed
-    while need & ~seen:
-        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
-        frontier = step & unseen
-        if not frontier:
-            return False
-        unseen ^= frontier
-        seen |= frontier
-    return True
-
-
-def test_long_ladder_reduction_still_solves(monkeypatch):
-    # dfs keeps one Python frame per step; 2x310 stays within the default limit
-    ladder = GridGraph(frozenset((x, y) for x in range(310) for y in range(2)))
+def test_long_ladder_reduction_still_solves():
+    # the walk is about 1,500 steps long; the scan keeps no frame per step
+    ladder = GridGraph(frozenset((x, y) for x in range(500) for y in range(2)))
     board = reduce_grid_to_tile_trial(ladder)
     path = solve_tile_trial(board)
     assert path is not None and verify_tile_path(board, path).ok
-    # fill rounds decide the same prunes, so the search walks the same path
-    monkeypatch.setattr(tile_trial, "_reaches", level_flood)
-    assert solve_tile_trial(board) == path
 
 
 def test_far_apart_board_parts_are_not_packed():
-    # tiles cut off from the start never enter the bitboard, so a board
-    # built in code may scatter them; a crystal among them is unreachable
+    # the scan visits tiles, not their bounding box, so a board built in
+    # code may scatter them; a crystal among them is unreachable
     far = (10**18, 10**18)
     caps = {(0, 0): 1, (1, 0): 1, (2, 0): 1, far: 1}
     assert solve_tile_trial(TileBoard(caps, frozenset({(1, 0)}), (0, 0), (2, 0))) == TilePath(
@@ -299,3 +282,26 @@ def test_far_apart_board_parts_are_not_packed():
     )
     assert solve_tile_trial(TileBoard(caps, frozenset({far}), (0, 0), (2, 0))) is None
     assert solve_tile_trial(TileBoard(caps, frozenset(), (0, 0), far)) is None
+
+
+def test_holed_board_reductions_decided_within_a_second():
+    # the backtracking search ran for over 3 s on three of these five
+    boards = list(holed_boards())
+    assert len(boards) == 5
+    for g in boards:
+        board = reduce_grid_to_tile_trial(g)
+        began = time.perf_counter()
+        path = solve_tile_trial(board)
+        assert time.perf_counter() - began < 1.0, sorted(g.vertices)
+        assert (path is not None) == has_ham_cycle_grid(g)
+        assert path is None or verify_tile_path(board, path).ok
+
+
+def test_wide_board_gives_up_at_the_state_cap():
+    # a 14x14 square's rows cross 14 columns, far past the cap
+    square = GridGraph(frozenset((x, y) for x in range(14) for y in range(14)))
+    board = reduce_grid_to_tile_trial(square)
+    began = time.perf_counter()
+    with pytest.raises(BudgetExhausted, match=f"^over {FRONTIER_STATE_LIMIT} frontier states at tile "):
+        solve_tile_trial(board)
+    assert time.perf_counter() - began < 2.0
