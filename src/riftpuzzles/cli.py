@@ -295,14 +295,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# sweep workers; top level so ProcessPoolExecutor can pickle them
+# sweep workers; top level so ProcessPoolExecutor can pickle them.  Each
+# returns ok and the text printed when it is the first failing item, which
+# the document sweeps build only when not ok
 
 
 def _sweep_tile_item(g: GridGraph) -> tuple[bool, str]:
     board = reduce_grid_to_tile_trial(g)
-    got = solve_tile_trial(board) is not None
-    want = has_ham_cycle_grid(g)
-    return got == want, serialize(g)
+    ok = (solve_tile_trial(board) is not None) == has_ham_cycle_grid(g)
+    return ok, "" if ok else serialize(g)
 
 
 def _sweep_dcb_item(g: GridGraph) -> tuple[bool, str]:
@@ -311,7 +312,7 @@ def _sweep_dcb_item(g: GridGraph) -> tuple[bool, str]:
     gadget, gthreshold, detects = apply_start_gadget(board, g)
     want = has_path if detects == "ham-path" else has_ham_cycle_grid(g)
     ok = decide_dcb(board, threshold) == has_path and decide_dcb(gadget, gthreshold) == want
-    return ok, serialize(g)
+    return ok, "" if ok else serialize(g)
 
 
 def _sweep_clock_item(task: tuple[int, int, int | None]) -> tuple[bool, str]:
@@ -320,7 +321,7 @@ def _sweep_clock_item(task: tuple[int, int, int | None]) -> tuple[bool, str]:
     problems = audit_certificate(cert)
     cert = evaluate_certificate(cert, budget=budget)
     ok = not problems and cert.digraph_verdict == cert.clock_verdict
-    return ok, serialize(cert)
+    return ok, "" if ok else serialize(cert)
 
 
 def _sweep_cb_item(task: tuple[int, str]) -> tuple[bool, str]:
@@ -333,7 +334,7 @@ def _sweep_cb_item(task: tuple[int, str]) -> tuple[bool, str]:
         and verify_bond_walk(board, got).ok
         and verify_bond_walk(board, want).ok
     )
-    return ok, serialize(board)
+    return ok, "" if ok else serialize(board)
 
 
 def _sweep_geo_item(task: tuple[int, int, int]) -> tuple[bool, str]:

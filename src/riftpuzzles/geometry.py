@@ -41,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import _PACK_DENSITY, ORTHO_STEPS, _grid_distances, _pack
+from .graphs import ORTHO_STEPS, _grid_distances, _packed
 
 Tile = tuple[int, int]
 Point = tuple[float, float]
@@ -97,7 +97,7 @@ def _classify_corners(
     (exactly three surrounding tiles, the only possible bend points) with
     the direction (mx, my) of its missing quadrant.
 
-    A region that `_pack` packs is classified all at once on its bitboard:
+    A region that `_packed` packs is classified all at once on its bitboard:
     corner (x, y) takes the bit of tile (x, y), its north-east tile, and
     shifts by 1, by the stride and by both bring in its north-west,
     south-east and south-west tiles.  The empty pad column ending each row
@@ -107,7 +107,7 @@ def _classify_corners(
     count, not the bounding box.
     """
     pinches, reflex = set(), []
-    board = _pack(tiles, _PACK_DENSITY)
+    board = _packed(frozenset(tiles))
     if board is None:
         corners = set()
         for x, y in tiles:

@@ -24,7 +24,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
 from typing import Collection, Iterable, Iterator, NamedTuple, TypeVar
 
 Vertex = tuple[int, int]
@@ -44,11 +44,12 @@ ENUM_BOX_LIMIT = 12
 
 
 class InstanceTooLarge(ValueError):
-    """An exact oracle was asked to search beyond its documented limit."""
+    """An exact oracle or the enumeration refused an instance past its
+    documented size limit, before any search."""
 
 
 class BudgetExhausted(RuntimeError):
-    """A search ran out of its node budget before reaching a verdict."""
+    """A search ran out of its node or state budget before reaching a verdict."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,13 @@ def _pack(cells: Collection[Vertex], max_density: float = math.inf) -> _Bitboard
     return _Bitboard(x0, y0, stride, int(digits, 2))
 
 
+@lru_cache(maxsize=1)
+def _packed(tiles: frozenset[Vertex]) -> _Bitboard | None:
+    """`_pack(tiles, _PACK_DENSITY)`, kept for the last tile set: a euclid
+    solve floods its region for the crystals, then classifies its corners."""
+    return _pack(tiles, _PACK_DENSITY)
+
+
 def _grid_bfs(
     cells: Collection[Vertex], start: Vertex, targets: Iterable[Vertex] | None = None
 ) -> dict[Vertex, int]:
@@ -214,9 +222,9 @@ def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex]) -> list[list
 
 def _joined(cells: Collection[Vertex], tiles: list[Vertex]) -> bool:
     """True when one flood from tiles[0] through `cells` reaches every tile:
-    `_grid_distances`' bitboard levels where `_pack` packs the cells, else
+    `_grid_distances`' bitboard levels where `_packed` packs the cells, else
     `_grid_bfs`."""
-    board = _pack(cells, _PACK_DENSITY)
+    board = _packed(frozenset(cells))
     if board is None:
         return _grid_bfs(cells, tiles[0], tiles).keys() >= set(tiles)
     stride = board.stride
@@ -296,6 +304,8 @@ def _ham_frontier(g: GridGraph, cycle: bool) -> bool:
     visiting order) and labelled by segment, renumbered by first occurrence.
     A loop may close, or a segment finish, only at the last vertex, with an
     empty frontier: that one rule covers degree, connectivity and parity.
+    Raises BudgetExhausted past `FRONTIER_STATE_LIMIT` states at one vertex
+    or `_SCAN_STATE_LIMIT` in all.
     """
     xs, ys = zip(*g.vertices)
     order = sorted(g.vertices) if max(xs) - min(xs) > max(ys) - min(ys) else sorted(zip(ys, xs))
@@ -324,10 +334,10 @@ def _ham_frontier(g: GridGraph, cycle: bool) -> bool:
                     continue
                 new[tuple([t.index(x) + 1 if x else 0 for x in t])] = placed
         if len(new) > FRONTIER_STATE_LIMIT:
-            raise InstanceTooLarge(f"over {FRONTIER_STATE_LIMIT} frontier states at vertex {i + 1} of {len(order)}")
+            raise BudgetExhausted(f"over {FRONTIER_STATE_LIMIT} frontier states at vertex {i + 1} of {len(order)}")
         seen += len(new)
         if seen > _SCAN_STATE_LIMIT:
-            raise InstanceTooLarge(f"over {_SCAN_STATE_LIMIT} frontier states in all by vertex {i + 1} of {len(order)}")
+            raise BudgetExhausted(f"over {_SCAN_STATE_LIMIT} frontier states in all by vertex {i + 1} of {len(order)}")
         if not new:
             break
         states = new
@@ -338,18 +348,41 @@ def enumerate_grid_graphs(box_w: int, box_h: int, max_vertices: int) -> Iterator
     """Yield every connected induced grid graph inside a box, each exactly once.
 
     Cells live at (0..box_w-1, 0..box_h-1).  Enumeration order is by vertex
-    count, then lexicographic, so the stream is deterministic.
+    count, then lexicographic, so the stream is deterministic.  Only
+    connected sets are built: those of each size grow from the last size's
+    by one neighbouring cell (Redelmeier, 1981), as bitmasks over the cells
+    in (x, y) order, and a size is yielded sorted by its cells' index tuples,
+    the order `itertools.combinations` gives.
     """
     if box_w < 1 or box_h < 1:
         raise ValueError("box dimensions must be positive")
     if box_w * box_h > ENUM_BOX_LIMIT:
         raise InstanceTooLarge(f"box {box_w}x{box_h} exceeds the {ENUM_BOX_LIMIT}-cell enumeration limit")
     cells = [(x, y) for x in range(box_w) for y in range(box_h)]
-    top = min(max_vertices, len(cells))
-    for size in range(1, top + 1):
-        for combo in combinations(cells, size):
-            if _connected(set(combo)):
-                yield GridGraph(frozenset(combo))
+    index = {v: i for i, v in enumerate(cells)}
+    near = [sum(1 << index[x + dx, y + dy] for dx, dy in ORTHO_STEPS if (x + dx, y + dy) in index) for x, y in cells]
+
+    def members(s: int) -> list[int]:
+        return [i for i in range(len(cells)) if s >> i & 1]
+
+    sets = [1 << i for i in range(len(cells))]
+    for size in range(1, min(max_vertices, len(cells)) + 1):
+        if size > 1:
+            grown = set()
+            for s in sets:
+                rim, rest = 0, s
+                while rest:
+                    low = rest & -rest
+                    rim |= near[low.bit_length() - 1]
+                    rest ^= low
+                rim &= ~s
+                while rim:
+                    low = rim & -rim
+                    grown.add(s | low)
+                    rim ^= low
+            sets = sorted(grown, key=members)
+        for s in sets:
+            yield GridGraph(frozenset(cells[i] for i in members(s)))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ Hamiltonian cycles, whose hardness needs wide or holed boards.
 A board is a set of tiles with step capacities 1 or 2.  The player walks
 orthogonally from the start tile to the finish tile, may stand on each tile
 at most its capacity, and must touch every crystal tile at least once.
+
+The solver is a frontier DP.  A state's moves at a tile depend only on the
+state and the rules of the tile and its neighbours, so they are memoized
+across tiles and boards, for up to `FRONTIER_STATE_LIMIT` recent pairs of a
+state and a tile's context.
 """
 
 from __future__ import annotations
@@ -109,8 +114,11 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     tiles seen to the rest, each with its count and a component label.  A
     component may close only when nothing else is open and no start, finish
     or crystal is left; one back-pointer per state gives back its multiset.
-    Raises BudgetExhausted past `FRONTIER_STATE_LIMIT` states at one tile or
-    `node_budget` (default 200,000) in all.
+    Each state's moves come from `_transitions`, memoized for the last
+    `FRONTIER_STATE_LIMIT` pairs of a state and a tile's context, so a scan
+    that meets a state again does one lookup.  Raises BudgetExhausted past
+    `FRONTIER_STATE_LIMIT` states at one tile or `node_budget` (default
+    200,000) in all.
     """
     caps = board.capacities
     xs, ys = zip(*caps)
@@ -124,26 +132,15 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     back: list[array] = []
     seen = 0
     for i, (r, c) in enumerate(tile):
-        up = (r + 1, c) in tile
-        fits = _fits(rule[r, c], rule.get((r, c + 1)), rule.get((r + 1, c)))
+        context = (r - 1, c) in tile, rule[r, c], rule.get((r, c + 1)), rule.get((r + 1, c))
         new: dict[tuple[int, ...], int] = {}
         for k, s in enumerate(states):
-            a, b, rest = (s[0], s[1], s[2:]) if (r - 1, c) in tile else (s[0], 0, s[1:])
-            la, lb = a >> 2, b >> 2
-            if la and lb and la != lb:  # two components join
-                rest = tuple([la << 2 | x & 3 if x >> 2 == lb else x for x in rest])
-            label = la or lb or -1  # -1 starts a component
-            closing = (la or lb) and label not in [x >> 2 for x in rest]
-            for h, u in fits[a & 3][b & 3]:
-                if closing and not (h or u):
-                    if i >= last and not any(rest):
-                        return _trail(board, tile, back, i, k << 4)
-                    continue
-                slots = (h and label << 2 | h, *rest, u and label << 2 | u) if up else (h and label << 2 | h, *rest)
-                labels = [x >> 2 for x in slots]
-                key = tuple([labels.index(x >> 2) + 1 << 2 | x & 3 if x else 0 for x in slots])
+            moves, closes = _transitions(s, *context)
+            if closes and i >= last:
+                return _trail(board, tile, back, i, k << 4)
+            for key, steps in moves:
                 if key not in new:
-                    new[key] = k << 4 | h << 2 | u
+                    new[key] = k << 4 | steps
         if len(new) > FRONTIER_STATE_LIMIT:
             raise BudgetExhausted(f"over {FRONTIER_STATE_LIMIT} frontier states at tile {i + 1} of {len(tile)}")
         seen += len(new)
@@ -154,6 +151,30 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
         back.append(array("l", new.values()))
         states = list(new)
     return None
+
+
+@lru_cache(maxsize=FRONTIER_STATE_LIMIT)
+def _transitions(s: tuple[int, ...], below: bool, *rules: tuple[int, bool] | None) -> tuple[tuple, bool]:
+    """The moves of state s at a tile with the three rules `_fits` takes and
+    a neighbour below (the previous row) or not: each next state's key with
+    its steps right << 2 | up, in `_fits` order, and whether the state may
+    close its one component there with nothing else open."""
+    a, b, rest = (s[0], s[1], s[2:]) if below else (s[0], 0, s[1:])
+    la, lb = a >> 2, b >> 2
+    if la and lb and la != lb:  # two components join
+        rest = tuple([la << 2 | x & 3 if x >> 2 == lb else x for x in rest])
+    label = la or lb or -1  # -1 starts a component
+    closing = (la or lb) and label not in [x >> 2 for x in rest]
+    moves, closes = [], False
+    up = rules[2] is not None  # a tile above takes a slot
+    for h, u in _fits(*rules)[a & 3][b & 3]:
+        if closing and not (h or u):
+            closes = not any(rest)
+            continue
+        slots = (h and label << 2 | h, *rest, u and label << 2 | u) if up else (h and label << 2 | h, *rest)
+        labels = [x >> 2 for x in slots]
+        moves.append((tuple([labels.index(x >> 2) + 1 << 2 | x & 3 if x else 0 for x in slots]), h << 2 | u))
+    return tuple(moves), closes
 
 
 @lru_cache(maxsize=None)

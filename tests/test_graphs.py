@@ -6,6 +6,7 @@ import pytest
 
 from riftpuzzles import graphs
 from riftpuzzles.graphs import (
+    BudgetExhausted,
     Digraph,
     GridGraph,
     InstanceTooLarge,
@@ -192,7 +193,7 @@ def test_wide_board_gives_up_at_the_state_cap():
     square = gg(*[(x, y) for x in range(30) for y in range(30)])
     for oracle in (has_ham_cycle_grid, has_ham_path_grid):
         began = time.perf_counter()
-        with pytest.raises(InstanceTooLarge) as refused:
+        with pytest.raises(BudgetExhausted) as refused:
             oracle(square)
         assert str(refused.value).startswith(f"over {graphs.FRONTIER_STATE_LIMIT} frontier states at vertex ")
         assert time.perf_counter() - began < 1.0
@@ -204,7 +205,7 @@ def test_long_board_gives_up_at_the_scan_cap():
     # take minutes)
     board = gg(*[(x, y) for x in range(8) for y in range(1000)])
     began = time.perf_counter()
-    with pytest.raises(InstanceTooLarge) as refused:
+    with pytest.raises(BudgetExhausted) as refused:
         has_ham_path_grid(board)
     assert str(refused.value).startswith(f"over {graphs._SCAN_STATE_LIMIT} frontier states in all by vertex ")
     assert time.perf_counter() - began < 10.0
@@ -266,6 +267,36 @@ def test_enumerate_no_duplicates_and_connected():
         assert g.is_connected()
     # pinned: connected induced subgraphs of the 3x3 box, by brute subset scan
     assert len(seen) == 218
+
+
+def former_enumeration(box_w, box_h, max_vertices):
+    """The enumerator before it grew connected sets: every subset of each
+    size in `combinations` order, kept when one flood from its first cell
+    reaches the rest."""
+    cells = [(x, y) for x in range(box_w) for y in range(box_h)]
+    for size in range(1, min(max_vertices, len(cells)) + 1):
+        for combo in itertools.combinations(cells, size):
+            seen, todo = {combo[0]}, [combo[0]]
+            while todo:
+                x, y = todo.pop()
+                for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                    if nxt in combo and nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            if len(seen) == size:
+                yield gg(*combo)
+
+
+def test_enumeration_matches_the_subset_scan():
+    # every box of at most 12 cells and every max_v from 0 past its cells;
+    # each max_v's stream is the former full stream cut at that size
+    boxes = [(w, h) for w in range(1, 13) for h in range(1, 13) if w * h <= 12]
+    assert len(boxes) == 35
+    for w, h in boxes:
+        full = list(former_enumeration(w, h, w * h))
+        for max_v in range(w * h + 2):
+            want = [g for g in full if len(g) <= max_v]
+            assert list(enumerate_grid_graphs(w, h, max_v)) == want, (w, h, max_v)
 
 
 def test_enumerate_box_limit():

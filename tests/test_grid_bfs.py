@@ -4,7 +4,8 @@ Dense tile sets and sets in a small bounding box run as bitboards (one int,
 a pad column per row), sparse ones in a large box through the per-cell
 loop; both must give the reference's values and types: an int step count,
 or math.inf when cut off.  The connectivity flood, `_joined`, must give the
-reference's verdict.
+reference's verdict, and a euclid solve packs its region once for the
+flood and the corner pass.
 """
 
 import math
@@ -13,10 +14,17 @@ import time
 from collections import deque
 from itertools import chain
 
+from riftpuzzles import crystal_bonds, graphs
 from riftpuzzles.cli import main
-from riftpuzzles.crystal_bonds import apply_start_gadget, reduce_grid_to_dcb
+from riftpuzzles.crystal_bonds import (
+    apply_start_gadget,
+    gen_random_tree_board,
+    reduce_grid_to_dcb,
+    solve_crystal_bonds,
+    verify_bond_walk,
+)
 from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, grid_distance_matrix
-from riftpuzzles.graphs import _PACK_DENSITY, _connected, _joined, _pack, enumerate_grid_graphs
+from riftpuzzles.graphs import _PACK_DENSITY, _connected, _joined, _pack, _packed, enumerate_grid_graphs
 
 
 def reference_bfs(tiles, src):
@@ -261,3 +269,19 @@ def test_joined_crosses_a_serpentine_both_ways():
     for seed, far in (ends, ends[::-1]):
         assert assert_joined(tiles, [seed, far])
         assert not assert_joined(tiles - {(4, 20)}, [seed, far])  # mid-row: splits the corridor
+
+
+def test_a_euclid_solve_packs_its_region_once(monkeypatch):
+    # the crystal flood and the corner pass share `_packed`'s board
+    packs = []
+    monkeypatch.setattr(graphs, "_pack", lambda cells, *args: packs.append(len(cells)) or _pack(cells, *args))
+    _packed.cache_clear()
+    crystal_bonds._metric_of.cache_clear()
+    board = gen_random_tree_board(3, 30, 30, 40, "euclid")
+    assert verify_bond_walk(board, solve_crystal_bonds(board)).ok
+    assert packs == [len(board.region.tiles)]
+    assert _packed(board.region.tiles) == _pack(board.region.tiles, _PACK_DENSITY) is not None
+    # another tile set gets its own board
+    other = frozenset(serpentine(9, 20))
+    assert _packed(other) == _pack(other, _PACK_DENSITY) != _packed(board.region.tiles)
+    assert len(packs) == 3

@@ -25,7 +25,7 @@ SHARED = {
     # the corner pass packs the region with the grid BFS's bitboard
     ("geometry.euclidean_geodesic", "geometry.fine_grid_distance"): {
         "geometry._classify_corners", "geometry._exact_tile", "geometry._point_in",
-        "graphs._Bitboard", "graphs._pack",
+        "graphs._Bitboard", "graphs._pack", "graphs._packed",
     },
     # all of crystal_metric: criterion 7, the full-Dijkstra matrix read in
     # three orders, the flood-against-inf check and the per-cell BFS
@@ -36,6 +36,7 @@ SHARED = {
         "geometry._Geodesics._settled", "geometry._Row",
         "geometry._line_walk", "geometry._point_in", "geometry._scaled", "geometry._walk",
         "graphs._Bitboard", "graphs._grid_bfs", "graphs._grid_distances", "graphs._joined", "graphs._pack",
+        "graphs._packed",
     },
     ("crystal_bonds.decide_dcb", "graphs.has_ham_path_grid"): set(),
     ("hands_of_time.solve_clock", "graphs.has_directed_ham_path"): set(),
@@ -45,6 +46,11 @@ SHARED = {
 REFERENCES = {
     "graphs._Bitboard": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
     "graphs._pack": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
+    "graphs._packed": [
+        "test_grid_bfs::test_a_euclid_solve_packs_its_region_once",
+        "test_geometry::test_classify_corners_matches_brute_force_count",
+        "test_grid_bfs::test_joined_matches_per_cell_flood",
+    ],
     "graphs._grid_bfs": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
     "graphs._grid_distances": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
     "geometry._classify_corners": ["test_geometry::test_classify_corners_matches_brute_force_count"],

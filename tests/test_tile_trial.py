@@ -1,9 +1,11 @@
+import hashlib
 import random
 import time
 from collections import deque
 
 import pytest
 
+from riftpuzzles import tile_trial
 from riftpuzzles.geometry import gen_random_region
 from riftpuzzles.graphs import (
     FRONTIER_STATE_LIMIT,
@@ -12,6 +14,7 @@ from riftpuzzles.graphs import (
     enumerate_grid_graphs,
     has_ham_cycle_grid,
 )
+from riftpuzzles.instance_io import serialize
 from riftpuzzles.tile_trial import (
     TileBoard,
     TilePath,
@@ -305,3 +308,67 @@ def test_wide_board_gives_up_at_the_state_cap():
     with pytest.raises(BudgetExhausted, match=f"^over {FRONTIER_STATE_LIMIT} frontier states at tile "):
         solve_tile_trial(board)
     assert time.perf_counter() - began < 2.0
+
+
+# sha256 over serialize(path), or "UNSOLVABLE\n", of each board in turn, as
+# the scan gave them before its transitions were memoized
+PATH_DIGESTS = {
+    "3x4/9": "7af3045d9b31da61611b72d88d4223c461ba60ebf5d8b984f4f5b11bdb8c6b0a",
+    "2x6/12": "e254426b6fa55f8522d23e4f9b7a09551bcffa65bc1194202c12180b04da63db",
+    "random": "314aa827ba6b556aa10119f0914adccf3b5836718a7af69de482db4d966ab293",
+    "2x500": "1c02323a7985357fa292ef13007d5c4a26e6df0b0c11da4eaff908fdc29de064",
+    "holed": "028bfb9ee640fe66d7d7b976d772d12f3d974806e90788f847f946c66cb2c340",
+    "10x10": "88e8e01cfd46d3f7b18d15bdd4b0e2a342d8d995c60fe218aefe9b1c44c2c5c4",
+}
+
+
+def pinned_boards():
+    def box(w, h):
+        return GridGraph(frozenset((x, y) for x in range(w) for y in range(h)))
+
+    return {
+        "3x4/9": [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(3, 4, 9) if len(g) >= 2],
+        "2x6/12": [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(2, 6, 12) if len(g) >= 2],
+        "random": random_boards(1000),
+        "2x500": [reduce_grid_to_tile_trial(box(500, 2))],
+        "holed": [reduce_grid_to_tile_trial(g) for g in holed_boards()],
+        "10x10": [reduce_grid_to_tile_trial(box(10, 10))],
+    }
+
+
+def path_digest(boards, solve):
+    digest = hashlib.sha256()
+    for board in boards:
+        path = solve(board)
+        digest.update(("UNSOLVABLE\n" if path is None else serialize(path)).encode())
+    return digest.hexdigest()
+
+
+def test_paths_pinned():
+    for name, boards in pinned_boards().items():
+        assert path_digest(boards, solve_tile_trial) == PATH_DIGESTS[name], name
+
+
+def test_cold_transition_cache_gives_the_same_paths():
+    def cold(board):
+        tile_trial._transitions.cache_clear()
+        return solve_tile_trial(board)
+
+    for name, boards in pinned_boards().items():
+        assert path_digest(boards, cold) == PATH_DIGESTS[name], name
+
+
+def test_budget_messages_pinned():
+    # every 37th board of 3x4/9 at six budgets: the message of each that
+    # gives up, as the scan gave them before its transitions were memoized
+    boards = [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(3, 4, 9) if len(g) >= 2][::37]
+    messages = []
+    for board in boards:
+        for budget in (1, 2, 5, 13, 40, 100):
+            try:
+                messages.append("unsolvable" if solve_tile_trial(board, budget) is None else "solved")
+            except BudgetExhausted as exc:
+                messages.append(str(exc))
+    assert (messages.count("solved"), messages.count("unsolvable"), len(messages)) == (6, 69, 174)
+    digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
+    assert digest == "648ec7226e66ddfebd8df9ff89f06480fc4e287125b2bf79c5ac4fc1e67b0edb"
