@@ -286,10 +286,8 @@ _GENERATORS = {
 
 def _cmd_gen(args) -> int:
     generate = _GENERATORS[args.kind]
-    # an empty stdout with exit 0 would read as a generated set; 0 is --max-v's default
-    for flag, value, least in (("--count", args.count, 1), ("--max-v", args.max_v or 0, 0)):
-        if value < least:
-            raise CliError(f"{flag} wants at least {least}, got {value}")
+    if (args.max_v or 0) < 0:  # 0 is --max-v's default
+        raise CliError(f"--max-v wants at least 0, got {args.max_v}")
     docs = [serialize(generate(args.seed + i, *(args.box or (6, 6)), args)) for i in range(args.count)]
     sys.stdout.write("---\n".join(docs))
     return EXIT_OK
@@ -394,9 +392,6 @@ _SWEEPS = {
 
 def _cmd_sweep(args) -> int:
     items, worker = _SWEEPS[args.kind]
-    for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
-        if value is not None and value < 1:
-            raise CliError(f"{flag} wants at least 1, got {value}")
     for option, default in (("count", 100), ("seed", 0), ("max_v", 6)):
         if getattr(args, option) is None:
             setattr(args, option, default)
@@ -485,6 +480,10 @@ def main(argv=None) -> int:
         for option, kinds in _READERS.get(args.command, {}).items():
             if getattr(args, option) is not None and args.kind not in kinds:
                 raise CliError(f"{args.command} {args.kind} takes no --{option.replace('_', '-')}")
+        # below 1 these print an empty set, a sweep of nothing or a budget no search spent
+        for option in ("count", "jobs", "budget"):
+            if (value := getattr(args, option, None)) is not None and value < 1:
+                raise CliError(f"--{option} wants at least 1, got {value}")
         return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

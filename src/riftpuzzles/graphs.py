@@ -7,14 +7,16 @@ with the box's narrower side, and directed paths a subset DP.
 
 One grid BFS serves the package: connectivity, grid distances, and whether
 a region joins its crystals.  Connectivity is asked once per set, so it
-floods cell by cell.  Where one set is flooded many times, a tile set whose
-bounding box holds at most ``_PACK_BOX`` cells, or at most
-``_PACK_DENSITY`` cells per tile, is packed into one Python int, a row per
-stride of width + 1 bits, and a BFS level is four shifts and a mask over the
-whole set.  Sparser sets with a larger box keep a per-cell loop, so
-far-apart tiles never cost a bounding-box-sized int.  Distances are
-symmetric, so the BFS from the i-th tile of a list stops once it has reached
-every later tile and fills both halves of the matrix.  One Hierholzer trail,
+floods cell by cell.  Where one set is flooded many times, one packer,
+`_packed`, turns a tile set whose bounding box holds at most ``_PACK_BOX``
+cells, or at most ``_PACK_DENSITY`` cells per tile, into one Python int, a
+row per stride of width + 1 bits, and keeps the last set's board.  One
+level loop, in `_grid_distances`, steps a BFS level with four shifts and a
+mask over the whole set.  Sparser sets with a larger box keep a per-cell
+loop, so far-apart tiles never cost a bounding-box-sized int.  Distances
+are symmetric, so the BFS from the i-th tile of a list stops once it has
+reached every later tile and fills both halves of the matrix; its first
+row alone says whether a region joins its crystals.  One Hierholzer trail,
 `_euler_trail`, walks the Crystal Bonds postman and the Tile Trial path.
 """
 
@@ -114,14 +116,16 @@ class _Bitboard(NamedTuple):
         return (v[1] - self.y0) * self.stride + v[0] - self.x0
 
 
-def _pack(cells: Collection[Vertex], max_density: float = math.inf) -> _Bitboard | None:
-    """`cells` as a bitboard, or None when its bounding box holds more than
-    `_PACK_BOX` cells and more than `max_density` cells per tile."""
-    xs = [x for x, _ in cells]
-    ys = [y for _, y in cells]
+@lru_cache(maxsize=1)
+def _packed(tiles: frozenset[Vertex]) -> _Bitboard | None:
+    """`tiles` as a bitboard, or None when its bounding box holds more than
+    `_PACK_BOX` cells and more than `_PACK_DENSITY` cells per tile.  The last
+    set's board is kept, so a region flooded and corner-classified packs once."""
+    xs = [x for x, _ in tiles]
+    ys = [y for _, y in tiles]
     x0, y0 = min(xs), min(ys)
     width, height = max(xs) - x0 + 1, max(ys) - y0 + 1
-    if width * height > max(_PACK_BOX, max_density * len(cells)):
+    if width * height > max(_PACK_BOX, _PACK_DENSITY * len(tiles)):
         return None
     stride = width + 1
     size = stride * height
@@ -129,16 +133,9 @@ def _pack(cells: Collection[Vertex], max_density: float = math.inf) -> _Bitboard
     # int(..., 2)
     digits = bytearray(b"0") * size
     top = size - 1 + y0 * stride + x0
-    for x, y in cells:
+    for x, y in tiles:
         digits[top - y * stride - x] = 49
     return _Bitboard(x0, y0, stride, int(digits, 2))
-
-
-@lru_cache(maxsize=1)
-def _packed(tiles: frozenset[Vertex]) -> _Bitboard | None:
-    """`_pack(tiles, _PACK_DENSITY)`, kept for the last tile set: a euclid
-    solve floods its region for the crystals, then classifies its corners."""
-    return _pack(tiles, _PACK_DENSITY)
 
 
 def _grid_bfs(
@@ -170,22 +167,24 @@ def _grid_bfs(
     return dist
 
 
-def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex]) -> list[list[float]]:
+def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex], sources: int | None = None) -> list[list[float]]:
     """Orthogonal-step distance between each pair of `tiles` through
     `cells`: an int, or math.inf when cut off.  Every tile must be a cell.
 
     The BFS from ``tiles[i]`` stops once it has reached every later tile and
     writes both ``rows[i][j]`` and ``rows[j][i]``: step counts on the
-    undirected lattice are symmetric.  Packable sets run a level-synchronous
-    bitboard BFS, the others `_grid_bfs`.
+    undirected lattice are symmetric.  Only the first `sources` tiles, when
+    given, run a BFS (`_joined` runs one).  Sets that `_packed` packs run a
+    level-synchronous bitboard BFS, the others `_grid_bfs`.
     """
     n = len(tiles)
+    sources = n if sources is None else sources
     rows = [[math.inf] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 0
-    board = _pack(cells, _PACK_DENSITY)
+    board = _packed(frozenset(cells))
     if board is None:
-        for i, src in enumerate(tiles):
+        for i, src in enumerate(tiles[:sources]):
             dist = _grid_bfs(cells, src, tiles[i + 1 :])
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = dist.get(tiles[j], math.inf)
@@ -195,8 +194,8 @@ def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex]) -> list[list
     columns: dict[int, list[int]] = {}
     for j, k in enumerate(index):
         columns.setdefault(k, []).append(j)
-    later = 0  # the bits of tiles[i + 1:]
-    for i in range(n - 1, -1, -1):
+    later = sum({1 << k for k in index[sources:]})  # the bits of tiles[i + 1:]: distinct, so the sum is their union
+    for i in range(sources - 1, -1, -1):
         frontier, left = 1 << index[i], later
         unseen = board.cells ^ frontier
         d = 0
@@ -222,21 +221,8 @@ def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex]) -> list[list
 
 def _joined(cells: Collection[Vertex], tiles: list[Vertex]) -> bool:
     """True when one flood from tiles[0] through `cells` reaches every tile:
-    `_grid_distances`' bitboard levels where `_packed` packs the cells, else
-    `_grid_bfs`."""
-    board = _packed(frozenset(cells))
-    if board is None:
-        return _grid_bfs(cells, tiles[0], tiles).keys() >= set(tiles)
-    stride = board.stride
-    frontier = 1 << board.index(tiles[0])
-    unseen = board.cells ^ frontier
-    left = sum({1 << board.index(t) for t in tiles}) & unseen  # distinct bits: the sum is their union
-    while left and frontier:
-        step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
-        frontier = step & unseen
-        unseen ^= frontier
-        left &= unseen
-    return not left
+    the first row of `_grid_distances`."""
+    return math.inf not in _grid_distances(cells, tiles, sources=1)[0]
 
 
 def _connected(cells: Collection[Vertex]) -> bool:

@@ -664,6 +664,13 @@ def test_refusals_pinned(tmp_path, capsys):
         (("gen", "bond-board", "--max-v", "-1"), "error: --max-v wants at least 0, got -1"),
         (("sweep", "clock", "--max-v", "-1"), "error: --max-v wants at least 2, got -1"),
         (("sweep", "clock", "--max-v", "1"), "error: --max-v wants at least 2, got 1"),
+        (("solve", "tile", doc(tmp_path, "sq.tile", board), "--budget", "-1"), "error: --budget wants at least 1, got -1"),
+        (("solve", "tile", doc(tmp_path, "sq.tile", board), "--budget", "0"), "error: --budget wants at least 1, got 0"),
+        (("solve", "clock", doc(tmp_path, "one.clock", "2\n0 1\n1 1\n"), "--budget", "-2"),
+         "error: --budget wants at least 1, got -2"),
+        (("verify", "cert", "missing.cert", "--budget", "0"), "error: --budget wants at least 1, got 0"),
+        (("sweep", "clock", "--budget", "0"), "error: --budget wants at least 1, got 0"),
+        (("sweep", "clock", "--count", "0", "--budget", "0"), "error: --count wants at least 1, got 0"),
     ]:
         assert run(capsys, *argv) == (3, "", err + "\n"), argv
 

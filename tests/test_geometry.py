@@ -22,7 +22,7 @@ from riftpuzzles.geometry import (
     tile_center,
 )
 from riftpuzzles.geometry import _classify_corners, _Geodesics, _point_in
-from riftpuzzles.graphs import _PACK_DENSITY, _pack
+from riftpuzzles.graphs import _packed
 
 SQRT2 = math.sqrt(2.0)
 
@@ -76,7 +76,7 @@ def test_point_in_matches_fraction_reference():
 
 def _corner_pass_sets():
     """The small sets, benchmark-size regions at negative coordinates, and
-    sets `_pack` refuses: far tiles and a sparse diagonal staircase."""
+    sets `_packed` refuses: far tiles and a sparse diagonal staircase."""
     yield from _small_tile_sets(47, 300)
     for seed, size, n_tiles in [(1, 30, 600), (2, 30, 600), (3, 50, 1666)]:
         yield frozenset((x - 70, y - 45) for x, y in gen_random_region(seed, size, size, n_tiles).tiles)
@@ -101,7 +101,7 @@ def test_classify_corners_matches_brute_force_count():
             elif filled in ({(-1, -1), (1, 1)}, {(-1, 1), (1, -1)}):
                 pinches.add((cx, cy))
         assert _classify_corners(tiles) == (frozenset(pinches), reflex), sorted(tiles)
-        counts = seen[_pack(tiles, _PACK_DENSITY) is not None]
+        counts = seen[_packed(tiles) is not None]
         counts[0] += 1
         counts[1] += len(reflex)
         counts[2] += len(pinches)

@@ -4,8 +4,9 @@ Dense tile sets and sets in a small bounding box run as bitboards (one int,
 a pad column per row), sparse ones in a large box through the per-cell
 loop; both must give the reference's values and types: an int step count,
 or math.inf when cut off.  The connectivity flood, `_joined`, must give the
-reference's verdict, and a euclid solve packs its region once for the
-flood and the corner pass.
+reference's verdict on both sides of the packing rule.  A euclid solve
+packs its region once for the flood and the corner pass, and a geo-oracle
+sweep item once for the corner pass and the fine-grid oracle's flood.
 """
 
 import math
@@ -14,7 +15,7 @@ import time
 from collections import deque
 from itertools import chain
 
-from riftpuzzles import crystal_bonds, graphs
+from riftpuzzles import cli, crystal_bonds, graphs
 from riftpuzzles.cli import main
 from riftpuzzles.crystal_bonds import (
     apply_start_gadget,
@@ -24,7 +25,7 @@ from riftpuzzles.crystal_bonds import (
     verify_bond_walk,
 )
 from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, grid_distance_matrix
-from riftpuzzles.graphs import _PACK_DENSITY, _connected, _joined, _pack, _packed, enumerate_grid_graphs
+from riftpuzzles.graphs import _PACK_DENSITY, _Bitboard, _connected, _joined, _packed, enumerate_grid_graphs
 
 
 def reference_bfs(tiles, src):
@@ -48,7 +49,7 @@ def reference_matrix(tiles, targets):
 
 
 def packable(tiles):
-    return _pack(tiles, _PACK_DENSITY) is not None
+    return _packed(frozenset(tiles)) is not None
 
 
 def assert_same(got, want):
@@ -250,6 +251,18 @@ def test_joined_matches_per_cell_flood():
             verdicts.add(assert_joined(cells, need))
             packed += packable(cells)
     assert verdicts == {False, True} and packed >= 1000
+    # sets `_packed` refuses take `_grid_bfs`: needs within one piece, then
+    # scattered over the set
+    verdicts, refused = set(), 0
+    for rng, tiles in wide_scattered_sets(30):
+        if packable(tiles):
+            continue
+        refused += 1
+        a = rng.choice(sorted(tiles))
+        piece = sorted(reference_bfs(tiles, a))
+        verdicts.add(assert_joined(tiles, [a] + rng.sample(piece, min(3, len(piece)))))
+        verdicts.add(assert_joined(tiles, rng.sample(sorted(tiles), 3)))
+    assert verdicts == {False, True} and refused >= 20
     # a corridor and a 2x200 ladder whole, then with a middle BFS level
     # closed, which cuts off the far end
     for tiles in ([(x, 0) for x in range(14)], [(x, y) for x in range(2) for y in range(200)]):
@@ -271,17 +284,28 @@ def test_joined_crosses_a_serpentine_both_ways():
         assert not assert_joined(tiles - {(4, 20)}, [seed, far])  # mid-row: splits the corridor
 
 
-def test_a_euclid_solve_packs_its_region_once(monkeypatch):
+def test_a_euclid_solve_packs_its_region_once():
     # the crystal flood and the corner pass share `_packed`'s board
-    packs = []
-    monkeypatch.setattr(graphs, "_pack", lambda cells, *args: packs.append(len(cells)) or _pack(cells, *args))
     _packed.cache_clear()
     crystal_bonds._metric_of.cache_clear()
     board = gen_random_tree_board(3, 30, 30, 40, "euclid")
     assert verify_bond_walk(board, solve_crystal_bonds(board)).ok
-    assert packs == [len(board.region.tiles)]
-    assert _packed(board.region.tiles) == _pack(board.region.tiles, _PACK_DENSITY) is not None
+    assert _packed.cache_info().misses == 1
+    # the kept board is the one a fresh pack builds
+    assert _packed(board.region.tiles) == _packed.__wrapped__(board.region.tiles) is not None
     # another tile set gets its own board
     other = frozenset(serpentine(9, 20))
-    assert _packed(other) == _pack(other, _PACK_DENSITY) != _packed(board.region.tiles)
-    assert len(packs) == 3
+    assert _packed(other) == _packed.__wrapped__(other) != _packed(board.region.tiles)
+    assert _packed.cache_info().misses == 3
+
+
+def test_a_geo_oracle_item_packs_its_region_once(monkeypatch):
+    # the corner pass and the fine-grid oracle's reachability flood share
+    # one board; every fifth seed adds a far-away twin cluster
+    built = []
+    monkeypatch.setattr(graphs, "_Bitboard", lambda *fields: built.append(fields) or _Bitboard(*fields))
+    for seed in range(10):
+        _packed.cache_clear()
+        assert cli._sweep_geo_item((seed, 5, 5))[0]
+        assert len(built) == 1 and _packed.cache_info().misses == 1, seed
+        built.clear()
