@@ -22,7 +22,6 @@ from functools import lru_cache
 from .geometry import (
     Point,
     TileRegion,
-    grid_distance_matrix,
     gen_random_region,
     tile_center,
     tile_of,
@@ -30,7 +29,7 @@ from .geometry import (
     _Geodesics,
     _scaled,
 )
-from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges, _euler_trail, _joined
+from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges, _euler_trail, _GridDistances
 
 MODELS = ("grid", "euclid")
 
@@ -111,15 +110,13 @@ def crystal_metric(board: BondBoard) -> Sequence[Sequence[float]]:
     """Pairwise walking distances over the crystals, start appended last.
 
     Row/column i < r is crystal i; when the board has a start point it
-    occupies the final index r.  Raises UnreachableCrystal if any pair is
-    separated.  A grid metric is a tuple of tuples.  A euclid metric is a
-    tuple of read-only geometry._Row views that compute each entry on its
-    first read, after one tile flood from the first point has found every
-    point.
-    A process keeps the last metric built, keyed on the region, the points
-    and the distance model, so an equal board (a walk solved, then verified)
-    reuses it and the entries already read.  A separated board caches
-    nothing and raises on every call.
+    occupies the final index r.  The metric is a tuple of read-only
+    graphs._Row views, grid or euclid, computing each entry on first read.
+    Raises UnreachableCrystal if any pair is separated, as the grid engine's
+    last row shows under either model.  A process keeps the last metric
+    built, keyed on the region, the points and the distance model, so an
+    equal board (a walk solved, then verified) reuses it and the entries
+    already read.  A separated board caches nothing and raises each time.
     """
     points = board.crystals if board.start is None else board.crystals + (board.start,)
     return _metric_of(board.region, points, board.distance_model)
@@ -127,16 +124,10 @@ def crystal_metric(board: BondBoard) -> Sequence[Sequence[float]]:
 
 @lru_cache(maxsize=1)
 def _metric_of(region: TileRegion, points: tuple[Point, ...], model: str) -> Sequence[Sequence[float]]:
-    cells = [tile_of(p) for p in points]
-    if model == "grid":
-        metric = tuple(map(tuple, grid_distance_matrix(region, cells)))
-        joined = all(d < math.inf for row in metric for d in row)
-    else:
-        joined = not cells or _joined(region.tiles, cells)
-        metric = _Geodesics(region, list(points)).rows() if joined else None
-    if not joined:
+    grid = _GridDistances(region.tiles, [tile_of(p) for p in points])
+    if points and math.inf in grid.fill(len(points) - 1):
         raise UnreachableCrystal("region does not connect all crystals")
-    return metric
+    return grid.rows() if model == "grid" else _Geodesics(region, list(points)).rows()
 
 
 def _roots(n: int, edges) -> list[int]:
@@ -429,7 +420,7 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
         raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
     if not bonds:
         return BondWalk((), 0.0)
-    metric = crystal_metric(board)
+    metric = [list(row) for row in crystal_metric(board)]
     root = None if board.start is None else len(board.crystals)
     free_start = [0.0] * len(metric)
     full = (1 << len(bonds)) - 1

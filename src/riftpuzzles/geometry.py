@@ -7,8 +7,7 @@ neighbor shared by both) are impassable points.
 
 Three distance notions live here:
 
-* ``grid_distance``    -- orthogonal tile steps (BFS between tiles, on the
-  shared bitboard engine of ``graphs`` when the region is dense enough),
+* ``grid_distance``    -- orthogonal tile steps, by the on-demand BFS of ``graphs``,
 * ``euclidean_geodesic`` -- true shortest path length, over a reduced
   visibility graph of the query points and the reflex corners, keeping only
   corner pairs that can be bitangent.  Query points are never bend points,
@@ -41,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import ORTHO_STEPS, _grid_distances, _packed
+from .graphs import ORTHO_STEPS, _GridDistances, _packed, _Row
 
 Tile = tuple[int, int]
 Point = tuple[float, float]
@@ -287,7 +286,7 @@ def _walk(
 
 class _Geodesics:
     """Geodesic distances between query points, each computed when first
-    read; rows() gives them as a tuple of read-only _Row views.
+    read; rows() gives them as a tuple of read-only graphs._Row views.
 
     The nodes are the query points, then the reflex corners in sorted order,
     scaled to integers once by their common denominator for the cell walk.
@@ -324,15 +323,13 @@ class _Geodesics:
         self.sight: dict[tuple[int, int], float | None] = {}  # (i, j), i < j -> length or None
         self.corner_edges: dict[int, dict[int, float]] = {}
         self.settled: dict[int, list[tuple[int, float]]] = {}
-        self.k = len(points)
+        self.table: list[list[float | None]] = [[None] * len(points) for _ in points]
         # index, coordinates and quadrant of each corner; three tiles meet at
         # a reflex corner, so none is a pinch
-        self.corner_nodes = [(v, *self.nodes[v], self.quadrant[v]) for v in range(self.k, len(self.nodes))]
+        self.corner_nodes = [(v, *self.nodes[v], self.quadrant[v]) for v in range(len(points), len(self.nodes))]
 
     def rows(self) -> tuple[_Row, ...]:
-        # the rows refer to the engine, never the reverse: no reference cycle
-        # keeps an evicted engine alive until the cyclic collector runs
-        return tuple(_Row(self, i) for i in range(self.k))
+        return tuple(_Row(self.entry, self.complete, row, i) for i, row in enumerate(self.table))
 
     def _edge(self, i: int, j: int) -> float | None:
         """The length of segment i-j when it is admissible, else None; a
@@ -387,21 +384,8 @@ class _Geodesics:
                     best = d + near[u]
         return best
 
-
-class _Row:
-    """Row i of a _Geodesics; an entry is computed on its first read, then kept."""
-
-    def __init__(self, geodesics: _Geodesics, i: int) -> None:
-        self.geodesics, self.i, self.memo = geodesics, i, [None] * geodesics.k
-
-    def __len__(self) -> int:
-        return len(self.memo)
-
-    def __getitem__(self, j: int) -> float:
-        d = self.memo[j]
-        if d is None:
-            d = self.memo[j] = self.geodesics.entry(self.i, j % len(self.memo))
-        return d
+    def complete(self, i: int) -> None:
+        self.table[i][:] = [self.entry(i, j) if d is None else d for j, d in enumerate(self.table[i])]
 
 
 def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[list[float]]:
@@ -417,20 +401,18 @@ def euclidean_geodesic(region: TileRegion, p: Point, q: Point) -> float:
 
 def grid_distance(region: TileRegion, a: Tile, b: Tile) -> float:
     """Orthogonal tile steps between two tiles of the region (inf if cut off)."""
-    return grid_distance_matrix(region, [a, b])[0][1]
+    return _grid_engine(region, [a, b]).distance(0, 1)
 
 
 def grid_distance_matrix(region: TileRegion, tiles: list[Tile]) -> list[list[float]]:
-    """Pairwise orthogonal-step distances between the given tiles.
+    """Pairwise orthogonal-step distances between the given tiles, a row per flood."""
+    return [list(row) for row in _grid_engine(region, tiles).rows()]
 
-    The region is packed once; each tile's BFS stops as soon as it has
-    reached every later tile in the list, and fills both halves of the
-    matrix.
-    """
-    for t in tiles:
-        if t not in region.tiles:
-            raise PointOutsideRegion(f"tile {t} not in region")
-    return _grid_distances(region.tiles, tiles)
+
+def _grid_engine(region: TileRegion, tiles: list[Tile]) -> _GridDistances:
+    if outside := [t for t in tiles if t not in region.tiles]:
+        raise PointOutsideRegion(f"tile {outside[0]} not in region")
+    return _GridDistances(region.tiles, tiles)
 
 
 def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:

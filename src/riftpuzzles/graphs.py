@@ -5,19 +5,16 @@ adjacent exactly when their Euclidean distance is 1.  The oracles referee
 the puzzle reductions: grid Hamiltonicity is a frontier DP whose states grow
 with the box's narrower side, and directed paths a subset DP.
 
-One grid BFS serves the package: connectivity, grid distances, and whether
-a region joins its crystals.  Connectivity is asked once per set, so it
-floods cell by cell.  Where one set is flooded many times, one packer,
-`_packed`, turns a tile set whose bounding box holds at most ``_PACK_BOX``
-cells, or at most ``_PACK_DENSITY`` cells per tile, into one Python int, a
-row per stride of width + 1 bits, and keeps the last set's board.  One
-level loop, in `_grid_distances`, steps a BFS level with four shifts and a
-mask over the whole set.  Sparser sets with a larger box keep a per-cell
-loop, so far-apart tiles never cost a bounding-box-sized int.  Distances
-are symmetric, so the BFS from the i-th tile of a list stops once it has
-reached every later tile and fills both halves of the matrix; its first
-row alone says whether a region joins its crystals.  One Hierholzer trail,
-`_euler_trail`, walks the Crystal Bonds postman and the Tile Trial path.
+One grid BFS serves the package: connectivity floods cell by cell, and
+`_GridDistances` computes each distance on first read, resuming a source's
+BFS only as far as the reads need.  Its one level loop steps with four
+shifts and two masks over a set that `_packed` turns into one Python int, a
+row per stride of width + 1 bits, when the set's bounding box holds at most
+``_PACK_BOX`` cells or at most ``_PACK_DENSITY`` cells per tile; sparser
+sets flood cell by cell, a row at a time, so far-apart tiles never cost a
+bounding-box-sized int.  A region joins its points when a completed row
+holds no math.inf.  One Hierholzer trail, `_euler_trail`, walks the Crystal
+Bonds postman and the Tile Trial path.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Collection, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Collection, Iterator, NamedTuple, Sequence, TypeVar
 
 Vertex = tuple[int, int]
 T = TypeVar("T")
@@ -121,16 +118,14 @@ def _packed(tiles: frozenset[Vertex]) -> _Bitboard | None:
     """`tiles` as a bitboard, or None when its bounding box holds more than
     `_PACK_BOX` cells and more than `_PACK_DENSITY` cells per tile.  The last
     set's board is kept, so a region flooded and corner-classified packs once."""
-    xs = [x for x, _ in tiles]
-    ys = [y for _, y in tiles]
+    xs, ys = zip(*tiles)
     x0, y0 = min(xs), min(ys)
     width, height = max(xs) - x0 + 1, max(ys) - y0 + 1
     if width * height > max(_PACK_BOX, _PACK_DENSITY * len(tiles)):
         return None
     stride = width + 1
     size = stride * height
-    # one ASCII digit per bit (49 is "1"), most significant first, read by
-    # int(..., 2)
+    # one ASCII digit per bit ("1" is 49), most significant first, for int(..., 2)
     digits = bytearray(b"0") * size
     top = size - 1 + y0 * stride + x0
     for x, y in tiles:
@@ -138,20 +133,11 @@ def _packed(tiles: frozenset[Vertex]) -> _Bitboard | None:
     return _Bitboard(x0, y0, stride, int(digits, 2))
 
 
-def _grid_bfs(
-    cells: Collection[Vertex], start: Vertex, targets: Iterable[Vertex] | None = None
-) -> dict[Vertex, int]:
-    """Per-cell orthogonal-step distances from `start` through `cells`.
-
-    Stops once every tile of `targets`, when given, has its distance.  The
-    path for connectivity, for sparse tile sets and for callers that need
-    the reached cells.
-    """
-    dist = {start: 0}
-    left = set() if targets is None else set(targets) - {start}
-    if targets is not None and not left:
-        return dist
-    queue = deque([start])
+def _grid_bfs(cells: Collection[Vertex], start: Vertex, targets: Collection[Vertex] | None = None) -> dict[Vertex, int]:
+    """Per-cell step counts from `start` to each cell it reaches through
+    `cells`, stopping once every tile of `targets`, when given, has its count."""
+    dist, left = {start: 0}, set(targets or ()) - {start}
+    queue = deque([start] if left or targets is None else ())
     while queue:
         x, y = v = queue.popleft()
         d = dist[v] + 1
@@ -167,62 +153,103 @@ def _grid_bfs(
     return dist
 
 
-def _grid_distances(cells: Collection[Vertex], tiles: list[Vertex], sources: int | None = None) -> list[list[float]]:
-    """Orthogonal-step distance between each pair of `tiles` through
-    `cells`: an int, or math.inf when cut off.  Every tile must be a cell.
+class _Row:
+    """Read-only row i of an on-demand table: `compute_entry(i, j)` fills an
+    entry on first read, `compute_rest(i)` the rest when iterated."""
 
-    The BFS from ``tiles[i]`` stops once it has reached every later tile and
-    writes both ``rows[i][j]`` and ``rows[j][i]``: step counts on the
-    undirected lattice are symmetric.  Only the first `sources` tiles, when
-    given, run a BFS (`_joined` runs one).  Sets that `_packed` packs run a
-    level-synchronous bitboard BFS, the others `_grid_bfs`.
+    def __init__(self, compute_entry, compute_rest, memo: list, i: int) -> None:
+        self.compute_entry, self.compute_rest, self.memo, self.i = compute_entry, compute_rest, memo, i
+
+    def __len__(self) -> int:
+        return len(self.memo)
+
+    def __getitem__(self, j: int) -> float:
+        d = self.memo[j]
+        if d is None:
+            d = self.memo[j] = self.compute_entry(self.i, j % len(self.memo))
+        return d
+
+    def __iter__(self) -> Iterator[float]:
+        if None in self.memo:
+            self.compute_rest(self.i)
+        return iter(self.memo)
+
+
+class _GridDistances:
+    """Orthogonal-step distances between `tiles` (cells) through `cells`,
+    each computed when first read: an int, or math.inf when cut off.
+
+    On a packed set each source's BFS keeps its frontier, the level below
+    and its depth between reads; the lattice is bipartite, so the next level
+    is the frontier's neighbouring cells less the level below.  An entry
+    advances the deeper of its two floods until the other tile is reached, a
+    row its flood until every tile it lacks is, and each tile a level meets
+    fills both halves of the table.  Refused sets run `_grid_bfs` per row.
+    Method names differ from `_Geodesics`'s, for test_referee_independence.
     """
-    n = len(tiles)
-    sources = n if sources is None else sources
-    rows = [[math.inf] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 0
-    board = _packed(frozenset(cells))
-    if board is None:
-        for i, src in enumerate(tiles[:sources]):
-            dist = _grid_bfs(cells, src, tiles[i + 1 :])
-            for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = dist.get(tiles[j], math.inf)
-        return rows
-    stride = board.stride
-    index = [board.index(t) for t in tiles]
-    columns: dict[int, list[int]] = {}
-    for j, k in enumerate(index):
-        columns.setdefault(k, []).append(j)
-    later = sum({1 << k for k in index[sources:]})  # the bits of tiles[i + 1:]: distinct, so the sum is their union
-    for i in range(sources - 1, -1, -1):
-        frontier, left = 1 << index[i], later
-        unseen = board.cells ^ frontier
-        d = 0
+
+    def __init__(self, cells: Collection[Vertex], tiles: Sequence[Vertex]) -> None:
+        self.cells, self.tiles = cells, tiles
+        self.table: list[list[float | None]] = [[None] * len(tiles) for _ in tiles]
+        self.board = _packed(frozenset(cells))
+        if self.board is not None:
+            self.bits = [1 << self.board.index(t) for t in tiles]
+            self.columns: dict[int, list[int]] = {}  # a bit's index -> the places of its tile
+            for j, b in enumerate(self.bits):
+                self.columns.setdefault(b.bit_length() - 1, []).append(j)
+            self.targets = sum(1 << k for k in self.columns)
+            self.floods: dict[int, tuple[int, int, int]] = {}  # a source -> (frontier, below, depth)
+
+    def rows(self) -> tuple[_Row, ...]:
+        return tuple(_Row(self.distance, self.fill, row, i) for i, row in enumerate(self.table))
+
+    def distance(self, i: int, j: int) -> float:
+        if self.table[i][j] is None and self.board is None:
+            self.fill(i)
+        elif self.table[i][j] is None:
+            # the deeper flood, on a tie j's: a walk reads (u, w), then (w, x)
+            if self.floods.get(j, (0, 0, -1))[2] >= self.floods.get(i, (0, 0, -1))[2]:
+                i, j = j, i
+            self._flood(i, self.bits[j], self.targets)
+        return self.table[i][j]
+
+    def fill(self, i: int) -> list[float]:
+        row = self.table[i]
+        if self.board is not None:
+            need = 0
+            for b, d in zip(self.bits, row):
+                if d is None:
+                    need |= b
+            self._flood(i, need, need)
+            return row
+        dist = _grid_bfs(self.cells, self.tiles[i], [t for t, d in zip(self.tiles, row) if d is None])
+        for j in [j for j, d in enumerate(row) if d is None]:
+            row[j] = self.table[j][i] = dist.get(self.tiles[j], math.inf)
+        return row
+
+    def _flood(self, i: int, need: int, targets: int) -> None:
+        """Advance the BFS from tiles[i] until it reaches every bit of `need` or
+        can go no further, filling each tile of `targets`, which holds all row i lacks."""
+        row, table, columns, (_, _, stride, cells) = self.table[i], self.table, self.columns, self.board
+        frontier, below, d = self.floods.get(i) or (self.bits[i], 0, 0)
         while frontier:
-            hit = frontier & left
+            hit = frontier & targets
             if hit:
-                left ^= hit
+                need &= ~hit
                 while hit:
                     low = hit & -hit
                     for j in columns[low.bit_length() - 1]:
-                        if j > i:
-                            rows[i][j] = rows[j][i] = d
+                        row[j] = table[j][i] = d
                     hit ^= low
-            if not left:
+            if not need:
                 break
             step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
-            frontier = step & unseen
-            unseen ^= frontier
+            frontier, below = step & (cells ^ below), frontier  # below lies in cells
             d += 1
-        later |= 1 << index[i]
-    return rows
-
-
-def _joined(cells: Collection[Vertex], tiles: list[Vertex]) -> bool:
-    """True when one flood from tiles[0] through `cells` reaches every tile:
-    the first row of `_grid_distances`."""
-    return math.inf not in _grid_distances(cells, tiles, sources=1)[0]
+        self.floods[i] = frontier, below, d
+        if not frontier:  # the flood is over: what row i lacks is cut off
+            for j in [j for j, e in enumerate(row) if e is None]:
+                row[j] = table[j][i] = math.inf
 
 
 def _connected(cells: Collection[Vertex]) -> bool:

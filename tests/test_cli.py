@@ -193,15 +193,14 @@ def test_bond_board_beyond_the_tile_limit_exits_3(tmp_path, capsys):
 
 
 def spy_metric_builds(monkeypatch, fresh):
-    """Count metric builds (grid matrices and euclid engines) and segment
-    walks; with `fresh`, every crystal_metric call starts on an empty cache,
-    as before the cache existed."""
+    """Count metric builds (the grid engine every metric builds first) and
+    segment walks; with `fresh`, every crystal_metric call starts on an
+    empty cache, as before the cache existed."""
     from riftpuzzles import crystal_bonds, geometry
 
     builds, walks = [], []
     for module, name, log in (
-        (crystal_bonds, "_Geodesics", builds), (crystal_bonds, "grid_distance_matrix", builds),
-        (geometry, "_walk", walks),
+        (crystal_bonds, "_GridDistances", builds), (geometry, "_walk", walks),
     ):
         build = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, build=build, log=log: log.append(1) or build(*args))

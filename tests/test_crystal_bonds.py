@@ -125,10 +125,11 @@ def test_metric_examples():
 
 
 def spy_builds(monkeypatch):
-    """Count the metrics crystal_metric builds, on an empty cache: grid
-    matrices and on-demand euclid engines."""
+    """Count the engines crystal_metric builds, on an empty cache: a grid
+    engine for every metric, whose last row checks the points are joined,
+    and a euclid engine for a euclid metric."""
     builds = []
-    for name in ("_Geodesics", "grid_distance_matrix"):
+    for name in ("_Geodesics", "_GridDistances"):
         build = getattr(crystal_bonds, name)
         monkeypatch.setattr(
             crystal_bonds, name, lambda *args, build=build, name=name: builds.append(name) or build(*args)
@@ -144,7 +145,7 @@ def test_equal_boards_share_one_metric(monkeypatch):
         first, second = parse("bond-board", text), parse("bond-board", text)
         assert first == second and first is not second and first.region is not second.region
         assert crystal_metric(first) is crystal_metric(second)
-    assert builds == ["grid_distance_matrix", "_Geodesics"]
+    assert builds == ["_GridDistances", "_GridDistances", "_Geodesics"]
 
 
 def test_metric_cache_never_serves_another_board(monkeypatch):
@@ -152,18 +153,19 @@ def test_metric_cache_never_serves_another_board(monkeypatch):
     ends = (tile_center((0, 0)), tile_center((2, 0)))
     straight = BondBoard(corridor(3), ends, None, ((0, 1),), "grid")
     bent = dataclasses.replace(straight, region=TileRegion(frozenset({(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)})))
-    assert crystal_metric(straight) == ((0, 2), (2, 0))
-    assert crystal_metric(bent) == ((0, 4), (4, 0))
+    # a metric's rows are read on demand; read every entry
+    assert [list(row) for row in crystal_metric(straight)] == [[0, 2], [2, 0]]
+    assert [list(row) for row in crystal_metric(bent)] == [[0, 4], [4, 0]]
     square = TileRegion(frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
     diagonal = BondBoard(square, (tile_center((0, 0)), tile_center((1, 1))), None, ((0, 1),), "grid")
-    assert crystal_metric(diagonal) == ((0, 2), (2, 0))
-    # a euclid metric's rows are read on demand; read every entry
+    assert [list(row) for row in crystal_metric(diagonal)] == [[0, 2], [2, 0]]
     assert [list(row) for row in crystal_metric(dataclasses.replace(diagonal, distance_model="euclid"))] == [
         [0, math.sqrt(2)], [math.sqrt(2), 0]
     ]
     with_start = dataclasses.replace(diagonal, start=tile_center((1, 0)))
-    assert crystal_metric(with_start) == ((0, 2, 1), (2, 0, 1), (1, 1, 0))
-    assert len(builds) == 5
+    assert [list(row) for row in crystal_metric(with_start)] == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
+    # five metrics: one engine each, and the euclid one's grid engine too
+    assert len(builds) == 6
 
 
 def test_metric_of_a_cut_board_raises_every_time(monkeypatch):
@@ -177,7 +179,7 @@ def test_metric_of_a_cut_board_raises_every_time(monkeypatch):
             with pytest.raises(UnreachableCrystal):
                 crystal_metric(board)
         else:
-            assert crystal_metric(board)[0] == (0, 1, 2, 0)
+            assert [list(row) for row in crystal_metric(board)][0] == [0, 1, 2, 0]
         counts.append(len(builds))
     # a cut board is built on every call and never evicts the last good one
     assert counts == [1, 2, 3, 4, 4]

@@ -2,11 +2,14 @@
 
 Dense tile sets and sets in a small bounding box run as bitboards (one int,
 a pad column per row), sparse ones in a large box through the per-cell
-loop; both must give the reference's values and types: an int step count,
-or math.inf when cut off.  The connectivity flood, `_joined`, must give the
-reference's verdict on both sides of the packing rule.  A euclid solve
-packs its region once for the flood and the corner pass, and a geo-oracle
-sweep item once for the corner pass and the fine-grid oracle's flood.
+loop; both must give the reference's values and types, an int step count
+or math.inf when cut off, in any read order.  The connectivity check, a
+row of the on-demand engine with no math.inf in it, must give the
+reference's verdict on both sides of the packing rule.  A solve reads only
+the entries it needs, so it starts fewer floods than it has points.  A
+euclid solve packs its region once for the flood and the corner pass, and a
+geo-oracle sweep item once for the corner pass and the fine-grid oracle's
+flood.
 """
 
 import math
@@ -18,14 +21,16 @@ from itertools import chain
 from riftpuzzles import cli, crystal_bonds, graphs
 from riftpuzzles.cli import main
 from riftpuzzles.crystal_bonds import (
+    BondBoard,
     apply_start_gadget,
     gen_random_tree_board,
     reduce_grid_to_dcb,
+    rural_postman_connected,
     solve_crystal_bonds,
     verify_bond_walk,
 )
-from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, grid_distance_matrix
-from riftpuzzles.graphs import _PACK_DENSITY, _Bitboard, _connected, _joined, _packed, enumerate_grid_graphs
+from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, grid_distance_matrix, tile_center
+from riftpuzzles.graphs import _PACK_DENSITY, _Bitboard, _connected, _GridDistances, _packed, enumerate_grid_graphs
 
 
 def reference_bfs(tiles, src):
@@ -50,6 +55,12 @@ def reference_matrix(tiles, targets):
 
 def packable(tiles):
     return _packed(frozenset(tiles)) is not None
+
+
+def joined(cells, tiles):
+    """The solver's connectivity check: the engine's last row, completed,
+    holds no math.inf."""
+    return math.inf not in _GridDistances(cells, tiles).rows()[-1]
 
 
 def assert_same(got, want):
@@ -146,7 +157,59 @@ def test_side_columns_do_not_wrap_between_rows():
     assert not _connected(bars)
     assert packable(tiles) and packable(bars)
     # and on the bars' own bitboard, where the pad column keeps them apart
-    assert not _joined(bars, [(5, 4), (0, 5)])
+    assert not joined(bars, [(5, 4), (0, 5)])
+
+
+def test_engine_rows_match_reference_in_any_read_order():
+    # seeded single entries first, each resuming a flood or starting one,
+    # then whole rows, each completed by one call: no read order may change
+    # a value or its type
+    rng = random.Random(30)
+    seen = dict.fromkeys(("packed", "refused", "cut", "repeated"), 0)
+    for _, tiles in chain(seeded_tile_sets(120), wide_scattered_sets(30)):
+        order = sorted(tiles)
+        targets = rng.sample(order, min(len(order), rng.randint(1, 10)))
+        targets += rng.sample(targets, min(2, len(targets)))  # a start on a crystal's tile
+        want = reference_matrix(tiles, targets)
+        pairs = [(i, j) for i in range(len(targets)) for j in range(len(targets))]
+        for reads in (0, 1, len(pairs) // 3, len(pairs)):
+            rows = _GridDistances(tiles, targets).rows()
+            for i, j in rng.sample(pairs, reads):
+                assert_same([rows[i][j]], [want[i][j]])
+            for i in rng.sample(range(len(rows)), len(rows)):
+                assert_same(list(rows[i]), want[i])
+        seen["packed" if packable(tiles) else "refused"] += 1
+        seen["cut"] += any(math.inf in row for row in want)
+        seen["repeated"] += len(set(targets)) < len(targets)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_spider_solve_starts_fewer_floods_than_it_has_points(monkeypatch):
+    # an 80x80 grid board with a 15-legged bond tree: the postman reads the
+    # bond pairs, the pairs of the 16 odd crystals and the start row, and
+    # every read fills both halves of the table
+    rng = random.Random(80)
+    region = gen_random_region(rng.randrange(2**32), 80, 80, 80 * 80 * 2 // 3)
+    legs, leg_len = 15, 4
+    picks = rng.sample(sorted(region.tiles), 2 + legs * leg_len)
+    # leg l is crystals l * leg_len + 1 .. (l + 1) * leg_len, hung from the hub, crystal 0
+    bonds = [
+        (leg * leg_len + step if step else 0, leg * leg_len + step + 1) for leg in range(legs) for step in range(leg_len)
+    ]
+    board = BondBoard(region, tuple(map(tile_center, picks[:-1])), tile_center(picks[-1]), tuple(bonds), "grid")
+    assert packable(region.tiles) and board.connected
+    sources = set()
+    flood = _GridDistances._flood
+    monkeypatch.setattr(_GridDistances, "_flood", lambda self, i, *rest: sources.add(i) or flood(self, i, *rest))
+    crystal_bonds._metric_of.cache_clear()
+    walk = solve_crystal_bonds(board)
+    assert verify_bond_walk(board, walk).ok
+    # advancing the deeper of a read's two floods starts 32 of them here;
+    # always flooding from the row's tile starts 47, from the column's 44
+    assert 0 < len(sources) <= 32 < len(picks), len(sources)
+    # the walk a full matrix gives
+    full = grid_distance_matrix(region, picks)
+    assert (walk.visit_sequence, walk.total_length) == rural_postman_connected(full, bonds, len(picks) - 1)
 
 
 def test_single_tile_and_duplicate_targets():
@@ -186,6 +249,22 @@ def test_staircase_runs_per_cell_and_matches_reference():
         grid_distance_matrix(TileRegion(tiles), targets), reference_matrix(tiles, targets)
     )
     assert _connected(tiles)
+
+
+def test_a_per_cell_row_stops_once_it_has_its_tiles(monkeypatch):
+    # a refused set's row floods only until every tile it lacks is reached,
+    # not the source's whole piece
+    tiles = frozenset(t for i in range(1000) for t in ((i, i), (i + 1, i)))
+    reached = []
+    flood = graphs._grid_bfs
+    monkeypatch.setattr(graphs, "_grid_bfs", lambda *args: reached.append(len(d := flood(*args))) or d)
+    near = [(500, 500), (503, 502), (498, 497), (500, 500)]
+    assert grid_distance(TileRegion(tiles), near[0], near[1]) == 5
+    rows = grid_distance_matrix(TileRegion(tiles), near)
+    assert_same_rows(rows, reference_matrix(tiles, near))
+    # the tiles lie within 10 steps of each other: no flood passes depth 10
+    assert reached and max(reached) <= 2 * 10 + 1 < len(tiles), reached
+    assert list(flood(tiles, (0, 0), [(0, 0)])) == [(0, 0)]
 
 
 def test_large_dense_region_packs_and_matches_reference():
@@ -235,9 +314,9 @@ def flood_boards(count):
 
 
 def assert_joined(cells, tiles):
-    """`_joined` gives the per-cell flood's verdict, which it returns."""
+    """`joined` gives the per-cell flood's verdict, which it returns."""
     want = set(tiles) <= reference_bfs(cells, tiles[0]).keys()
-    assert _joined(cells, tiles) == want, (sorted(cells), tiles)
+    assert joined(cells, tiles) == want, (sorted(cells), tiles)
     return want
 
 

@@ -29,13 +29,14 @@ SHARED = {
     },
     # all of crystal_metric: criterion 7, the full-Dijkstra matrix read in
     # three orders, the flood-against-inf check and the per-cell BFS
-    # reference check it apart from either solver
+    # reference, read in seeded orders, check it apart from either solver
     ("crystal_bonds.solve_crystal_bonds", "crystal_bonds.brute_force_crystal_bonds"): {
         "crystal_bonds._metric_of", "geometry._classify_corners", "geometry._exact_tile",
         "geometry._Geodesics", "geometry._Geodesics._corners", "geometry._Geodesics._edge",
-        "geometry._Geodesics._settled", "geometry._Row",
+        "geometry._Geodesics._settled",
         "geometry._line_walk", "geometry._point_in", "geometry._scaled", "geometry._walk",
-        "graphs._Bitboard", "graphs._grid_bfs", "graphs._grid_distances", "graphs._joined", "graphs._packed",
+        "graphs._Bitboard", "graphs._GridDistances", "graphs._GridDistances._flood", "graphs._Row",
+        "graphs._grid_bfs", "graphs._packed",
     },
     ("crystal_bonds.decide_dcb", "graphs.has_ham_path_grid"): set(),
     ("hands_of_time.solve_clock", "graphs.has_directed_ham_path"): set(),
@@ -51,19 +52,25 @@ REFERENCES = {
         "test_grid_bfs::test_joined_matches_per_cell_flood",
     ],
     "graphs._grid_bfs": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
-    "graphs._grid_distances": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
+    **dict.fromkeys(
+        ("graphs._GridDistances", "graphs._GridDistances._flood"),
+        [
+            "test_grid_bfs::test_engine_rows_match_reference_in_any_read_order",
+            "test_grid_bfs::test_joined_matches_per_cell_flood",
+        ],
+    ),
+    "graphs._Row": [
+        "test_grid_bfs::test_engine_rows_match_reference_in_any_read_order",
+        "test_geometry::test_on_demand_entries_match_the_full_matrix_in_any_read_order",
+    ],
     "geometry._classify_corners": ["test_geometry::test_classify_corners_matches_brute_force_count"],
     "geometry._point_in": ["test_geometry::test_point_in_matches_fraction_reference"],
     "geometry._exact_tile": ["test_geometry::test_query_points_past_the_tile_limit_rejected"],
     "geometry._scaled": ["test_geometry::test_segment_walk_matches_float_oracle"],
     "geometry._walk": ["test_geometry::test_segment_walk_matches_float_oracle"],
     "geometry._line_walk": ["test_geometry::test_segment_walk_matches_float_oracle"],
-    "graphs._joined": [
-        "test_crystal_bonds::test_euclid_metric_is_cut_exactly_when_the_full_matrix_holds_an_inf",
-        "test_grid_bfs::test_joined_matches_per_cell_flood",
-    ],
     **dict.fromkeys(
-        ("geometry._Geodesics", "geometry._Geodesics._edge", "geometry._Geodesics._settled", "geometry._Row"),
+        ("geometry._Geodesics", "geometry._Geodesics._edge", "geometry._Geodesics._settled"),
         ["test_geometry::test_on_demand_entries_match_the_full_matrix_in_any_read_order"],
     ),
     "geometry._Geodesics._corners": [
