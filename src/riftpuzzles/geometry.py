@@ -498,25 +498,28 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
 
 
 def gen_random_region(seed: int, box_w: int, box_h: int, n_tiles: int) -> TileRegion:
-    """Seeded random connected region grown inside a box."""
+    """Seeded random connected region grown inside a box, on a byte per cell
+    of the part of the box it can reach: 1 while the cell is free."""
     rng = random.Random(seed)
     if n_tiles < 1:
         raise ValueError("need at least one tile")
-    start = (rng.randrange(box_w), rng.randrange(box_h))
-    tiles = {start}
-    frontier = [start]
+    sx, sy = rng.randrange(box_w), rng.randrange(box_h)
+    x0, y0 = max(0, sx - n_tiles), max(0, sy - n_tiles)
+    w, h = min(box_w, sx + n_tiles) - x0, min(box_h, sy + n_tiles) - y0
+    up = w + 1  # w cells and a taken one per row, and a taken row above and below
+    free = bytearray(bytes(up) + (b"\1" * w + b"\0") * h + bytes(up))
+    start = (sy - y0 + 1) * up + sx - x0
+    free[start] = 0
+    tiles, frontier, steps = [start], [start], [dx + dy * up for dx, dy in ORTHO_STEPS]
     while len(tiles) < n_tiles and frontier:
         i = rng.randrange(len(frontier))
-        x, y = frontier[i]
-        options = [
-            (x + dx, y + dy)
-            for dx, dy in ORTHO_STEPS
-            if 0 <= x + dx < box_w and 0 <= y + dy < box_h and (x + dx, y + dy) not in tiles
-        ]
+        c = frontier[i]
+        options = [c + s for s in steps if free[c + s]]
         if not options:
             del frontier[i]  # every tile enters the frontier once
             continue
         nxt = options[rng.randrange(len(options))]
-        tiles.add(nxt)
+        free[nxt] = 0
+        tiles.append(nxt)
         frontier.append(nxt)
-    return TileRegion(frozenset(tiles))
+    return TileRegion(frozenset((x0 + c % up, y0 + c // up - 1) for c in tiles))

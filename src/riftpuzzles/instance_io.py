@@ -37,11 +37,16 @@ the verifier's length check.
 A bond board in the serializer's own form (`model`, `start`, then the
 `tile`, `crystal` and `bond` blocks, LF endings, a final newline) is read in
 bulk; any other text is read line by line, the path that reports errors.
+A process keeps the last bond board parsed, keyed on its exact text, so a
+verify right after a solve reads the document once; a BondBoard is deeply
+immutable, so its callers can share it.  Tile boards are not kept: a
+TileBoard's capacities are a dict its callers could change.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .crystal_bonds import BondBoard, BondWalk
 from .geometry import TileRegion, tile_center, tile_of
@@ -247,12 +252,8 @@ def _parse_tile_board(text: str) -> TileBoard:
 
 
 def _serialize_bond_board(b: BondBoard) -> str:
-    out = [f"model {b.distance_model}\n"]
-    if b.start is None:
-        out.append("start free\n")
-    else:
-        sx, sy = tile_of(b.start)
-        out.append(f"start {sx} {sy}\n")
+    start = "free" if b.start is None else "{} {}".format(*tile_of(b.start))
+    out = [f"model {b.distance_model}\nstart {start}\n"]
     out.extend(f"tile {x} {y}\n" for x, y in sorted(b.region.tiles))
     out.extend(f"crystal {x} {y}\n" for x, y in map(tile_of, b.crystals))
     out.extend(f"bond {i} {j}\n" for i, j in b.required_bonds)
@@ -294,6 +295,7 @@ def _bulk_bond_board(text: str) -> tuple[dict[str, list], int] | None:
     return got, text.count("\n")
 
 
+@lru_cache(maxsize=1)  # a verify right after a solve reads the same text
 def _parse_bond_board(text: str) -> BondBoard:
     got, last = _bulk_bond_board(text) or _keyed(_lines(text), _BOND_BOARD_LINES, {"model": 1, "start": 1})
     if not got["model"]:

@@ -216,6 +216,7 @@ def spy_metric_builds(monkeypatch, fresh):
 
 
 def test_verify_dcb_reuses_the_metric_solve_dcb_built(tmp_path, capsys, monkeypatch):
+    from riftpuzzles import instance_io
     from riftpuzzles.geometry import euclidean_geodesic_matrix
     from riftpuzzles.instance_io import parse
 
@@ -229,11 +230,16 @@ def test_verify_dcb_reuses_the_metric_solve_dcb_built(tmp_path, capsys, monkeypa
             boards.append(doc(tmp_path, f"{model}{seed}.bond", text))
             texts.append(text)
 
+    reads, bulk = [], instance_io._bulk_bond_board
+    monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: reads.append(text) or bulk(text))
+
     def transcript(walks):
         # every op's result, and the segment walks each `verify dcb` of the
         # solver's own walk ran
         out, verify_walks = [], []
+        instance_io._parse_bond_board.cache_clear()
         for i, board in enumerate(boards):
+            reads.clear()
             solved = run(capsys, "solve", "dcb", board)
             walk = doc(tmp_path, f"{i}.walk", solved[1])
             wrong = doc(tmp_path, f"{i}.wrong", solved[1].replace("length ", "length 1"))
@@ -241,6 +247,8 @@ def test_verify_dcb_reuses_the_metric_solve_dcb_built(tmp_path, capsys, monkeypa
             checked = run(capsys, "verify", "dcb", board, walk)
             verify_walks.append(len(walks) - before)
             out += [solved, checked, run(capsys, "verify", "dcb", board, wrong)]
+            # the solve and both verifies read the board document once
+            assert reads == [texts[i]]
         return out, verify_walks
 
     with monkeypatch.context() as patch:

@@ -180,5 +180,6 @@ def test_bulk_and_line_readers_agree_on_mutants(monkeypatch):
     assert len(docs) < bulk < len(texts)  # both readers are exercised
     got = [outcome(text) for text in texts]
     monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: None)
+    instance_io._parse_bond_board.cache_clear()  # no text is answered from the memo
     for text, value in zip(texts, got):
         assert outcome(text) == value, text

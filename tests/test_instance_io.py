@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -155,6 +157,7 @@ def test_bulk_reader_memory_stays_near_the_line_reader(monkeypatch):
     assert instance_io._bulk_bond_board(text) is not None
 
     def peak():
+        instance_io._parse_bond_board.cache_clear()  # read the text, not the memo
         tracemalloc.start()
         try:
             assert parse("bond-board", text) == board
@@ -165,6 +168,51 @@ def test_bulk_reader_memory_stays_near_the_line_reader(monkeypatch):
     bulk = peak()
     monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: None)
     assert bulk <= 1.5 * peak()
+
+
+def spy_reads(monkeypatch):
+    """The texts the bond-board reader reads from here on, on an empty memo."""
+    reads, bulk = [], instance_io._bulk_bond_board
+    monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: reads.append(text) or bulk(text))
+    instance_io._parse_bond_board.cache_clear()
+    return reads
+
+
+def test_bond_board_memo_answers_only_its_own_text(monkeypatch):
+    reads = spy_reads(monkeypatch)
+    board = parse("bond-board", SMALL_BOARD)
+    assert parse("bond-board", SMALL_BOARD) is board and reads == [SMALL_BOARD]
+    # an equal board from other text is read, and then held in its place
+    crlf = SMALL_BOARD.replace("\n", "\r\n")
+    assert parse("bond-board", crlf) == board and parse("bond-board", crlf) is not board
+    assert reads == [SMALL_BOARD, crlf]
+
+
+def test_bond_board_memo_never_keeps_an_error(monkeypatch):
+    reads = spy_reads(monkeypatch)
+    bad = SMALL_BOARD.replace("bond 0 1", "bond 0 0")
+    for _ in range(2):
+        with pytest.raises(ParseError, match="line 7: a crystal cannot bond with itself"):
+            parse("bond-board", bad)
+    assert reads == [bad, bad]
+    # a valid text after a malformed one is read, not answered from the memo
+    assert parse("bond-board", SMALL_BOARD) == BondBoard(
+        TileRegion(frozenset({(1, 2), (2, 2)})), (tile_center((1, 2)), tile_center((2, 2))), None, ((0, 1),), "grid"
+    )
+    assert reads == [bad, bad, SMALL_BOARD]
+    # nor is the malformed one, read again, answered by the valid board held
+    with pytest.raises(ParseError):
+        parse("bond-board", bad)
+    assert reads == [bad, bad, SMALL_BOARD, bad]
+
+
+def test_bond_board_memo_holds_one_board():
+    instance_io._parse_bond_board.cache_clear()
+    first = weakref.ref(parse("bond-board", SMALL_BOARD))
+    assert first() is not None  # held by the memo alone
+    parse("bond-board", SMALL_BOARD.replace("start free", "start 1 2"))
+    gc.collect()
+    assert first() is None
 
 
 def test_clock_roundtrip_and_dense_form():
