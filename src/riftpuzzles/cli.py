@@ -5,7 +5,7 @@ out in the instance_io text formats; `-` reads standard input.  Exit status
 is the interesting result: 0 for solvable/valid/all-pass, 1 for unsolvable or
 over-threshold, 2 for a failed verification or a sweep counterexample, 3 for
 usage and input errors (including searches that exhaust their budget, the
-stack or memory, which decide nothing).
+stack or memory, and a reader that closed stdout, which decide nothing).
 
 Identical command lines with identical seeds print identical bytes; sweeps
 keep that guarantee under --jobs by merging worker results in input order.
@@ -14,6 +14,7 @@ keep that guarantee under --jobs by merging worker results in input order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -484,7 +485,18 @@ def main(argv=None) -> int:
         for option in ("count", "jobs", "budget"):
             if (value := getattr(args, option, None)) is not None and value < 1:
                 raise CliError(f"--{option} wants at least 1, got {value}")
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, while it can still set the status
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: point it at os.devnull so the flush at exit
+        # cannot raise again (the Python docs' SIGPIPE note); a StringIO has no fd
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        print("gave up: standard output was closed", file=sys.stderr)
+        return EXIT_USAGE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -410,56 +410,82 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     """Exhaustive optimum over every bond ordering and traversal direction.
 
     One bottom-up table over (covered-bond mask, crystal last stood on),
-    filled from the full mask down to the root state (0, start); the walk is
-    read back along each entry's first step.  Independent of the
-    rural-postman pipeline; used as its exactness oracle and as the decision
-    routine for reduced (disconnected) instances.
+    filled from the full mask down; the walk is read back along each
+    entry's first move.  Only the root state (mask 0, the start) reads the
+    start, so the rest is `_bond_table`'s, kept per crystal metric and bonds.
+    Independent of the rural-postman pipeline; used as its exactness oracle
+    and as the decision routine for reduced (disconnected) instances.
     """
     bonds = board.required_bonds
     if len(bonds) > 8:
         raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
     if not bonds:
         return BondWalk((), 0.0)
-    metric = [list(row) for row in crystal_metric(board)]
-    root = None if board.start is None else len(board.crystals)
-    free_start = [0.0] * len(metric)
-    full = (1 << len(bonds)) - 1
-    # table[mask][last] = (cost, step): the cheapest way to walk the bonds
-    # outside `mask` from `last`, and its first step (mask | bond bit, u, w)
-    table: list[dict] = [{} for _ in range(full)]
-    table.append({x: (0.0, None) for bond in bonds for x in bond})
-    for mask in range(full - 1, -1, -1):
-        # the crystals a covered bond can leave the walk on, and the mask's
-        # first steps, bond by bond, each orientation in turn:
-        # (u, metric[u][w], cost of the rest from w, step)
-        lasts, steps = set(), []
-        for i, (p, q) in enumerate(bonds):
-            bit = 1 << i
-            if mask & bit:
-                lasts.update((p, q))
-                continue
-            after = table[mask | bit]
-            for u, w in ((p, q), (q, p)):
-                steps.append((u, metric[u][w], after[w][0], (mask | bit, u, w)))
-        row = table[mask]
-        for last in lasts or (root,):
-            lead = free_start if last is None else metric[last]
-            best, first = math.inf, None
-            for u, hop, tail, step in steps:
-                cand = lead[u] + hop + tail
-                if cand < best:
-                    best, first = cand, step
-            row[last] = (best, first)
+    metric = crystal_metric(board)
+    r = len(board.crystals)
+    rows = tuple(tuple(row)[:r] for row in metric[:r])
+    cost, first = _bond_table(rows, bonds)
+    lead = [0.0] * r if board.start is None else metric[r]
+    best, move = math.inf, -1
+    for k, u, hop, tail in _moves(rows, bonds, cost, 0):
+        cand = lead[u] + hop + tail
+        if cand < best:
+            best, move = cand, k
 
     seq: list[int] = []
-    step = table[0][root][1]
-    while step is not None:
-        mask, u, w = step
+    mask = 0
+    while move >= 0:
+        p, q = bonds[move >> 1]
+        u, w = (q, p) if move & 1 else (p, q)
         if not seq or seq[-1] != u:
             seq.append(u)
         seq.append(w)
-        step = table[mask][w][1]
-    return BondWalk(tuple(seq), table[0][root][0])
+        mask |= 1 << (move >> 1)
+        move = first[mask][w]
+    return BondWalk(tuple(seq), best)
+
+
+def _moves(metric, bonds, cost, mask: int) -> list[tuple[int, int, float, float]]:
+    """The moves out of `mask`, bond by bond: (move, u, metric[u][w], cost after
+    w), where move 2i walks bond i from its first crystal u, 2i + 1 the other way."""
+    moves = []
+    for i, (p, q) in enumerate(bonds):
+        if not mask >> i & 1:
+            after = cost[mask | 1 << i]
+            moves += ((2 * i, p, metric[p][q], after[q]), (2 * i + 1, q, metric[q][p], after[p]))
+    return moves
+
+
+@lru_cache(maxsize=1)
+def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, int], ...]):
+    """cost[mask][last], the cheapest walk of the bonds outside `mask` from a
+    crystal a covered bond ends on, and first[mask][last], its first move
+    (-1 at the full mask), for each mask >= 1.  A process keeps the last
+    table and hands every caller the same lists, which callers only read."""
+    r, full = len(metric), (1 << len(bonds)) - 1
+    # ends[mask]: the crystals a covered bond can leave the walk on, as bits
+    ends = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        p, q = bonds[(mask & -mask).bit_length() - 1]
+        ends[mask] = ends[mask & (mask - 1)] | 1 << p | 1 << q
+    cost: list = [None] * full + [[0.0] * r]
+    first: list = [None] * full + [[-1] * r]
+    for mask in range(full - 1, 0, -1):
+        moves = _moves(metric, bonds, cost, mask)
+        row, picks = [math.inf] * r, [-1] * r
+        lasts = ends[mask]
+        while lasts:
+            last = (lasts & -lasts).bit_length() - 1
+            lasts &= lasts - 1
+            lead = metric[last]
+            best, pick = math.inf, -1
+            for k, u, hop, tail in moves:
+                cand = lead[u] + hop + tail
+                if cand < best:
+                    best, pick = cand, k
+            row[last], picks[last] = best, pick
+        cost[mask], first[mask] = row, picks
+    return cost, first
 
 
 def verify_bond_walk(board: BondBoard, walk: BondWalk) -> Verdict:

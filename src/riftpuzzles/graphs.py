@@ -436,8 +436,10 @@ class Digraph:
 def has_directed_ham_path(d: Digraph) -> bool:
     """Subset-DP Hamiltonian path oracle (any endpoints).
 
-    Trusted reference: exact for vertex_count <= DIRECTED_SEARCH_LIMIT,
-    refuses larger instances.
+    Only the sets some path visits are expanded, one path length at a time,
+    and an empty layer ends the search: at out-degree 2, as the package's
+    digraphs have, few of the 2^n sets are reached.  Trusted reference:
+    exact for vertex_count <= DIRECTED_SEARCH_LIMIT, refuses larger instances.
     """
     n = d.vertex_count
     if n > DIRECTED_SEARCH_LIMIT:
@@ -445,22 +447,29 @@ def has_directed_ham_path(d: Digraph) -> bool:
     succ_mask = [0] * n
     for s, t in d.arcs:
         succ_mask[s] |= 1 << t
-    full = (1 << n) - 1
     # dp[mask] = bitmask of vertices that can end a path visiting exactly `mask`
-    dp = [0] * (full + 1)
-    for v in range(n):
-        dp[1 << v] = 1 << v
-    for mask in range(1, full + 1):
-        ends = dp[mask]
-        while ends:
-            end = ends & -ends
-            fresh = succ_mask[end.bit_length() - 1] & ~mask
-            while fresh:
-                bit = fresh & -fresh
-                dp[mask | bit] |= bit
-                fresh ^= bit
-            ends ^= end
-    return dp[full] != 0
+    dp = [0] * (1 << n)
+    layer = [1 << v for v in range(n)]
+    for mask in layer:
+        dp[mask] = mask
+    for _ in range(n - 1):
+        grown = []
+        for mask in layer:
+            ends = dp[mask]
+            while ends:
+                end = ends & -ends
+                fresh = succ_mask[end.bit_length() - 1] & ~mask
+                while fresh:
+                    bit = fresh & -fresh
+                    if not dp[mask | bit]:
+                        grown.append(mask | bit)
+                    dp[mask | bit] |= bit
+                    fresh ^= bit
+                ends ^= end
+        if not grown:
+            return False
+        layer = grown
+    return True
 
 
 def gen_random_digraph(v: int, seed: int) -> Digraph:

@@ -449,6 +449,55 @@ def test_module_run_as_a_script_exits_with_the_status(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+CLOCK_SWEEP = ["sweep", "clock", "--count", "200", "--max-v", "16", "--seed", "5"]
+
+
+def test_closed_stdout_exits_3_not_1(capsys, monkeypatch):
+    # a reader that closed its end (`| head -c 5`) decided nothing about the
+    # sweep: gave up, never exit 1, the code for "unsolvable"
+    import errno
+    import io
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(CLOCK_SWEEP) == 3
+    assert capsys.readouterr().err == "gave up: standard output was closed\n"
+
+
+def test_closed_stdout_descriptor_points_at_devnull(capsys):
+    # buffered output meets the closed pipe at main's flush; the descriptor
+    # then leads to os.devnull, so closing the stream cannot raise again
+    import contextlib
+    import os
+
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as out, contextlib.redirect_stdout(out):
+        assert main(["gen", "digraph", "--seed", "3"]) == 3
+        assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == "gave up: standard output was closed\n"
+
+
+def test_closed_pipe_exits_3_without_a_traceback():
+    # the reader closes its end before the sweep writes a byte
+    import os
+    import subprocess
+    import sys
+
+    import riftpuzzles
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(riftpuzzles.__file__))}
+    argv = [sys.executable, "-m", "riftpuzzles.cli", *CLOCK_SWEEP]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (3, "gave up: standard output was closed\n")
+
+
 def test_gen_is_deterministic(capsys):
     argv = ["gen", "digraph", "--max-v", "5", "--count", "3", "--seed", "11"]
     _, out1, _ = run(capsys, *argv)

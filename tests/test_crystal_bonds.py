@@ -171,6 +171,68 @@ def test_metric_cache_never_serves_another_board(monkeypatch):
     assert len(builds) == 6
 
 
+def brute_force_afresh(board):
+    """brute_force_crystal_bonds on empty metric and bond-table memos."""
+    crystal_bonds._metric_of.cache_clear()
+    crystal_bonds._bond_table.cache_clear()
+    return brute_force_crystal_bonds(board)
+
+
+def same_walk(a, b):
+    return (a.visit_sequence, a.total_length.hex()) == (b.visit_sequence, b.total_length.hex())
+
+
+def test_path_gadget_reuses_the_plain_boards_bond_table():
+    # the gadget's start tile is a dead end off a degree-1 vertex: crystals,
+    # bonds and crystal distances stay the plain board's, and so does the table
+    g = GridGraph(frozenset({(0, 0), (1, 0), (2, 0), (2, 1)}))
+    board, threshold = reduce_grid_to_dcb(g)
+    gadget, gadget_threshold, detects = apply_start_gadget(board, g)
+    assert detects == "ham-path"
+    crystal_bonds._bond_table.cache_clear()
+    assert decide_dcb(board, threshold) and decide_dcb(gadget, gadget_threshold)
+    info = crystal_bonds._bond_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert same_walk(brute_force_crystal_bonds(gadget), brute_force_afresh(gadget))
+
+
+def test_bond_table_never_serves_another_board():
+    # crystals A, B, C, D on a U; bridging its arms shortens A-C from 6 to 2
+    # and leaves every other crystal distance as it was
+    u = TileRegion(frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (2, 2)}))
+    crystals = tuple(tile_center(t) for t in ((0, 2), (1, 0), (2, 2), (0, 0)))
+    board = BondBoard(u, crystals, None, ((0, 2), (1, 3)), "grid")
+    rebonded = dataclasses.replace(board, required_bonds=((0, 1), (1, 3)))
+    bridged = dataclasses.replace(board, region=TileRegion(u.tiles | {(1, 2)}))
+    rows, bridged_rows = ([list(row) for row in crystal_metric(b)] for b in (board, bridged))
+    assert [(i, j) for i in range(4) for j in range(4) if rows[i][j] != bridged_rows[i][j]] == [(0, 2), (2, 0)]
+    # an int metric, then the equal float one of the euclid model
+    line = BondBoard(corridor(5), tuple(tile_center((x, 0)) for x in (0, 1, 3, 4)), None, ((0, 1), (2, 3)), "grid")
+    floats = dataclasses.replace(line, distance_model="euclid")
+    assert [list(row) for row in crystal_metric(line)] == [list(row) for row in crystal_metric(floats)]
+    assert type(crystal_metric(line)[0][1]) is int and type(crystal_metric(floats)[0][1]) is float
+    for first, second in ((board, rebonded), (rebonded, board), (board, bridged), (bridged, board), (line, floats)):
+        brute_force_afresh(first)
+        got = brute_force_crystal_bonds(second)
+        assert same_walk(got, brute_force_afresh(second)), (first, second)
+
+
+def test_bond_table_of_a_cut_board_is_never_built():
+    split = TileRegion(frozenset({(0, 0), (1, 0), (5, 5), (6, 5)}))
+    crystals = tuple(tile_center(t) for t in ((0, 0), (1, 0), (5, 5), (6, 5)))
+    cut = BondBoard(split, crystals, None, ((0, 1), (2, 3)), "grid")
+    whole = trio_board((1, 0))
+    want = brute_force_afresh(whole)
+    for _ in range(3):
+        with pytest.raises(UnreachableCrystal):
+            brute_force_crystal_bonds(cut)
+        assert not decide_dcb(cut, 100)
+    # the cut board neither built a table nor evicted the last good one
+    assert same_walk(brute_force_crystal_bonds(whole), want)
+    info = crystal_bonds._bond_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def test_metric_of_a_cut_board_raises_every_time(monkeypatch):
     builds = spy_builds(monkeypatch)
     split = TileRegion(frozenset({(0, 0), (5, 5)}))

@@ -17,6 +17,7 @@ from riftpuzzles.graphs import (
     has_ham_cycle_grid,
     has_ham_path_grid,
 )
+from riftpuzzles.hands_of_time import clock_to_digraph, gen_random_clock
 
 
 def gg(*verts):
@@ -302,6 +303,9 @@ def test_enumeration_matches_the_subset_scan():
 def test_enumerate_box_limit():
     with pytest.raises(InstanceTooLarge):
         list(enumerate_grid_graphs(4, 4, 3))
+    for box in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="box dimensions must be positive"):
+            list(enumerate_grid_graphs(*box, 3))
 
 
 def test_digraph_validation():
@@ -348,6 +352,43 @@ def test_directed_ham_path_limit():
     big = Digraph(17, tuple((i, (i + 1) % 17) for i in range(17)))
     with pytest.raises(InstanceTooLarge):
         has_directed_ham_path(big)
+
+
+def former_directed_dp(d):
+    """has_directed_ham_path's former form: the same subset DP, stepping
+    from every mask in increasing order, whether a path reaches it or not."""
+    n = d.vertex_count
+    succ_mask = [0] * n
+    for s, t in d.arcs:
+        succ_mask[s] |= 1 << t
+    full = (1 << n) - 1
+    dp = [0] * (full + 1)
+    for v in range(n):
+        dp[1 << v] = 1 << v
+    for mask in range(1, full + 1):
+        ends = dp[mask]
+        while ends:
+            end = ends & -ends
+            fresh = succ_mask[end.bit_length() - 1] & ~mask
+            while fresh:
+                bit = fresh & -fresh
+                dp[mask | bit] |= bit
+                fresh ^= bit
+            ends ^= end
+    return dp[full] != 0
+
+
+def test_directed_oracle_matches_the_former_all_masks_dp():
+    # sparse digraphs, where the reached sets are few, and complete ones,
+    # where every set is reached
+    digraphs = [Digraph(1, ())]
+    digraphs += [random_digraph(v, seed, out) for v in range(2, 15) for out in (1, 2, 3) for seed in range(52)]
+    digraphs += [Digraph(v, tuple(itertools.permutations(range(v), 2))) for v in range(2, 11)]
+    digraphs += [clock_to_digraph(gen_random_clock(n, seed)) for n in range(2, 17) for seed in range(20)]
+    assert len(digraphs) >= 2_000
+    verdicts = [has_directed_ham_path(d) for d in digraphs]
+    assert verdicts == [former_directed_dp(d) for d in digraphs]
+    assert 500 < sum(verdicts) < len(digraphs) - 500, sum(verdicts)
 
 
 def symmetric_orientation(g: GridGraph) -> Digraph:
