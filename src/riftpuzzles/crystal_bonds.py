@@ -409,10 +409,10 @@ def solve_crystal_bonds(board: BondBoard) -> BondWalk:
 def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     """Exhaustive optimum over every bond ordering and traversal direction.
 
-    One bottom-up table over (covered-bond mask, crystal last stood on),
-    filled from the full mask down; the walk is read back along each
-    entry's first move.  Only the root state (mask 0, the start) reads the
-    start, so the rest is `_bond_table`'s, kept per crystal metric and bonds.
+    One bottom-up table of costs over (covered-bond mask, crystal last stood
+    on), filled from the full mask down; the walk is read back as each mask's
+    first move that meets the cost left.  Only the root (mask 0, the start)
+    reads the start; the rest is `_bond_table`'s, kept per metric and bonds.
     Independent of the rural-postman pipeline; used as its exactness oracle
     and as the decision routine for reduced (disconnected) instances.
     """
@@ -424,24 +424,22 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     metric = crystal_metric(board)
     r = len(board.crystals)
     rows = tuple(tuple(row)[:r] for row in metric[:r])
-    cost, first = _bond_table(rows, bonds)
+    cost = _bond_table(rows, bonds)
     lead = [0.0] * r if board.start is None else metric[r]
-    best, move = math.inf, -1
-    for k, u, hop, tail in _moves(rows, bonds, cost, 0):
-        cand = lead[u] + hop + tail
-        if cand < best:
-            best, move = cand, k
+    best = min(lead[u] + hop + tail for _, u, hop, tail in _moves(rows, bonds, cost, 0))
 
     seq: list[int] = []
-    mask = 0
-    while move >= 0:
+    mask, left = 0, best
+    while mask != len(cost) - 1:
+        # the table's own sums in its order: the first to meet the cost left is the move its strict < kept
+        move, u, left = next((k, u, t) for k, u, hop, t in _moves(rows, bonds, cost, mask) if lead[u] + hop + t == left)
         p, q = bonds[move >> 1]
-        u, w = (q, p) if move & 1 else (p, q)
+        w = p if move & 1 else q
         if not seq or seq[-1] != u:
             seq.append(u)
         seq.append(w)
         mask |= 1 << (move >> 1)
-        move = first[mask][w]
+        lead = rows[w]
     return BondWalk(tuple(seq), best)
 
 
@@ -457,11 +455,10 @@ def _moves(metric, bonds, cost, mask: int) -> list[tuple[int, int, float, float]
 
 
 @lru_cache(maxsize=1)
-def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, int], ...]):
+def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, int], ...]) -> list:
     """cost[mask][last], the cheapest walk of the bonds outside `mask` from a
-    crystal a covered bond ends on, and first[mask][last], its first move
-    (-1 at the full mask), for each mask >= 1.  A process keeps the last
-    table and hands every caller the same lists, which callers only read."""
+    crystal a covered bond ends on, for each mask >= 1.  A process keeps the
+    last table and hands every caller the same lists, which callers only read."""
     r, full = len(metric), (1 << len(bonds)) - 1
     # ends[mask]: the crystals a covered bond can leave the walk on, as bits
     ends = [0] * (full + 1)
@@ -469,23 +466,22 @@ def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, i
         p, q = bonds[(mask & -mask).bit_length() - 1]
         ends[mask] = ends[mask & (mask - 1)] | 1 << p | 1 << q
     cost: list = [None] * full + [[0.0] * r]
-    first: list = [None] * full + [[-1] * r]
     for mask in range(full - 1, 0, -1):
         moves = _moves(metric, bonds, cost, mask)
-        row, picks = [math.inf] * r, [-1] * r
+        row = [math.inf] * r
         lasts = ends[mask]
         while lasts:
             last = (lasts & -lasts).bit_length() - 1
             lasts &= lasts - 1
             lead = metric[last]
-            best, pick = math.inf, -1
-            for k, u, hop, tail in moves:
+            best = math.inf
+            for _, u, hop, tail in moves:
                 cand = lead[u] + hop + tail
                 if cand < best:
-                    best, pick = cand, k
-            row[last], picks[last] = best, pick
-        cost[mask], first[mask] = row, picks
-    return cost, first
+                    best = cand
+            row[last] = best
+        cost[mask] = row
+    return cost
 
 
 def verify_bond_walk(board: BondBoard, walk: BondWalk) -> Verdict:

@@ -313,7 +313,10 @@ class _Geodesics:
             _exact_tile(p)
             if not region_contains_point(region, p):
                 raise PointOutsideRegion(f"point {p} is outside the region")
-        self.nodes = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
+        try:
+            self.nodes = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
+        except OverflowError:
+            raise ValueError("a region corner lies past the float range") from None
         # mx*my of each node's missing quadrant; 0 for query points
         self.quadrant = [0] * len(points) + [mx * my for _, (mx, my) in reflex]
         s, coords = _scaled(*(c for node in self.nodes for c in node))

@@ -436,9 +436,9 @@ class Digraph:
 def has_directed_ham_path(d: Digraph) -> bool:
     """Subset-DP Hamiltonian path oracle (any endpoints).
 
-    Only the sets some path visits are expanded, one path length at a time,
-    and an empty layer ends the search: at out-degree 2, as the package's
-    digraphs have, few of the 2^n sets are reached.  Trusted reference:
+    Keeps, per path length, each set some path visits and the vertices it
+    can end on; an empty layer ends the search, and at out-degree 2 (the
+    package's digraphs) few of the 2^n sets are reached.  Trusted reference:
     exact for vertex_count <= DIRECTED_SEARCH_LIMIT, refuses larger instances.
     """
     n = d.vertex_count
@@ -447,23 +447,17 @@ def has_directed_ham_path(d: Digraph) -> bool:
     succ_mask = [0] * n
     for s, t in d.arcs:
         succ_mask[s] |= 1 << t
-    # dp[mask] = bitmask of vertices that can end a path visiting exactly `mask`
-    dp = [0] * (1 << n)
-    layer = [1 << v for v in range(n)]
-    for mask in layer:
-        dp[mask] = mask
+    # layer[mask]: the vertices a path visiting exactly `mask` can end on
+    layer = {1 << v: 1 << v for v in range(n)}
     for _ in range(n - 1):
-        grown = []
-        for mask in layer:
-            ends = dp[mask]
+        grown: dict[int, int] = {}
+        for mask, ends in layer.items():
             while ends:
                 end = ends & -ends
                 fresh = succ_mask[end.bit_length() - 1] & ~mask
                 while fresh:
                     bit = fresh & -fresh
-                    if not dp[mask | bit]:
-                        grown.append(mask | bit)
-                    dp[mask | bit] |= bit
+                    grown[mask | bit] = grown.get(mask | bit, 0) | bit
                     fresh ^= bit
                 ends ^= end
         if not grown:

@@ -140,10 +140,11 @@ def _keyed(rows, fields: dict, once: dict[str, int]) -> tuple[dict[str, list], i
 
 
 def _invariant(lineno: int, build):
-    """Run a constructor, converting its complaint into a located error."""
+    """Run a constructor, converting its complaint, or a coordinate past the
+    float range (OverflowError), into a located error."""
     try:
         return build()
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         _fail(lineno, str(exc))
 
 
@@ -189,8 +190,10 @@ def _picture(marks: dict, blank: str) -> str:
     xs, ys = zip(*marks)
     columns = range(min(xs), max(xs) + 1)
     rows = range(max(ys), min(ys) - 1, -1)
-    if len(columns) * len(rows) > (len(marks) + 64) ** 2:
-        raise ValueError(f"a {len(columns)}x{len(rows)} picture of {len(marks)} marks is too large to draw")
+    # by their ends: len() of a range past sys.maxsize raises OverflowError
+    width, height = columns.stop - columns.start, rows.start - rows.stop
+    if width * height > (len(marks) + 64) ** 2:
+        raise ValueError(f"a {width}x{height} picture of {len(marks)} marks is too large to draw")
     return "".join("".join([marks.get((x, y), blank) for x in columns]) + "\n" for y in rows)
 
 

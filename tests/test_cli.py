@@ -642,6 +642,49 @@ def test_render_refuses_a_picture_far_larger_than_its_marks(tmp_path, capsys, ki
     assert (code, out, got) == (3, "", f"invalid input: {err} is too large to draw\n")
 
 
+def far_l_board(model, far):
+    """Two crystals on tiles (0,0) and (1,0), and an L of tiles at x = far."""
+    return (f"model {model}\nstart 0 0\ntile 0 0\ntile 1 0\ntile {far} 0\ntile {far + 1} 0\ntile {far} 1\n"
+            "crystal 1 0\ncrystal 0 0\nbond 0 1\n")
+
+
+BIG = 10**400
+PAST_FLOAT = "input error: line 7: int too large to convert to float"
+
+
+@pytest.mark.parametrize(
+    "command,text,err",
+    [
+        ("solve dcb", f"model grid\nstart 0 0\ntile 0 0\ntile 1 0\ncrystal 1 0\ncrystal {BIG} 0\nbond 0 1\n",
+         PAST_FLOAT),
+        ("render bond-board", f"model grid\nstart {BIG} 0\ntile 0 0\ntile 1 0\ncrystal 1 0\ncrystal 0 0\nbond 0 1\n",
+         PAST_FLOAT),
+        ("render grid-graph", f"0 0\n{2**63} 0\n",
+         "invalid input: a 9223372036854775809x1 picture of 2 marks is too large to draw"),
+        ("solve dcb", far_l_board("euclid", BIG), "invalid input: a region corner lies past the float range"),
+    ],
+    ids=("crystal", "start", "picture", "euclid-corner"),
+)
+def test_coordinates_past_the_float_range_exit_3(tmp_path, capsys, monkeypatch, command, text, err):
+    # each used to escape as an OverflowError: a traceback and exit 1, the
+    # code for "unsolvable"
+    from riftpuzzles import instance_io
+
+    argv = (*command.split(), doc(tmp_path, "far.doc", text))
+    assert run(capsys, *argv) == (3, "", err + "\n")
+    if "grid-graph" not in command:  # the line reader gives what the bulk reader gave
+        monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: None)
+        instance_io._parse_bond_board.cache_clear()
+        assert run(capsys, *argv) == (3, "", err + "\n")
+
+
+@pytest.mark.parametrize("model,far", [("grid", BIG), ("euclid", 2**60)])
+def test_a_far_l_off_the_crystals_is_solved(tmp_path, capsys, model, far):
+    # the grid model reads no corner, and 2^60 is in the float range
+    got = run(capsys, "solve", "dcb", doc(tmp_path, "far.bond", far_l_board(model, far)))
+    assert got == (0, "length 1.0\nvisit 1\nvisit 0\n", "")
+
+
 @pytest.mark.parametrize("n", [400, 1000])
 def test_connected_staircases_render_and_reduce(tmp_path, capsys, n):
     # a diagonal staircase's box grows with the square of its vertex count,

@@ -2,7 +2,7 @@
 al., *The Fuzzing Book*).
 
 Seed documents come from `gen`, `reduce` and `solve`.  Each mutant changes
-one to three lines of a seed: a field set to 0, -1, 2^53, nan, 1e400 or x,
+one to three lines of a seed: a field set to 0, -1, 2^53, nan, 1e400, x or 10^400,
 or a line dropped, duplicated, truncated or swapped.  It then goes in
 process through every `solve`, `reduce`, `render` and `verify` command that
 reads its kind.  Every call must end within its alarm with an exit status
@@ -27,7 +27,7 @@ from riftpuzzles.crystal_bonds import MODELS, apply_start_gadget, gen_random_tre
 from riftpuzzles.graphs import GridGraph
 from riftpuzzles.instance_io import parse, serialize
 
-FIELDS = ("0", "-1", str(2**53), "nan", "1e400", "x")
+FIELDS = ("0", "-1", str(2**53), "nan", "1e400", "x", str(10**400))
 MUTANTS_PER_SEED = 30
 CALL_SECONDS = 1.0
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -389,6 +390,20 @@ def test_directed_oracle_matches_the_former_all_masks_dp():
     verdicts = [has_directed_ham_path(d) for d in digraphs]
     assert verdicts == [former_directed_dp(d) for d in digraphs]
     assert 500 < sum(verdicts) < len(digraphs) - 500, sum(verdicts)
+
+
+def test_directed_oracle_keeps_only_the_reached_sets():
+    # 16 vertices at out-degree 1 or 2: a 2^16-entry table per call peaked
+    # near 530 KB; the sets some path reaches take a few KB
+    for seed in range(8):
+        d = gen_random_digraph(16, seed)
+        tracemalloc.start()
+        try:
+            has_directed_ham_path(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (seed, peak)
 
 
 def symmetric_orientation(g: GridGraph) -> Digraph:
