@@ -6,15 +6,14 @@ A board is a set of tiles with step capacities 1 or 2.  The player walks
 orthogonally from the start tile to the finish tile, may stand on each tile
 at most its capacity, and must touch every crystal tile at least once.
 
-The solver is a frontier DP.  A state's moves at a tile depend only on the
-state and the rules of the tile and its neighbours, so they are memoized
-across tiles and boards, for up to `FRONTIER_STATE_LIMIT` recent pairs of a
-state and a tile's context.
+The solver walks a frontier DP's states depth first.  A state's moves at a
+tile depend only on the state and the rules of the tile and its neighbours,
+so they are memoized across tiles and boards, for up to
+`FRONTIER_STATE_LIMIT` recent pairs of a state and a tile's context.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -110,15 +109,15 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     grid edges is a valid walk's step set exactly when it is connected, the
     start and finish have degree 1, every other tile even degree at most
     twice its capacity, and every crystal degree at least 2 (Euler, 1736).
-    The scan is `graphs._ham_frontier`'s.  A state is the steps from the
-    tiles seen to the rest, each with its count and a component label.  A
-    component may close only when nothing else is open and no start, finish
-    or crystal is left; one back-pointer per state gives back its multiset.
-    Each state's moves come from `_transitions`, memoized for the last
-    `FRONTIER_STATE_LIMIT` pairs of a state and a tile's context, so a scan
-    that meets a state again does one lookup.  Raises BudgetExhausted past
-    `FRONTIER_STATE_LIMIT` states at one tile or `node_budget` (default
-    200,000) in all.
+    The tile order is `graphs._ham_frontier`'s.  A state is the steps from
+    the tiles seen to the rest, each with its count and a component label.
+    A component may close only when nothing else is open and no start,
+    finish or crystal is left.  The states are walked depth first in the
+    move order of `_transitions`, each expanded once; the first that may
+    close is the answer, and the steps on the stack are its multiset.
+    Moves are memoized for the last `FRONTIER_STATE_LIMIT` pairs of a state
+    and a tile's context.  Raises BudgetExhausted past `FRONTIER_STATE_LIMIT`
+    states expanded at one tile or `node_budget` (default 200,000) in all.
     """
     caps = board.capacities
     xs, ys = zip(*caps)
@@ -126,30 +125,39 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     # scan position (row, column) -> board tile, in scan order
     tile = dict(sorted((v if wide else v[::-1], v) for v in caps))
     rule = {v: (1 if t in (board.start, board.finish) else 2 * caps[t], t in board.crystals) for v, t in tile.items()}
+    contexts = [((r - 1, c) in tile, rule[r, c], rule.get((r, c + 1)), rule.get((r + 1, c))) for r, c in tile]
     last = max(i for i, (most, crystal) in enumerate(rule.values()) if most == 1 or crystal)
     limit = _SCAN_STATE_LIMIT if node_budget is None else node_budget
-    states: list[tuple[int, ...]] = [(0,)]  # slots are label << 2 | steps, 0 when empty
-    back: list[array] = []
-    seen = 0
-    for i, (r, c) in enumerate(tile):
-        context = (r - 1, c) in tile, rule[r, c], rule.get((r, c + 1)), rule.get((r + 1, c))
-        new: dict[tuple[int, ...], int] = {}
-        for k, s in enumerate(states):
-            moves, closes = _transitions(s, *context)
-            if closes and i >= last:
-                return _trail(board, tile, back, i, k << 4)
-            for key, steps in moves:
-                if key not in new:
-                    new[key] = k << 4 | steps
-        if len(new) > FRONTIER_STATE_LIMIT:
-            raise BudgetExhausted(f"over {FRONTIER_STATE_LIMIT} frontier states at tile {i + 1} of {len(tile)}")
-        seen += len(new)
-        if seen > limit:
-            raise BudgetExhausted(f"over {limit} frontier states in all by tile {i + 1} of {len(tile)}")
-        if not new:
-            break
-        back.append(array("l", new.values()))
-        states = list(new)
+    n = len(tile)
+    done: list[set[tuple[int, ...]]] = [set() for _ in range(n)]  # per tile, the states expanded there
+    taken = [0] * n  # taken[i]: the steps right << 2 | up into tile i on the stack's walk
+    stack = [iter([((0,), 0)])]  # stack[i]: the moves into tile i not yet tried; slots are label << 2 | steps
+    expanded = 0
+    while stack:
+        i = len(stack) - 1
+        seen = done[i]
+        for s, steps in stack[i]:
+            if s not in seen:
+                break
+        else:
+            stack.pop()
+            continue
+        seen.add(s)
+        if len(seen) > FRONTIER_STATE_LIMIT:
+            raise BudgetExhausted(f"over {FRONTIER_STATE_LIMIT} frontier states at tile {i + 1} of {n}")
+        expanded += 1
+        if expanded > limit:
+            raise BudgetExhausted(f"over {limit} frontier states in all by tile {i + 1} of {n}")
+        taken[i] = steps
+        moves, closes = _transitions(s, *contexts[i])
+        if closes and i >= last:
+            edges = []
+            for (r, c), steps in zip(tile, taken[1 : i + 1]):
+                for end, count in ((r, c + 1), steps >> 2), ((r + 1, c), steps & 3):
+                    edges += [(tile[r, c], tile[end])] * count if count else []
+            return TilePath(tuple(_euler_trail(sorted({v for e in edges for v in e}), edges, board.start)))
+        if i + 1 < n:
+            stack.append(iter(moves))
     return None
 
 
@@ -199,17 +207,6 @@ def _fits(here: tuple[int, bool], right: tuple[int, bool] | None, up: tuple[int,
 
     moves = [(h, u) for h in range(carry(right) + 1) for u in range(carry(up) + 1)]
     return tuple(tuple(tuple(m for m in moves if ok((a, b, *m))) for b in range(3)) for a in range(3))
-
-
-def _trail(board: TileBoard, tile: dict[Tile, Tile], back: list[array], i: int, pointer: int) -> TilePath:
-    """An Euler trail from the start of the steps `pointer`, at scan position i, leads back to."""
-    steps: list[tuple[Tile, Tile]] = []
-    for j, (r, c) in reversed(list(enumerate(tile))[: i + 1]):
-        for end, count in ((r, c + 1), pointer >> 2 & 3), ((r + 1, c), pointer & 3):
-            steps += [(tile[r, c], tile[end])] * count if count else []
-        if j:
-            pointer = back[j - 1][pointer >> 4]
-    return TilePath(tuple(_euler_trail(sorted({v for e in steps for v in e}), steps, board.start)))
 
 
 def reduce_grid_to_tile_trial(g: GridGraph) -> TileBoard:

@@ -300,22 +300,43 @@ def test_holed_board_reductions_decided_within_a_second():
         assert path is None or verify_tile_path(board, path).ok
 
 
+def square(w, h):
+    return GridGraph(frozenset((x, y) for x in range(w) for y in range(h)))
+
+
+def test_wide_reductions_with_a_cycle_solve_within_a_second():
+    # the breadth-first scan gave up on these: it expanded every state of a
+    # tile before the next, so a solvable board cost as much as a refutation
+    for w, h in ((12, 12), (14, 14), (16, 16), (8, 1000)):
+        board = reduce_grid_to_tile_trial(square(w, h))
+        began = time.perf_counter()
+        path = solve_tile_trial(board)
+        assert time.perf_counter() - began < 1.0, (w, h)
+        assert path is not None and verify_tile_path(board, path).ok, (w, h)
+
+
 def test_wide_board_gives_up_at_the_state_cap():
-    # a 14x14 square's rows cross 14 columns, far past the cap
-    square = GridGraph(frozenset((x, y) for x in range(14) for y in range(14)))
-    board = reduce_grid_to_tile_trial(square)
+    # a 30x30 square's rows cross 30 columns, far past the cap
+    board = reduce_grid_to_tile_trial(square(30, 30))
     began = time.perf_counter()
     with pytest.raises(BudgetExhausted, match=f"^over {FRONTIER_STATE_LIMIT} frontier states at tile "):
         solve_tile_trial(board)
     assert time.perf_counter() - began < 2.0
 
 
-# sha256 over serialize(path), or "UNSOLVABLE\n", of each board in turn, as
-# the scan gave them before its transitions were memoized
+def test_wide_board_without_a_cycle_gives_up():
+    # an odd square has no Hamiltonian cycle, and refuting it takes every state
+    with pytest.raises(BudgetExhausted, match="^over 200000 frontier states in all by tile "):
+        solve_tile_trial(reduce_grid_to_tile_trial(square(11, 11)))
+
+
+# sha256 over serialize(path), or "UNSOLVABLE\n", of each board in turn: the
+# reduction boards' paths as the breadth-first scan gave them, the random
+# boards' as the depth-first walk, which completes another walk on 103 of them
 PATH_DIGESTS = {
     "3x4/9": "7af3045d9b31da61611b72d88d4223c461ba60ebf5d8b984f4f5b11bdb8c6b0a",
     "2x6/12": "e254426b6fa55f8522d23e4f9b7a09551bcffa65bc1194202c12180b04da63db",
-    "random": "314aa827ba6b556aa10119f0914adccf3b5836718a7af69de482db4d966ab293",
+    "random": "2a490a2337e70fc2fd8fc61921020ba0d0dbf1058f2fc0dc73327a8ecb53ed92",
     "2x500": "1c02323a7985357fa292ef13007d5c4a26e6df0b0c11da4eaff908fdc29de064",
     "holed": "028bfb9ee640fe66d7d7b976d772d12f3d974806e90788f847f946c66cb2c340",
     "10x10": "88e8e01cfd46d3f7b18d15bdd4b0e2a342d8d995c60fe218aefe9b1c44c2c5c4",
@@ -323,16 +344,13 @@ PATH_DIGESTS = {
 
 
 def pinned_boards():
-    def box(w, h):
-        return GridGraph(frozenset((x, y) for x in range(w) for y in range(h)))
-
     return {
         "3x4/9": [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(3, 4, 9) if len(g) >= 2],
         "2x6/12": [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(2, 6, 12) if len(g) >= 2],
         "random": random_boards(1000),
-        "2x500": [reduce_grid_to_tile_trial(box(500, 2))],
+        "2x500": [reduce_grid_to_tile_trial(square(500, 2))],
         "holed": [reduce_grid_to_tile_trial(g) for g in holed_boards()],
-        "10x10": [reduce_grid_to_tile_trial(box(10, 10))],
+        "10x10": [reduce_grid_to_tile_trial(square(10, 10))],
     }
 
 
@@ -360,7 +378,7 @@ def test_cold_transition_cache_gives_the_same_paths():
 
 def test_budget_messages_pinned():
     # every 37th board of 3x4/9 at six budgets: the message of each that
-    # gives up, as the scan gave them before its transitions were memoized
+    # gives up, where the budget counts the states expanded
     boards = [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(3, 4, 9) if len(g) >= 2][::37]
     messages = []
     for board in boards:
@@ -369,6 +387,55 @@ def test_budget_messages_pinned():
                 messages.append("unsolvable" if solve_tile_trial(board, budget) is None else "solved")
             except BudgetExhausted as exc:
                 messages.append(str(exc))
-    assert (messages.count("solved"), messages.count("unsolvable"), len(messages)) == (6, 69, 174)
+    assert (messages.count("solved"), messages.count("unsolvable"), len(messages)) == (6, 65, 174)
     digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
-    assert digest == "648ec7226e66ddfebd8df9ff89f06480fc4e287125b2bf79c5ac4fc1e67b0edb"
+    assert digest == "c7eb686f46960b17cc683694ba17e00ebec1e8f3fbd5001e42797cdfc9e1edcc"
+
+
+def former_frontier_dp(board):
+    """solve_tile_trial's former form, as a verdict: the same states and
+    moves, scanned breadth first, every state of a tile before the next."""
+    caps = board.capacities
+    xs, ys = zip(*caps)
+    wide = max(xs) - min(xs) > max(ys) - min(ys)
+    tile = dict(sorted((v if wide else v[::-1], v) for v in caps))
+    rule = {v: (1 if t in (board.start, board.finish) else 2 * caps[t], t in board.crystals) for v, t in tile.items()}
+    last = max(i for i, (most, crystal) in enumerate(rule.values()) if most == 1 or crystal)
+    states = [(0,)]
+    for i, (r, c) in enumerate(tile):
+        context = (r - 1, c) in tile, rule[r, c], rule.get((r, c + 1)), rule.get((r + 1, c))
+        new = {}
+        for s in states:
+            moves, closes = tile_trial._transitions(s, *context)
+            if closes and i >= last:
+                return True
+            new.update(dict.fromkeys(key for key, _ in moves))
+        states = list(new)
+    return False
+
+
+def test_depth_first_walk_expands_the_former_scans_states(monkeypatch):
+    # each state is expanded once, so a refutation makes exactly the former
+    # scan's _transitions calls
+    calls = 0
+    transitions = tile_trial._transitions
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return transitions(*args)
+
+    monkeypatch.setattr(tile_trial, "_transitions", counted)
+    unsolvable = 0
+    for name, boards in pinned_boards().items():
+        for board in boards:
+            calls = 0
+            path = solve_tile_trial(board)
+            walked = calls
+            calls = 0
+            assert former_frontier_dp(board) == (path is not None), (name, board)
+            assert path is None or verify_tile_path(board, path).ok, (name, board)
+            if path is None:
+                assert walked == calls, (name, board)
+                unsolvable += 1
+    assert unsolvable > 1000, unsolvable
