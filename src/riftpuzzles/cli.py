@@ -193,10 +193,10 @@ def _cmd_solve(args) -> int:
     if solution is None:
         print("UNSOLVABLE")
         return EXIT_NO
+    # decided before the walk is written, so a threshold past the float range prints nothing
+    over = args.kind == "dcb" and args.threshold is not None and solution.total_length > args.threshold + 1e-9
     sys.stdout.write(serialize(solution))
-    if args.kind == "dcb" and args.threshold is not None:
-        return EXIT_NO if solution.total_length > args.threshold + 1e-9 else EXIT_OK
-    return EXIT_OK
+    return EXIT_NO if over else EXIT_OK
 
 
 # reduce
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     except (InstanceTooLarge, BudgetExhausted, RecursionError, MemoryError) as exc:
         print(f"gave up: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a number past a float or an index
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,12 +25,13 @@ Three distance notions live here:
   the region.  Its A* keeps distances per reached node, so memory follows
   the nodes it explores, not the region's bounding box.
 
-Point membership and segment visibility are exact integer predicates: every
-float is a dyadic rational, so scaling by the common power-of-two
-denominator puts all coordinates and cell walls on integers, and the
-segment test walks the crossed cells without rounding.  Unreachable queries
-return ``math.inf``.  The absolute epsilon of 1e-9 is used only where
-``sqrt`` lengths are summed.
+Point membership, segment visibility and the geodesic nodes are exact
+integers: every float is a dyadic rational, so scaling by the common
+power-of-two denominator puts all coordinates and cell walls on integers,
+the segment test walks the crossed cells without rounding, and a length is
+rounded once, from exact differences.  Unreachable queries return
+``math.inf``.  The absolute epsilon of 1e-9 is used only where ``sqrt``
+lengths are summed.
 """
 
 from __future__ import annotations
@@ -289,7 +290,8 @@ class _Geodesics:
     read; rows() gives them as a tuple of read-only graphs._Row views.
 
     The nodes are the query points, then the reflex corners in sorted order,
-    scaled to integers once by their common denominator for the cell walk.
+    kept only as integers over their common denominator s, so a corner never
+    has to fit in a float; a length is the hypot of exact differences over s.
     A pair that meets a corner head-on, from the quadrant opposite the
     missing one (or from inside it), is not tested: a shortest path never
     bends there, so only pairs that can be bitangent at their corner ends
@@ -313,13 +315,9 @@ class _Geodesics:
             _exact_tile(p)
             if not region_contains_point(region, p):
                 raise PointOutsideRegion(f"point {p} is outside the region")
-        try:
-            self.nodes = list(points) + [(float(cx), float(cy)) for (cx, cy), _ in reflex]
-        except OverflowError:
-            raise ValueError("a region corner lies past the float range") from None
         # mx*my of each node's missing quadrant; 0 for query points
         self.quadrant = [0] * len(points) + [mx * my for _, (mx, my) in reflex]
-        s, coords = _scaled(*(c for node in self.nodes for c in node))
+        s, coords = _scaled(*(c for p in points for c in p), *(c for corner, _ in reflex for c in corner))
         self.scaled = list(zip(coords[::2], coords[1::2]))
         self.free = [x % s or y % s or (x // s, y // s) not in pinches for x, y in self.scaled]
         self.walk_args = (region.tiles, pinches, s)
@@ -327,9 +325,9 @@ class _Geodesics:
         self.corner_edges: dict[int, dict[int, float]] = {}
         self.settled: dict[int, list[tuple[int, float]]] = {}
         self.table: list[list[float | None]] = [[None] * len(points) for _ in points]
-        # index, coordinates and quadrant of each corner; three tiles meet at
-        # a reflex corner, so none is a pinch
-        self.corner_nodes = [(v, *self.nodes[v], self.quadrant[v]) for v in range(len(points), len(self.nodes))]
+        # index, scaled coordinates and quadrant of each corner; three tiles
+        # meet at a reflex corner, so none is a pinch
+        self.corner_nodes = [(v, *self.scaled[v], self.quadrant[v]) for v in range(len(points), len(self.scaled))]
 
     def rows(self) -> tuple[_Row, ...]:
         return tuple(_Row(self.entry, self.complete, row, i) for i, row in enumerate(self.table))
@@ -339,9 +337,10 @@ class _Geodesics:
         pair with a corner end must pass the bitangent test first."""
         i, j = key = (i, j) if i < j else (j, i)
         if key not in self.sight:
-            seen = self.free[i] and self.free[j] and _walk(*self.walk_args, *self.scaled[i], *self.scaled[j])
-            (xi, yi), (xj, yj) = self.nodes[i], self.nodes[j]
-            self.sight[key] = math.hypot(xi - xj, yi - yj) if seen else None
+            (xi, yi), (xj, yj) = self.scaled[i], self.scaled[j]
+            seen = self.free[i] and self.free[j] and _walk(*self.walk_args, xi, yi, xj, yj)
+            s = self.walk_args[2]
+            self.sight[key] = math.hypot((xi - xj) / s, (yi - yj) / s) if seen else None
         return self.sight[key]
 
     def _corners(self, u: int) -> dict[int, float]:
@@ -350,7 +349,7 @@ class _Geodesics:
         if u not in self.corner_edges:
             edges = self.corner_edges[u] = {}
             if self.free[u]:
-                (xu, yu), qu = self.nodes[u], self.quadrant[u]
+                (xu, yu), qu = self.scaled[u], self.quadrant[u]
                 tangent = [
                     v for v, x, y, q in self.corner_nodes
                     if v != u and (d := (x - xu) * (y - yu)) * q <= 0 and d * qu <= 0

@@ -661,9 +661,8 @@ PAST_FLOAT = "input error: line 7: int too large to convert to float"
          PAST_FLOAT),
         ("render grid-graph", f"0 0\n{2**63} 0\n",
          "invalid input: a 9223372036854775809x1 picture of 2 marks is too large to draw"),
-        ("solve dcb", far_l_board("euclid", BIG), "invalid input: a region corner lies past the float range"),
     ],
-    ids=("crystal", "start", "picture", "euclid-corner"),
+    ids=("crystal", "start", "picture"),
 )
 def test_coordinates_past_the_float_range_exit_3(tmp_path, capsys, monkeypatch, command, text, err):
     # each used to escape as an OverflowError: a traceback and exit 1, the
@@ -678,11 +677,42 @@ def test_coordinates_past_the_float_range_exit_3(tmp_path, capsys, monkeypatch, 
         assert run(capsys, *argv) == (3, "", err + "\n")
 
 
-@pytest.mark.parametrize("model,far", [("grid", BIG), ("euclid", 2**60)])
-def test_a_far_l_off_the_crystals_is_solved(tmp_path, capsys, model, far):
-    # the grid model reads no corner, and 2^60 is in the float range
-    got = run(capsys, "solve", "dcb", doc(tmp_path, "far.bond", far_l_board(model, far)))
-    assert got == (0, "length 1.0\nvisit 1\nvisit 0\n", "")
+@pytest.mark.parametrize("model,far", [("grid", BIG), ("euclid", 2**60), ("euclid", BIG)])
+def test_a_far_l_off_the_crystals_is_solved(tmp_path, capsys, monkeypatch, model, far):
+    # the grid model reads no corner, and the euclid model keeps its corners
+    # as integers, so none has to fit in a float
+    from riftpuzzles import instance_io
+
+    board = doc(tmp_path, "far.bond", far_l_board(model, far))
+    walk = doc(tmp_path, "far.walk", "length 1.0\nvisit 1\nvisit 0\n")
+    for _ in range(2):  # the bulk reader, then the line reader
+        assert run(capsys, "solve", "dcb", board) == (0, "length 1.0\nvisit 1\nvisit 0\n", "")
+        assert run(capsys, "verify", "dcb", board, walk) == (0, "ok\n", "")
+        monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: None)
+        instance_io._parse_bond_board.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "dcb", "far.grid"),
+        ("reduce", "dcb", "far.grid", "--gadget"),
+        ("gen", "grid-graph", "--box", f"{10**20}x1"),
+        ("gen", "bond-board", "--box", f"1x{10**20}"),
+        ("sweep", "geo-oracle", "--box", f"{10**20}x1", "--count", "1"),
+        ("solve", "dcb", "near.bond", "--threshold", str(BIG)),
+    ],
+    ids=("reduce", "reduce-gadget", "gen-grid", "gen-bond", "sweep-geo", "threshold"),
+)
+def test_numbers_past_a_float_or_an_index_exit_3(tmp_path, capsys, argv):
+    # each used to escape as an OverflowError: a traceback and exit 1, and the
+    # threshold's after the walk was printed; sizes stay past sys.maxsize, as
+    # one that fits an index would be allocated
+    doc(tmp_path, "far.grid", f"{BIG} 0\n{BIG + 1} 0\n")
+    doc(tmp_path, "near.bond", "model grid\nstart 0 0\ntile 0 0\ntile 1 0\ncrystal 1 0\ncrystal 0 0\nbond 0 1\n")
+    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith((".grid", ".bond")) else a for a in argv))
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert err.startswith("invalid input: ")
 
 
 @pytest.mark.parametrize("n", [400, 1000])

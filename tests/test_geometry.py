@@ -793,6 +793,13 @@ def _identity_cases():
             x, y = tiles[rng.randrange(len(tiles))]
             points.append((x + rng.randrange(9) / 8, y + rng.randrange(5) / 4))
         cases.append((r, points))
+    for n in range(20):
+        # off-centre points over 2**20: every length is divided by a large s
+        r = gen_random_region(rng.randrange(1 << 30), 9, 9, rng.randint(15, 50))
+        tiles = rng.sample(sorted(r.tiles), min(len(r.tiles), 6))
+        cases.append((r, [(x + rng.randrange(1 << 20) / 2**20, y + rng.randrange(1 << 20) / 2**20) for x, y in tiles]))
+    # 5e-324 puts s at 2**1074, where a scaled difference does not fit in a float
+    cases.append((TileRegion(frozenset({(0, 0), (1, 0)})), [(5e-324, 0.5), (1.5, 0.5), (1.0, 5e-324)]))
     return cases
 
 
@@ -850,7 +857,8 @@ def test_corner_edges_match_the_quadrant_rule_and_segment_walk():
         nodes = list(points) + [c for c, _ in reflex]
         quadrant = [0] * len(points) + [m for _, m in reflex]
         geodesics = _Geodesics(r, points)
-        assert geodesics.nodes == nodes
+        s = geodesics.walk_args[2]
+        assert [(x / s, y / s) for x, y in geodesics.scaled] == nodes
         for u, (xu, yu) in enumerate(nodes):
             want = []
             for v in range(len(points), len(nodes)):
