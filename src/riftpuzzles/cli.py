@@ -193,9 +193,9 @@ def _cmd_solve(args) -> int:
     if solution is None:
         print("UNSOLVABLE")
         return EXIT_NO
-    # decided before the walk is written, so a threshold past the float range prints nothing
-    over = args.kind == "dcb" and args.threshold is not None and solution.total_length > args.threshold + 1e-9
     sys.stdout.write(serialize(solution))
+    # a float compares with an int exactly, so a threshold past the float range is decided too
+    over = args.kind == "dcb" and args.threshold is not None and solution.total_length - 1e-9 > args.threshold
     return EXIT_NO if over else EXIT_OK
 
 
@@ -406,8 +406,9 @@ def _cmd_sweep(args) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # a third of this module's import time
 
+        # a few chunks per worker: one round trip per item costs more than most items
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(worker, todo))
+            results = list(pool.map(worker, todo, chunksize=-(-len(todo) // (4 * args.jobs))))
     else:
         results = [worker(item) for item in todo]
     passed = sum(1 for ok, _ in results if ok)

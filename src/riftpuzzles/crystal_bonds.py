@@ -29,7 +29,7 @@ from .geometry import (
     _Geodesics,
     _scaled,
 )
-from .graphs import GridGraph, InstanceTooLarge, Verdict, grid_edges, _euler_trail, _GridDistances
+from .graphs import ORTHO_STEPS, GridGraph, InstanceTooLarge, Verdict, grid_edges, _euler_trail, _GridDistances
 
 MODELS = ("grid", "euclid")
 
@@ -117,17 +117,40 @@ def crystal_metric(board: BondBoard) -> Sequence[Sequence[float]]:
     built, keyed on the region, the points and the distance model, so an
     equal board (a walk solved, then verified) reuses it and the entries
     already read.  A separated board caches nothing and raises each time.
+    Under `grid` the last metric seeds the next one when its points extend
+    the last's and its region adds only tiles with at most one orthogonal
+    neighbour: such a dead end lies on no shortest walk between other
+    tiles, so the exact int entries already computed hold.  A `euclid`
+    metric, whose corners and pinches a new tile moves, is never seeded.
     """
     points = board.crystals if board.start is None else board.crystals + (board.start,)
     return _metric_of(board.region, points, board.distance_model)
 
 
-@lru_cache(maxsize=1)
+# the last metric built: (region, points, model), its rows, and its table under grid
+_LAST: list = []
+
+
 def _metric_of(region: TileRegion, points: tuple[Point, ...], model: str) -> Sequence[Sequence[float]]:
+    key = (region, points, model)
+    if _LAST and _LAST[0] == key:
+        return _LAST[1]
     grid = _GridDistances(region.tiles, [tile_of(p) for p in points])
+    if _LAST and model == _LAST[0][2] == "grid":  # crystal_metric's seed rule
+        (last, last_points, _), tiles = _LAST[0], region.tiles
+        if points[: len(last_points)] == last_points and last.tiles < tiles and all(
+            sum((x + dx, y + dy) in tiles for dx, dy in ORTHO_STEPS) <= 1 for x, y in tiles - last.tiles
+        ):
+            for row, old in zip(grid.table, _LAST[2]):
+                row[: len(old)] = old
     if points and math.inf in grid.fill(len(points) - 1):
         raise UnreachableCrystal("region does not connect all crystals")
-    return grid.rows() if model == "grid" else _Geodesics(region, list(points)).rows()
+    rows = grid.rows() if model == "grid" else _Geodesics(region, list(points)).rows()
+    _LAST[:] = key, rows, grid.table if model == "grid" else None
+    return rows
+
+
+_metric_of.cache_clear = _LAST.clear
 
 
 def _roots(n: int, edges) -> list[int]:
@@ -409,28 +432,14 @@ def solve_crystal_bonds(board: BondBoard) -> BondWalk:
 def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     """Exhaustive optimum over every bond ordering and traversal direction.
 
-    One bottom-up table of costs over (covered-bond mask, crystal last stood
-    on), filled from the full mask down; the walk is read back as each mask's
-    first move that meets the cost left.  Only the root (mask 0, the start)
-    reads the start; the rest is `_bond_table`'s, kept per metric and bonds.
-    Independent of the rural-postman pipeline; used as its exactness oracle
-    and as the decision routine for reduced (disconnected) instances.
+    `_bond_optimum` gives the optimum from one bottom-up table of costs;
+    the walk is read back as each mask's first move that meets the cost
+    left.  Independent of the rural-postman pipeline; used as its exactness
+    oracle.  `decide_dcb` reads the optimum alone and skips the readback.
     """
-    bonds = board.required_bonds
-    if len(bonds) > 8:
-        raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
-    if not bonds:
-        return BondWalk((), 0.0)
-    metric = crystal_metric(board)
-    r = len(board.crystals)
-    rows = tuple(tuple(row)[:r] for row in metric[:r])
-    cost = _bond_table(rows, bonds)
-    lead = [0.0] * r if board.start is None else metric[r]
-    best = min(lead[u] + hop + tail for _, u, hop, tail in _moves(rows, bonds, cost, 0))
-
-    seq: list[int] = []
-    mask, left = 0, best
-    while mask != len(cost) - 1:
+    best, rows, cost, lead = _bond_optimum(board)
+    bonds, seq, mask, left = board.required_bonds, [], 0, best
+    for _ in bonds:
         # the table's own sums in its order: the first to meet the cost left is the move its strict < kept
         move, u, left = next((k, u, t) for k, u, hop, t in _moves(rows, bonds, cost, mask) if lead[u] + hop + t == left)
         p, q = bonds[move >> 1]
@@ -441,6 +450,24 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
         mask |= 1 << (move >> 1)
         lead = rows[w]
     return BondWalk(tuple(seq), best)
+
+
+def _bond_optimum(board: BondBoard) -> tuple[float, tuple, list, Sequence[float]]:
+    """The least length of a walk covering every bond, and the crystal rows,
+    bond table and start row a readback reads.  Only the root (mask 0, the
+    start) reads the start; the table over (covered-bond mask, crystal last
+    stood on) is `_bond_table`'s.  No bonds cost 0 and build no metric."""
+    bonds = board.required_bonds
+    if len(bonds) > 8:
+        raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
+    if not bonds:
+        return 0.0, (), [], ()
+    metric = crystal_metric(board)
+    r = len(board.crystals)
+    rows = tuple(tuple(row)[:r] for row in metric[:r])
+    cost = _bond_table(rows, bonds)
+    lead = [0.0] * r if board.start is None else metric[r]
+    return min(lead[u] + hop + tail for _, u, hop, tail in _moves(rows, bonds, cost, 0)), rows, cost, lead
 
 
 def _moves(metric, bonds, cost, mask: int) -> list[tuple[int, int, float, float]]:
@@ -457,17 +484,23 @@ def _moves(metric, bonds, cost, mask: int) -> list[tuple[int, int, float, float]
 @lru_cache(maxsize=1)
 def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, int], ...]) -> list:
     """cost[mask][last], the cheapest walk of the bonds outside `mask` from a
-    crystal a covered bond ends on, for each mask >= 1.  A process keeps the
-    last table and hands every caller the same lists, which callers only read."""
+    crystal a covered bond ends on, for each mask >= 1.  Each mask lists its
+    moves (u, metric[u][w], cost after w) in `_moves`' order.  A process keeps
+    the last table and hands every caller the same lists, which callers only read."""
     r, full = len(metric), (1 << len(bonds)) - 1
     # ends[mask]: the crystals a covered bond can leave the walk on, as bits
     ends = [0] * (full + 1)
     for mask in range(1, full + 1):
         p, q = bonds[(mask & -mask).bit_length() - 1]
         ends[mask] = ends[mask & (mask - 1)] | 1 << p | 1 << q
+    links = [(1 << i, p, metric[p][q], q, metric[q][p]) for i, (p, q) in enumerate(bonds)]
     cost: list = [None] * full + [[0.0] * r]
     for mask in range(full - 1, 0, -1):
-        moves = _moves(metric, bonds, cost, mask)
+        moves = []
+        for bit, p, pq, q, qp in links:
+            if not mask & bit:
+                after = cost[mask | bit]
+                moves += ((p, pq, after[q]), (q, qp, after[p]))
         row = [math.inf] * r
         lasts = ends[mask]
         while lasts:
@@ -475,7 +508,7 @@ def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, i
             lasts &= lasts - 1
             lead = metric[last]
             best = math.inf
-            for _, u, hop, tail in moves:
+            for u, hop, tail in moves:
                 cand = lead[u] + hop + tail
                 if cand < best:
                     best = cand
@@ -590,13 +623,17 @@ def decide_dcb(board: BondBoard, threshold: float) -> bool:
     A region that fails to connect the crystals has no covering walk at all
     (the optimum is infinite), which the start gadget can produce when its
     corridor break severs a bridge of the source graph; that is a plain
-    "no" rather than an error.
+    "no" rather than an error.  Only the optimum is computed, with no walk
+    read back, and in `sweep dcb` a path gadget's metric is seeded from the
+    plain board's (see crystal_metric).  The tolerance comes off the
+    optimum: a float compares with an int exactly, so any int threshold is
+    decided.
     """
     try:
-        walk = brute_force_crystal_bonds(board)
+        best = _bond_optimum(board)[0]
     except UnreachableCrystal:
         return False
-    return walk.total_length <= threshold + 1e-9
+    return best - 1e-9 <= threshold
 
 
 def gen_random_tree_board(

@@ -700,19 +700,29 @@ def test_a_far_l_off_the_crystals_is_solved(tmp_path, capsys, monkeypatch, model
         ("gen", "grid-graph", "--box", f"{10**20}x1"),
         ("gen", "bond-board", "--box", f"1x{10**20}"),
         ("sweep", "geo-oracle", "--box", f"{10**20}x1", "--count", "1"),
-        ("solve", "dcb", "near.bond", "--threshold", str(BIG)),
     ],
-    ids=("reduce", "reduce-gadget", "gen-grid", "gen-bond", "sweep-geo", "threshold"),
+    ids=("reduce", "reduce-gadget", "gen-grid", "gen-bond", "sweep-geo"),
 )
 def test_numbers_past_a_float_or_an_index_exit_3(tmp_path, capsys, argv):
-    # each used to escape as an OverflowError: a traceback and exit 1, and the
-    # threshold's after the walk was printed; sizes stay past sys.maxsize, as
-    # one that fits an index would be allocated
+    # each used to escape as an OverflowError: a traceback and exit 1; sizes
+    # stay past sys.maxsize, as one that fits an index would be allocated
     doc(tmp_path, "far.grid", f"{BIG} 0\n{BIG + 1} 0\n")
-    doc(tmp_path, "near.bond", "model grid\nstart 0 0\ntile 0 0\ntile 1 0\ncrystal 1 0\ncrystal 0 0\nbond 0 1\n")
-    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith((".grid", ".bond")) else a for a in argv))
+    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith(".grid") else a for a in argv))
     assert (code, out, err.count("\n")) == (3, "", 1)
     assert err.startswith("invalid input: ")
+
+
+def test_thresholds_past_the_float_range_are_decided(tmp_path, capsys):
+    # the tolerance comes off the walk's length, so the int threshold never
+    # becomes a float; it used to exit 3 with "int too large to convert to float"
+    from riftpuzzles.crystal_bonds import decide_dcb
+    from riftpuzzles.instance_io import parse
+
+    text = "model grid\nstart 0 0\ntile 0 0\ntile 1 0\ncrystal 1 0\ncrystal 0 0\nbond 0 1\n"
+    board, walk = doc(tmp_path, "near.bond", text), "length 1.0\nvisit 1\nvisit 0\n"
+    assert run(capsys, "solve", "dcb", board, "--threshold", str(BIG)) == (0, walk, "")
+    assert run(capsys, "solve", "dcb", board, "--threshold", str(-BIG)) == (1, walk, "")
+    assert decide_dcb(parse("bond-board", text), BIG) and not decide_dcb(parse("bond-board", text), -BIG)
 
 
 @pytest.mark.parametrize("n", [400, 1000])
@@ -878,8 +888,12 @@ PATH6_WALK = "".join(f"visit {i}\n" for i in (0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 11,
          "violation: consecutive steps must be orthogonally adjacent at (2, 0)\n"),
         ("clock", "4\n0 1\n1 1\n", "0 cw\n0 cw\n", "violation: empty-node selection (0)\n"),
         ("clock", "4\n0 1\n1 1\n2 1\n", "0 cw\n2 cw\n", "violation: illegal move ((0, 2))\n"),
+        # index 2 is the start's row of the metric: read as a crystal, this
+        # walk would cover the bond at the length it claims
+        ("dcb", "model grid\nstart 0 0\ntile 0 0\ntile 1 0\ncrystal 1 0\ncrystal 0 0\nbond 0 1\n",
+         "length 1.0\nvisit 2\nvisit 1\nvisit 0\n", "violation: bad crystal index (2)\n"),
     ],
-    ids=("tile", "clock-empty", "clock-illegal"),
+    ids=("tile", "clock-empty", "clock-illegal", "dcb-start-row"),
 )
 def test_verify_violation_lines_pinned(tmp_path, capsys, kind, instance, solution, line):
     code, out, _ = run(

@@ -25,7 +25,7 @@ from riftpuzzles.crystal_bonds import (
     verify_bond_walk,
 )
 from riftpuzzles.geometry import (
-    TileRegion, euclidean_geodesic_matrix, gen_random_region, pinch_corners, tile_center,
+    TileRegion, euclidean_geodesic_matrix, gen_random_region, pinch_corners, tile_center, tile_of,
 )
 from riftpuzzles.graphs import (
     GridGraph,
@@ -194,6 +194,112 @@ def test_path_gadget_reuses_the_plain_boards_bond_table():
     info = crystal_bonds._bond_table.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert same_walk(brute_force_crystal_bonds(gadget), brute_force_afresh(gadget))
+
+
+def spy_seeds(monkeypatch):
+    """On an empty cache, log each grid engine's first fill (the cut check) as
+    ("seeded", whether it held entries before it), and each row it floods."""
+    log, engines = [], []
+    fill, flood = crystal_bonds._GridDistances.fill, crystal_bonds._GridDistances._flood
+
+    def first_fill(self, i):
+        if not any(e is self for e in engines):
+            engines.append(self)
+            log.append(("seeded", any(d is not None for row in self.table for d in row)))
+        return fill(self, i)
+
+    def logged_flood(self, i, *rest):
+        log.append(("flood", i))
+        return flood(self, i, *rest)
+
+    monkeypatch.setattr(crystal_bonds._GridDistances, "fill", first_fill)
+    monkeypatch.setattr(crystal_bonds._GridDistances, "_flood", logged_flood)
+    crystal_bonds._metric_of.cache_clear()
+    return log
+
+
+def seeded_and_flooded(log):
+    return [v for kind, v in log if kind == "seeded"], {i for kind, i in log if kind == "flood"}
+
+
+def fresh_grid_rows(board):
+    """The board's grid metric from an engine of its own, every entry read."""
+    points = board.crystals + ((board.start,) if board.start else ())
+    engine = crystal_bonds._GridDistances(board.region.tiles, [tile_of(p) for p in points])
+    return [list(row) for row in engine.rows()]
+
+
+LEAF_PATH = GridGraph(frozenset({(0, 0), (1, 0), (2, 0), (2, 1)}))
+
+
+def test_path_gadget_floods_only_its_start_row(monkeypatch):
+    # its start tile is a dead end, so the plain board's crystal distances hold
+    board, threshold = reduce_grid_to_dcb(LEAF_PATH)
+    gadget, gadget_threshold, _ = apply_start_gadget(board, LEAF_PATH)
+    log = spy_seeds(monkeypatch)
+    assert decide_dcb(board, threshold)
+    seeded, flooded = seeded_and_flooded(log)
+    assert seeded == [False] and len(flooded) > 1
+    log.clear()
+    assert decide_dcb(gadget, gadget_threshold)
+    assert seeded_and_flooded(log) == ([True], {len(gadget.crystals)})
+    # forgotten by cache_clear: a fresh build floods crystal rows too
+    crystal_bonds._metric_of.cache_clear()
+    log.clear()
+    assert decide_dcb(gadget, gadget_threshold)
+    seeded, flooded = seeded_and_flooded(log)
+    assert seeded == [False] and flooded > {len(gadget.crystals)}
+
+
+def test_seeds_only_a_grid_region_grown_by_dead_ends(monkeypatch):
+    u = TileRegion(frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (2, 2)}))
+    crystals = tuple(tile_center(t) for t in ((0, 2), (1, 0), (2, 2), (0, 0)))
+    board = BondBoard(u, crystals, None, ((0, 2), (1, 3)), "grid")
+    # (1, 2) bridges the U's arms, two neighbours: A-C falls from 6 to 2
+    bridged = dataclasses.replace(board, region=TileRegion(u.tiles | {(1, 2)}))
+    # (3, 0) hangs off (2, 0) alone, and the start on it extends the points
+    spur = dataclasses.replace(board, region=TileRegion(u.tiles | {(3, 0)}), start=tile_center((3, 0)))
+    square = GridGraph(frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
+    cycle_board, _ = reduce_grid_to_dcb(square)
+    cycle_gadget, _, detects = apply_start_gadget(cycle_board, square)
+    assert detects == "ham-cycle" and not cycle_board.region.tiles < cycle_gadget.region.tiles
+    path_board, _ = reduce_grid_to_dcb(LEAF_PATH)
+    path_gadget = apply_start_gadget(path_board, LEAF_PATH)[0]
+    euclid = [dataclasses.replace(b, distance_model="euclid") for b in (path_board, path_gadget)]
+    cases = [
+        (board, bridged, False), (board, spur, True), (bridged, spur, False),
+        (board, dataclasses.replace(spur, crystals=crystals[::-1]), False),
+        (cycle_board, cycle_gadget, False), (*euclid, False), (path_board, euclid[1], False),
+        (euclid[0], path_gadget, False),
+    ]
+    log = spy_seeds(monkeypatch)
+    for first, second, want in cases:
+        crystal_bonds._metric_of.cache_clear()
+        log.clear()
+        [list(row) for row in crystal_metric(first)]
+        got = [list(row) for row in crystal_metric(second)]
+        assert seeded_and_flooded(log)[0] == [False, want], (first, second)
+        crystal_bonds._metric_of.cache_clear()
+        assert got == [list(row) for row in crystal_metric(second)]
+    crystal_bonds._metric_of.cache_clear()
+    assert crystal_metric(board)[0][2] == 6 and crystal_metric(bridged)[0][2] == 2
+
+
+def test_every_seeded_metric_equals_one_built_afresh(monkeypatch):
+    # `sweep dcb --box 3x3 --max-v 7`'s 398 boards, decided in its order
+    log = spy_seeds(monkeypatch)
+    graphs = [g for g in enumerate_grid_graphs(3, 3, 7) if len(g) >= 2]
+    seeded_boards = 0
+    for g in graphs:
+        board, threshold = reduce_grid_to_dcb(g)
+        gadget, gadget_threshold, _ = apply_start_gadget(board, g)
+        for b, t in ((board, threshold), (gadget, gadget_threshold)):
+            log.clear()
+            decide_dcb(b, t)
+            if seeded_and_flooded(log)[0] == [True]:
+                assert [list(row) for row in crystal_metric(b)] == fresh_grid_rows(b)
+                seeded_boards += 1
+    assert (len(graphs), seeded_boards) == (199, 157)
 
 
 def test_bond_table_never_serves_another_board():
