@@ -108,6 +108,8 @@ def _box(text: str) -> tuple[int, int]:
         raise CliError(f"--box wants integers, got {text!r}")
     if min(box) < 1:
         raise CliError(f"--box wants positive sides, got {text!r}")
+    if max(box) > sys.maxsize:  # the stdlib would refuse it without naming the option
+        raise CliError(f"--box wants sides of at most {sys.maxsize}, got {text!r}")
     return box
 
 

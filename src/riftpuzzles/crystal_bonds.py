@@ -433,60 +433,50 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     """Exhaustive optimum over every bond ordering and traversal direction.
 
     `_bond_optimum` gives the optimum from one bottom-up table of costs;
-    the walk is read back as each mask's first move that meets the cost
-    left.  Independent of the rural-postman pipeline; used as its exactness
-    oracle.  `decide_dcb` reads the optimum alone and skips the readback.
+    the walk is read back as each mask's first move in the links' order
+    that meets the cost left.  Independent of the rural-postman pipeline;
+    used as its exactness oracle.  `decide_dcb` skips the readback.
     """
-    best, rows, cost, lead = _bond_optimum(board)
-    bonds, seq, mask, left = board.required_bonds, [], 0, best
-    for _ in bonds:
+    best, rows, links, cost, lead = _bond_optimum(board)
+    seq, mask, left = [], 0, best
+    for _ in links:
         # the table's own sums in its order: the first to meet the cost left is the move its strict < kept
-        move, u, left = next((k, u, t) for k, u, hop, t in _moves(rows, bonds, cost, mask) if lead[u] + hop + t == left)
-        p, q = bonds[move >> 1]
-        w = p if move & 1 else q
+        bit, u, w = next((bit, u, w) for bit, p, pq, q, qp in links if not mask & bit
+                         for u, hop, w in ((p, pq, q), (q, qp, p)) if lead[u] + hop + cost[mask | bit][w] == left)
         if not seq or seq[-1] != u:
             seq.append(u)
         seq.append(w)
-        mask |= 1 << (move >> 1)
-        lead = rows[w]
+        mask |= bit
+        left, lead = cost[mask][w], rows[w]
     return BondWalk(tuple(seq), best)
 
 
-def _bond_optimum(board: BondBoard) -> tuple[float, tuple, list, Sequence[float]]:
+def _bond_optimum(board: BondBoard) -> tuple[float, tuple, list, list, Sequence[float]]:
     """The least length of a walk covering every bond, and the crystal rows,
-    bond table and start row a readback reads.  Only the root (mask 0, the
-    start) reads the start; the table over (covered-bond mask, crystal last
-    stood on) is `_bond_table`'s.  No bonds cost 0 and build no metric."""
+    links, table and start row a readback reads.  `_bond_table` gives the
+    links and the table over (covered-bond mask, crystal last stood on);
+    only the root, mask 0, reads the start.  No bonds cost 0 and build no metric."""
     bonds = board.required_bonds
     if len(bonds) > 8:
         raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
     if not bonds:
-        return 0.0, (), [], ()
+        return 0.0, (), [], [], ()
     metric = crystal_metric(board)
     r = len(board.crystals)
     rows = tuple(tuple(row)[:r] for row in metric[:r])
-    cost = _bond_table(rows, bonds)
+    links, cost = _bond_table(rows, bonds)
     lead = [0.0] * r if board.start is None else metric[r]
-    return min(lead[u] + hop + tail for _, u, hop, tail in _moves(rows, bonds, cost, 0)), rows, cost, lead
-
-
-def _moves(metric, bonds, cost, mask: int) -> list[tuple[int, int, float, float]]:
-    """The moves out of `mask`, bond by bond: (move, u, metric[u][w], cost after
-    w), where move 2i walks bond i from its first crystal u, 2i + 1 the other way."""
-    moves = []
-    for i, (p, q) in enumerate(bonds):
-        if not mask >> i & 1:
-            after = cost[mask | 1 << i]
-            moves += ((2 * i, p, metric[p][q], after[q]), (2 * i + 1, q, metric[q][p], after[p]))
-    return moves
+    best = min(lead[u] + hop + cost[bit][w] for bit, p, pq, q, qp in links for u, hop, w in ((p, pq, q), (q, qp, p)))
+    return best, rows, links, cost, lead
 
 
 @lru_cache(maxsize=1)
-def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, int], ...]) -> list:
-    """cost[mask][last], the cheapest walk of the bonds outside `mask` from a
-    crystal a covered bond ends on, for each mask >= 1.  Each mask lists its
-    moves (u, metric[u][w], cost after w) in `_moves`' order.  A process keeps
-    the last table and hands every caller the same lists, which callers only read."""
+def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, int], ...]) -> tuple[list, list]:
+    """The links, (bit, p, metric[p][q], q, metric[q][p]) for each bond
+    (p, q), and cost[mask][last], the cheapest walk of the bonds outside
+    `mask` from a crystal a covered bond ends on, for each mask >= 1.  Every
+    mask, the root and the readback try the links in order, p to q, then q
+    to p.  A process keeps the last pair and hands every caller the same lists, which callers only read."""
     r, full = len(metric), (1 << len(bonds)) - 1
     # ends[mask]: the crystals a covered bond can leave the walk on, as bits
     ends = [0] * (full + 1)
@@ -514,7 +504,7 @@ def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, i
                     best = cand
             row[last] = best
         cost[mask] = row
-    return cost
+    return links, cost
 
 
 def verify_bond_walk(board: BondBoard, walk: BondWalk) -> Verdict:
@@ -661,12 +651,9 @@ def gen_random_tree_board(
     order = list(range(r))
     rng.shuffle(order)
     edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
-    degree = [0] * r
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
     rewires = rng.randint(0, REWIRE_LIMIT) if r > 3 else 0
     for _ in range(rewires):
+        degree = Counter(v for e in edges for v in e)
         leaves = [i for i in range(r) if degree[i] == 1]
         leaf = rng.choice(leaves)
         neighbor = next(
@@ -675,6 +662,4 @@ def gen_random_tree_board(
         c = rng.choice([c for c in range(r) if c not in (leaf, neighbor)])
         edges.remove((min(leaf, neighbor), max(leaf, neighbor)))
         edges.add((min(leaf, c), max(leaf, c)))
-        degree[neighbor] -= 1
-        degree[c] += 1
     return BondBoard(region, crystals, start, tuple(sorted(edges)), model)

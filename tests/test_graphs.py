@@ -201,6 +201,26 @@ def test_wide_board_gives_up_at_the_state_cap():
         assert time.perf_counter() - began < 1.0
 
 
+def test_frontier_caps_pinned_at_their_exact_sizes(monkeypatch):
+    # the 4x4 square's path scan peaks at 66 states, at vertex 10, and keeps
+    # 500 in all before its last vertex answers: each cap at that size lets
+    # it answer, and one less refuses at the vertex where it is passed
+    square = gg(*[(x, y) for x in range(4) for y in range(4)])
+    for peak, total, message in (
+        (66, 500, None),
+        (65, 500, "over 65 frontier states at vertex 10 of 16"),
+        (66, 499, "over 499 frontier states in all by vertex 15 of 16"),
+    ):
+        monkeypatch.setattr(graphs, "FRONTIER_STATE_LIMIT", peak)
+        monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", total)
+        if message is None:
+            assert has_ham_path_grid(square)
+        else:
+            with pytest.raises(BudgetExhausted) as refused:
+                has_ham_path_grid(square)
+            assert str(refused.value) == message
+
+
 def test_long_board_gives_up_at_the_scan_cap():
     # 8 wide and 1,000 long: under the cap at each vertex, but the states
     # summed over the scan pass theirs within seconds (the whole scan would
