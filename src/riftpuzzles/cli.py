@@ -7,8 +7,7 @@ over-threshold, 2 for a failed verification or a sweep counterexample, 3 for
 usage and input errors (including searches that exhaust their budget, the
 stack or memory, and a reader that closed stdout, which decide nothing).
 
-Identical command lines with identical seeds print identical bytes; sweeps
-keep that guarantee under --jobs by merging worker results in input order.
+Identical command lines with identical seeds print identical bytes.
 """
 
 from __future__ import annotations
@@ -154,7 +153,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--max-v", type=int)
     sweep.add_argument("--count", type=int)
     sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--budget", type=int)
     sweep.add_argument("--model", choices=MODELS)
 
@@ -248,8 +246,9 @@ def _cmd_verify(args) -> int:
         fresh = evaluate_certificate(cert, budget=args.budget)
         print(f"digraph {'yes' if fresh.digraph_verdict else 'no'}")
         print(f"clock {'yes' if fresh.clock_verdict else 'no'}")
-        stored = (cert.digraph_verdict, cert.clock_verdict)
-        stale = stored != (None, None) and stored != (fresh.digraph_verdict, fresh.clock_verdict)
+        # each verdict line is optional: compare only those the certificate stores
+        pairs = ((cert.digraph_verdict, fresh.digraph_verdict), (cert.clock_verdict, fresh.clock_verdict))
+        stale = any(stored not in (None, now) for stored, now in pairs)
         if stale:
             print("stored verdicts disagree with recomputation")
         if problems or stale or fresh.digraph_verdict != fresh.clock_verdict:
@@ -296,123 +295,102 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# sweep workers; top level so ProcessPoolExecutor can pickle them.  Each
-# returns ok and the text printed when it is the first failing item, which
-# the document sweeps build only when not ok
+# sweep families: each reads the arguments and yields, per item, ok and the
+# text printed when it is the first failing item, which the document sweeps
+# build only when not ok
 
 
-def _sweep_tile_item(g: GridGraph) -> tuple[bool, str]:
-    board = reduce_grid_to_tile_trial(g)
-    ok = (solve_tile_trial(board) is not None) == has_ham_cycle_grid(g)
-    return ok, "" if ok else serialize(g)
-
-
-def _sweep_dcb_item(g: GridGraph) -> tuple[bool, str]:
-    board, threshold = reduce_grid_to_dcb(g)
-    has_path = has_ham_path_grid(g)
-    gadget, gthreshold, detects = apply_start_gadget(board, g)
-    want = has_path if detects == "ham-path" else has_ham_cycle_grid(g)
-    ok = decide_dcb(board, threshold) == has_path and decide_dcb(gadget, gthreshold) == want
-    return ok, "" if ok else serialize(g)
-
-
-def _sweep_clock_item(task: tuple[int, int, int | None]) -> tuple[bool, str]:
-    v, seed, budget = task
-    cert = reduce_digraph_to_phot(gen_random_digraph(v, seed))
-    problems = audit_certificate(cert)
-    cert = evaluate_certificate(cert, budget=budget)
-    ok = not problems and cert.digraph_verdict == cert.clock_verdict
-    return ok, "" if ok else serialize(cert)
-
-
-def _sweep_cb_item(task: tuple[int, str]) -> tuple[bool, str]:
-    seed, model = task
-    board = gen_random_tree_board(seed, box_w=8, box_h=8, r=5 + seed % 3, model=model)
-    got = solve_crystal_bonds(board)
-    want = brute_force_crystal_bonds(board)
-    ok = (
-        abs(got.total_length - want.total_length) <= 1e-9
-        and verify_bond_walk(board, got).ok
-        and verify_bond_walk(board, want).ok
-    )
-    return ok, "" if ok else serialize(board)
-
-
-def _sweep_geo_item(task: tuple[int, int, int]) -> tuple[bool, str]:
-    seed, w, h = task
-    region = gen_random_region(seed, w, h, max(2, 2 * w * h // 3))
-    tiles = sorted(region.tiles)
-    p = tile_center(tiles[seed % len(tiles)])
-    if seed % 5 == 4:
-        # far-away twin cluster: distances between the parts must be
-        # unreachable under both metrics
-        shift = w + 2
-        extra = gen_random_region(seed + 1, w, h, max(2, w * h // 3))
-        tiles2 = [(x + shift, y) for x, y in sorted(extra.tiles)]
-        region = TileRegion(frozenset(tiles) | frozenset(tiles2))
-        q = tile_center(tiles2[seed % len(tiles2)])
-    else:
-        q = tile_center(tiles[(seed * 7 + 3) % len(tiles)])
-    exact = euclidean_geodesic(region, p, q)
-    fine = fine_grid_distance(region, p, q, FINE_K)
-    detail = f"seed {seed} p {p} q {q} exact {exact!r} fine {fine!r}"
-    if math.isinf(exact) or math.isinf(fine):
-        return math.isinf(exact) and math.isinf(fine), detail
-    ok = exact <= fine + 1e-9 and fine <= RATIO_BOUND * exact + 1e-9
-    return ok, detail
-
-
-def _box_graph_items(args) -> list[GridGraph]:
+def _box_graphs(args):
     w, h = args.box or (3, 3)
-    return [g for g in enumerate_grid_graphs(w, h, args.max_v) if len(g) >= 2]
+    return (g for g in enumerate_grid_graphs(w, h, args.max_v) if len(g) >= 2)
 
 
-def _clock_items(args) -> list[tuple[int, int, int | None]]:
+def _sweep_tile(args):
+    for g in _box_graphs(args):
+        board = reduce_grid_to_tile_trial(g)
+        ok = (solve_tile_trial(board) is not None) == has_ham_cycle_grid(g)
+        yield ok, "" if ok else serialize(g)
+
+
+def _sweep_dcb(args):
+    for g in _box_graphs(args):
+        board, threshold = reduce_grid_to_dcb(g)
+        has_path = has_ham_path_grid(g)
+        gadget, gthreshold, detects = apply_start_gadget(board, g)
+        want = has_path if detects == "ham-path" else has_ham_cycle_grid(g)
+        ok = decide_dcb(board, threshold) == has_path and decide_dcb(gadget, gthreshold) == want
+        yield ok, "" if ok else serialize(g)
+
+
+def _sweep_clock(args):
     if args.max_v < 2:
         raise CliError(f"--max-v wants at least 2, got {args.max_v}")
-    return [(2 + i % (args.max_v - 1), args.seed + i, args.budget) for i in range(args.count)]
+    for i in range(args.count):
+        cert = reduce_digraph_to_phot(gen_random_digraph(2 + i % (args.max_v - 1), args.seed + i))
+        problems = audit_certificate(cert)
+        cert = evaluate_certificate(cert, budget=args.budget)
+        ok = not problems and cert.digraph_verdict == cert.clock_verdict
+        yield ok, "" if ok else serialize(cert)
 
 
-def _cb_items(args) -> list[tuple[int, str]]:
+def _sweep_cb(args):
     models = (args.model,) if args.model else MODELS
-    return [(args.seed + i, models[i % len(models)]) for i in range(args.count)]
+    for i in range(args.count):
+        seed = args.seed + i
+        board = gen_random_tree_board(seed, box_w=8, box_h=8, r=5 + seed % 3, model=models[i % len(models)])
+        got = solve_crystal_bonds(board)
+        want = brute_force_crystal_bonds(board)
+        ok = (
+            abs(got.total_length - want.total_length) <= 1e-9
+            and verify_bond_walk(board, got).ok
+            and verify_bond_walk(board, want).ok
+        )
+        yield ok, "" if ok else serialize(board)
 
 
-def _geo_items(args) -> list[tuple[int, int, int]]:
+def _sweep_geo(args):
     w, h = args.box or (3, 3)
-    return [(args.seed + i, w, h) for i in range(args.count)]
+    for seed in range(args.seed, args.seed + args.count):
+        region = gen_random_region(seed, w, h, max(2, 2 * w * h // 3))
+        tiles = sorted(region.tiles)
+        p = tile_center(tiles[seed % len(tiles)])
+        if seed % 5 == 4:
+            # far-away twin cluster: distances between the parts must be
+            # unreachable under both metrics
+            shift = w + 2
+            extra = gen_random_region(seed + 1, w, h, max(2, w * h // 3))
+            tiles2 = [(x + shift, y) for x, y in sorted(extra.tiles)]
+            region = TileRegion(frozenset(tiles) | frozenset(tiles2))
+            q = tile_center(tiles2[seed % len(tiles2)])
+        else:
+            q = tile_center(tiles[(seed * 7 + 3) % len(tiles)])
+        exact = euclidean_geodesic(region, p, q)
+        fine = fine_grid_distance(region, p, q, FINE_K)
+        detail = f"seed {seed} p {p} q {q} exact {exact!r} fine {fine!r}"
+        if math.isinf(exact) or math.isinf(fine):
+            yield math.isinf(exact) and math.isinf(fine), detail
+        else:
+            yield exact <= fine + 1e-9 and fine <= RATIO_BOUND * exact + 1e-9, detail
 
 
-# family -> (items built from the arguments, worker run on each item)
+# family -> generator of (ok, detail) per item
 _SWEEPS = {
-    "tile-trial": (_box_graph_items, _sweep_tile_item),
-    "dcb": (_box_graph_items, _sweep_dcb_item),
-    "clock": (_clock_items, _sweep_clock_item),
-    "cb-oracle": (_cb_items, _sweep_cb_item),
-    "geo-oracle": (_geo_items, _sweep_geo_item),
+    "tile-trial": _sweep_tile,
+    "dcb": _sweep_dcb,
+    "clock": _sweep_clock,
+    "cb-oracle": _sweep_cb,
+    "geo-oracle": _sweep_geo,
 }
 
 
 def _cmd_sweep(args) -> int:
-    items, worker = _SWEEPS[args.kind]
     for option, default in (("count", 100), ("seed", 0), ("max_v", 6)):
         if getattr(args, option) is None:
             setattr(args, option, default)
-    cpus = os.cpu_count() or 1
-    if args.jobs > cpus:
-        raise CliError(f"--jobs wants at most the CPU count {cpus}, got {args.jobs}")
-    todo = items(args)
-    if not todo:
+    results = list(_SWEEPS[args.kind](args))
+    if not results:
         # a sweep that checked nothing must not read as an all-pass
         raise CliError(f"sweep {args.kind} has no items; nothing was checked")
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a third of this module's import time
-
-        # a few chunks per worker: one round trip per item costs more than most items
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(worker, todo, chunksize=-(-len(todo) // (4 * args.jobs))))
-    else:
-        results = [worker(item) for item in todo]
     passed = sum(1 for ok, _ in results if ok)
     failed = len(results) - passed
     print(f"pass {passed} fail {failed}")
@@ -485,7 +463,7 @@ def main(argv=None) -> int:
             if getattr(args, option) is not None and args.kind not in kinds:
                 raise CliError(f"{args.command} {args.kind} takes no --{option.replace('_', '-')}")
         # below 1 these print an empty set, a sweep of nothing or a budget no search spent
-        for option in ("count", "jobs", "budget"):
+        for option in ("count", "budget"):
             if (value := getattr(args, option, None)) is not None and value < 1:
                 raise CliError(f"--{option} wants at least 1, got {value}")
         status = args.run(args)

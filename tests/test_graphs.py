@@ -221,6 +221,32 @@ def test_frontier_caps_pinned_at_their_exact_sizes(monkeypatch):
             assert str(refused.value) == message
 
 
+# long rectangles in both orientations, and away from the origin: the span,
+# not the coordinates, picks the scan direction
+NARROW_SCANS = {
+    "40x2": [(x, y) for x in range(40) for y in range(2)],
+    "2x40": [(x, y) for x in range(2) for y in range(40)],
+    "2x40+500x": [(x + 500, y) for x in range(2) for y in range(40)],
+    "40x2+500y": [(x, y + 500) for x in range(40) for y in range(2)],
+}
+
+
+@pytest.mark.parametrize("name", NARROW_SCANS)
+def test_both_frontier_dps_scan_across_the_narrow_side(monkeypatch, name):
+    # across the 2-wide side a scan keeps a handful of states per vertex; along
+    # the 40-long side it passes these caps, which the verdicts alone never show
+    from riftpuzzles import tile_trial
+    from riftpuzzles.tile_trial import reduce_grid_to_tile_trial, solve_tile_trial, verify_tile_path
+
+    monkeypatch.setattr(graphs, "FRONTIER_STATE_LIMIT", 30)
+    monkeypatch.setattr(tile_trial, "FRONTIER_STATE_LIMIT", 60)
+    g = gg(*NARROW_SCANS[name])
+    assert has_ham_cycle_grid(g)
+    board = reduce_grid_to_tile_trial(g)
+    path = solve_tile_trial(board)
+    assert path is not None and verify_tile_path(board, path).ok
+
+
 def test_long_board_gives_up_at_the_scan_cap():
     # 8 wide and 1,000 long: under the cap at each vertex, but the states
     # summed over the scan pass theirs within seconds (the whole scan would

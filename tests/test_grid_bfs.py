@@ -18,7 +18,7 @@ import time
 from collections import deque
 from itertools import chain
 
-from riftpuzzles import cli, crystal_bonds, graphs
+from riftpuzzles import crystal_bonds, graphs
 from riftpuzzles.cli import main
 from riftpuzzles.crystal_bonds import (
     BondBoard,
@@ -385,6 +385,6 @@ def test_a_geo_oracle_item_packs_its_region_once(monkeypatch):
     monkeypatch.setattr(graphs, "_Bitboard", lambda *fields: built.append(fields) or _Bitboard(*fields))
     for seed in range(10):
         _packed.cache_clear()
-        assert cli._sweep_geo_item((seed, 5, 5))[0]
+        assert main(["sweep", "geo-oracle", "--box", "5x5", "--count", "1", "--seed", str(seed)]) == 0
         assert len(built) == 1 and _packed.cache_info().misses == 1, seed
         built.clear()
