@@ -387,7 +387,14 @@ def _cmd_sweep(args) -> int:
     for option, default in (("count", 100), ("seed", 0), ("max_v", 6)):
         if getattr(args, option) is None:
             setattr(args, option, default)
-    results = list(_SWEEPS[args.kind](args))
+    results = []
+    try:
+        for result in _SWEEPS[args.kind](args):
+            results.append(result)
+    except (InstanceTooLarge, BudgetExhausted) as exc:
+        # say which item gave up and how far the sweep got
+        done, passed = len(results), sum(1 for ok, _ in results if ok)
+        raise type(exc)(f"item {done + 1} ({passed} passed, {done - passed} failed before it): {exc}") from exc
     if not results:
         # a sweep that checked nothing must not read as an all-pass
         raise CliError(f"sweep {args.kind} has no items; nothing was checked")

@@ -15,9 +15,9 @@ Three distance notions live here:
   its distance from the settled corners in pop order, by the same EPS rule.
   ``_Geodesics`` computes each entry when it is first read, so a caller
   walks only the segments its entries need.  The corner pass that finds
-  the reflex corners and the pinches runs on the bitboard of ``graphs``
-  (a few shifts and masks over the whole region), or, for a region too
-  sparse to pack, tile by tile; and the bitangent test runs on the
+  the reflex corners and the pinches is one table of masks, evaluated on
+  the bitboard of ``graphs`` or, for a region too sparse to pack, on
+  translated copies of its tile set; and the bitangent test runs on the
   coordinates before any segment is looked up or walked,
 * ``fine_grid_distance`` -- 8-connected shortest path on a 1/k sublattice,
   an upper distance oracle used to sanity-check the geodesics.  One rule
@@ -41,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import ORTHO_STEPS, _GridDistances, _packed, _Row
+from .graphs import ORTHO_STEPS, _bits, _GridDistances, _packed, _Row
 
 Tile = tuple[int, int]
 Point = tuple[float, float]
@@ -97,54 +97,39 @@ def _classify_corners(
     (exactly three surrounding tiles, the only possible bend points) with
     the direction (mx, my) of its missing quadrant.
 
-    A region that `_packed` packs is classified all at once on its bitboard:
-    corner (x, y) takes the bit of tile (x, y), its north-east tile, and
-    shifts by 1, by the stride and by both bring in its north-west,
-    south-east and south-west tiles.  The empty pad column ending each row
+    Each quadrant is the set of corners with a tile there, and one table of
+    masks, "not X" written ``every ^ X`` for ``every`` the union of the four,
+    picks the corners out of them.  On the bitboard of a region `_packed`
+    packs, corner (x, y) takes the bit of tile (x, y), its north-east tile,
+    and shifts by 1, by the stride and by both bring in its north-west,
+    south-east and south-west tiles; the empty pad column ending each row
     keeps a shift from wrapping a tile into the next row, and holds the
-    corners on the east edge.  A region too sparse to pack looks up the
-    four tiles of each corner of each tile, so its cost follows the tile
-    count, not the bounding box.
+    corners on the east edge.  A region too sparse to pack holds each
+    quadrant as a translated copy of its tile set, so its cost follows the
+    tile count, not the bounding box.
     """
-    pinches, reflex = set(), []
     board = _packed(frozenset(tiles))
     if board is None:
-        corners = set()
-        for x, y in tiles:
-            corners.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
-        for cx, cy in corners:
-            sw = (cx - 1, cy - 1) in tiles
-            se = (cx, cy - 1) in tiles
-            nw = (cx - 1, cy) in tiles
-            ne = (cx, cy) in tiles
-            count = sw + se + nw + ne
-            if count == 3:
-                mx = -1 if not (sw and nw) else 1
-                my = -1 if not (sw and se) else 1
-                reflex.append(((cx, cy), (mx, my)))
-            elif count == 2 and sw == ne:
-                pinches.add((cx, cy))
+        ne, nw, se, sw = ({(x + dx, y + dy) for x, y in tiles} for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        corners = iter
     else:
         x0, y0, stride, ne = board
-        nw = ne << 1
-        se = ne << stride
-        sw = se << 1
-        # each reflex mask with its missing quadrant, then the pinch mask
-        for mask, quadrant in (
-            (nw & se & sw & ~ne, (1, 1)),
-            (ne & se & sw & ~nw, (-1, 1)),
-            (ne & nw & sw & ~se, (1, -1)),
-            (ne & nw & se & ~sw, (-1, -1)),
-            ((sw & ne & ~(se | nw)) | (se & nw & ~(sw | ne)), None),
-        ):
-            while mask:
-                low = mask & -mask
-                cy, cx = divmod(low.bit_length() - 1, stride)
-                if quadrant:
-                    reflex.append(((x0 + cx, y0 + cy), quadrant))
-                else:
-                    pinches.add((x0 + cx, y0 + cy))
-                mask ^= low
+        nw, se, sw = ne << 1, ne << stride, ne << (stride + 1)
+        corners = lambda mask: ((x0 + k % stride, y0 + k // stride) for k in _bits(mask))
+    every = ne | nw | se | sw
+    pinches, reflex = set(), []
+    # each reflex mask with its missing quadrant, then the pinch mask
+    for mask, quadrant in (
+        (nw & se & sw & (every ^ ne), (1, 1)),
+        (ne & se & sw & (every ^ nw), (-1, 1)),
+        (ne & nw & sw & (every ^ se), (1, -1)),
+        (ne & nw & se & (every ^ sw), (-1, -1)),
+        ((sw & ne & (every ^ (se | nw))) | (se & nw & (every ^ (sw | ne))), None),
+    ):
+        if quadrant:
+            reflex += [(corner, quadrant) for corner in corners(mask)]
+        else:
+            pinches.update(corners(mask))
     reflex.sort()
     return frozenset(pinches), reflex
 

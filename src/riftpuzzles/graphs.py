@@ -5,25 +5,26 @@ adjacent exactly when their Euclidean distance is 1.  The oracles referee
 the puzzle reductions: grid Hamiltonicity is a frontier DP whose states grow
 with the box's narrower side, and directed paths a subset DP.
 
-One grid BFS serves the package: connectivity floods cell by cell, and
+One grid BFS serves the package.  Its one level rule, the frontier's
+neighbouring cells less the level below (the lattice is bipartite), steps a
+set of tiles (`_set_level`), or with four shifts and a mask a set that
+`_packed` turns into one Python int, a row per stride of width + 1 bits,
+when its bounding box holds at most ``_PACK_BOX`` cells or at most
+``_PACK_DENSITY`` cells per tile; so far-apart tiles never cost a
+bounding-box-sized int.  Connectivity floods a set of tiles once, and
 `_GridDistances` computes each distance on first read, resuming a source's
-BFS only as far as the reads need.  Its one level loop steps with four
-shifts and two masks over a set that `_packed` turns into one Python int, a
-row per stride of width + 1 bits, when the set's bounding box holds at most
-``_PACK_BOX`` cells or at most ``_PACK_DENSITY`` cells per tile; sparser
-sets flood cell by cell, a row at a time, so far-apart tiles never cost a
-bounding-box-sized int.  A region joins its points when a completed row
-holds no math.inf.  One Hierholzer trail, `_euler_trail`, walks the Crystal
-Bonds postman and the Tile Trial path.
+BFS only as far as the reads need.  A region joins its points when a
+completed row holds no math.inf.  One Hierholzer trail, `_euler_trail`,
+walks the Crystal Bonds postman and the Tile Trial path.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from operator import or_
 from typing import Collection, Iterator, NamedTuple, Sequence, TypeVar
 
 Vertex = tuple[int, int]
@@ -133,24 +134,19 @@ def _packed(tiles: frozenset[Vertex]) -> _Bitboard | None:
     return _Bitboard(x0, y0, stride, int(digits, 2))
 
 
-def _grid_bfs(cells: Collection[Vertex], start: Vertex, targets: Collection[Vertex] | None = None) -> dict[Vertex, int]:
-    """Per-cell step counts from `start` to each cell it reaches through
-    `cells`, stopping once every tile of `targets`, when given, has its count."""
-    dist, left = {start: 0}, set(targets or ()) - {start}
-    queue = deque([start] if left or targets is None else ())
-    while queue:
-        x, y = v = queue.popleft()
-        d = dist[v] + 1
-        for dx, dy in ORTHO_STEPS:
-            nxt = (x + dx, y + dy)
-            if nxt in cells and nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
-                if nxt in left:
-                    left.discard(nxt)
-                    if not left:
-                        return dist
-    return dist
+def _set_level(cells: Collection[Vertex], frontier: Collection[Vertex], below: Collection[Vertex]) -> set[Vertex]:
+    """The BFS level after `frontier` on a set of tiles: its neighbouring
+    cells in `cells`, less the level below."""
+    near = {(x + dx, y + dy) for x, y in frontier for dx, dy in ORTHO_STEPS}
+    return {v for v in near if v in cells} - below
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the bits set in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _Row:
@@ -179,72 +175,68 @@ class _GridDistances:
     """Orthogonal-step distances between `tiles` (cells) through `cells`,
     each computed when first read: an int, or math.inf when cut off.
 
-    On a packed set each source's BFS keeps its frontier, the level below
-    and its depth between reads; the lattice is bipartite, so the next level
-    is the frontier's neighbouring cells less the level below.  An entry
-    advances the deeper of its two floods until the other tile is reached, a
-    row its flood until every tile it lacks is, and each tile a level meets
-    fills both halves of the table.  Refused sets run `_grid_bfs` per row.
+    Each source's BFS keeps its frontier, the level below and its depth
+    between reads.  An entry advances the deeper of its two floods until
+    the other tile is reached, a row its flood until every tile it lacks
+    is, and each tile a level meets fills both halves of the table.  A set
+    `_packed` packs carries its levels as bitboards, its tiles keyed by bit
+    index; a refused set carries them as sets of tiles, keyed by tile.
     Method names differ from `_Geodesics`'s, for test_referee_independence.
     """
 
     def __init__(self, cells: Collection[Vertex], tiles: Sequence[Vertex]) -> None:
-        self.cells, self.tiles = cells, tiles
         self.table: list[list[float | None]] = [[None] * len(tiles) for _ in tiles]
-        self.board = _packed(frozenset(cells))
-        if self.board is not None:
-            self.bits = [1 << self.board.index(t) for t in tiles]
-            self.columns: dict[int, list[int]] = {}  # a bit's index -> the places of its tile
-            for j, b in enumerate(self.bits):
-                self.columns.setdefault(b.bit_length() - 1, []).append(j)
-            self.targets = sum(1 << k for k in self.columns)
-            self.floods: dict[int, tuple[int, int, int]] = {}  # a source -> (frontier, below, depth)
+        self.floods: dict = {}  # a source -> (frontier, below, depth)
+        cells = frozenset(cells)
+        board = _packed(cells)
+        if board is None:
+            keys, self.empty, self.keys_of = tiles, frozenset(), iter
+            self.starts: list = [frozenset((t,)) for t in tiles]
+            self.level = partial(_set_level, cells)
+        else:
+            _, _, stride, every = board
+            keys, self.empty, self.keys_of = [board.index(t) for t in tiles], 0, _bits
+            self.starts = [1 << k for k in keys]
+            self.level = lambda f, below: ((f << 1) | (f >> 1) | (f << stride) | (f >> stride)) & (every ^ below)
+        self.columns: dict = {}  # a tile's key -> its places
+        for j, k in enumerate(keys):
+            self.columns.setdefault(k, []).append(j)
+        self.targets = reduce(or_, self.starts, self.empty)
 
     def rows(self) -> tuple[_Row, ...]:
         return tuple(_Row(self.distance, self.fill, row, i) for i, row in enumerate(self.table))
 
     def distance(self, i: int, j: int) -> float:
-        if self.table[i][j] is None and self.board is None:
-            self.fill(i)
-        elif self.table[i][j] is None:
+        if self.table[i][j] is None:
             # the deeper flood, on a tie j's: a walk reads (u, w), then (w, x)
             if self.floods.get(j, (0, 0, -1))[2] >= self.floods.get(i, (0, 0, -1))[2]:
                 i, j = j, i
-            self._flood(i, self.bits[j], self.targets)
+            self._flood(i, self.starts[j], self.targets)
         return self.table[i][j]
 
     def fill(self, i: int) -> list[float]:
-        row = self.table[i]
-        if self.board is not None:
-            need = 0
-            for b, d in zip(self.bits, row):
-                if d is None:
-                    need |= b
-            self._flood(i, need, need)
-            return row
-        dist = _grid_bfs(self.cells, self.tiles[i], [t for t, d in zip(self.tiles, row) if d is None])
-        for j in [j for j, d in enumerate(row) if d is None]:
-            row[j] = self.table[j][i] = dist.get(self.tiles[j], math.inf)
+        row, need = self.table[i], self.empty
+        for b, d in zip(self.starts, row):
+            if d is None:
+                need |= b
+        self._flood(i, need, need)
         return row
 
-    def _flood(self, i: int, need: int, targets: int) -> None:
-        """Advance the BFS from tiles[i] until it reaches every bit of `need` or
+    def _flood(self, i: int, need, targets) -> None:
+        """Advance the BFS from tiles[i] until it reaches every tile of `need` or
         can go no further, filling each tile of `targets`, which holds all row i lacks."""
-        row, table, columns, (_, _, stride, cells) = self.table[i], self.table, self.columns, self.board
-        frontier, below, d = self.floods.get(i) or (self.bits[i], 0, 0)
+        row, table, columns, level, keys_of = self.table[i], self.table, self.columns, self.level, self.keys_of
+        frontier, below, d = self.floods.get(i) or (self.starts[i], self.empty, 0)
         while frontier:
             hit = frontier & targets
             if hit:
-                need &= ~hit
-                while hit:
-                    low = hit & -hit
-                    for j in columns[low.bit_length() - 1]:
+                need -= need & hit
+                for k in keys_of(hit):
+                    for j in columns[k]:
                         row[j] = table[j][i] = d
-                    hit ^= low
             if not need:
                 break
-            step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
-            frontier, below = step & (cells ^ below), frontier  # below lies in cells
+            frontier, below = level(frontier, below), frontier
             d += 1
         self.floods[i] = frontier, below, d
         if not frontier:  # the flood is over: what row i lacks is cut off
@@ -253,7 +245,13 @@ class _GridDistances:
 
 
 def _connected(cells: Collection[Vertex]) -> bool:
-    return bool(cells) and len(_grid_bfs(cells, next(iter(cells)))) == len(cells)
+    if not cells:
+        return False
+    frontier, below, reached = {next(iter(cells))}, set(), 1
+    while frontier:
+        frontier, below = _set_level(cells, frontier, below), frontier
+        reached += len(frontier)
+    return reached == len(cells)
 
 
 def _euler_trail(vertices: list[T], edges: list[tuple[T, T]], start: T) -> list[T]:

@@ -394,15 +394,18 @@ def test_sweep_cb_oracle_reports_a_longer_referee_walk(capsys, monkeypatch, wors
 
 # (command line, a call each item makes once, items begun, stderr): items
 # were checked before the give-up, yet no partial count is printed
+# each names the item that gave up and the tally of the items before it
 GIVE_UPS = [
     (("clock", "--count", "20", "--max-v", "20"), "evaluate_certificate", 16,
-     "gave up: 17 vertices exceeds the directed search limit 16\n"),
+     "gave up: item 16 (11 passed, 4 failed before it): 17 vertices exceeds the directed search limit 16\n"),
     (("dcb", "--box", "3x3", "--max-v", "9"), "has_ham_path_grid", 200,
-     "gave up: exhaustive search is limited to 8 bonds\n"),
+     "gave up: item 200 (199 passed, 0 failed before it): exhaustive search is limited to 8 bonds\n"),
+    (("clock", "--count", "5", "--budget", "3"), "evaluate_certificate", 2,
+     "gave up: item 2 (1 passed, 0 failed before it): no verdict within 3 nodes\n"),
 ]
 
 
-@pytest.mark.parametrize("argv,name,begun,err", GIVE_UPS, ids=["clock", "dcb"])
+@pytest.mark.parametrize("argv,name,begun,err", GIVE_UPS, ids=["clock", "dcb", "clock-budget"])
 def test_a_sweep_that_gives_up_prints_nothing_on_stdout(capsys, monkeypatch, argv, name, begun, err):
     import riftpuzzles.cli as cli
 

@@ -1,8 +1,8 @@
 """The grid BFS engine against a plain per-cell reference.
 
 Dense tile sets and sets in a small bounding box run as bitboards (one int,
-a pad column per row), sparse ones in a large box through the per-cell
-loop; both must give the reference's values and types, an int step count
+a pad column per row), sparse ones in a large box as sets of tiles, by
+the same level rule; both must give the reference's values and types, an int step count
 or math.inf when cut off, in any read order.  The connectivity check, a
 row of the on-demand engine with no math.inf in it, must give the
 reference's verdict on both sides of the packing rule.  A solve reads only
@@ -93,8 +93,8 @@ def seeded_tile_sets(count):
 
 def wide_scattered_sets(count):
     """Scattered sets whose bounding box holds more than `_PACK_BOX` cells
-    and, mostly, more than `_PACK_DENSITY` cells per tile: the per-cell side
-    of the packing rule.  Some are shifted to negative coordinates."""
+    and, mostly, more than `_PACK_DENSITY` cells per tile: the set-of-tiles
+    side of the packing rule.  Some are shifted to negative coordinates."""
     rng = random.Random(20261020)
     for _ in range(count):
         w, h = rng.randint(70, 130), rng.randint(70, 130)
@@ -196,20 +196,28 @@ def test_a_spider_solve_starts_fewer_floods_than_it_has_points(monkeypatch):
     bonds = [
         (leg * leg_len + step if step else 0, leg * leg_len + step + 1) for leg in range(legs) for step in range(leg_len)
     ]
-    board = BondBoard(region, tuple(map(tile_center, picks[:-1])), tile_center(picks[-1]), tuple(bonds), "grid")
-    assert packable(region.tiles) and board.connected
     sources = set()
     flood = _GridDistances._flood
     monkeypatch.setattr(_GridDistances, "_flood", lambda self, i, *rest: sources.add(i) or flood(self, i, *rest))
-    crystal_bonds._metric_of.cache_clear()
-    walk = solve_crystal_bonds(board)
-    assert verify_bond_walk(board, walk).ok
+    solved = []
+    # the board, then the board with a tile 10^9 away, which `_packed` refuses:
+    # the sets of tiles must start the same floods and give the same walk
+    for tiles in (region.tiles, region.tiles | {(10**9, 10**9)}):
+        crystals, start = tuple(map(tile_center, picks[:-1])), tile_center(picks[-1])
+        board = BondBoard(TileRegion(tiles), crystals, start, tuple(bonds), "grid")
+        assert packable(tiles) == (tiles == region.tiles) and board.connected
+        sources.clear()
+        crystal_bonds._metric_of.cache_clear()
+        walk = solve_crystal_bonds(board)
+        assert verify_bond_walk(board, walk).ok
+        solved.append((sorted(sources), walk.visit_sequence, walk.total_length))
     # advancing the deeper of a read's two floods starts 32 of them here;
     # always flooding from the row's tile starts 47, from the column's 44
-    assert 0 < len(sources) <= 32 < len(picks), len(sources)
+    assert 0 < len(solved[0][0]) <= 32 < len(picks), solved[0][0]
+    assert solved[1] == solved[0]
     # the walk a full matrix gives
     full = grid_distance_matrix(region, picks)
-    assert (walk.visit_sequence, walk.total_length) == rural_postman_connected(full, bonds, len(picks) - 1)
+    assert solved[0][1:] == rural_postman_connected(full, bonds, len(picks) - 1)
 
 
 def test_single_tile_and_duplicate_targets():
@@ -251,20 +259,34 @@ def test_staircase_runs_per_cell_and_matches_reference():
     assert _connected(tiles)
 
 
-def test_a_per_cell_row_stops_once_it_has_its_tiles(monkeypatch):
+def test_a_per_cell_row_stops_once_it_has_its_tiles():
     # a refused set's row floods only until every tile it lacks is reached,
     # not the source's whole piece
     tiles = frozenset(t for i in range(1000) for t in ((i, i), (i + 1, i)))
-    reached = []
-    flood = graphs._grid_bfs
-    monkeypatch.setattr(graphs, "_grid_bfs", lambda *args: reached.append(len(d := flood(*args))) or d)
     near = [(500, 500), (503, 502), (498, 497), (500, 500)]
+    assert not packable(tiles)
     assert grid_distance(TileRegion(tiles), near[0], near[1]) == 5
-    rows = grid_distance_matrix(TileRegion(tiles), near)
-    assert_same_rows(rows, reference_matrix(tiles, near))
+    engine = _GridDistances(tiles, near)
+    assert_same_rows([list(row) for row in engine.rows()], reference_matrix(tiles, near))
     # the tiles lie within 10 steps of each other: no flood passes depth 10
-    assert reached and max(reached) <= 2 * 10 + 1 < len(tiles), reached
-    assert list(flood(tiles, (0, 0), [(0, 0)])) == [(0, 0)]
+    depths = [depth for _, _, depth in engine.floods.values()]
+    assert depths and max(depths) <= 2 * 10 + 1 < len(tiles), depths
+    one = _GridDistances(tiles, [(0, 0)])
+    assert list(one.rows()[0]) == [0] and one.floods[0][2] == 0
+
+
+def test_an_entry_stops_its_flood_at_the_other_tile():
+    # reading one entry floods to its depth and no further, though a tile of
+    # the table lies on the way and another far beyond, on either carrier
+    corridor = frozenset((x, 0) for x in range(100))
+    staircase = frozenset(t for i in range(1000) for t in ((i, i), (i + 1, i)))
+    for tiles, targets in ((corridor, [(0, 0), (1, 0), (2, 0), (99, 0)]),
+                           (staircase, [(0, 0), (1, 0), (1, 1), (1000, 999)])):
+        engine = _GridDistances(tiles, targets)
+        assert engine.distance(0, 2) == 2
+        assert [depth for _, _, depth in engine.floods.values()] == [2]
+        assert engine.table[0][3] is engine.table[2][3] is None
+    assert packable(corridor) and not packable(staircase)
 
 
 def test_large_dense_region_packs_and_matches_reference():
@@ -330,7 +352,7 @@ def test_joined_matches_per_cell_flood():
             verdicts.add(assert_joined(cells, need))
             packed += packable(cells)
     assert verdicts == {False, True} and packed >= 1000
-    # sets `_packed` refuses take `_grid_bfs`: needs within one piece, then
+    # sets `_packed` refuses flood as sets of tiles: needs within one piece, then
     # scattered over the set
     verdicts, refused = set(), 0
     for rng, tiles in wide_scattered_sets(30):
