@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from operator import or_
-from typing import Collection, Iterator, NamedTuple, Sequence, TypeVar
+from typing import AbstractSet, Collection, Iterator, NamedTuple, Sequence, TypeVar
 
 Vertex = tuple[int, int]
 T = TypeVar("T")
@@ -134,11 +134,11 @@ def _packed(tiles: frozenset[Vertex]) -> _Bitboard | None:
     return _Bitboard(x0, y0, stride, int(digits, 2))
 
 
-def _set_level(cells: Collection[Vertex], frontier: Collection[Vertex], below: Collection[Vertex]) -> set[Vertex]:
+def _set_level(cells: AbstractSet[Vertex], frontier: Collection[Vertex], below: AbstractSet[Vertex]) -> set[Vertex]:
     """The BFS level after `frontier` on a set of tiles: its neighbouring
     cells in `cells`, less the level below."""
     near = {(x + dx, y + dy) for x, y in frontier for dx, dy in ORTHO_STEPS}
-    return {v for v in near if v in cells} - below
+    return (near & cells) - below
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -244,7 +244,7 @@ class _GridDistances:
                 row[j] = table[j][i] = math.inf
 
 
-def _connected(cells: Collection[Vertex]) -> bool:
+def _connected(cells: AbstractSet[Vertex]) -> bool:
     if not cells:
         return False
     frontier, below, reached = {next(iter(cells))}, set(), 1
