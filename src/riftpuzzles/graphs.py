@@ -5,17 +5,16 @@ adjacent exactly when their Euclidean distance is 1.  The oracles referee
 the puzzle reductions: grid Hamiltonicity is a frontier DP whose states grow
 with the box's narrower side, and directed paths a subset DP.
 
-One grid BFS serves the package.  Its one level rule, the frontier's
+One grid BFS serves the package.  Its level rule, the frontier's
 neighbouring cells less the level below (the lattice is bipartite), steps a
-set of tiles (`_set_level`), or with four shifts and a mask a set that
-`_packed` turns into one Python int, a row per stride of width + 1 bits,
-when its bounding box holds at most ``_PACK_BOX`` cells or at most
-``_PACK_DENSITY`` cells per tile; so far-apart tiles never cost a
-bounding-box-sized int.  Connectivity floods a set of tiles once, and
-`_GridDistances` computes each distance on first read, resuming a source's
-BFS only as far as the reads need.  A region joins its points when a
-completed row holds no math.inf.  One Hierholzer trail, `_euler_trail`,
-walks the Crystal Bonds postman and the Tile Trial path.
+set of tiles, or with four shifts and a mask a set that `_packed` turns
+into one Python int, a row per stride of width + 1 bits, when its bounding
+box holds at most ``_PACK_BOX`` cells or at most ``_PACK_DENSITY`` cells
+per tile.  Connectivity floods a set of tiles, and `_GridDistances`
+computes each distance on first read, resuming a source's BFS only as far
+as the reads need.  A region joins its points when a completed row holds
+no math.inf.  One Hierholzer trail, `_euler_trail`, walks the Crystal
+Bonds postman and the Tile Trial path.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -142,11 +141,11 @@ def _set_level(cells: AbstractSet[Vertex], frontier: Collection[Vertex], below: 
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """The indices of the bits set in `mask`, lowest first."""
+    """The indices of the bits set in `mask`, highest first."""
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        k = mask.bit_length() - 1
+        yield k
+        mask ^= 1 << k
 
 
 class _Row:
@@ -187,17 +186,14 @@ class _GridDistances:
     def __init__(self, cells: Collection[Vertex], tiles: Sequence[Vertex]) -> None:
         self.table: list[list[float | None]] = [[None] * len(tiles) for _ in tiles]
         self.floods: dict = {}  # a source -> (frontier, below, depth)
-        cells = frozenset(cells)
-        board = _packed(cells)
-        if board is None:
-            keys, self.empty, self.keys_of = tiles, frozenset(), iter
+        self.cells = frozenset(cells)
+        self.board = _packed(self.cells)
+        if self.board is None:
+            keys, self.empty = tiles, frozenset()
             self.starts: list = [frozenset((t,)) for t in tiles]
-            self.level = partial(_set_level, cells)
         else:
-            _, _, stride, every = board
-            keys, self.empty, self.keys_of = [board.index(t) for t in tiles], 0, _bits
+            keys, self.empty = [self.board.index(t) for t in tiles], 0
             self.starts = [1 << k for k in keys]
-            self.level = lambda f, below: ((f << 1) | (f >> 1) | (f << stride) | (f >> stride)) & (every ^ below)
         self.columns: dict = {}  # a tile's key -> its places
         for j, k in enumerate(keys):
             self.columns.setdefault(k, []).append(j)
@@ -225,18 +221,23 @@ class _GridDistances:
     def _flood(self, i: int, need, targets) -> None:
         """Advance the BFS from tiles[i] until it reaches every tile of `need` or
         can go no further, filling each tile of `targets`, which holds all row i lacks."""
-        row, table, columns, level, keys_of = self.table[i], self.table, self.columns, self.level, self.keys_of
+        row, table, columns, cells, board = self.table[i], self.table, self.columns, self.cells, self.board
+        stride, every = (board.stride, board.cells) if board else (0, 0)
         frontier, below, d = self.floods.get(i) or (self.starts[i], self.empty, 0)
         while frontier:
             hit = frontier & targets
             if hit:
                 need -= need & hit
-                for k in keys_of(hit):
+                for k in hit if board is None else _bits(hit):
                     for j in columns[k]:
                         row[j] = table[j][i] = d
             if not need:
                 break
-            frontier, below = level(frontier, below), frontier
+            if board is None:
+                frontier, below = _set_level(cells, frontier, below), frontier
+            else:  # the same rule by four shifts and a mask; below lies in every
+                step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+                frontier, below = step & (every ^ below), frontier
             d += 1
         self.floods[i] = frontier, below, d
         if not frontier:  # the flood is over: what row i lacks is cut off
