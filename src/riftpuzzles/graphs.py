@@ -228,9 +228,13 @@ class _GridDistances:
             hit = frontier & targets
             if hit:
                 need -= need & hit
-                for k in hit if board is None else _bits(hit):
-                    for j in columns[k]:
+                if board is not None and not hit & (hit - 1):  # most levels hit one tile
+                    for j in columns[hit.bit_length() - 1]:
                         row[j] = table[j][i] = d
+                else:
+                    for k in hit if board is None else _bits(hit):
+                        for j in columns[k]:
+                            row[j] = table[j][i] = d
             if not need:
                 break
             if board is None:
@@ -316,13 +320,21 @@ def _ham_frontier(g: GridGraph, cycle: bool) -> bool:
     visiting order) and labelled by segment, renumbered by first occurrence.
     A loop may close, or a segment finish, only at the last vertex, with an
     empty frontier: that one rule covers degree, connectivity and parity.
-    Raises BudgetExhausted past `FRONTIER_STATE_LIMIT` states at one vertex
-    or `_SCAN_STATE_LIMIT` in all.
+    Two screens it implies come first: a tour alternates the two lattice
+    colours, so their counts differ by at most 1 (path) or 0 (cycle), and at
+    most 2 vertices (path) or 0 (cycle) have degree below 2.  Raises
+    BudgetExhausted past `FRONTIER_STATE_LIMIT` states at one vertex or
+    `_SCAN_STATE_LIMIT` in all.
     """
-    xs, ys = zip(*g.vertices)
-    order = sorted(g.vertices) if max(xs) - min(xs) > max(ys) - min(ys) else sorted(zip(ys, xs))
-    cells = set(order)
+    vs = g.vertices
     most = 0 if cycle else 2  # path ends a finished tour has
+    if abs(2 * sum((x + y) & 1 for x, y in vs) - len(vs)) > most // 2:
+        return False
+    if sum(((x + 1, y) in vs) + ((x - 1, y) in vs) + ((x, y + 1) in vs) + ((x, y - 1) in vs) < 2 for x, y in vs) > most:
+        return False
+    xs, ys = zip(*vs)
+    order = sorted(vs) if max(xs) - min(xs) > max(ys) - min(ys) else sorted(zip(ys, xs))
+    cells = set(order)
     states = {(0,): 0}  # labels -> path ends; a label seen once has a path end
     seen = 0
     for i, (r, c) in enumerate(order):
@@ -437,7 +449,8 @@ def has_directed_ham_path(d: Digraph) -> bool:
 
     Keeps, per path length, each set some path visits and the vertices it
     can end on; an empty layer ends the search, and at out-degree 2 (the
-    package's digraphs) few of the 2^n sets are reached.  Trusted reference:
+    package's digraphs) few of the 2^n sets are reached.  Two vertices with
+    no in-arc refute a path, and one is its only start.  Trusted reference:
     exact for vertex_count <= DIRECTED_SEARCH_LIMIT, refuses larger instances.
     """
     n = d.vertex_count
@@ -446,8 +459,12 @@ def has_directed_ham_path(d: Digraph) -> bool:
     succ_mask = [0] * n
     for s, t in d.arcs:
         succ_mask[s] |= 1 << t
+    entered = reduce(or_, succ_mask)
+    starts = [v for v in range(n) if not entered >> v & 1]
+    if len(starts) > 1:
+        return False
     # layer[mask]: the vertices a path visiting exactly `mask` can end on
-    layer = {1 << v: 1 << v for v in range(n)}
+    layer = {1 << v: 1 << v for v in starts or range(n)}
     for _ in range(n - 1):
         grown: dict[int, int] = {}
         for mask, ends in layer.items():

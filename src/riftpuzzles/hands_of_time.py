@@ -226,27 +226,48 @@ def solve_clock(c: ClockInstance, budget: int | None = None) -> ClockSolution | 
     """Complete selection order, or None when none exists.
 
     One depth-first search over occupied nodes on an explicit stack: starts
-    in position order, then successors in move-graph order.  Each node put on
-    the path costs one unit of `budget` (default DEFAULT_NODE_BUDGET); running
-    out raises BudgetExhausted rather than returning a wrong answer.
+    in position order, then successors in move-graph order, pruned by each
+    node's in- and out-neighbours off the path (Rubin, 1974).  Two nodes
+    with no in-arc, or two with no out-arc, refute the clock; one with no
+    in-arc is the only start.  A push cuts its branch when a successor of
+    the old head that the new head does not reach has no in-neighbour off
+    the path left, or two nodes off the path have no out-neighbour there.
+    No cut drops a solution.  Each node put on the path costs one unit of
+    `budget` (default DEFAULT_NODE_BUDGET); running out raises
+    BudgetExhausted.
     """
     count = len(c.occupied)
     if count == 0:
         return ClockSolution(())
     graph = clock_to_digraph(c)
     succs = [graph.out_neighbors(i) for i in range(count)]
+    preds: list[list[int]] = [[] for _ in range(count)]
+    for s, t in graph.arcs:
+        preds[t].append(s)
+    ins, outs = [len(p) for p in preds], [len(s) for s in succs]  # neighbours off the path
+    starts = [i for i in range(count) if not ins[i]]
+    ends = outs.count(0)  # nodes off the path with no out-neighbour off it
+    if len(starts) > 1 or ends > 1:
+        return None
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
     remaining = limit
     on_path = [False] * count
     path: list[int] = []
     # the root iterator offers every start; each deeper one, its node's successors
-    stack = [iter(range(count))]
+    stack = [iter(starts or range(count))]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
             stack.pop()
             if path:
-                on_path[path.pop()] = False
+                old = path.pop()
+                on_path[old] = False
+                ends += not outs[old]
+                for t in succs[old]:
+                    ins[t] += 1
+                for s in preds[old]:
+                    ends -= not outs[s] and not on_path[s]
+                    outs[s] += 1
             continue
         if on_path[nxt]:
             continue
@@ -254,10 +275,18 @@ def solve_clock(c: ClockInstance, budget: int | None = None) -> ClockSolution | 
         if remaining < 0:
             raise BudgetExhausted(f"no verdict within {limit} nodes")
         on_path[nxt] = True
+        ends -= not outs[nxt]
+        for t in succs[nxt]:
+            ins[t] -= 1
+        for s in preds[nxt]:
+            outs[s] -= 1
+            ends += not outs[s] and not on_path[s]
         path.append(nxt)
         if len(path) == count:
             return _moves_from_indices(c, path)
-        stack.append(iter(succs[nxt]))
+        passed = succs[path[-2]] if len(path) > 1 else ()  # the old head's successors
+        cut = ends > 1 or any(not ins[x] and not on_path[x] and x not in succs[nxt] for x in passed)
+        stack.append(iter(() if cut else succs[nxt]))
     return None
 
 

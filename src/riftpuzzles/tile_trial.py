@@ -6,9 +6,10 @@ A board is a set of tiles with step capacities 1 or 2.  The player walks
 orthogonally from the start tile to the finish tile, may stand on each tile
 at most its capacity, and must touch every crystal tile at least once.
 
-The solver walks a frontier DP's states depth first.  A state's moves at a
-tile depend only on the state and the rules of the tile and its neighbours,
-so they are memoized across tiles and boards, for up to
+The solver refutes a board where a crystal's edges cannot carry 2 steps or
+an end's 1, then walks a frontier DP's states depth first.  A state's moves
+at a tile depend only on the state and the rules of the tile and its
+neighbours, so they are memoized across tiles and boards, for up to
 `FRONTIER_STATE_LIMIT` recent pairs of a state and a tile's context.
 """
 
@@ -109,8 +110,10 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     grid edges is a valid walk's step set exactly when it is connected, the
     start and finish have degree 1, every other tile even degree at most
     twice its capacity, and every crystal degree at least 2 (Euler, 1736).
-    The tile order is `graphs._ham_frontier`'s.  A state is the steps from
-    the tiles seen to the rest, each with its count and a component label.
+    First, by `_carry`, a crystal's edges that carry fewer than 2 steps, or
+    an end's that carry none, refute the board before any state.  The tile
+    order is `graphs._ham_frontier`'s.  A state is the steps from the tiles
+    seen to the rest, each with its count and a component label.
     A component may close only when nothing else is open and no start,
     finish or crystal is left.  The states are walked depth first in the
     move order of `_transitions`, each expanded once; the first that may
@@ -120,11 +123,17 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     states expanded at one tile or `node_budget` (default 200,000) in all.
     """
     caps = board.capacities
+    rule = {t: (1 if t in (board.start, board.finish) else 2 * cap, t in board.crystals) for t, cap in caps.items()}
+    for (x, y), here in rule.items():  # an edge carries 1 or 2 steps: a tile with 2 neighbours has its need
+        need = 2 if here[1] else here[0] == 1  # a crystal takes 2 steps, an end 1
+        near = [rule[v] for v in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if v in rule] if need else ()
+        if len(near) < 2 and sum(_carry(here, there) for there in near) < need:
+            return None
     xs, ys = zip(*caps)
     wide = max(xs) - min(xs) > max(ys) - min(ys)
     # scan position (row, column) -> board tile, in scan order
     tile = dict(sorted((v if wide else v[::-1], v) for v in caps))
-    rule = {v: (1 if t in (board.start, board.finish) else 2 * caps[t], t in board.crystals) for v, t in tile.items()}
+    rule = {v: rule[t] for v, t in tile.items()}  # now keyed by scan position
     contexts = [((r - 1, c) in tile, rule[r, c], rule.get((r, c + 1)), rule.get((r + 1, c))) for r, c in tile]
     last = max(i for i, (most, crystal) in enumerate(rule.values()) if most == 1 or crystal)
     limit = _SCAN_STATE_LIMIT if node_budget is None else node_budget
@@ -194,19 +203,21 @@ def _fits(here: tuple[int, bool], right: tuple[int, bool] | None, up: tuple[int,
     go, as can a doubled dead end onto a tile that is not a crystal."""
     most, crystal = here
 
-    def carry(there: tuple[int, bool] | None) -> int:
-        if there is None:
-            return 0
-        return 2 if 4 in (most, there[0]) and all(m == 4 or x for m, x in (here, there)) else 1
-
     def ok(steps: tuple[int, ...]) -> bool:
         degree = sum(steps)
         if degree > most or (most - degree) % 2 or crystal and degree < 2:
             return False
         return crystal or degree != 2 or 2 not in steps
 
-    moves = [(h, u) for h in range(carry(right) + 1) for u in range(carry(up) + 1)]
+    moves = [(h, u) for h in range(_carry(here, right) + 1) for u in range(_carry(here, up) + 1)]
     return tuple(tuple(tuple(m for m in moves if ok((a, b, *m))) for b in range(3)) for a in range(3))
+
+
+def _carry(here: tuple[int, bool], there: tuple[int, bool] | None) -> int:
+    """The most steps an edge carries, by the rules of its two tiles (None off the board)."""
+    if there is None:
+        return 0
+    return 2 if 4 in (here[0], there[0]) and all(m == 4 or x for m, x in (here, there)) else 1
 
 
 def reduce_grid_to_tile_trial(g: GridGraph) -> TileBoard:

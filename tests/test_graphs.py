@@ -221,6 +221,36 @@ def test_frontier_caps_pinned_at_their_exact_sizes(monkeypatch):
             assert str(refused.value) == message
 
 
+def test_grid_screens_refute_before_the_dp_at_their_exact_bounds(monkeypatch):
+    # with no state allowed the DP gives up at its first vertex, so a graph a
+    # screen refutes answers False and any other gives up
+    line = gg((0, 0), (1, 0), (2, 0))  # colours 2 and 1; two vertices of degree 1
+    notched = gg(*[(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 0)])  # colours 5 and 3
+    fork = gg((0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (1, 2))  # colours 3 and 3; three of degree 1
+    tailed = gg((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0))  # colours 3 and 3; one of degree 1
+    odd = gg(*[(x, y) for x in range(3) for y in range(3)])  # colours 5 and 4
+    unit = gg((0, 0), (1, 0), (0, 1), (1, 1))
+    answers = {
+        has_ham_path_grid: {line: True, notched: False, fork: False, tailed: True},
+        has_ham_cycle_grid: {unit: True, odd: False, tailed: False},
+    }
+    for oracle, cases in answers.items():
+        for g, want in cases.items():
+            assert oracle(g) == want, (oracle, g)
+    monkeypatch.setattr(graphs, "FRONTIER_STATE_LIMIT", 0)
+    for oracle, cases in answers.items():
+        for g, want in cases.items():
+            if want:
+                with pytest.raises(BudgetExhausted):
+                    oracle(g)
+            else:
+                assert not oracle(g), (oracle, g)
+    # a 31x31 square: its colours differ by 1, so it has no cycle, found at once
+    # where the DP would give up
+    monkeypatch.undo()
+    assert not has_ham_cycle_grid(gg(*[(x, y) for x in range(31) for y in range(31)]))
+
+
 # long rectangles in both orientations, and away from the origin: the span,
 # not the coordinates, picks the scan direction
 NARROW_SCANS = {
@@ -384,6 +414,10 @@ def test_directed_ham_path_basics():
     assert not has_directed_ham_path(Digraph(3, ((0, 1), (0, 2))))
     # direction matters
     assert not has_directed_ham_path(Digraph(3, ((1, 0), (1, 2))))
+    # two vertices with no in-arc, 0 and 1, cannot both start a path
+    assert not has_directed_ham_path(Digraph(3, ((0, 2), (1, 2))))
+    # the one vertex with no in-arc, 2, starts it
+    assert has_directed_ham_path(Digraph(3, ((0, 1), (1, 0), (2, 1))))
     assert has_directed_ham_path(Digraph(3, ((1, 0), (1, 2), (0, 1))))
     # against every vertex order, at out-degree up to 1, 2 or 3
     for v in range(2, 7):

@@ -1,9 +1,11 @@
 import itertools
+import time
 
 import pytest
 
 from riftpuzzles.graphs import Digraph, gen_random_digraph, has_directed_ham_path
 from riftpuzzles.hands_of_time import (
+    DEFAULT_NODE_BUDGET,
     BudgetExhausted,
     ClockInstance,
     ClockSolution,
@@ -193,8 +195,11 @@ def test_backtracking_strategy_and_budget():
     inst = gen_solvable_clock(26, 5)  # 26 occupied nodes
     sol = solve_clock(inst)
     assert sol is not None and verify_clock_solution(inst, sol).ok
-    with pytest.raises(BudgetExhausted):
-        solve_clock(gen_random_clock(26, 1), budget=10)
+    # a solution puts all 26 nodes on the path, so 10 cannot reach one
+    with pytest.raises(BudgetExhausted, match="^no verdict within 10 nodes$"):
+        solve_clock(inst, budget=10)
+    # the degree prunes refute this one within the same 10 nodes
+    assert solve_clock(gen_random_clock(26, 1), budget=10) is None
 
 
 def test_budget_applies_at_every_size():
@@ -259,6 +264,89 @@ def test_backtracker_matches_former_subset_dp():
         assert got == subset_dp_solve_clock(c), c
         solved += got is not None
     assert 0 < solved < len(cases)
+
+
+def former_solve_clock(c, budget=None):
+    """solve_clock's former loop, kept verbatim: the same depth-first search
+    with no degree prune."""
+    count = len(c.occupied)
+    if count == 0:
+        return ClockSolution(())
+    graph = clock_to_digraph(c)
+    succs = [graph.out_neighbors(i) for i in range(count)]
+    limit = DEFAULT_NODE_BUDGET if budget is None else budget
+    remaining = limit
+    on_path = [False] * count
+    path: list[int] = []
+    # the root iterator offers every start; each deeper one, its node's successors
+    stack = [iter(range(count))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            if path:
+                on_path[path.pop()] = False
+            continue
+        if on_path[nxt]:
+            continue
+        remaining -= 1
+        if remaining < 0:
+            raise BudgetExhausted(f"no verdict within {limit} nodes")
+        on_path[nxt] = True
+        path.append(nxt)
+        if len(path) == count:
+            return _moves_from_indices(c, path)
+        stack.append(iter(succs[nxt]))
+    return None
+
+
+def test_pruned_search_finds_the_former_loops_first_solution():
+    # a prune drops only branches with no solution, and the order of starts
+    # and successors is kept, so both find the same first solution
+    cases = [reduce_digraph_to_phot(gen_random_digraph(v, seed)).instance for v in range(2, 17) for seed in range(12)]
+    for seed in range(60):
+        n = 4 + seed % 17
+        cases += [gen_random_clock(n, seed + 300), gen_solvable_clock(n, seed + 400)]
+    solved = 0
+    for c in cases:
+        got = solve_clock(c)
+        assert got == former_solve_clock(c), c
+        solved += got is not None
+    assert 100 < solved < len(cases) - 100, solved
+
+
+def test_degree_screens_answer_before_the_first_node():
+    # budget 0 gives up at the first node put on the path
+    two_sources = ClockInstance.dense([1, 2, 1, 2])  # nodes 0 and 2 have no in-arc
+    assert {t for _, t in clock_to_digraph(two_sources).arcs} == {1, 3}
+    assert solve_clock(two_sources, budget=0) is None
+    two_sinks = ClockInstance(100, {0: 10, 10: 3, 90: 3})  # 0 -> 10, 0 -> 90, and no arc out of either
+    assert clock_to_digraph(two_sinks).arcs == ((0, 1), (0, 2))
+    assert solve_clock(two_sinks, budget=0) is None
+    for c in two_sources, two_sinks:
+        assert former_solve_clock(c) is None
+
+
+def test_the_one_node_with_no_in_arc_is_the_only_start():
+    # node 3 is entered by no arc: the path 3, 1, 0, 2 costs 4 nodes, where
+    # trying starts 0, 1 and 2 first would cost more
+    c = ClockInstance.dense([2, 1, 2, 2])
+    assert 3 not in {t for _, t in clock_to_digraph(c).arcs}
+    assert solve_clock(c, budget=4) == former_solve_clock(c) == _moves_from_indices(c, [3, 1, 0, 2])
+    with pytest.raises(BudgetExhausted):
+        former_solve_clock(c, budget=4)
+
+
+def test_a_long_planted_clock_is_solved():
+    # the unpruned search spent its 2,000,000 nodes on this clock and gave up;
+    # the pruned one puts exactly 486 nodes on the path
+    c = gen_solvable_clock(40, 2)
+    began = time.perf_counter()
+    sol = solve_clock(c, budget=486)
+    assert time.perf_counter() - began < 5.0
+    assert sol is not None and verify_clock_solution(c, sol).ok
+    with pytest.raises(BudgetExhausted, match="^no verdict within 485 nodes$"):
+        solve_clock(c, budget=485)
 
 
 def test_empty_instance_is_trivially_solved():

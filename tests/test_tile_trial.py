@@ -376,10 +376,9 @@ def test_cold_transition_cache_gives_the_same_paths():
         assert path_digest(boards, cold) == PATH_DIGESTS[name], name
 
 
-def test_budget_messages_pinned():
-    # every 37th board of 3x4/9 at six budgets: the message of each that
-    # gives up, where the budget counts the states expanded
-    boards = [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(3, 4, 9) if len(g) >= 2][::37]
+def budget_messages(boards):
+    """Per board and each of six budgets, "solved", "unsolvable" or the
+    message of the give-up, where the budget counts the states expanded."""
     messages = []
     for board in boards:
         for budget in (1, 2, 5, 13, 40, 100):
@@ -387,9 +386,31 @@ def test_budget_messages_pinned():
                 messages.append("unsolvable" if solve_tile_trial(board, budget) is None else "solved")
             except BudgetExhausted as exc:
                 messages.append(str(exc))
-    assert (messages.count("solved"), messages.count("unsolvable"), len(messages)) == (6, 65, 174)
-    digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
-    assert digest == "c7eb686f46960b17cc683694ba17e00ebec1e8f3fbd5001e42797cdfc9e1edcc"
+    counts = messages.count("solved"), messages.count("unsolvable"), len(messages)
+    return counts, hashlib.sha256("\n".join(messages).encode()).hexdigest()
+
+
+def test_budget_messages_pinned():
+    boards = [reduce_grid_to_tile_trial(g) for g in enumerate_grid_graphs(3, 4, 9) if len(g) >= 2]
+    # every 37th board: the carry screen refutes 81 of the former give-ups
+    # before any state, at every budget
+    assert budget_messages(boards[::37]) == (
+        (6, 146, 174),
+        "26ecf34a62a767face8bf082ee14fe431fa5e9c4fdd35a77fd455856ed7e5c23",
+    )
+    # every 5th of the 125 boards the screen passes (the first state given
+    # up at budget 0): their messages are the unscreened walk's, 93 give-ups
+    walked = []
+    for board in boards:
+        try:
+            solve_tile_trial(board, 0)
+        except BudgetExhausted:
+            walked.append(board)
+    assert len(walked) == 125
+    assert budget_messages(walked[::5]) == (
+        (9, 48, 150),
+        "0b684a6a86f820910b84b41f97adb4dabc641e2bd8ffd670a8986d3f5907f609",
+    )
 
 
 def former_frontier_dp(board):
@@ -416,7 +437,7 @@ def former_frontier_dp(board):
 
 def test_depth_first_walk_expands_the_former_scans_states(monkeypatch):
     # each state is expanded once, so a refutation makes exactly the former
-    # scan's _transitions calls
+    # scan's _transitions calls, or none when the carry screen refutes it
     calls = 0
     transitions = tile_trial._transitions
 
@@ -426,7 +447,7 @@ def test_depth_first_walk_expands_the_former_scans_states(monkeypatch):
         return transitions(*args)
 
     monkeypatch.setattr(tile_trial, "_transitions", counted)
-    unsolvable = 0
+    unsolvable = screened = 0
     for name, boards in pinned_boards().items():
         for board in boards:
             calls = 0
@@ -436,6 +457,29 @@ def test_depth_first_walk_expands_the_former_scans_states(monkeypatch):
             assert former_frontier_dp(board) == (path is not None), (name, board)
             assert path is None or verify_tile_path(board, path).ok, (name, board)
             if path is None:
-                assert walked == calls, (name, board)
+                assert walked in (0, calls), (name, board)
+                screened += walked == 0
                 unsolvable += 1
-    assert unsolvable > 1000, unsolvable
+    assert (screened, unsolvable > 1000) == (1756, True), (screened, unsolvable)
+
+
+def test_carry_screen_refutes_before_any_state_at_its_exact_bound():
+    # node_budget 0 gives up at the first state expanded: a board the screen
+    # refutes answers None, and any other board gives up
+    kite = [(0, 0), (0, 1), (-1, 1), (0, 2), (-1, 2)]
+    # the leaf crystal (1, 0) beside the capacity-2 chosen vertex (0, 0): their
+    # edge carries 2 steps, enough for a crystal, so the walk refutes it
+    beside_chosen = reduce_grid_to_tile_trial(GridGraph(frozenset(kite + [(1, 0)])))
+    assert beside_chosen.capacities[0, 0] == 2
+    # the leaf crystal (1, 2) beside the ordinary crystal (0, 2): 1 step
+    beside_ordinary = reduce_grid_to_tile_trial(GridGraph(frozenset(kite + [(1, 2)])))
+    assert solve_tile_trial(beside_chosen) is None and solve_tile_trial(beside_ordinary) is None
+    with pytest.raises(BudgetExhausted):
+        solve_tile_trial(beside_chosen, 0)
+    assert solve_tile_trial(beside_ordinary, 0) is None
+    # an end: a start with no neighbour carries nothing, and one with a
+    # neighbour carries its 1 step
+    apart = TileBoard({(0, 0): 1, (5, 5): 1}, frozenset(), (0, 0), (5, 5))
+    assert solve_tile_trial(apart, 0) is None
+    with pytest.raises(BudgetExhausted):
+        solve_tile_trial(straight_board(), 0)
