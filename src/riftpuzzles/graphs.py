@@ -228,11 +228,14 @@ class _GridDistances:
             hit = frontier & targets
             if hit:
                 need -= need & hit
-                if board is not None and not hit & (hit - 1):  # most levels hit one tile
-                    for j in columns[hit.bit_length() - 1]:
-                        row[j] = table[j][i] = d
+                if board is None:
+                    for k in hit:
+                        for j in columns[k]:
+                            row[j] = table[j][i] = d
                 else:
-                    for k in hit if board is None else _bits(hit):
+                    while hit:  # a bitboard's bits, read from the top
+                        k = hit.bit_length() - 1
+                        hit ^= 1 << k
                         for j in columns[k]:
                             row[j] = table[j][i] = d
             if not need:

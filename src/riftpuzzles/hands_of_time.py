@@ -233,8 +233,7 @@ def solve_clock(c: ClockInstance, budget: int | None = None) -> ClockSolution | 
     the old head that the new head does not reach has no in-neighbour off
     the path left, or two nodes off the path have no out-neighbour there.
     No cut drops a solution.  Each node put on the path costs one unit of
-    `budget` (default DEFAULT_NODE_BUDGET); running out raises
-    BudgetExhausted.
+    `budget` (default DEFAULT_NODE_BUDGET); running out raises BudgetExhausted.
     """
     count = len(c.occupied)
     if count == 0:

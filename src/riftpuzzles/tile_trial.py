@@ -133,9 +133,8 @@ def solve_tile_trial(board: TileBoard, node_budget: int | None = None) -> TilePa
     wide = max(xs) - min(xs) > max(ys) - min(ys)
     # scan position (row, column) -> board tile, in scan order
     tile = dict(sorted((v if wide else v[::-1], v) for v in caps))
-    rule = {v: rule[t] for v, t in tile.items()}  # now keyed by scan position
-    contexts = [((r - 1, c) in tile, rule[r, c], rule.get((r, c + 1)), rule.get((r + 1, c))) for r, c in tile]
-    last = max(i for i, (most, crystal) in enumerate(rule.values()) if most == 1 or crystal)
+    contexts = [((r - 1, c) in tile, rule[t], rule.get(tile.get((r, c + 1))), rule.get(tile.get((r + 1, c)))) for (r, c), t in tile.items()]
+    last = max(i for i, t in enumerate(tile.values()) if rule[t][0] == 1 or rule[t][1])
     limit = _SCAN_STATE_LIMIT if node_budget is None else node_budget
     n = len(tile)
     done: list[set[tuple[int, ...]]] = [set() for _ in range(n)]  # per tile, the states expanded there

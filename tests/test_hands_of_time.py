@@ -1,5 +1,4 @@
 import itertools
-import time
 
 import pytest
 
@@ -341,9 +340,7 @@ def test_a_long_planted_clock_is_solved():
     # the unpruned search spent its 2,000,000 nodes on this clock and gave up;
     # the pruned one puts exactly 486 nodes on the path
     c = gen_solvable_clock(40, 2)
-    began = time.perf_counter()
     sol = solve_clock(c, budget=486)
-    assert time.perf_counter() - began < 5.0
     assert sol is not None and verify_clock_solution(c, sol).ok
     with pytest.raises(BudgetExhausted, match="^no verdict within 485 nodes$"):
         solve_clock(c, budget=485)
