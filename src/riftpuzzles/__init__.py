@@ -1,6 +1,6 @@
 """Puzzle toolkit for the three temporal-rift minigames.
 
-Subpackages cover grid/directed graph oracles, tile-region geometry, the
+Modules cover grid/directed graph oracles, tile-region geometry, the
 step-limit tile puzzle, the crystal-bond routing puzzle, the clock puzzle,
 plain-text instance formats, and a command line front end.
 """

@@ -190,30 +190,17 @@ def _line_walk(
     return True
 
 
-def segment_admissible(
-    region: TileRegion, pinches: frozenset[Tile], p: Point, q: Point
-) -> bool:
-    """True when the closed segment p-q stays in the region and avoids pinches.
-
-    Exact: coordinates are scaled to integers, and the cells the segment
-    crosses are walked in order (Amanatides & Woo 1987), comparing the next
-    x- and y-wall crossings by cross-multiplication.  The walk stops at the
-    first cell that is not a tile; a lattice point crossed on both axes at
-    once must not be a pinch.
-    """
-    s, (x0, y0, x1, y1) = _scaled(p[0], p[1], q[0], q[1])
-    for x, y in ((x0, y0), (x1, y1)):
-        if x % s == 0 and y % s == 0 and (x // s, y // s) in pinches:
-            return False
-    return _walk(region.tiles, pinches, s, x0, y0, x1, y1)
-
-
 def _walk(
     tiles: frozenset[Tile], pinches: frozenset[Tile], s: int, x0: int, y0: int, x1: int, y1: int
 ) -> bool:
-    """The cell walk of segment_admissible, on coordinates scaled by s.
+    """True when the closed segment (x0, y0)-(x1, y1), on coordinates scaled
+    by s, stays in the tiles and meets no pinch; both endpoints must already
+    lie off the pinches.
 
-    Both endpoints must already lie off the pinches.
+    Exact: the cells the segment crosses are walked in order (Amanatides &
+    Woo 1987), comparing the next x- and y-wall crossings by
+    cross-multiplication.  The walk stops at the first cell that is not a
+    tile; a lattice point crossed on both axes at once must not be a pinch.
     """
     dx = x1 - x0
     dy = y1 - y0
@@ -375,12 +362,6 @@ class _Geodesics:
         self.table[i][:] = [self.entry(i, j) if d is None else d for j, d in enumerate(self.table[i])]
 
 
-def euclidean_geodesic_matrix(region: TileRegion, points: list[Point]) -> list[list[float]]:
-    """Pairwise geodesic distances between query points: every entry of a
-    _Geodesics, row i from a Dijkstra over the reflex corners from point i."""
-    return [list(row) for row in _Geodesics(region, points).rows()]
-
-
 def euclidean_geodesic(region: TileRegion, p: Point, q: Point) -> float:
     """Length of the shortest admissible path from p to q (inf if none)."""
     return _Geodesics(region, [p, q]).entry(0, 1)
@@ -388,18 +369,9 @@ def euclidean_geodesic(region: TileRegion, p: Point, q: Point) -> float:
 
 def grid_distance(region: TileRegion, a: Tile, b: Tile) -> float:
     """Orthogonal tile steps between two tiles of the region (inf if cut off)."""
-    return _grid_engine(region, [a, b]).distance(0, 1)
-
-
-def grid_distance_matrix(region: TileRegion, tiles: list[Tile]) -> list[list[float]]:
-    """Pairwise orthogonal-step distances between the given tiles, a row per flood."""
-    return [list(row) for row in _grid_engine(region, tiles).rows()]
-
-
-def _grid_engine(region: TileRegion, tiles: list[Tile]) -> _GridDistances:
-    if outside := [t for t in tiles if t not in region.tiles]:
+    if outside := [t for t in (a, b) if t not in region.tiles]:
         raise PointOutsideRegion(f"tile {outside[0]} not in region")
-    return _GridDistances(region.tiles, tiles)
+    return _GridDistances(region.tiles, [a, b]).distance(0, 1)
 
 
 def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:

@@ -372,22 +372,6 @@ def intended_position_arcs(cert: ReductionCertificate) -> set[tuple[int, int]]:
     return arcs
 
 
-def check_jump_values_distinct(v: int) -> list[str]:
-    """Landmark distances are pairwise distinct over index pairs below v:
-    a property of v alone, which always holds, since jump_value(j, k) for
-    j < k is 10^j * R_(k-j), whose decimal digits name the pair."""
-    problems = []
-    seen: dict[int, tuple[int, int]] = {}
-    for j in range(v):
-        for k in range(j + 1, v):
-            val = jump_value(j, k)
-            if val in seen:
-                problems.append(f"jump_value({j},{k}) collides with {seen[val]}")
-            else:
-                seen[val] = (j, k)
-    return problems
-
-
 def audit_certificate(cert: ReductionCertificate) -> list[str]:
     """Problems found in a certificate; an empty list means clean.
 

@@ -37,8 +37,8 @@ from riftpuzzles.graphs import (
 )
 from riftpuzzles.hands_of_time import (
     audit_certificate,
-    check_jump_values_distinct,
     gen_solvable_clock,
+    jump_value,
     reduce_digraph_to_phot,
     solve_clock,
     verify_clock_solution,
@@ -133,7 +133,9 @@ def test_criterion_5_no_stray_landing_audit():
         cert = reduce_digraph_to_phot(gen_random_digraph(2 + i % 6, i))
         problems.extend(audit_certificate(cert))
     for v in range(2, 8):
-        problems.extend(check_jump_values_distinct(v))
+        values = [jump_value(j, k) for j in range(v) for k in range(j + 1, v)]
+        if len(set(values)) < len(values):
+            problems.append(f"landmark distances collide below v = {v}")
     ok = not problems
     report(5, ok, f"200 certificates audited, {len(problems)} violations")
     assert ok, problems[:5]

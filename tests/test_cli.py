@@ -226,8 +226,8 @@ def spy_metric_builds(monkeypatch, fresh):
 
 def test_verify_dcb_reuses_the_metric_solve_dcb_built(tmp_path, capsys, monkeypatch):
     from riftpuzzles import instance_io
-    from riftpuzzles.geometry import euclidean_geodesic_matrix
     from riftpuzzles.instance_io import parse
+    from test_geometry import euclidean_geodesic_matrix
 
     boards, texts = [], []
     for seed in (1, 2, 3):

@@ -24,9 +24,7 @@ from riftpuzzles.crystal_bonds import (
     solve_crystal_bonds,
     verify_bond_walk,
 )
-from riftpuzzles.geometry import (
-    TileRegion, euclidean_geodesic_matrix, gen_random_region, pinch_corners, tile_center, tile_of,
-)
+from riftpuzzles.geometry import TileRegion, gen_random_region, pinch_corners, tile_center, tile_of
 from riftpuzzles.graphs import (
     GridGraph,
     InstanceTooLarge,
@@ -35,6 +33,7 @@ from riftpuzzles.graphs import (
     has_ham_path_grid,
 )
 from riftpuzzles.instance_io import parse, serialize
+from test_geometry import euclidean_geodesic_matrix
 
 
 def corridor(n):

@@ -11,18 +11,16 @@ from riftpuzzles.geometry import (
     PointOutsideRegion,
     TileRegion,
     euclidean_geodesic,
-    euclidean_geodesic_matrix,
     fine_grid_distance,
     gen_random_region,
     grid_distance,
-    grid_distance_matrix,
     pinch_corners,
     region_contains_point,
-    segment_admissible,
     tile_center,
 )
-from riftpuzzles.geometry import _classify_corners, _Geodesics, _point_in
+from riftpuzzles.geometry import _classify_corners, _Geodesics, _point_in, _scaled, _walk
 from riftpuzzles.graphs import _packed
+from test_grid_bfs import grid_distance_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -632,13 +630,28 @@ def test_fine_grid_memory_follows_the_explored_nodes():
         fine_grid_distance(far, p, (10**18 + 0.5, 0.5), 8)
 
 
-# Reference matrix: the full-Dijkstra construction, built on the public
+# Reference matrix: the full-Dijkstra construction, built on
 # segment_admissible.  Every query point runs Dijkstra to exhaustion over the
 # same nodes (query points, then reflex corners in sorted order), the same
 # adjacency order and the same EPS tests, so its floats are the ones the
 # matrix must reproduce bit for bit.
 
 REF_EPS = 1e-9
+
+
+def euclidean_geodesic_matrix(region, points):
+    """Every entry of a _Geodesics, as lists."""
+    return [list(row) for row in _Geodesics(region, points).rows()]
+
+
+def segment_admissible(region, pinches, p, q):
+    """The closed segment p-q stays in the region and avoids pinches: an
+    endpoint on a pinch is refused, then the cells between are walked."""
+    s, (x0, y0, x1, y1) = _scaled(p[0], p[1], q[0], q[1])
+    for x, y in ((x0, y0), (x1, y1)):
+        if x % s == 0 and y % s == 0 and (x // s, y // s) in pinches:
+            return False
+    return _walk(region.tiles, pinches, s, x0, y0, x1, y1)
 
 
 def _reflex_corners(tiles):

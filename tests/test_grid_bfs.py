@@ -29,7 +29,7 @@ from riftpuzzles.crystal_bonds import (
     solve_crystal_bonds,
     verify_bond_walk,
 )
-from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, grid_distance_matrix, tile_center
+from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, tile_center
 from riftpuzzles.graphs import _PACK_DENSITY, _Bitboard, _connected, _GridDistances, _packed, enumerate_grid_graphs
 
 
@@ -51,6 +51,11 @@ def reference_matrix(tiles, targets):
         dist = reference_bfs(tiles, src)
         rows.append([dist.get(t, math.inf) for t in targets])
     return rows
+
+
+def grid_distance_matrix(region, tiles):
+    """Every entry of the grid BFS engine, as lists."""
+    return [list(row) for row in _GridDistances(region.tiles, tiles).rows()]
 
 
 def packable(tiles):

@@ -180,3 +180,22 @@ def test_certificate_audit_reaches_nothing_of_the_construction():
     assert {"hands_of_time.repunit", "hands_of_time.jump_value"} <= construction
     assert reach(graph, "hands_of_time.clock_to_digraph") & construction == {"hands_of_time.ClockInstance.positions"}
     assert reach(graph, "hands_of_time.intended_position_arcs") & construction == {"graphs.Digraph.out_neighbors"}
+
+
+def test_every_public_name_is_reached_from_the_command_line():
+    # the package ships no test-only code: from every package name that
+    # cli.py or instance_io.py refers to, at module level or in a body, the
+    # call graph reaches every public name but the hook argparse calls
+    graph = call_graph()
+    roots = set()
+    for module in ("cli", "instance_io"):
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                roots |= {f"{node.module}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Name):
+                roots.add(f"{module}.{node.id}")
+            elif isinstance(node, ast.Attribute):
+                roots |= {name for name in graph if name.count(".") == 2 and name.endswith(f".{node.attr}")}
+    roots &= graph.keys()
+    reached = roots.union(*(reach(graph, root) for root in roots))
+    assert {name for name in graph.keys() - reached if not is_private(name)} == {"cli._Parser.error"}
