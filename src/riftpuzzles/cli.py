@@ -32,6 +32,7 @@ from .crystal_bonds import (
     verify_bond_walk,
 )
 from .geometry import (
+    EPS,
     TileRegion,
     euclidean_geodesic,
     fine_grid_distance,
@@ -195,7 +196,7 @@ def _cmd_solve(args) -> int:
         return EXIT_NO
     sys.stdout.write(serialize(solution))
     # a float compares with an int exactly, so a threshold past the float range is decided too
-    over = args.kind == "dcb" and args.threshold is not None and solution.total_length - 1e-9 > args.threshold
+    over = args.kind == "dcb" and args.threshold is not None and solution.total_length - EPS > args.threshold
     return EXIT_NO if over else EXIT_OK
 
 
@@ -341,7 +342,7 @@ def _sweep_cb(args):
         got = solve_crystal_bonds(board)
         want = brute_force_crystal_bonds(board)
         ok = (
-            abs(got.total_length - want.total_length) <= 1e-9
+            abs(got.total_length - want.total_length) <= EPS
             and verify_bond_walk(board, got).ok
             and verify_bond_walk(board, want).ok
         )
@@ -370,7 +371,7 @@ def _sweep_geo(args):
         if math.isinf(exact) or math.isinf(fine):
             yield math.isinf(exact) and math.isinf(fine), detail
         else:
-            yield exact <= fine + 1e-9 and fine <= RATIO_BOUND * exact + 1e-9, detail
+            yield exact <= fine + EPS and fine <= RATIO_BOUND * exact + EPS, detail
 
 
 # family -> generator of (ok, detail) per item

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import (
+    EPS,
     Point,
     TileRegion,
     gen_random_region,
@@ -27,9 +28,10 @@ from .geometry import (
     tile_of,
     _exact_tile,
     _Geodesics,
+    _GridDistances,
     _scaled,
 )
-from .graphs import ORTHO_STEPS, GridGraph, InstanceTooLarge, Verdict, grid_edges, _euler_trail, _GridDistances
+from .graphs import ORTHO_STEPS, GridGraph, InstanceTooLarge, Verdict, grid_edges, _euler_trail
 
 MODELS = ("grid", "euclid")
 
@@ -111,7 +113,7 @@ def crystal_metric(board: BondBoard) -> Sequence[Sequence[float]]:
 
     Row/column i < r is crystal i; when the board has a start point it
     occupies the final index r.  The metric is a tuple of read-only
-    graphs._Row views, grid or euclid, computing each entry on first read.
+    geometry._Row views, grid or euclid, computing each entry on first read.
     Raises UnreachableCrystal if any pair is separated, as the grid engine's
     last row shows under either model.  A process keeps the last metric
     built, keyed on the region, the points and the distance model, so an
@@ -508,7 +510,7 @@ def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, i
 
 
 def verify_bond_walk(board: BondBoard, walk: BondWalk) -> Verdict:
-    """Check bond coverage and the claimed total length (1e-9 tolerance)."""
+    """Check bond coverage and the claimed total length (EPS tolerance)."""
     r = len(board.crystals)
     for i in walk.visit_sequence:
         if not (0 <= i < r):
@@ -526,7 +528,7 @@ def verify_bond_walk(board: BondBoard, walk: BondWalk) -> Verdict:
     )
     if board.start is not None and walk.visit_sequence:
         total += metric[len(board.crystals)][walk.visit_sequence[0]]
-    if abs(total - walk.total_length) > 1e-9:
+    if abs(total - walk.total_length) > EPS:
         return Verdict(False, "length mismatch", total)
     return Verdict(True)
 
@@ -563,8 +565,6 @@ def reduce_grid_to_dcb(g: GridGraph) -> tuple[BondBoard, int]:
             if cand in tiles:
                 crystals.append(tile_center(cand))
                 break
-        else:
-            raise AssertionError("connected graph vertex lost all corridors")
     bonds = tuple((i, v + i) for i in range(v))
     board = BondBoard(region, tuple(crystals), None, bonds, "grid")
     return board, (v - 1) * scale + 2 * v
@@ -623,7 +623,7 @@ def decide_dcb(board: BondBoard, threshold: float) -> bool:
         best = _bond_optimum(board)[0]
     except UnreachableCrystal:
         return False
-    return best - 1e-9 <= threshold
+    return best - EPS <= threshold
 
 
 def gen_random_tree_board(

@@ -7,7 +7,15 @@ neighbor shared by both) are impassable points.
 
 Three distance notions live here:
 
-* ``grid_distance``    -- orthogonal tile steps, by the on-demand BFS of ``graphs``,
+* ``grid_distance``    -- orthogonal tile steps.  One grid BFS serves the
+  package.  Its level rule, the frontier's neighbouring cells less the
+  level below (the lattice is bipartite), steps a set of tiles, or with
+  four shifts and a mask a set that `_packed` turns into one Python int, a
+  row per stride of width + 1 bits, when its bounding box holds at most
+  ``_PACK_BOX`` cells or at most ``_PACK_DENSITY`` cells per tile.
+  Connectivity floods a set of tiles, and `_GridDistances` computes each
+  distance on first read, resuming a source's BFS only as far as the reads
+  need.  A region joins its points when a completed row holds no math.inf,
 * ``euclidean_geodesic`` -- true shortest path length, over a reduced
   visibility graph of the query points and the reflex corners, keeping only
   corner pairs that can be bitangent.  Query points are never bend points,
@@ -16,7 +24,7 @@ Three distance notions live here:
   ``_Geodesics`` computes each entry when it is first read, so a caller
   walks only the segments its entries need.  The corner pass that finds
   the reflex corners and the pinches is one table of masks, evaluated on
-  the bitboard of ``graphs`` or, for a region too sparse to pack, on
+  the grid BFS's bitboard or, for a region too sparse to pack, on
   translated copies of its tile set; and the bitangent test runs on the
   coordinates before any segment is looked up or walked,
 * ``fine_grid_distance`` -- 8-connected shortest path on a 1/k sublattice,
@@ -40,11 +48,14 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-
-from .graphs import ORTHO_STEPS, _bits, _GridDistances, _packed, _Row
+from functools import lru_cache, reduce
+from operator import or_
+from typing import AbstractSet, Collection, Iterator, NamedTuple, Sequence
 
 Tile = tuple[int, int]
 Point = tuple[float, float]
+
+ORTHO_STEPS: tuple[Tile, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 EPS = 1e-9
 
@@ -86,6 +97,174 @@ def _exact_tile(p: Point) -> Tile:
     if abs(t[0]) >= 2**52 or abs(t[1]) >= 2**52:
         raise ValueError(f"point {p}: tile coordinates must lie strictly between -2**52 and 2**52")
     return t
+
+
+_PACK_BOX = 4096  # 64 words
+_PACK_DENSITY = 4
+
+
+class _Bitboard(NamedTuple):
+    """A tile set packed into one int: tile (x, y) is bit (y-y0)*stride + x-x0.
+
+    The stride is the bounding-box width plus one, so every row ends in an
+    empty pad column and a one-bit shift never wraps a tile into the next
+    row.  One BFS level is then four shifts and a mask.
+    """
+
+    x0: int
+    y0: int
+    stride: int
+    cells: int
+
+    def index(self, v: Tile) -> int:
+        return (v[1] - self.y0) * self.stride + v[0] - self.x0
+
+
+@lru_cache(maxsize=1)
+def _packed(tiles: frozenset[Tile]) -> _Bitboard | None:
+    """`tiles` as a bitboard, or None when its bounding box holds more than
+    `_PACK_BOX` cells and more than `_PACK_DENSITY` cells per tile.  The last
+    set's board is kept, so a region flooded and corner-classified packs once."""
+    xs, ys = zip(*tiles)
+    x0, y0 = min(xs), min(ys)
+    width, height = max(xs) - x0 + 1, max(ys) - y0 + 1
+    if width * height > max(_PACK_BOX, _PACK_DENSITY * len(tiles)):
+        return None
+    stride = width + 1
+    size = stride * height
+    # one ASCII digit per bit ("1" is 49), most significant first, for int(..., 2)
+    digits = bytearray(b"0") * size
+    top = size - 1 + y0 * stride + x0
+    for x, y in tiles:
+        digits[top - y * stride - x] = 49
+    return _Bitboard(x0, y0, stride, int(digits, 2))
+
+
+def _set_level(cells: AbstractSet[Tile], frontier: Collection[Tile], below: AbstractSet[Tile]) -> set[Tile]:
+    """The BFS level after `frontier` on a set of tiles: its neighbouring
+    cells in `cells`, less the level below."""
+    near = {(x + dx, y + dy) for x, y in frontier for dx, dy in ORTHO_STEPS}
+    return (near & cells) - below
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the bits set in `mask`, highest first."""
+    while mask:
+        k = mask.bit_length() - 1
+        yield k
+        mask ^= 1 << k
+
+
+class _Row:
+    """Read-only row i of an on-demand table: `compute_entry(i, j)` fills an
+    entry on first read, `compute_rest(i)` the rest when iterated."""
+
+    def __init__(self, compute_entry, compute_rest, memo: list, i: int) -> None:
+        self.compute_entry, self.compute_rest, self.memo, self.i = compute_entry, compute_rest, memo, i
+
+    def __len__(self) -> int:
+        return len(self.memo)
+
+    def __getitem__(self, j: int) -> float:
+        d = self.memo[j]
+        if d is None:
+            d = self.memo[j] = self.compute_entry(self.i, j % len(self.memo))
+        return d
+
+    def __iter__(self) -> Iterator[float]:
+        if None in self.memo:
+            self.compute_rest(self.i)
+        return iter(self.memo)
+
+
+class _GridDistances:
+    """Orthogonal-step distances between `tiles` (cells) through `cells`,
+    each computed when first read: an int, or math.inf when cut off.
+
+    Each source's BFS keeps its frontier, the level below and its depth
+    between reads.  An entry advances the deeper of its two floods until
+    the other tile is reached, a row its flood until every tile it lacks
+    is, and each tile a level meets fills both halves of the table.  A set
+    `_packed` packs carries its levels as bitboards, its tiles keyed by bit
+    index; a refused set carries them as sets of tiles, keyed by tile.
+    Method names differ from `_Geodesics`'s, for test_referee_independence.
+    """
+
+    def __init__(self, cells: Collection[Tile], tiles: Sequence[Tile]) -> None:
+        self.table: list[list[float | None]] = [[None] * len(tiles) for _ in tiles]
+        self.floods: dict = {}  # a source -> (frontier, below, depth)
+        self.cells = frozenset(cells)
+        self.board = _packed(self.cells)
+        if self.board is None:
+            keys, self.empty = tiles, frozenset()
+            self.starts: list = [frozenset((t,)) for t in tiles]
+        else:
+            keys, self.empty = [self.board.index(t) for t in tiles], 0
+            self.starts = [1 << k for k in keys]
+        self.columns: dict = {}  # a tile's key -> its places
+        for j, k in enumerate(keys):
+            self.columns.setdefault(k, []).append(j)
+        self.targets = reduce(or_, self.starts, self.empty)
+
+    def rows(self) -> tuple[_Row, ...]:
+        return tuple(_Row(self.distance, self.fill, row, i) for i, row in enumerate(self.table))
+
+    def distance(self, i: int, j: int) -> float:
+        if self.table[i][j] is None:
+            # the deeper flood, on a tie j's: a walk reads (u, w), then (w, x)
+            if self.floods.get(j, (0, 0, -1))[2] >= self.floods.get(i, (0, 0, -1))[2]:
+                i, j = j, i
+            self._flood(i, self.starts[j], self.targets)
+        return self.table[i][j]
+
+    def fill(self, i: int) -> list[float]:
+        row, need = self.table[i], self.empty
+        for b, d in zip(self.starts, row):
+            if d is None:
+                need |= b
+        self._flood(i, need, need)
+        return row
+
+    def _flood(self, i: int, need, targets) -> None:
+        """Advance the BFS from tiles[i] until it reaches every tile of `need` or
+        can go no further, filling each tile of `targets`, which holds all row i lacks."""
+        row, table, columns, cells, board = self.table[i], self.table, self.columns, self.cells, self.board
+        stride, every = (board.stride, board.cells) if board else (0, 0)
+        frontier, below, d = self.floods.get(i) or (self.starts[i], self.empty, 0)
+        while frontier:
+            hit = frontier & targets
+            if hit:
+                need -= need & hit
+                if board is None:
+                    for k in hit:
+                        for j in columns[k]:
+                            row[j] = table[j][i] = d
+                else:
+                    while hit:  # a bitboard's bits, read from the top
+                        k = hit.bit_length() - 1
+                        hit ^= 1 << k
+                        for j in columns[k]:
+                            row[j] = table[j][i] = d
+            if not need:
+                break
+            if board is None:
+                frontier, below = _set_level(cells, frontier, below), frontier
+            else:  # the same rule by four shifts and a mask; below lies in every
+                step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
+                frontier, below = step & (every ^ below), frontier
+            d += 1
+        self.floods[i] = frontier, below, d
+        if not frontier:  # the flood is over: what row i lacks is cut off
+            for j in [j for j, e in enumerate(row) if e is None]:
+                row[j] = table[j][i] = math.inf
+
+
+def _connected(cells: AbstractSet[Tile]) -> bool:
+    frontier, below, reached = {next(iter(cells))}, set(), 1
+    while frontier:
+        frontier, below = _set_level(cells, frontier, below), frontier
+        reached += len(frontier)
+    return reached == len(cells)
 
 
 def _classify_corners(
@@ -259,7 +438,7 @@ def _walk(
 
 class _Geodesics:
     """Geodesic distances between query points, each computed when first
-    read; rows() gives them as a tuple of read-only graphs._Row views.
+    read; rows() gives them as a tuple of read-only _Row views.
 
     The nodes are the query points, then the reflex corners in sorted order,
     kept only as integers over their common denominator s, so a corner never

@@ -170,9 +170,9 @@ def reduce_digraph_to_phot(d: Digraph) -> ReductionCertificate:
     |R_j - R_k| toward its first out-neighbor k.  A second arc to m (labeled
     so k < m) adds a secondary node where the primary's other jump lands,
     the reflection 2*R_j - R_k (mod N) of R_k through R_j, with the value
-    |R_m - (2*R_j - R_k)| that lands on R_m.  The asserts recheck that
-    values fit [1, N//2] and positions are distinct: audit_certificate
-    compares certificates with this construction.
+    |R_m - (2*R_j - R_k)| that lands on R_m.  ClockInstance refuses a
+    value outside [1, N//2], and ReductionCertificate two labels on one
+    position: audit_certificate compares certificates with this construction.
     """
     if d.vertex_count < 2:
         raise ValueError("need at least 2 vertices")
@@ -182,19 +182,14 @@ def reduce_digraph_to_phot(d: Digraph) -> ReductionCertificate:
     n = repunit(v)
     occupied: dict[int, int] = {}
     labels: dict[tuple[int, int], int] = {}
-
-    def place(pos, value, label):
-        assert 0 <= pos < n and 1 <= value <= n // 2, (label, pos, value)
-        assert pos not in occupied, (label, pos)
-        occupied[pos] = value
-        labels[label] = pos
-
     for j in range(v):
         k, *second = sorted(d.out_neighbors(j))
-        place(repunit(j), jump_value(j, k), (j, 0))
+        labels[j, 0] = repunit(j)
+        occupied[repunit(j)] = jump_value(j, k)
         for m in second:
             mirror = 2 * repunit(j) - repunit(k)
-            place(mirror % n, abs(repunit(m) - mirror), (j, 1))
+            labels[j, 1] = mirror % n
+            occupied[mirror % n] = abs(repunit(m) - mirror)
 
     instance = ClockInstance(n, occupied)
     return ReductionCertificate(d, instance, tuple(labels.items()))

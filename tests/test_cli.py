@@ -735,6 +735,39 @@ def test_thresholds_past_the_float_range_are_decided(tmp_path, capsys):
     assert decide_dcb(parse("bond-board", text), BIG) and not decide_dcb(parse("bond-board", text), -BIG)
 
 
+def test_solve_dcb_threshold_agrees_with_decide_dcb(tmp_path, capsys):
+    # "length - EPS <= threshold, and a cut board is no" is written twice:
+    # `solve dcb --threshold` reads it off the walk it prints (the postman's
+    # on a tree, the brute force's readback on a forest), decide_dcb off the
+    # bond table's optimum; on both sides of the solved length they agree
+    import math
+
+    from riftpuzzles.crystal_bonds import BondBoard, decide_dcb, gen_random_tree_board
+    from riftpuzzles.instance_io import parse, serialize
+
+    boards = []
+    for seed in range(6):
+        for model in ("grid", "euclid"):
+            tree = gen_random_tree_board(seed, r=5 + seed % 5, model=model)  # 4 to 8 bonds
+            bonds, cut = tree.required_bonds, seed % len(tree.required_bonds)
+            boards += [tree, BondBoard(tree.region, tree.crystals, tree.start, bonds[:cut] + bonds[cut + 1 :], model)]
+    answers = []
+    for board in boards:
+        path = doc(tmp_path, "board.bond", serialize(board))
+        _, out, _ = run(capsys, "solve", "dcb", path)
+        length = float(out.split()[1])
+        for threshold in (math.ceil(length) - 1, math.ceil(length)):
+            code, _, _ = run(capsys, "solve", "dcb", path, "--threshold", str(threshold))
+            answers.append((code, decide_dcb(board, threshold)))
+    assert sum(not board.connected for board in boards) == len(boards) // 2
+    for model in ("grid", "euclid"):
+        text = f"model {model}\nstart 0 0\ntile 0 0\ntile 1 0\ntile 5 0\ncrystal 1 0\ncrystal 5 0\nbond 0 1\n"
+        code, _, _ = run(capsys, "solve", "dcb", doc(tmp_path, "cut.bond", text), "--threshold", "100")
+        answers.append((code, decide_dcb(parse("bond-board", text), 100)))
+    assert {code for code, _ in answers} == {0, 1}
+    assert [code == 0 for code, _ in answers] == [yes for _, yes in answers]
+
+
 @pytest.mark.parametrize("n", [400, 1000])
 def test_connected_staircases_render_and_reduce(tmp_path, capsys, n):
     # a diagonal staircase's box grows with the square of its vertex count,

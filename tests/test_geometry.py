@@ -18,8 +18,7 @@ from riftpuzzles.geometry import (
     region_contains_point,
     tile_center,
 )
-from riftpuzzles.geometry import _classify_corners, _Geodesics, _point_in, _scaled, _walk
-from riftpuzzles.graphs import _packed
+from riftpuzzles.geometry import _classify_corners, _Geodesics, _packed, _point_in, _scaled, _walk
 from test_grid_bfs import grid_distance_matrix
 
 SQRT2 = math.sqrt(2.0)

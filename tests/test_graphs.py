@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from riftpuzzles import graphs
+from riftpuzzles import geometry, graphs
 from riftpuzzles.graphs import (
     BudgetExhausted,
     Digraph,
@@ -126,7 +126,7 @@ def former_ham_search(g, cycle):
     if former_colour_excess(g) > 1 or not g.is_connected():
         return False
     starts = [min(g.vertices)] if cycle else g.sorted_vertices()
-    board = graphs._packed(g.vertices)
+    board = geometry._packed(g.vertices)
     bit = {v: 1 << board.index(v) for v in g.vertices}
     anchor_bit = bit[starts[0]] if cycle else 0
     path, free, stack = [], board.cells, [iter(starts)]

@@ -18,7 +18,7 @@ import time
 from collections import deque
 from itertools import chain
 
-from riftpuzzles import crystal_bonds, graphs
+from riftpuzzles import crystal_bonds, geometry
 from riftpuzzles.cli import main
 from riftpuzzles.crystal_bonds import (
     BondBoard,
@@ -30,7 +30,8 @@ from riftpuzzles.crystal_bonds import (
     verify_bond_walk,
 )
 from riftpuzzles.geometry import TileRegion, gen_random_region, grid_distance, tile_center
-from riftpuzzles.graphs import _PACK_DENSITY, _Bitboard, _connected, _GridDistances, _packed, enumerate_grid_graphs
+from riftpuzzles.geometry import _PACK_DENSITY, _Bitboard, _connected, _GridDistances, _packed
+from riftpuzzles.graphs import enumerate_grid_graphs
 
 
 def reference_bfs(tiles, src):
@@ -409,7 +410,7 @@ def test_a_geo_oracle_item_packs_its_region_once(monkeypatch):
     # the corner pass and the fine-grid oracle's reachability flood share
     # one board; every fifth seed adds a far-away twin cluster
     built = []
-    monkeypatch.setattr(graphs, "_Bitboard", lambda *fields: built.append(fields) or _Bitboard(*fields))
+    monkeypatch.setattr(geometry, "_Bitboard", lambda *fields: built.append(fields) or _Bitboard(*fields))
     for seed in range(10):
         _packed.cache_clear()
         assert main(["sweep", "geo-oracle", "--box", "5x5", "--count", "1", "--seed", str(seed)]) == 0

@@ -22,11 +22,11 @@ PACKAGE = pathlib.Path(riftpuzzles.__file__).parent
 # (solver, referee) -> the private helpers both reach
 SHARED = {
     ("tile_trial.solve_tile_trial", "graphs.has_ham_cycle_grid"): set(),
-    # the corner pass packs the region with the grid BFS's bitboard and reads
-    # its masks by the grid BFS's bit loop
+    # both run the corner pass, which reads the region's bitboard, the one
+    # the grid BFS floods in the same module, by its bit loop
     ("geometry.euclidean_geodesic", "geometry.fine_grid_distance"): {
         "geometry._classify_corners", "geometry._exact_tile", "geometry._point_in",
-        "graphs._Bitboard", "graphs._bits", "graphs._packed",
+        "geometry._Bitboard", "geometry._bits", "geometry._packed",
     },
     # all of crystal_metric: criterion 7, the full-Dijkstra matrix read in
     # three orders, the flood-against-inf check and the per-cell BFS
@@ -36,8 +36,8 @@ SHARED = {
         "geometry._Geodesics", "geometry._Geodesics._corners", "geometry._Geodesics._edge",
         "geometry._Geodesics._settled",
         "geometry._line_walk", "geometry._point_in", "geometry._scaled", "geometry._walk",
-        "graphs._Bitboard", "graphs._bits", "graphs._GridDistances", "graphs._GridDistances._flood", "graphs._Row",
-        "graphs._packed", "graphs._set_level",
+        "geometry._Bitboard", "geometry._bits", "geometry._GridDistances", "geometry._GridDistances._flood",
+        "geometry._Row", "geometry._packed", "geometry._set_level",
     },
     ("crystal_bonds.decide_dcb", "graphs.has_ham_path_grid"): set(),
     ("hands_of_time.solve_clock", "graphs.has_directed_ham_path"): set(),
@@ -45,30 +45,30 @@ SHARED = {
 
 # pinned helper -> the reference tests that check it against naive code
 REFERENCES = {
-    "graphs._Bitboard": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
-    "graphs._packed": [
+    "geometry._Bitboard": ["test_grid_bfs::test_engine_matches_reference_on_seeded_sets"],
+    "geometry._packed": [
         "test_grid_bfs::test_engine_matches_reference_on_seeded_sets",
         "test_grid_bfs::test_a_euclid_solve_packs_its_region_once",
         "test_geometry::test_classify_corners_matches_brute_force_count",
         "test_grid_bfs::test_joined_matches_per_cell_flood",
     ],
-    "graphs._set_level": [
+    "geometry._set_level": [
         "test_grid_bfs::test_staircase_runs_per_cell_and_matches_reference",
         "test_grid_bfs::test_joined_matches_per_cell_flood",
         "test_grid_bfs::test_engine_rows_match_reference_in_any_read_order",
     ],
-    "graphs._bits": [
+    "geometry._bits": [
         "test_grid_bfs::test_engine_matches_reference_on_seeded_sets",
         "test_geometry::test_classify_corners_matches_brute_force_count",
     ],
     **dict.fromkeys(
-        ("graphs._GridDistances", "graphs._GridDistances._flood"),
+        ("geometry._GridDistances", "geometry._GridDistances._flood"),
         [
             "test_grid_bfs::test_engine_rows_match_reference_in_any_read_order",
             "test_grid_bfs::test_joined_matches_per_cell_flood",
         ],
     ),
-    "graphs._Row": [
+    "geometry._Row": [
         "test_grid_bfs::test_engine_rows_match_reference_in_any_read_order",
         "test_geometry::test_on_demand_entries_match_the_full_matrix_in_any_read_order",
     ],

@@ -37,3 +37,18 @@ def test_project_declares_no_dependencies():
     start = lines.index("[project]") + 1
     end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
     assert [line for line in lines[start:end] if line.startswith("dependencies")] == ["dependencies = []"]
+
+
+def test_the_lattice_stays_in_one_module():
+    # geometry owns the bitboard, the grid BFS that floods it and the corner
+    # pass that reads it: it imports nothing of the package, and no other
+    # module names the bitboard or its bit loop
+    tree = ast.parse((PACKAGE / "geometry.py").read_text(encoding="utf-8"))
+    relative = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == [] and "riftpuzzles" not in {name for _, name in imported_modules(tree)}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "geometry.py":
+            # a name read, an attribute, an imported or a defined name
+            nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            names = {getattr(node, key, None) for node in nodes for key in ("id", "attr", "name")}
+            assert names & {"_packed", "_Bitboard", "_bits"} == set(), path.name
