@@ -17,7 +17,6 @@ import random
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .geometry import (
     EPS,
@@ -434,13 +433,26 @@ def solve_crystal_bonds(board: BondBoard) -> BondWalk:
 def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     """Exhaustive optimum over every bond ordering and traversal direction.
 
-    `_bond_optimum` gives the optimum from one bottom-up table of costs;
-    the walk is read back as each mask's first move in the links' order
-    that meets the cost left.  Independent of the rural-postman pipeline;
-    used as its exactness oracle.  `decide_dcb` skips the readback.
+    `_bond_table` gives the links and the table of costs over (covered-bond
+    mask, crystal last stood on); only the root, mask 0, reads the start.
+    The walk is read back as each mask's first move in the links' order
+    that meets the cost left.  No bonds cost 0 and build no metric.
+    Independent of the rural-postman pipeline and of `decide_dcb`'s search;
+    used as the exactness oracle of both.
     """
-    best, rows, links, cost, lead = _bond_optimum(board)
-    seq, mask, left = [], 0, best
+    bonds = board.required_bonds
+    if len(bonds) > 8:
+        raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
+    if not bonds:
+        return BondWalk((), 0.0)
+    metric = crystal_metric(board)
+    r = len(board.crystals)
+    rows = [tuple(row)[:r] for row in metric[:r]]
+    links, cost = _bond_table(rows, bonds)
+    lead = [0.0] * r if board.start is None else metric[r]
+    best = left = min(lead[u] + hop + cost[bit][w] for bit, p, pq, q, qp in links
+                      for u, hop, w in ((p, pq, q), (q, qp, p)))
+    seq, mask = [], 0
     for _ in links:
         # the table's own sums in its order: the first to meet the cost left is the move its strict < kept
         bit, u, w = next((bit, u, w) for bit, p, pq, q, qp in links if not mask & bit
@@ -453,32 +465,12 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     return BondWalk(tuple(seq), best)
 
 
-def _bond_optimum(board: BondBoard) -> tuple[float, tuple, list, list, Sequence[float]]:
-    """The least length of a walk covering every bond, and the crystal rows,
-    links, table and start row a readback reads.  `_bond_table` gives the
-    links and the table over (covered-bond mask, crystal last stood on);
-    only the root, mask 0, reads the start.  No bonds cost 0 and build no metric."""
-    bonds = board.required_bonds
-    if len(bonds) > 8:
-        raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
-    if not bonds:
-        return 0.0, (), [], [], ()
-    metric = crystal_metric(board)
-    r = len(board.crystals)
-    rows = tuple(tuple(row)[:r] for row in metric[:r])
-    links, cost = _bond_table(rows, bonds)
-    lead = [0.0] * r if board.start is None else metric[r]
-    best = min(lead[u] + hop + cost[bit][w] for bit, p, pq, q, qp in links for u, hop, w in ((p, pq, q), (q, qp, p)))
-    return best, rows, links, cost, lead
-
-
-@lru_cache(maxsize=1)
-def _bond_table(metric: tuple[tuple[float, ...], ...], bonds: tuple[tuple[int, int], ...]) -> tuple[list, list]:
+def _bond_table(metric: Sequence[Sequence[float]], bonds: tuple[tuple[int, int], ...]) -> tuple[list, list]:
     """The links, (bit, p, metric[p][q], q, metric[q][p]) for each bond
     (p, q), and cost[mask][last], the cheapest walk of the bonds outside
     `mask` from a crystal a covered bond ends on, for each mask >= 1.  Every
     mask, the root and the readback try the links in order, p to q, then q
-    to p.  A process keeps the last pair and hands every caller the same lists, which callers only read."""
+    to p.  Only `brute_force_crystal_bonds` builds one, afresh per call."""
     r, full = len(metric), (1 << len(bonds)) - 1
     # ends[mask]: the crystals a covered bond can leave the walk on, as bits
     ends = [0] * (full + 1)
@@ -577,7 +569,8 @@ def apply_start_gadget(board: BondBoard, g: GridGraph) -> tuple[BondBoard, int, 
     degree-1 vertex just gets a start tile to its west and the board keeps
     detecting Hamiltonian paths (degree-1 vertices are forced path endpoints,
     so pinning the start there is harmless).  Otherwise the topmost vertex of
-    the leftmost column has degree exactly 2 with corridors east and south;
+    the leftmost column has degree exactly 2 with corridors east and south
+    (in a connected graph; where it is isolated, the graph is refused);
     the start goes to its west, the first south-corridor tile is removed, and
     the broken corridor grows a two-tile westward hook carrying one new
     bonded crystal pair.  Reaching that hook forces a full tour back to the
@@ -593,7 +586,7 @@ def apply_start_gadget(board: BondBoard, g: GridGraph) -> tuple[BondBoard, int, 
     leaf_anchors = sorted(p for p in column if g.degree(p) == 1)
     ax, ay = leaf_anchors[0] if leaf_anchors else max(column, key=lambda p: p[1])
     if not leaf_anchors and g.degree((ax, ay)) != 2:
-        raise AssertionError("topmost leftmost vertex must have degree 2 here")
+        raise ValueError("topmost leftmost vertex is isolated: not the graph the board was reduced from")
     sax, say = scale * ax, scale * ay
     start_tile = (sax - 1, say)
     # the cycle branch's westward hook; it cuts the anchor's south corridor
@@ -610,20 +603,60 @@ def apply_start_gadget(board: BondBoard, g: GridGraph) -> tuple[BondBoard, int, 
 def decide_dcb(board: BondBoard, threshold: float) -> bool:
     """True when some covering walk is no longer than the threshold.
 
-    A region that fails to connect the crystals has no covering walk at all
-    (the optimum is infinite), which the start gadget can produce when its
-    corridor break severs a bridge of the source graph; that is a plain
-    "no" rather than an error.  Only the optimum is computed, with no walk
-    read back, and in `sweep dcb` a path gadget's metric is seeded from the
-    plain board's (see crystal_metric).  The tolerance comes off the
-    optimum: a float compares with an int exactly, so any int threshold is
-    decided.
+    A forward search over the brute force's states (covered-bond mask, last
+    crystal) in increasing mask order, each kept at its cheapest cost and
+    expanded once (Held & Karp, 1962).  A move is dropped when its cost plus
+    a bound on the rest is over the threshold (Land & Doig, 1960): every leg
+    after the first leaves a covered bond's crystal, so each uncovered bond
+    costs at least its shorter traversal plus its cheapest entry from another
+    bond's crystal (0 at a shared one).  "Yes" once a full-mask state
+    survives.  The tolerance comes off the cost, and a float compares with
+    an int exactly, so any int threshold is decided.  In the brute force's
+    order: over 8 bonds is refused; no bonds cost 0; a region that cuts the
+    crystals apart (the start gadget's corridor break can sever a bridge)
+    is a plain "no".  Whole crystal rows are read, so in `sweep dcb` a path
+    gadget's metric is seeded from the plain board's (see crystal_metric).
     """
+    bonds = board.required_bonds
+    if len(bonds) > 8:
+        raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
+    if not bonds:
+        return -EPS <= threshold
     try:
-        best = _bond_optimum(board)[0]
+        metric = crystal_metric(board)
     except UnreachableCrystal:
         return False
-    return best - EPS <= threshold
+    r = len(board.crystals)
+    leads = [tuple(row)[:r] for row in metric[:r]]
+    leads.append([0.0] * r if board.start is None else metric[r])
+    links = [(1 << i, p, leads[p][q], q, leads[q][p]) for i, (p, q) in enumerate(bonds)]
+    # rest[m]: the least the bonds of m add to a walk that has covered another bond
+    rest = [0.0]
+    for bit, p, pq, q, qp in links:
+        others = {x for b in bonds if b != (p, q) for x in b}
+        charge = min(pq, qp) + min([leads[x][p] for x in others] + [leads[x][q] for x in others], default=0.0)
+        rest += [t + charge for t in rest]
+    full = len(rest) - 1
+    states: list = [{} for _ in rest]
+    states[0][r] = 0.0  # the root stands on the start, or anywhere at no cost
+    for mask, here in enumerate(states[:full]):
+        if not here:
+            continue
+        if states[full]:
+            return True
+        todo = [(states[mask | bit], rest[full ^ mask ^ bit] - EPS, p, pq, q, qp)
+                for bit, p, pq, q, qp in links if not mask & bit]
+        for last, cost in here.items():
+            lead = leads[last]
+            # p to q, then q to p; at the full mask floor is -EPS, so c - EPS <= threshold
+            for after, floor, p, pq, q, qp in todo:
+                c = cost + lead[p] + pq
+                if c + floor <= threshold and c < after.get(q, math.inf):
+                    after[q] = c
+                c = cost + lead[q] + qp
+                if c + floor <= threshold and c < after.get(p, math.inf):
+                    after[p] = c
+    return bool(states[full])
 
 
 def gen_random_tree_board(

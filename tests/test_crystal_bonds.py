@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from riftpuzzles import crystal_bonds, instance_io
+from riftpuzzles import cli, crystal_bonds, instance_io
 from riftpuzzles.crystal_bonds import (
     MODELS,
     REWIRE_LIMIT,
@@ -24,7 +24,7 @@ from riftpuzzles.crystal_bonds import (
     solve_crystal_bonds,
     verify_bond_walk,
 )
-from riftpuzzles.geometry import TileRegion, gen_random_region, pinch_corners, tile_center, tile_of
+from riftpuzzles.geometry import EPS, TileRegion, gen_random_region, pinch_corners, tile_center, tile_of
 from riftpuzzles.graphs import (
     GridGraph,
     InstanceTooLarge,
@@ -171,28 +171,13 @@ def test_metric_cache_never_serves_another_board(monkeypatch):
 
 
 def brute_force_afresh(board):
-    """brute_force_crystal_bonds on empty metric and bond-table memos."""
+    """brute_force_crystal_bonds on an empty metric memo."""
     crystal_bonds._metric_of.cache_clear()
-    crystal_bonds._bond_table.cache_clear()
     return brute_force_crystal_bonds(board)
 
 
 def same_walk(a, b):
     return (a.visit_sequence, a.total_length.hex()) == (b.visit_sequence, b.total_length.hex())
-
-
-def test_path_gadget_reuses_the_plain_boards_bond_table():
-    # the gadget's start tile is a dead end off a degree-1 vertex: crystals,
-    # bonds and crystal distances stay the plain board's, and so does the table
-    g = GridGraph(frozenset({(0, 0), (1, 0), (2, 0), (2, 1)}))
-    board, threshold = reduce_grid_to_dcb(g)
-    gadget, gadget_threshold, detects = apply_start_gadget(board, g)
-    assert detects == "ham-path"
-    crystal_bonds._bond_table.cache_clear()
-    assert decide_dcb(board, threshold) and decide_dcb(gadget, gadget_threshold)
-    info = crystal_bonds._bond_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert same_walk(brute_force_crystal_bonds(gadget), brute_force_afresh(gadget))
 
 
 def spy_seeds(monkeypatch):
@@ -322,20 +307,21 @@ def test_bond_table_never_serves_another_board():
         assert same_walk(got, brute_force_afresh(second)), (first, second)
 
 
-def test_bond_table_of_a_cut_board_is_never_built():
+def test_bond_table_of_a_cut_board_is_never_built(monkeypatch):
     split = TileRegion(frozenset({(0, 0), (1, 0), (5, 5), (6, 5)}))
     crystals = tuple(tile_center(t) for t in ((0, 0), (1, 0), (5, 5), (6, 5)))
     cut = BondBoard(split, crystals, None, ((0, 1), (2, 3)), "grid")
     whole = trio_board((1, 0))
+    built, table = [], crystal_bonds._bond_table
+    monkeypatch.setattr(crystal_bonds, "_bond_table", lambda *args: built.append(args[1]) or table(*args))
     want = brute_force_afresh(whole)
     for _ in range(3):
         with pytest.raises(UnreachableCrystal):
             brute_force_crystal_bonds(cut)
         assert not decide_dcb(cut, 100)
-    # the cut board neither built a table nor evicted the last good one
+    # the cut board built no table, and the whole board's walk is the same
     assert same_walk(brute_force_crystal_bonds(whole), want)
-    info = crystal_bonds._bond_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert built == [whole.required_bonds] * 2
 
 
 def test_metric_of_a_cut_board_raises_every_time(monkeypatch):
@@ -847,6 +833,25 @@ def test_gadget_refuses_a_board_it_built():
         apply_start_gadget(gadget, g)
 
 
+def test_sweep_dcb_builds_no_bond_table(monkeypatch, capsys):
+    # decide_dcb searches on its own; the table serves the brute force alone
+    def refuse(*args):
+        raise AssertionError("sweep dcb built a bond table")
+
+    monkeypatch.setattr(crystal_bonds, "_bond_table", refuse)
+    assert cli.main(["sweep", "dcb", "--box", "3x3", "--max-v", "7"]) == 0
+    assert capsys.readouterr().out == "pass 199 fail 0\n"
+
+
+def test_gadget_refuses_a_graph_whose_anchor_is_isolated():
+    # the board's size matches, but the graph is not the one it was reduced from
+    board, _ = reduce_grid_to_dcb(GridGraph(frozenset({(0, 0), (1, 0)})))
+    apart = GridGraph(frozenset({(0, 0), (0, 2)}))
+    want = "^topmost leftmost vertex is isolated: not the graph the board was reduced from$"
+    with pytest.raises(ValueError, match=want):
+        apply_start_gadget(board, apart)
+
+
 def test_reduction_equivalence_small_sweep():
     for g in enumerate_grid_graphs(2, 2, 4):
         if len(g) < 2:
@@ -856,6 +861,54 @@ def test_reduction_equivalence_small_sweep():
         gadget, gthreshold, detects = apply_start_gadget(board, g)
         want = has_ham_path_grid(g) if detects == "ham-path" else has_ham_cycle_grid(g)
         assert decide_dcb(gadget, gthreshold) == want, sorted(g.vertices)
+
+
+def trees_and_forests():
+    """gen_random_tree_board trees of 4 to 9 crystals, each with one bond
+    dropped and with every bond dropped, under both models, each with its
+    start and without."""
+    for seed in range(24):
+        for model in MODELS:
+            tree = gen_random_tree_board(seed, 6, 6, 4 + seed % 6, model)
+            bonds, cut = tree.required_bonds, seed % len(tree.required_bonds)
+            forest = dataclasses.replace(tree, required_bonds=bonds[:cut] + bonds[cut + 1 :])
+            for board in (tree, forest, dataclasses.replace(tree, required_bonds=())):
+                yield board
+                yield dataclasses.replace(board, start=None)
+
+
+def test_decide_dcb_agrees_with_the_brute_force_around_the_optimum():
+    # decide_dcb prunes by a bound; the brute force fills its whole table
+    checked = Counter()
+    for board in trees_and_forests():
+        opt = brute_force_afresh(board).total_length
+        floor = math.floor(opt)
+        for t in (floor - 1, floor, math.ceil(opt), opt, opt - EPS / 2, opt + EPS / 2, opt - 2 * EPS, opt + 2 * EPS):
+            want = opt - EPS <= t
+            assert decide_dcb(board, t) == want, (board, t)
+            checked[want] += 1
+    assert checked == {True: 1632, False: 672}
+
+
+def test_decide_dcb_agrees_with_the_brute_force_on_the_sweep_boards():
+    # `sweep dcb --box 3x3 --max-v 7`'s boards and gadgets, at the threshold and one below
+    checked = Counter()
+    for g in enumerate_grid_graphs(3, 3, 7):
+        if len(g) < 2:
+            continue
+        board, threshold = reduce_grid_to_dcb(g)
+        gadget, gadget_threshold, _ = apply_start_gadget(board, g)
+        for b, t in ((board, threshold), (gadget, gadget_threshold)):
+            try:
+                opt = brute_force_crystal_bonds(b).total_length
+            except UnreachableCrystal:
+                opt = math.inf
+            for limit in (t, t - 1):
+                want = opt - EPS <= limit
+                assert decide_dcb(b, limit) == want, (sorted(g.vertices), b.start, limit)
+                checked[limit == t, want] += 1
+    # the construction's slack: each verdict holds one below its threshold too
+    assert checked == {(True, True): 280, (True, False): 118, (False, True): 280, (False, False): 118}
 
 
 def test_generator_is_deterministic_and_bounded():
