@@ -43,7 +43,6 @@ from .geometry import (
 from .graphs import (
     BudgetExhausted,
     GridGraph,
-    InstanceTooLarge,
     enumerate_grid_graphs,
     gen_random_digraph,
     has_ham_cycle_grid,
@@ -392,10 +391,10 @@ def _cmd_sweep(args) -> int:
     try:
         for result in _SWEEPS[args.kind](args):
             results.append(result)
-    except (InstanceTooLarge, BudgetExhausted) as exc:
+    except BudgetExhausted as exc:
         # say which item gave up and how far the sweep got
         done, passed = len(results), sum(1 for ok, _ in results if ok)
-        raise type(exc)(f"item {done + 1} ({passed} passed, {done - passed} failed before it): {exc}") from exc
+        raise BudgetExhausted(f"item {done + 1} ({passed} passed, {done - passed} failed before it): {exc}") from exc
     if not results:
         # a sweep that checked nothing must not read as an all-pass
         raise CliError(f"sweep {args.kind} has no items; nothing was checked")
@@ -492,7 +491,7 @@ def main(argv=None) -> int:
     except (ParseError, _Unreadable) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InstanceTooLarge, BudgetExhausted, RecursionError, MemoryError) as exc:
+    except (BudgetExhausted, RecursionError, MemoryError) as exc:
         print(f"gave up: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OverflowError) as exc:  # OverflowError: a number past a float or an index

@@ -30,7 +30,7 @@ from .geometry import (
     _GridDistances,
     _scaled,
 )
-from .graphs import ORTHO_STEPS, GridGraph, InstanceTooLarge, Verdict, grid_edges, _euler_trail
+from .graphs import ORTHO_STEPS, BudgetExhausted, GridGraph, Verdict, grid_edges, _euler_trail
 
 MODELS = ("grid", "euclid")
 
@@ -442,7 +442,7 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     """
     bonds = board.required_bonds
     if len(bonds) > 8:
-        raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
+        raise BudgetExhausted("exhaustive search is limited to 8 bonds")
     if not bonds:
         return BondWalk((), 0.0)
     metric = crystal_metric(board)
@@ -619,7 +619,7 @@ def decide_dcb(board: BondBoard, threshold: float) -> bool:
     """
     bonds = board.required_bonds
     if len(bonds) > 8:
-        raise InstanceTooLarge("exhaustive search is limited to 8 bonds")
+        raise BudgetExhausted("exhaustive search is limited to 8 bonds")
     if not bonds:
         return -EPS <= threshold
     try:

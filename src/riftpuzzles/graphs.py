@@ -33,13 +33,9 @@ _SCAN_STATE_LIMIT = 20 * FRONTIER_STATE_LIMIT
 ENUM_BOX_LIMIT = 12
 
 
-class InstanceTooLarge(ValueError):
-    """An exact oracle or the enumeration refused an instance past its
-    documented size limit, before any search."""
-
-
 class BudgetExhausted(RuntimeError):
-    """A search ran out of its node or state budget before reaching a verdict."""
+    """A search gave up without a verdict: it ran out of its node or state
+    budget, or it refused an instance past its size limit before starting."""
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,7 @@ def enumerate_grid_graphs(box_w: int, box_h: int, max_vertices: int) -> Iterator
     if box_w < 1 or box_h < 1:
         raise ValueError("box dimensions must be positive")
     if box_w * box_h > ENUM_BOX_LIMIT:
-        raise InstanceTooLarge(f"box {box_w}x{box_h} exceeds the {ENUM_BOX_LIMIT}-cell enumeration limit")
+        raise BudgetExhausted(f"box {box_w}x{box_h} exceeds the {ENUM_BOX_LIMIT}-cell enumeration limit")
     cells = [(x, y) for x in range(box_w) for y in range(box_h)]
     index = {v: i for i, v in enumerate(cells)}
     near = [sum(1 << index[x + dx, y + dy] for dx, dy in ORTHO_STEPS if (x + dx, y + dy) in index) for x, y in cells]
@@ -279,7 +275,7 @@ def has_directed_ham_path(d: Digraph) -> bool:
     """
     n = d.vertex_count
     if n > DIRECTED_SEARCH_LIMIT:
-        raise InstanceTooLarge(f"{n} vertices exceeds the directed search limit {DIRECTED_SEARCH_LIMIT}")
+        raise BudgetExhausted(f"{n} vertices exceeds the directed search limit {DIRECTED_SEARCH_LIMIT}")
     succ_mask = [0] * n
     for s, t in d.arcs:
         succ_mask[s] |= 1 << t

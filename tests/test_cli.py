@@ -402,10 +402,13 @@ GIVE_UPS = [
      "gave up: item 200 (199 passed, 0 failed before it): exhaustive search is limited to 8 bonds\n"),
     (("clock", "--count", "5", "--budget", "3"), "evaluate_certificate", 2,
      "gave up: item 2 (1 passed, 0 failed before it): no verdict within 3 nodes\n"),
+    # the enumeration refuses the box before it yields a graph
+    (("tile-trial", "--box", "4x4", "--max-v", "3"), "reduce_grid_to_tile_trial", 0,
+     "gave up: item 1 (0 passed, 0 failed before it): box 4x4 exceeds the 12-cell enumeration limit\n"),
 ]
 
 
-@pytest.mark.parametrize("argv,name,begun,err", GIVE_UPS, ids=["clock", "dcb", "clock-budget"])
+@pytest.mark.parametrize("argv,name,begun,err", GIVE_UPS, ids=["clock", "dcb", "clock-budget", "tile-trial"])
 def test_a_sweep_that_gives_up_prints_nothing_on_stdout(capsys, monkeypatch, argv, name, begun, err):
     import riftpuzzles.cli as cli
 
@@ -590,6 +593,15 @@ def test_budget_applies_to_small_clocks(tmp_path, capsys):
     path = doc(tmp_path, "small.clock", text)
     code, out, err = run(capsys, "solve", "clock", path, "--budget", "1")
     assert (code, out, err) == (3, "", "gave up: no verdict within 1 nodes\n")
+
+
+def test_solve_dcb_past_eight_bonds_gives_up(tmp_path, capsys):
+    # a forest of 9 bonds: the postman needs one tree, and the brute force
+    # refuses more than 8 bonds
+    code, board, _ = run(capsys, "gen", "bond-board", "--box", "6x6", "--max-v", "10", "--seed", "3")
+    assert code == 0 and board.count("\nbond ") == 9 and "\ntile 1 1\n" in board and "\ncrystal 1 1\n" not in board
+    path = doc(tmp_path, "forest.bond", board.replace("\nbond ", "\ncrystal 1 1\nbond ", 1))
+    assert run(capsys, "solve", "dcb", path) == (3, "", "gave up: exhaustive search is limited to 8 bonds\n")
 
 
 def test_stdin_dash(tmp_path, capsys, monkeypatch):

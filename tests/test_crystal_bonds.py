@@ -26,8 +26,8 @@ from riftpuzzles.crystal_bonds import (
 )
 from riftpuzzles.geometry import EPS, TileRegion, gen_random_region, pinch_corners, tile_center, tile_of
 from riftpuzzles.graphs import (
+    BudgetExhausted,
     GridGraph,
-    InstanceTooLarge,
     enumerate_grid_graphs,
     has_ham_cycle_grid,
     has_ham_path_grid,
@@ -753,7 +753,7 @@ def test_solve_leaves_no_reference_cycle():
 def test_brute_force_bond_limit():
     board = gen_random_tree_board(3, box_w=6, box_h=6, r=10)
     assert len(board.required_bonds) == 9
-    with pytest.raises(InstanceTooLarge, match="limited to 8 bonds"):
+    with pytest.raises(BudgetExhausted, match="limited to 8 bonds"):
         brute_force_crystal_bonds(board)
 
 

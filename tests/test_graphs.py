@@ -10,7 +10,6 @@ from riftpuzzles.graphs import (
     BudgetExhausted,
     Digraph,
     GridGraph,
-    InstanceTooLarge,
     enumerate_grid_graphs,
     gen_random_digraph,
     grid_edges,
@@ -378,7 +377,7 @@ def test_enumeration_matches_the_subset_scan():
 
 
 def test_enumerate_box_limit():
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(BudgetExhausted):
         list(enumerate_grid_graphs(4, 4, 3))
     for box in ((0, 3), (3, 0), (-1, 2)):
         with pytest.raises(ValueError, match="box dimensions must be positive"):
@@ -431,8 +430,22 @@ def test_directed_ham_path_basics():
 
 def test_directed_ham_path_limit():
     big = Digraph(17, tuple((i, (i + 1) % 17) for i in range(17)))
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(BudgetExhausted):
         has_directed_ham_path(big)
+
+
+def test_the_two_hamiltonian_referees_agree():
+    # the grid frontier DP and the digraph subset DP share no code; on a grid
+    # graph's symmetric digraph they answer the same question
+    graphs = list(enumerate_grid_graphs(4, 3, 12))
+    with_path = 0
+    for g in graphs:
+        index = {v: i for i, v in enumerate(sorted(g.vertices))}
+        arcs = tuple((index[a], index[b]) for u, v in sorted(grid_edges(g)) for a, b in ((u, v), (v, u)))
+        want = has_directed_ham_path(Digraph(len(index), arcs))
+        assert has_ham_path_grid(g) == want, g
+        with_path += want
+    assert (len(graphs), with_path) == (1126, 671)
 
 
 def former_directed_dp(d):

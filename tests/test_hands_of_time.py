@@ -189,6 +189,22 @@ def test_cross_oracle_on_dense_instances():
         assert direct == via_graph, (n, seed)
 
 
+def test_census_of_every_full_clock_up_to_seven_nodes():
+    # every value assignment, not a sample: the position search against the
+    # digraph oracle, and every solution it finds through the verifier
+    clocks = solvable = 0
+    for n in range(2, 8):
+        for values in itertools.product(range(1, n // 2 + 1), repeat=n):
+            inst = ClockInstance.dense(values)
+            sol = solve_clock(inst)
+            assert (sol is not None) == has_directed_ham_path(clock_to_digraph(inst)), inst
+            if sol is not None:
+                assert verify_clock_solution(inst, sol).ok, inst
+                solvable += 1
+            clocks += 1
+    assert (clocks, solvable) == (2966, 2552)
+
+
 def test_backtracking_strategy_and_budget():
     inst = gen_solvable_clock(26, 5)  # 26 occupied nodes
     sol = solve_clock(inst)

@@ -3,6 +3,7 @@ src/riftpuzzles/ is relative or names a standard-library module, and the
 project declares no dependencies."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -52,3 +53,27 @@ def test_the_lattice_stays_in_one_module():
             nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             names = {getattr(node, key, None) for node in nodes for key in ("id", "attr", "name")}
             assert names & {"_packed", "_Bitboard", "_bits"} == set(), path.name
+
+
+def test_one_give_up_class():
+    # a search that stops without a verdict raises BudgetExhausted, whether
+    # a budget ran out or a size limit refused the instance; a second give-up
+    # class, or any new exception class, fails here until it is named
+    bases = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[f"{path.stem}.{node.name}"] = tuple(ast.unparse(base) for base in node.bases)
+    kinds = vars(builtins).items()
+    raised = {name for name, kind in kinds if isinstance(kind, type) and issubclass(kind, BaseException)}
+    for _ in bases:  # a class derived from one of the package's exceptions is one too
+        found = {name: of for name, of in bases.items() if raised.intersection(of)}
+        raised |= {name.split(".")[1] for name in found}
+    assert found == {
+        "cli.CliError": ("Exception",),
+        "cli._Unreadable": ("Exception",),
+        "crystal_bonds.UnreachableCrystal": ("ValueError",),
+        "geometry.PointOutsideRegion": ("ValueError",),
+        "graphs.BudgetExhausted": ("RuntimeError",),
+        "instance_io.ParseError": ("ValueError",),
+    }
