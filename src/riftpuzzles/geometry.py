@@ -624,9 +624,11 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
             return d / k
         if d > dist[i, j] + EPS:
             continue
+        # two steps inside a tile on both axes: every move's target and midpoint lie inside it
+        inner = 1 < i % k < k - 1 and 1 < j % k < k - 1
         for di, dj, w in moves:
             ni, nj = i + di, j + dj
-            if not _point_in(tiles, 2 * i + di, 2 * j + dj, 2 * k) or not node_ok(ni, nj):
+            if not inner and (not _point_in(tiles, 2 * i + di, 2 * j + dj, 2 * k) or not node_ok(ni, nj)):
                 continue
             nd = d + w
             if nd < dist.get((ni, nj), math.inf) - EPS:
@@ -635,9 +637,15 @@ def fine_grid_distance(region: TileRegion, p: Point, q: Point, k: int) -> float:
     return math.inf
 
 
+# a cell's free steps as ORTHO_STEPS indices, by its free-neighbour mask (bit b: step b)
+_FREE_STEPS = tuple(tuple(b for b in range(4) if mask >> b & 1) for mask in range(16))
+
+
 def gen_random_region(seed: int, box_w: int, box_h: int, n_tiles: int) -> TileRegion:
     """Seeded random connected region grown inside a box, on a byte per cell
-    of the part of the box it can reach: 1 while the cell is free."""
+    of the part of the box it can reach: 1 while the cell is free.  Each index
+    is drawn as ``randrange(m)`` draws it in CPython 3.10 to 3.13: by
+    ``getrandbits(m.bit_length())`` until the result is below m."""
     rng = random.Random(seed)
     if n_tiles < 1:
         raise ValueError("need at least one tile")
@@ -648,16 +656,23 @@ def gen_random_region(seed: int, box_w: int, box_h: int, n_tiles: int) -> TileRe
     free = bytearray(bytes(up) + (b"\1" * w + b"\0") * h + bytes(up))
     start = (sy - y0 + 1) * up + sx - x0
     free[start] = 0
-    tiles, frontier, steps = [start], [start], [dx + dy * up for dx, dy in ORTHO_STEPS]
+    east, west, south, north = steps = [dx + dy * up for dx, dy in ORTHO_STEPS]
+    tiles, frontier, getrandbits = [start], [start], rng.getrandbits
     while len(tiles) < n_tiles and frontier:
-        i = rng.randrange(len(frontier))
+        k = (m := len(frontier)).bit_length()
+        while (i := getrandbits(k)) >= m:
+            pass
         c = frontier[i]
-        options = [c + s for s in steps if free[c + s]]
+        options = _FREE_STEPS[free[c + east] | free[c + west] << 1 | free[c + south] << 2 | free[c + north] << 3]
         if not options:
             del frontier[i]  # every tile enters the frontier once
             continue
-        nxt = options[rng.randrange(len(options))]
+        k = (m := len(options)).bit_length()
+        while (j := getrandbits(k)) >= m:
+            pass
+        nxt = c + steps[options[j]]
         free[nxt] = 0
         tiles.append(nxt)
         frontier.append(nxt)
-    return TileRegion(frozenset((x0 + c % up, y0 + c // up - 1) for c in tiles))
+    rows, cols = zip(*map(divmod, tiles, [up] * len(tiles)))
+    return TileRegion(frozenset(zip(map(x0.__add__, cols), map((y0 - 1).__add__, rows))))

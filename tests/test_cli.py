@@ -1074,6 +1074,14 @@ def sha(out):
          "04d5fad0e35c73a39ab097afa8881247de6c186848c206908fb2d72b08025d7a"),
         (("solvable-clock", "--seed", "1"),
          "4bbec132b9f0f562d9d0f5d566cc40d9861a25a34814b2f3e2c8f54ada2b2978"),
+        # the region grower at the sizes that use it most: long frontier
+        # lists, many dead picks and index draws of up to 10 bits
+        (("bond-board", "--model", "grid", "--box", "80x80", "--max-v", "60", "--seed", "7"),
+         "cc2f2129ebf17511936d4c149cccbf10cb055110c297729f1586c0b68449fcd3"),
+        (("bond-board", "--model", "euclid", "--box", "30x30", "--max-v", "40", "--seed", "7"),
+         "96db6a1f6c135ffe25794a5bdabf870df4361091ebd208a28fa5b336ec5dc9ff"),
+        (("grid-graph", "--box", "160x160", "--seed", "1"),
+         "94eaab7fe449b07e511166edeac1f13d12dffa10d35c43275c76b93a4183ed00"),
     ],
 )
 def test_gen_output_pinned(capsys, argv, digest):

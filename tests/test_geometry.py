@@ -321,6 +321,10 @@ def test_gen_random_region_matches_former_generator():
     rng = random.Random(13)
     cases = [(rng.randrange(1 << 30), 1, 1, n) for n in (1, 2, 5)]
     cases += [(seed, 80, 80, 4266) for seed in (1, 2)] + [(3, 50, 50, 1666), (4, 30, 30, 600)]
+    # long thin boxes, full and partly filled; these seeds start a partial
+    # fill far enough from the ends that its window clips the short axis only
+    cases += [(1, 1, 400, 400), (1, 1, 400, 100), (3, 400, 1, 400), (3, 400, 1, 100)]
+    cases += [(4, 2, 300, 600), (4, 2, 300, 100)]
     for _ in range(300):
         w, h = rng.randint(1, 12), rng.randint(1, 12)
         # some draw, the whole box, or more than the box holds
