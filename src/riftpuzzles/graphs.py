@@ -303,14 +303,18 @@ def has_directed_ham_path(d: Digraph) -> bool:
 
 
 def gen_random_digraph(v: int, seed: int) -> Digraph:
-    """Seeded random digraph with per-vertex outdegree 1 or 2."""
+    """Seeded random digraph with per-vertex outdegree 1 or 2; a vertex is
+    drawn again if two earlier ones already hold its pair of out-neighbors."""
     if v < 2:
         raise ValueError("need at least 2 vertices")
     rng = random.Random(seed)
-    arcs = []
+    arcs, drawn = [], []
     for s in range(v):
-        deg = rng.randint(1, min(2, v - 1))
-        targets = rng.sample([t for t in range(v) if t != s], deg)
-        for t in sorted(targets):
-            arcs.append((s, t))
+        while True:
+            deg = rng.randint(1, min(2, v - 1))
+            heads = sorted(rng.sample([t for t in range(v) if t != s], deg))
+            if deg == 1 or drawn.count(heads) < 2:
+                break
+        drawn.append(heads)
+        arcs.extend((s, t) for t in heads)
     return Digraph(v, tuple(arcs))

@@ -5,11 +5,10 @@ until every occupied node is gone.
 Instances are sparse: the circumference N may be astronomically larger than
 the number of occupied nodes, so positions and values are arbitrary-precision
 integers and nothing ever iterates over empty positions.  The reduction from
-outdegree-{1,2} digraphs produces such instances (N is the repunit with one
-digit per vertex) with a certificate naming each occupied node's role, which
-audit_certificate checks against a rebuild and against the exact move graph.
-A second out-arc of vertex j adds a node at 2*R_j - R_k (mod N): the
-reflection of its first out-neighbor's repunit R_k through its own R_j.
+outdegree-{1,2} digraphs produces such instances, vertex j at 2*R_(j+1) on a
+circle of N = 2*10^(v+1) and a spacer before each branch, with a certificate
+naming each occupied node's role, which audit_certificate checks against a
+rebuild and against the exact move graph.
 """
 
 from __future__ import annotations
@@ -33,12 +32,11 @@ def repunit(k: int) -> int:
 
 
 def jump_value(j: int, k: int) -> int:
-    """Distance between landmark positions j and k: the sum of 10^i for i
-    from min(j,k) to max(j,k)-1.  Symmetric; zero when j == k."""
+    """Distance between the landmarks of j and k, 2*R_(j+1) and 2*R_(k+1)
+    with R the repunit.  Symmetric; zero when j == k."""
     if j < 0 or k < 0:
         raise ValueError("landmark indices must be nonnegative")
-    lo, hi = min(j, k), max(j, k)
-    return repunit(hi) - repunit(lo)
+    return 2 * abs(repunit(k + 1) - repunit(j + 1))
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,8 @@ class ClockSolution:
 class ReductionCertificate:
     """Digraph, the clock built from it, and the role of each occupied node.
 
-    labels maps (j, 0) to vertex j's primary position and (j, 1) to the
-    secondary position inserted for vertex j's second arc.  Verdicts are
+    labels maps (j, 0) to vertex j's primary position, the landmark
+    2*R_(j+1), and (j, 1) to the spacer before its branch.  Verdicts are
     filled in by evaluate_certificate and stay None until then.
     """
 
@@ -148,15 +146,15 @@ class ReductionCertificate:
         d = self.source
         if not d.outdeg12:
             raise ValueError("every vertex needs outdegree 1 or 2")
-        # (j, 0) per vertex, (j, 1) per second out-arc: before any repunit of j
+        # (j, 0) per vertex, (j, 1) per second out-arc: before any landmark of j
         want = {(j, t) for j in range(d.vertex_count) for t in range(len(d.out_neighbors(j)))}
         stray = sorted(want.symmetric_difference(label for label, _ in norm))
         if stray:
             j, t = stray[0]
             raise ValueError(f"label ({j},{t}) {'missing' if stray[0] in want else 'names no out-arc'}")
         for (j, t), p in norm:
-            if t == 0 and p != repunit(j):
-                raise ValueError(f"primary ({j},0) must sit at {repunit(j)}, got {p}")
+            if t == 0 and p != 2 * repunit(j + 1):
+                raise ValueError(f"primary ({j},0) must sit at {2 * repunit(j + 1)}, got {p}")
 
     @property
     def label_map(self) -> dict[tuple[int, int], int]:
@@ -166,33 +164,33 @@ class ReductionCertificate:
 def reduce_digraph_to_phot(d: Digraph) -> ReductionCertificate:
     """Clock instance solvable only by walking the digraph vertex to vertex.
 
-    Vertex j's primary node sits at the repunit position R_j with value
-    |R_j - R_k| toward its first out-neighbor k.  A second arc to m (labeled
-    so k < m) adds a secondary node where the primary's other jump lands,
-    the reflection 2*R_j - R_k (mod N) of R_k through R_j, with the value
-    |R_m - (2*R_j - R_k)| that lands on R_m.  ClockInstance refuses a
-    value outside [1, N//2], and ReductionCertificate two labels on one
-    position: audit_certificate compares certificates with this construction.
+    Vertex j's primary node sits at the landmark P_j = 2*R_(j+1) on a circle
+    of N = 2*10^(v+1), and jumps jump_value(j, k) to P_k if k is its only
+    out-neighbor.  With two, k < m, it jumps to a spacer at (P_k + P_m)/2
+    whose value, its circular distance to P_k, lands on P_k and on P_m.  A
+    second vertex with the same out-pair takes the other midpoint, N/2 away;
+    a third is refused.  A spacer's only in-arc is from its vertex, so each
+    selection order less its spacers is a Hamiltonian path, and conversely.
     """
     if d.vertex_count < 2:
         raise ValueError("need at least 2 vertices")
     if not d.outdeg12:
         raise ValueError("every vertex needs outdegree 1 or 2")
-    v = d.vertex_count
-    n = repunit(v)
+    n = 2 * 10 ** (d.vertex_count + 1)
     occupied: dict[int, int] = {}
     labels: dict[tuple[int, int], int] = {}
-    for j in range(v):
+    for j in range(d.vertex_count):
         k, *second = sorted(d.out_neighbors(j))
-        labels[j, 0] = repunit(j)
-        occupied[repunit(j)] = jump_value(j, k)
+        labels[j, 0] = p = 2 * repunit(j + 1)
+        occupied[p] = jump_value(j, k)
         for m in second:
-            mirror = 2 * repunit(j) - repunit(k)
-            labels[j, 1] = mirror % n
-            occupied[mirror % n] = abs(repunit(m) - mirror)
-
-    instance = ClockInstance(n, occupied)
-    return ReductionCertificate(d, instance, tuple(labels.items()))
+            spacer = repunit(k + 1) + repunit(m + 1)
+            spacer += n // 2 * (spacer in occupied)
+            if spacer in occupied:
+                raise ValueError(f"vertex {j} is the third to point at {k} and {m}")
+            labels[j, 1] = spacer
+            occupied[spacer], occupied[p] = (min((spacer - q) % n, (q - spacer) % n) for q in (2 * repunit(k + 1), p))
+    return ReductionCertificate(d, ClockInstance(n, occupied), tuple(labels.items()))
 
 
 def clock_to_digraph(c: ClockInstance) -> Digraph:
@@ -353,17 +351,15 @@ def evaluate_certificate(cert: ReductionCertificate, budget: int | None = None) 
 
 def intended_position_arcs(cert: ReductionCertificate) -> set[tuple[int, int]]:
     """Arcs the construction wants, as (from_position, to_position) pairs:
-    primary to each out-neighbor's primary via the secondary for the second
-    arc."""
+    primary to its out-neighbor's primary, or to its spacer and from there
+    to both out-neighbors' primaries."""
     lab = cert.label_map
     d = cert.source
     arcs = set()
     for j in range(d.vertex_count):
-        k, *second = sorted(d.out_neighbors(j))
-        arcs.add((lab[(j, 0)], lab[(k, 0)]))
-        for m in second:
-            arcs.add((lab[(j, 0)], lab[(j, 1)]))
-            arcs.add((lab[(j, 1)], lab[(m, 0)]))
+        hops = [lab[(j, t)] for t in range(len(d.out_neighbors(j)))]  # primary, then any spacer
+        arcs.update(zip(hops, hops[1:]))
+        arcs.update((hops[-1], lab[(t, 0)]) for t in d.out_neighbors(j))
     return arcs
 
 

@@ -130,15 +130,17 @@ def test_verify_cert_refuses_a_solution_document(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_cert_prints_the_audit_and_exits_2(tmp_path, capsys):
-    # one secondary node moved off its construction value: both verdicts
-    # still agree, so only the audit makes this a failure
+    # one spacer moved off its construction value, so it lands on neither
+    # target: both verdicts still agree (the path 1, 2, 0 ends on the spacer),
+    # so only the audit makes this a failure
     code, cert, _ = run(capsys, "reduce", "clock", doc(tmp_path, "fork.digraph", FORK))
-    assert code == 0 and "node 110 12\n" in cert
-    bad = doc(tmp_path, "bad.cert", cert.replace("node 110 12\n", "node 110 13\n"))
+    assert code == 0 and "node 122 100\n" in cert
+    bad = doc(tmp_path, "bad.cert", cert.replace("node 122 100\n", "node 122 101\n"))
     assert run(capsys, "verify", "cert", bad) == (
         2,
-        "node 110: 13 here, 12 in the construction\n"
-        "intended arc (110, 11) missing from the move graph\n"
+        "node 122: 101 here, 100 in the construction\n"
+        "intended arc (122, 22) missing from the move graph\n"
+        "intended arc (122, 222) missing from the move graph\n"
         "digraph yes\nclock yes\n",
         "",
     )
@@ -165,12 +167,12 @@ def test_verify_cert_flags_stored_verdicts_that_disagree(tmp_path, capsys):
 
 
 def test_verify_cert_refuses_labels_that_do_not_match_the_digraph(tmp_path, capsys):
-    # a second out-arc whose secondary node and label are deleted, and a
+    # a second out-arc whose spacer node and label are deleted, and a
     # vertex whose only arc is deleted: the audit once crashed on both (exit 1)
     code, cert, _ = run(capsys, "reduce", "clock", doc(tmp_path, "fork.digraph", FORK))
     assert code == 0
     for dropped, message in [
-        ({"label 0 1 110", "node 110 12"}, "line 12: label (0,1) missing"),
+        ({"label 0 1 122", "node 122 100"}, "line 12: label (0,1) missing"),
         ({"arc 2 0"}, "line 13: every vertex needs outdegree 1 or 2"),
     ]:
         text = "".join(line + "\n" for line in cert.splitlines() if line not in dropped)
@@ -321,14 +323,29 @@ def test_sweep_dcb_decides_each_graph_once(capsys, monkeypatch):
     assert calls == [g for g in enumerate_grid_graphs(2, 3, 6) if len(g) >= 2]
 
 
-def test_sweep_clock_reports_counterexample(capsys):
-    # the subdivision detour can block the clock even when the digraph has a
-    # covering path, so a long enough seeded run must surface a mismatch
-    code, out, _ = run(capsys, "sweep", "clock", "--count", "20", "--max-v", "7")
-    assert code == 2
-    assert "fail" in out
-    assert "first counterexample:" in out
-    assert "circumference" in out
+def test_sweep_clock_reports_counterexample(capsys, monkeypatch):
+    # a clock solver that never finds a selection order disagrees with every
+    # digraph that has a Hamiltonian path: the sweep prints the first such
+    # certificate and exits 2
+    import riftpuzzles.hands_of_time as hands_of_time
+
+    argv = ("sweep", "clock", "--count", "20", "--max-v", "7")
+    assert run(capsys, *argv) == (0, "pass 20 fail 0\n", "")
+    monkeypatch.setattr(hands_of_time, "solve_clock", lambda *args, **kwargs: None)
+    assert run(capsys, *argv) == (
+        2,
+        "pass 3 fail 17\nfirst counterexample:\nvertices 2\narc 0 1\narc 1 0\ncircumference 2000\n"
+        "node 2 20\nnode 22 20\nlabel 0 0 2\nlabel 1 0 22\nverdict digraph yes\nverdict clock no\n",
+        "",
+    )
+
+
+def test_reduce_clock_refuses_a_third_vertex_on_one_out_pair(tmp_path, capsys):
+    # vertices 0, 3 and 4 all point at 1 and 2, which have two midpoints
+    path = doc(tmp_path, "triple.digraph", "5\n0 1\n0 2\n1 0\n2 0\n3 1\n3 2\n4 1\n4 2\n")
+    assert run(capsys, "reduce", "clock", path) == (
+        3, "", "invalid input: vertex 4 is the third to point at 1 and 2\n"
+    )
 
 
 def negated(referee):
@@ -397,7 +414,7 @@ def test_sweep_cb_oracle_reports_a_longer_referee_walk(capsys, monkeypatch, wors
 # each names the item that gave up and the tally of the items before it
 GIVE_UPS = [
     (("clock", "--count", "20", "--max-v", "20"), "evaluate_certificate", 16,
-     "gave up: item 16 (11 passed, 4 failed before it): 17 vertices exceeds the directed search limit 16\n"),
+     "gave up: item 16 (15 passed, 0 failed before it): 17 vertices exceeds the directed search limit 16\n"),
     (("dcb", "--box", "3x3", "--max-v", "9"), "has_ham_path_grid", 200,
      "gave up: item 200 (199 passed, 0 failed before it): exhaustive search is limited to 8 bonds\n"),
     (("clock", "--count", "5", "--budget", "3"), "evaluate_certificate", 2,
@@ -1100,10 +1117,11 @@ def test_gen_output_pinned(capsys, argv, digest):
         (("dcb", "--gadget"), PATH6,
          "436464e52fc99e6522fab4a11cb1aa6a155a9d6c25b77052dca9be825fa78863"),
         (("clock",), "4\n0 1\n1 2\n2 3\n3 0\n1 3\n",
-         "c718ade6259e7739cfbc5325b74d78a093ee039d5e165bffdc019d965f0ff966"),
-        # second arcs on either side of j and past it: m < j, k < j < m, j < k
-        (("clock",), "4\n0 1\n0 2\n1 0\n1 3\n2 0\n2 1\n3 0\n",
-         "982b0e3db46e714933032d91572471166dd624e6bebc5cbad6c25bef85b1ffe1"),
+         "d4805b0ea66efa7a2aa008782273316f04140c2f8a27cfbee288c1a307c4129c"),
+        # a straight jump (1), spacers at the near midpoint (0, 2) and one at
+        # the far midpoint (3, on 0's out-pair)
+        (("clock",), "4\n0 1\n0 2\n1 3\n2 0\n2 1\n3 1\n3 2\n",
+         "edad5091cc3652b7567241d8b2fe1f776f9c109ab0cc0846aee1e5576e5dee40"),
     ],
     ids=("tile", "dcb", "dcb-gadget-cycle", "dcb-gadget-path", "clock", "clock-all-placements"),
 )

@@ -397,14 +397,35 @@ def test_digraph_validation():
 
 
 def random_digraph(v, seed, max_out):
-    """Seeded digraph with per-vertex outdegree 1 to `max_out`, drawn as
-    `gen_random_digraph` draws its outdegree-1-or-2 ones."""
+    """Seeded digraph with per-vertex outdegree 1 to `max_out`.  At
+    max_out = 2 it is the former `gen_random_digraph`, which kept a third
+    vertex on one pair of out-neighbors."""
     rng = random.Random(seed)
     arcs = []
     for s in range(v):
         deg = rng.randint(1, min(max_out, v - 1))
         arcs += ((s, t) for t in sorted(rng.sample([t for t in range(v) if t != s], deg)))
     return Digraph(v, tuple(arcs))
+
+
+def holds_a_shared_triple(d):
+    """True when three vertices have the same pair of out-neighbors."""
+    pairs = [tuple(sorted(d.out_neighbors(s))) for s in range(d.vertex_count)]
+    return any(pairs.count(pair) > 2 for pair in pairs if len(pair) == 2)
+
+
+def test_random_digraphs_redraw_only_a_third_vertex_on_one_out_pair():
+    # the clock reduction has two midpoints per out-pair: no draw holds a
+    # third vertex on one, and every draw the former generator made without
+    # one keeps its arcs
+    redrawn = 0
+    for v in range(2, 17):
+        for seed in range(200):
+            got, former = gen_random_digraph(v, seed), random_digraph(v, seed, 2)
+            assert not holds_a_shared_triple(got), (v, seed)
+            assert got == former or holds_a_shared_triple(former), (v, seed)
+            redrawn += got != former
+    assert redrawn > 0
 
 
 def test_directed_ham_path_basics():

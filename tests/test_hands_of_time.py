@@ -31,10 +31,11 @@ def is_dense(c):
 
 
 def test_jump_value_examples():
-    assert jump_value(0, 1) == 1
-    assert jump_value(0, 2) == 11
-    assert jump_value(1, 3) == 110
-    assert jump_value(3, 1) == 110
+    # the gap between landmarks 2*R_(j+1) and 2*R_(k+1)
+    assert jump_value(0, 1) == 22 - 2 == 20
+    assert jump_value(0, 2) == 220
+    assert jump_value(1, 3) == 2222 - 22 == 2200
+    assert jump_value(3, 1) == 2200
     assert jump_value(4, 4) == 0
     with pytest.raises(ValueError):
         jump_value(-1, 2)
@@ -60,26 +61,35 @@ def test_instance_validation():
 
 
 def test_three_cycle_reduction():
+    # landmarks 2, 22 and 222 on a circle of 2*10^4; no vertex branches, so
+    # each primary jumps straight to the next landmark
     cert = reduce_digraph_to_phot(THREE_CYCLE)
-    assert cert.instance.circumference == 111
-    assert cert.instance.occupied_map == {0: 1, 1: 10, 11: 11}
-    assert cert.label_map == {(0, 0): 0, (1, 0): 1, (2, 0): 11}
+    assert cert.instance.circumference == 20000
+    assert cert.instance.occupied_map == {2: 20, 22: 200, 222: 220}
+    assert cert.label_map == {(0, 0): 2, (1, 0): 22, (2, 0): 222}
     sol = solve_clock(cert.instance)
     assert sol is not None
-    assert [p for p, _ in sol.moves] == [0, 1, 11]
+    assert [p for p, _ in sol.moves] == [2, 22, 222]
     assert verify_clock_solution(cert.instance, sol).ok
     assert audit_certificate(cert) == []
 
 
 def test_wraparound_secondary_example():
-    # vertex 0 points at 1 and 2: its second direction wraps below zero
-    d = Digraph(3, ((0, 1), (0, 2), (1, 2), (2, 1)))
+    # vertices 0 and 1 both point at 2 and 3: 0's spacer takes the midpoint
+    # (222 + 2222)/2, and 1's the other one, N/2 further, whose jumps wrap
+    d = Digraph(4, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 1), (3, 0)))
     cert = reduce_digraph_to_phot(d)
-    assert cert.label_map[(0, 1)] == 110
-    assert cert.instance.occupied_map[110] == 12
-    assert (0 - 1) % 111 == 110
-    assert (110 + 12) % 111 == 11 == repunit(2)
+    n = cert.instance.circumference
+    assert n == 200000
+    assert cert.label_map[(0, 1)] == 1222 == (222 + 2222) // 2
+    assert cert.label_map[(1, 1)] == 1222 + n // 2 == 101222
+    occ = cert.instance.occupied_map
+    assert occ[1222] == 1000 and occ[101222] == 99000
+    assert {(101222 + 99000) % n, (101222 - 99000) % n} == {222, 2222}
+    assert occ[2] == 1220 and occ[22] == n // 2 - 1200 == 98800
+    assert (22 - 98800) % n == 101222
     assert audit_certificate(cert) == []
+    assert solve_clock(cert.instance) is not None
 
 
 def test_all_outdeg_two_shape():
@@ -100,6 +110,11 @@ def test_reduce_rejects_bad_digraphs():
         )
     with pytest.raises(ValueError, match="^need at least 2 vertices$"):
         reduce_digraph_to_phot(Digraph(1, ()))
+    # a pair of out-neighbors has two midpoints, so two vertices can share it
+    shared = ((0, 1), (0, 2), (1, 0), (2, 0), (3, 1), (3, 2))
+    assert audit_certificate(reduce_digraph_to_phot(Digraph(5, shared + ((4, 0),)))) == []
+    with pytest.raises(ValueError, match="^vertex 4 is the third to point at 1 and 2$"):
+        reduce_digraph_to_phot(Digraph(5, shared + ((4, 1), (4, 2))))
 
 
 def test_size_refusals_pinned():
@@ -373,7 +388,7 @@ def test_audits_clean_on_random_reductions():
         v = 2 + seed % 7
         cert = reduce_digraph_to_phot(gen_random_digraph(v, seed + 1000))
         assert audit_certificate(cert) == [], (v, seed)
-    # landmark distances are pairwise distinct: 10^j * R_(k-j) names j < k
+    # landmark distances are pairwise distinct: 2 * 10^(j+1) * R_(k-j) names j < k
     values = [jump_value(j, k) for j in range(12) for k in range(j + 1, 12)]
     assert len(set(values)) == len(values)
 
@@ -387,29 +402,44 @@ def test_solvable_clock_always_implies_source_ham_path():
             assert cert.digraph_verdict, (v, seed)
 
 
-def test_second_arc_detours_can_block_solutions():
-    """A vertex's second arc adds a detour node that a complete solution must
-    consume, but a selection order can take at most one detour per vertex it
-    leaves plus its two ends.  So a source Hamiltonian path that skips second
-    arcs need not survive the construction: this 4-vertex digraph has the
-    path 3,2,0,1 yet its clock admits no selection order at all (checked here
-    against every permutation, independently of the solver)."""
+def test_census_of_every_digraph_up_to_four_vertices():
+    # every move graph is exactly the intended one, and every clock verdict
+    # is the digraph's, in both directions
+    digraphs = [d for v in (2, 3, 4) for d in outdeg12_digraphs(v)]
+    assert len(digraphs) == 1 + 3**3 + 6**4 == 1324
+    for d in digraphs:
+        cert = reduce_digraph_to_phot(d)
+        assert audit_certificate(cert) == [], d
+        assert (solve_clock(cert.instance) is not None) == has_directed_ham_path(d), d
+
+
+def test_former_detour_counterexample_now_solves():
+    """The former construction put a vertex's second-arc node after the
+    branch, so a source Hamiltonian path that left the vertex by its first
+    arc stranded that node: this 4-vertex digraph has the path 3,2,0,1, yet
+    its former clock admitted no selection order.  With the spacer before
+    the branch its clock is solvable, which every permutation of the nodes
+    confirms independently of the solver, and each selection order less its
+    spacers is a Hamiltonian path of the digraph."""
     d = Digraph(4, ((0, 1), (0, 2), (1, 2), (2, 0), (2, 1), (3, 2)))
     assert has_directed_ham_path(d)
     cert = reduce_digraph_to_phot(d)
     assert audit_certificate(cert) == []
-    assert solve_clock(cert.instance) is None
-
-    from itertools import permutations
+    sol = solve_clock(cert.instance)
+    assert sol is not None and verify_clock_solution(cert.instance, sol).ok
 
     occ = cert.instance.occupied_map
     n = cert.instance.circumference
-    for order in permutations(occ):
-        legal = all(
-            b == (a + occ[a]) % n or b == (a - occ[a]) % n
-            for a, b in zip(order, order[1:])
-        )
-        assert not legal, order
+    vertex = {p: j for (j, t), p in cert.labels if t == 0}
+    legal = [
+        order
+        for order in itertools.permutations(occ)
+        if all(b in ((a + occ[a]) % n, (a - occ[a]) % n) for a, b in zip(order, order[1:]))
+    ]
+    assert legal
+    for order in legal:
+        path = [vertex[p] for p in order if p in vertex]
+        assert all(b in d.out_neighbors(a) for a, b in zip(path, path[1:])), order
 
 
 def test_audit_names_what_differs_from_the_construction():
@@ -427,51 +457,10 @@ def test_audit_names_what_differs_from_the_construction():
     assert audit_certificate(wider)[0] == f"circumference {10 * n} here, {n} in the construction"
 
 
-# Former code kept as references.  The construction once placed each
-# secondary node by one of three formulas, chosen by how j orders against k
-# and m; the reflection rule must reproduce them node for node.  The audit
-# once ran digit-argument checks on top of its exact move-graph check: the
-# mutation test below shows the rebuild and the move-graph check flag every
-# certificate these did.
-
-
-def former_vertex_cases(d):
-    """(j, k, m, case) per vertex; m is None and case '' for outdegree 1."""
-    for j in range(d.vertex_count):
-        outs = sorted(d.out_neighbors(j))
-        if len(outs) == 1:
-            yield j, outs[0], None, ""
-        elif outs[1] < j:
-            yield j, outs[0], outs[1], "a"
-        elif outs[0] < j:
-            yield j, outs[0], outs[1], "b"
-        else:
-            yield j, outs[0], outs[1], "c"
-
-
-def former_reduce_digraph_to_phot(d):
-    """(circumference, nodes, labels) of the construction's former placement
-    of each secondary node: one formula per order of j against k and m."""
-    v = d.vertex_count
-    n = repunit(v)
-    occupied, labels = {}, {}
-    for j, k, m, case in former_vertex_cases(d):
-        occupied[repunit(j)] = jump_value(j, k)
-        labels[(j, 0)] = repunit(j)
-        if case == "a":
-            pos = repunit(j) + jump_value(j, k)
-            value = jump_value(j, m) + jump_value(j, k)
-        elif case == "b":
-            pos = repunit(j) + jump_value(j, k)
-            value = jump_value(j, m) - jump_value(j, k)
-        elif case == "c":
-            pos = (repunit(v - 1) + 10 ** (v - 1) + jump_value(0, j) - jump_value(j, k)) % n
-            value = jump_value(j, m) + jump_value(j, k)
-        else:
-            continue
-        occupied[pos] = value
-        labels[(j, 1)] = pos
-    return n, occupied, labels
+# Former code kept as a reference.  The audit once ran digit-argument checks
+# on top of its exact move-graph check.  The stray-digit check still holds of
+# the construction, and the mutation test below shows the rebuild and the
+# move-graph check flag every certificate it flags, and more.
 
 
 def outdeg12_digraphs(v):
@@ -484,17 +473,29 @@ def outdeg12_digraphs(v):
         yield Digraph(v, tuple((s, t) for s, outs in enumerate(pick) for t in outs))
 
 
-def test_reflection_matches_former_three_way_placement():
+def test_spacers_sit_at_the_midpoints_of_their_targets():
+    # the placement rule stated on its own: primaries on the landmarks, each
+    # spacer at one of its two targets' midpoints and landing on both
     digraphs = [gen_random_digraph(v, seed) for v in range(2, 17) for seed in range(100)]
     digraphs += [d for v in (3, 4) for d in outdeg12_digraphs(v)]
     assert len(digraphs) == 1500 + 3**3 + 6**4
-    cases = set()
+    far = 0
     for d in digraphs:
         cert = reduce_digraph_to_phot(d)
-        got = (cert.instance.circumference, cert.instance.occupied_map, cert.label_map)
-        assert got == former_reduce_digraph_to_phot(d), d
-        cases.update(case for *_, case in former_vertex_cases(d))
-    assert cases == {"", "a", "b", "c"}
+        n, occ, lab = cert.instance.circumference, cert.instance.occupied_map, cert.label_map
+        assert n == 2 * 10 ** (d.vertex_count + 1), d
+        for j in range(d.vertex_count):
+            targets = {lab[(t, 0)] for t in d.out_neighbors(j)}
+            head = p = lab[(j, 0)]
+            assert p == 2 * repunit(j + 1), d
+            if len(targets) == 2:
+                head = lab[(j, 1)]
+                assert head in (sum(targets) // 2, sum(targets) // 2 + n // 2), d
+                assert {(head + occ[head]) % n, (head - occ[head]) % n} == targets, d
+                far += head >= n // 2
+                targets = {head}
+            assert targets <= {(p + occ[p]) % n, (p - occ[p]) % n}, d
+    assert far > 0
 
 
 def former_stray_targets(cert):
@@ -510,26 +511,6 @@ def former_stray_targets(cert):
             if (p, q) not in intended:
                 strays.append((p, q, kind))
     return strays
-
-
-def former_check_secondary_wrap_offsets(cert):
-    """Wrap-around secondaries sit in the topmost gap with offsets whose
-    leading decimal digit is 8 or 9, far from every primary."""
-    problems = []
-    v = cert.source.vertex_count
-    lab = cert.label_map
-    base = repunit(v - 1)
-    for j, k, m, case in former_vertex_cases(cert.source):
-        if case != "c":
-            continue
-        offset = lab[(j, 1)] - base
-        if offset <= 0:
-            problems.append(f"wrap secondary of vertex {j} below the top gap")
-        elif str(offset)[0] not in "89":
-            problems.append(f"wrap secondary offset {offset} leads with {str(offset)[0]}")
-        elif 9 * offset < 8 * 10 ** (v - 1) + 1:
-            problems.append(f"wrap secondary offset {offset} under the 8/9 bound")
-    return problems
 
 
 def former_check_stray_digits(cert):
@@ -572,14 +553,13 @@ def test_audit_flags_every_mutant_the_former_checks_flag():
     total = former_flagged = 0
     for seed in range(24):
         cert = reduce_digraph_to_phot(gen_random_digraph(2 + seed % 6, seed + 3000))
-        assert former_check_secondary_wrap_offsets(cert) == former_check_stray_digits(cert) == []
+        assert former_check_stray_digits(cert) == []
         for mutant in mutants(cert):
             total += 1
-            former = former_check_secondary_wrap_offsets(mutant) + former_check_stray_digits(mutant)
-            former_flagged += bool(former)
+            former_flagged += bool(former_check_stray_digits(mutant))
             problems = audit_certificate(mutant)
             # the rebuild names every mutant, and the move-graph check on its
-            # own flags every one the former checks flag
+            # own flags every one, those the former check flags among them
             assert problems[0].startswith("node "), (mutant, problems)
-            assert any(" arc " in line for line in problems) or not former, (mutant, former)
+            assert any(" arc " in line for line in problems), (mutant, problems)
     assert 0 < former_flagged < total

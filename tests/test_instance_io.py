@@ -218,7 +218,7 @@ def test_bond_board_memo_holds_one_board():
 def test_clock_roundtrip_and_dense_form():
     cert = reduce_digraph_to_phot(Digraph(3, ((0, 1), (1, 2), (2, 0))))
     text = roundtrip(cert.instance)
-    assert text == "111\n0 1\n1 10\n11 11\n"
+    assert text == "20000\n2 20\n22 200\n222 220\n"
     dense = parse("clock", "dense 4\n2\n2\n2\n2\n")
     assert dense == ClockInstance.dense([2, 2, 2, 2])
     sol = solve_clock(ClockInstance.dense([1, 1]))
