@@ -30,7 +30,7 @@ from .geometry import (
     _GridDistances,
     _scaled,
 )
-from .graphs import ORTHO_STEPS, BudgetExhausted, GridGraph, Verdict, grid_edges, _euler_trail
+from .graphs import ORTHO_STEPS, BudgetExhausted, GridGraph, Verdict, grid_edges, _euler_trail, _SCAN_STATE_LIMIT
 
 MODELS = ("grid", "euclid")
 
@@ -611,15 +611,16 @@ def decide_dcb(board: BondBoard, threshold: float) -> bool:
     costs at least its shorter traversal plus its cheapest entry from another
     bond's crystal (0 at a shared one).  "Yes" once a full-mask state
     survives.  The tolerance comes off the cost, and a float compares with
-    an int exactly, so any int threshold is decided.  In the brute force's
-    order: over 8 bonds is refused; no bonds cost 0; a region that cuts the
-    crystals apart (the start gadget's corridor break can sever a bridge)
-    is a plain "no".  Whole crystal rows are read, so in `sweep dcb` a path
-    gadget's metric is seeded from the plain board's (see crystal_metric).
+    an int exactly, so any int threshold is decided.  Past 17 bonds its two
+    tables of 2^b entries would pass `_SCAN_STATE_LIMIT`, so it refuses
+    first; no bonds cost 0; a region that cuts the crystals apart (the start
+    gadget's corridor break can sever a bridge) is a plain "no".  Whole
+    crystal rows are read, so in `sweep dcb` a path gadget's metric is
+    seeded from the plain board's (see crystal_metric).
     """
     bonds = board.required_bonds
-    if len(bonds) > 8:
-        raise BudgetExhausted("exhaustive search is limited to 8 bonds")
+    if 2 ** len(bonds) > _SCAN_STATE_LIMIT:
+        raise BudgetExhausted(f"over {_SCAN_STATE_LIMIT} bond masks for {len(bonds)} bonds")
     if not bonds:
         return -EPS <= threshold
     try:

@@ -12,6 +12,7 @@ path.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
@@ -26,11 +27,10 @@ T = TypeVar("T")
 DIRECTED_SEARCH_LIMIT = 16
 
 # grid Hamiltonicity gives up past this many frontier states at one vertex,
-# or past 20 times as many summed over its scan (about a second)
+# or past 20 times as many summed over its scan (about a second); the grid
+# enumeration and decide_dcb hold no more states than the scan does
 FRONTIER_STATE_LIMIT = 10_000
 _SCAN_STATE_LIMIT = 20 * FRONTIER_STATE_LIMIT
-
-ENUM_BOX_LIMIT = 12
 
 
 class BudgetExhausted(RuntimeError):
@@ -194,39 +194,35 @@ def enumerate_grid_graphs(box_w: int, box_h: int, max_vertices: int) -> Iterator
     Cells live at (0..box_w-1, 0..box_h-1).  Enumeration order is by vertex
     count, then lexicographic, so the stream is deterministic.  Only
     connected sets are built: those of each size grow from the last size's
-    by one neighbouring cell (Redelmeier, 1981), as bitmasks over the cells
-    in (x, y) order, and a size is yielded sorted by its cells' index tuples,
-    the order `itertools.combinations` gives.
+    by one neighbouring cell (Redelmeier, 1981), as ascending tuples of the
+    cells' indices in (x, y) order, and a size is yielded sorted, the order
+    `itertools.combinations` gives.  Raises BudgetExhausted once the sets
+    built, of every size so far, pass `_SCAN_STATE_LIMIT`; the box's one-cell
+    sets are counted before any is built.
     """
     if box_w < 1 or box_h < 1:
         raise ValueError("box dimensions must be positive")
-    if box_w * box_h > ENUM_BOX_LIMIT:
-        raise BudgetExhausted(f"box {box_w}x{box_h} exceeds the {ENUM_BOX_LIMIT}-cell enumeration limit")
+    held = box_w * box_h
+    if held > _SCAN_STATE_LIMIT:
+        raise BudgetExhausted(f"over {_SCAN_STATE_LIMIT} connected sets in all by size 1 in box {box_w}x{box_h}")
     cells = [(x, y) for x in range(box_w) for y in range(box_h)]
     index = {v: i for i, v in enumerate(cells)}
-    near = [sum(1 << index[x + dx, y + dy] for dx, dy in ORTHO_STEPS if (x + dx, y + dy) in index) for x, y in cells]
-
-    def members(s: int) -> list[int]:
-        return [i for i in range(len(cells)) if s >> i & 1]
-
-    sets = [1 << i for i in range(len(cells))]
+    near = [[index[x + dx, y + dy] for dx, dy in ORTHO_STEPS if (x + dx, y + dy) in index] for x, y in cells]
+    sets = [(i,) for i in range(len(cells))]
     for size in range(1, min(max_vertices, len(cells)) + 1):
         if size > 1:
             grown = set()
             for s in sets:
-                rim, rest = 0, s
-                while rest:
-                    low = rest & -rest
-                    rim |= near[low.bit_length() - 1]
-                    rest ^= low
-                rim &= ~s
-                while rim:
-                    low = rim & -rim
-                    grown.add(s | low)
-                    rim ^= low
-            sets = sorted(grown, key=members)
+                for j in {j for i in s for j in near[i]}.difference(s):
+                    t = list(s)
+                    insort(t, j)
+                    grown.add(tuple(t))
+                if held + len(grown) > _SCAN_STATE_LIMIT:
+                    raise BudgetExhausted(f"over {_SCAN_STATE_LIMIT} connected sets in all by size {size} in box {box_w}x{box_h}")
+            held += len(grown)
+            sets = sorted(grown)
         for s in sets:
-            yield GridGraph(frozenset(cells[i] for i in members(s)))
+            yield GridGraph(frozenset(cells[i] for i in s))
 
 
 @dataclass(frozen=True)

@@ -415,13 +415,14 @@ def test_sweep_cb_oracle_reports_a_longer_referee_walk(capsys, monkeypatch, wors
 GIVE_UPS = [
     (("clock", "--count", "20", "--max-v", "20"), "evaluate_certificate", 16,
      "gave up: item 16 (15 passed, 0 failed before it): 17 vertices exceeds the directed search limit 16\n"),
-    (("dcb", "--box", "3x3", "--max-v", "9"), "has_ham_path_grid", 200,
-     "gave up: item 200 (199 passed, 0 failed before it): exhaustive search is limited to 8 bonds\n"),
+    # item 153, the 18-vertex path, reduces to 18 bonds: 2^18 bond masks
+    (("dcb", "--box", "18x1", "--max-v", "18"), "has_ham_path_grid", 153,
+     "gave up: item 153 (152 passed, 0 failed before it): over 200000 bond masks for 18 bonds\n"),
     (("clock", "--count", "5", "--budget", "3"), "evaluate_certificate", 2,
      "gave up: item 2 (1 passed, 0 failed before it): no verdict within 3 nodes\n"),
-    # the enumeration refuses the box before it yields a graph
-    (("tile-trial", "--box", "4x4", "--max-v", "3"), "reduce_grid_to_tile_trial", 0,
-     "gave up: item 1 (0 passed, 0 failed before it): box 4x4 exceeds the 12-cell enumeration limit\n"),
+    # the enumeration counts the box's one-cell sets before it builds any
+    (("tile-trial", "--box", "1000000x1000000", "--max-v", "3"), "reduce_grid_to_tile_trial", 0,
+     "gave up: item 1 (0 passed, 0 failed before it): over 200000 connected sets in all by size 1 in box 1000000x1000000\n"),
 ]
 
 

@@ -757,6 +757,18 @@ def test_brute_force_bond_limit():
         brute_force_crystal_bonds(board)
 
 
+def test_decide_dcb_searches_up_to_the_state_budget():
+    # 2^17 bond masks fit the state budget: the 4x4 square's cycle gadget
+    # holds 17 bonds; a 6x3 rectangle's plain board holds 18, refused unread
+    square = GridGraph(frozenset((x, y) for x in range(4) for y in range(4)))
+    gadget, threshold, detects = apply_start_gadget(reduce_grid_to_dcb(square)[0], square)
+    assert (len(gadget.required_bonds), detects) == (17, "ham-cycle")
+    assert decide_dcb(gadget, threshold) and not decide_dcb(gadget, 0)
+    board, threshold = reduce_grid_to_dcb(GridGraph(frozenset((x, y) for x in range(6) for y in range(3))))
+    with pytest.raises(BudgetExhausted, match=r"^over 200000 bond masks for 18 bonds$"):
+        decide_dcb(board, threshold)
+
+
 def test_reduce_domino_shape():
     g = GridGraph(frozenset({(0, 0), (1, 0)}))
     board, threshold = reduce_grid_to_dcb(g)

@@ -376,9 +376,23 @@ def test_enumeration_matches_the_subset_scan():
             assert list(enumerate_grid_graphs(w, h, max_v)) == want, (w, h, max_v)
 
 
-def test_enumerate_box_limit():
-    with pytest.raises(BudgetExhausted):
-        list(enumerate_grid_graphs(4, 4, 3))
+def test_enumerate_box_limit(monkeypatch):
+    # the sets built, of every size so far, may not pass the budget; a box's
+    # one-cell sets are counted before any is built, so this box costs nothing
+    with pytest.raises(BudgetExhausted, match=r"^over 200000 connected sets in all by size 1 in box 1000000x1000000$"):
+        next(enumerate_grid_graphs(10**6, 10**6, 3))
+    # a 3x3 box holds 9 one-cell sets, 12 of two cells and 22 of three
+    monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", 8)
+    with pytest.raises(BudgetExhausted, match=r"^over 8 connected sets in all by size 1 in box 3x3$"):
+        next(enumerate_grid_graphs(3, 3, 0))
+    monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", 21)
+    assert len(list(enumerate_grid_graphs(3, 3, 2))) == 21
+    yielded = []
+    with pytest.raises(BudgetExhausted, match=r"^over 21 connected sets in all by size 3 in box 3x3$"):
+        yielded.extend(enumerate_grid_graphs(3, 3, 3))
+    assert yielded == list(enumerate_grid_graphs(3, 3, 2))
+    monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", 43)
+    assert len(list(enumerate_grid_graphs(3, 3, 3))) == 43
     for box in ((0, 3), (3, 0), (-1, 2)):
         with pytest.raises(ValueError, match="box dimensions must be positive"):
             list(enumerate_grid_graphs(*box, 3))
@@ -458,7 +472,7 @@ def test_directed_ham_path_limit():
 def test_the_two_hamiltonian_referees_agree():
     # the grid frontier DP and the digraph subset DP share no code; on a grid
     # graph's symmetric digraph they answer the same question
-    graphs = list(enumerate_grid_graphs(4, 3, 12))
+    graphs = list(enumerate_grid_graphs(5, 3, 15))
     with_path = 0
     for g in graphs:
         index = {v: i for i, v in enumerate(sorted(g.vertices))}
@@ -466,7 +480,7 @@ def test_the_two_hamiltonian_referees_agree():
         want = has_directed_ham_path(Digraph(len(index), arcs))
         assert has_ham_path_grid(g) == want, g
         with_path += want
-    assert (len(graphs), with_path) == (1126, 671)
+    assert (len(graphs), with_path) == (5726, 2454)
 
 
 def former_directed_dp(d):
