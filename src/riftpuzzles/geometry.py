@@ -10,7 +10,7 @@ Three distance notions live here:
 * ``grid_distance``    -- orthogonal tile steps.  One grid BFS serves the
   package.  Its level rule, the frontier's neighbouring cells less the
   level below (the lattice is bipartite), steps a set of tiles, or with
-  four shifts and a mask a set that `_packed` turns into one Python int, a
+  three shifts and a mask a set that `_packed` turns into one Python int, a
   row per stride of width + 1 bits, when its bounding box holds at most
   ``_PACK_BOX`` cells or at most ``_PACK_DENSITY`` cells per tile.
   Connectivity floods a set of tiles, and `_GridDistances` computes each
@@ -108,7 +108,7 @@ class _Bitboard(NamedTuple):
 
     The stride is the bounding-box width plus one, so every row ends in an
     empty pad column and a one-bit shift never wraps a tile into the next
-    row.  One BFS level is then four shifts and a mask.
+    row.  One BFS level is then three shifts and a mask.
     """
 
     x0: int
@@ -249,9 +249,10 @@ class _GridDistances:
                 break
             if board is None:
                 frontier, below = _set_level(cells, frontier, below), frontier
-            else:  # the same rule by four shifts and a mask; below lies in every
-                step = (frontier << 1) | (frontier >> 1) | (frontier << stride) | (frontier >> stride)
-                frontier, below = step & (every ^ below), frontier
+            else:  # the same rule by three shifts and a mask; below lies in every, and
+                # the east and north steps shifted down by stride + 1 are the south and west
+                step = (frontier << 1) | (frontier << stride)
+                frontier, below = (step | step >> (stride + 1)) & (every ^ below), frontier
             d += 1
         self.floods[i] = frontier, below, d
         if not frontier:  # the flood is over: what row i lacks is cut off

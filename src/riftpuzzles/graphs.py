@@ -4,9 +4,9 @@ A grid graph is an induced subgraph of the integer lattice: two vertices are
 adjacent exactly when their Euclidean distance is 1.  The oracles referee
 the puzzle reductions: grid Hamiltonicity is a frontier DP whose states grow
 with the box's narrower side, and directed paths a subset DP.  Connectivity
-floods a set of tiles by the grid BFS of ``geometry``.  One Hierholzer
-trail, `_euler_trail`, walks the Crystal Bonds postman and the Tile Trial
-path.
+floods a set of tiles by the grid BFS of ``geometry``, once per graph.  One
+Hierholzer trail, `_euler_trail`, walks the Crystal Bonds postman and the
+Tile Trial path.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterator, TypeVar
 
@@ -73,6 +73,13 @@ class GridGraph:
         return len(self.neighbors(v))
 
     def is_connected(self) -> bool:
+        """Whether the vertices form one component.  A graph floods once and
+        keeps the answer; `enumerate_grid_graphs` yields its graphs with the
+        answer set, since it builds only connected sets."""
+        return self._flooded
+
+    @cached_property
+    def _flooded(self) -> bool:
         return _connected(self.vertices)
 
     def sorted_vertices(self) -> list[Vertex]:
@@ -198,7 +205,8 @@ def enumerate_grid_graphs(box_w: int, box_h: int, max_vertices: int) -> Iterator
     cells' indices in (x, y) order, and a size is yielded sorted, the order
     `itertools.combinations` gives.  Raises BudgetExhausted once the sets
     built, of every size so far, pass `_SCAN_STATE_LIMIT`; the box's one-cell
-    sets are counted before any is built.
+    sets are counted before any is built.  Each graph is yielded already known
+    connected, so `GridGraph.is_connected` does not flood it again.
     """
     if box_w < 1 or box_h < 1:
         raise ValueError("box dimensions must be positive")
@@ -222,7 +230,9 @@ def enumerate_grid_graphs(box_w: int, box_h: int, max_vertices: int) -> Iterator
             held += len(grown)
             sets = sorted(grown)
         for s in sets:
-            yield GridGraph(frozenset(cells[i] for i in s))
+            g = GridGraph(frozenset(cells[i] for i in s))
+            g.__dict__["_flooded"] = True
+            yield g
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,22 @@ def test_sweep_dcb_decides_each_graph_once(capsys, monkeypatch):
     assert calls == [g for g in enumerate_grid_graphs(2, 3, 6) if len(g) >= 2]
 
 
+def test_enumerated_graphs_are_not_flooded_again(tmp_path, capsys, monkeypatch):
+    # the sweeps' graphs come from the enumerator, which builds only connected
+    # sets; a parsed graph is flooded once by the reduction's refusal
+    from test_graphs import spy_floods
+
+    floods = spy_floods(monkeypatch)
+    assert run(capsys, "sweep", "tile-trial", "--box", "3x4", "--max-v", "9") == (0, "pass 1039 fail 0\n", "")
+    assert run(capsys, "sweep", "dcb", "--box", "3x3", "--max-v", "7") == (0, "pass 199 fail 0\n", "")
+    assert floods == []
+    path = doc(tmp_path, "sq.grid", SQUARE)
+    for verb in ("tile", "dcb"):
+        floods.clear()
+        assert run(capsys, "reduce", verb, path)[0] == 0
+        assert len(floods) == 1, verb
+
+
 def test_sweep_clock_reports_counterexample(capsys, monkeypatch):
     # a clock solver that never finds a selection order disagrees with every
     # digraph that has a Hamiltonian path: the sweep prints the first such

@@ -333,7 +333,8 @@ def test_enumerate_tiny_boxes():
     # 2x1 box: two singletons and the domino
     graphs = list(enumerate_grid_graphs(2, 1, 2))
     assert len(graphs) == 3
-    assert all(g.is_connected() for g in graphs)
+    # a fresh flood: the enumerated graphs' own answer is the enumerator's claim
+    assert all(geometry._connected(g.vertices) for g in graphs)
 
 
 def test_enumerate_no_duplicates_and_connected():
@@ -341,9 +342,35 @@ def test_enumerate_no_duplicates_and_connected():
     for g in enumerate_grid_graphs(3, 3, 9):
         assert g.vertices not in seen
         seen.add(g.vertices)
-        assert g.is_connected()
+        assert geometry._connected(g.vertices)
     # pinned: connected induced subgraphs of the 3x3 box, by brute subset scan
     assert len(seen) == 218
+
+
+def spy_floods(monkeypatch):
+    """The vertex sets `GridGraph.is_connected` floods from now on."""
+    floods = []
+    monkeypatch.setattr(graphs, "_connected", lambda cells: floods.append(cells) or geometry._connected(cells))
+    return floods
+
+
+def test_enumerated_graphs_carry_the_flood_answer(monkeypatch):
+    every = list(enumerate_grid_graphs(5, 3, 15))
+    assert len(every) == 5726
+    floods = spy_floods(monkeypatch)
+    assert [g.is_connected() for g in every] == [geometry._connected(g.vertices) for g in every]
+    assert floods == []
+
+
+@pytest.mark.parametrize("cells, connected", [({(0, 0), (1, 0), (1, 1)}, True), ({(0, 0), (2, 0)}, False)])
+def test_a_built_graph_floods_once(monkeypatch, cells, connected):
+    floods = spy_floods(monkeypatch)
+    g = GridGraph(frozenset(cells))
+    assert g.is_connected() is g.is_connected() is connected
+    assert floods == [g.vertices]
+    # the kept answer is no field: equality, hash and repr are the vertices'
+    fresh = GridGraph(frozenset(cells))
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
 
 
 def former_enumeration(box_w, box_h, max_vertices):

@@ -166,6 +166,17 @@ def test_side_columns_do_not_wrap_between_rows():
     assert not joined(bars, [(5, 4), (0, 5)])
 
 
+def test_the_top_east_tile_joins_its_row_and_column():
+    # a bar on the bitboard's top row and one on its east column meet only at
+    # the top bit, which a level steps from by shifting past the board and back
+    tiles = frozenset({(x, 6) for x in range(9)} | {(8, y) for y in range(7)})
+    assert packable(tiles)
+    targets = [(0, 6), (8, 6), (8, 0), (4, 6), (8, 3)]
+    assert_same_rows(grid_distance_matrix(TileRegion(tiles), targets), reference_matrix(tiles, targets))
+    assert grid_distance(TileRegion(tiles), (0, 6), (8, 0)) == 8 + 6
+    assert not joined(tiles - {(8, 6)}, [(0, 6), (8, 0)])
+
+
 def test_engine_rows_match_reference_in_any_read_order():
     # seeded single entries first, each resuming a flood or starting one,
     # then whole rows, each completed by one call: no read order may change
