@@ -49,7 +49,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Sequence
 
 Tile = tuple[int, int]
@@ -125,7 +125,8 @@ def _packed(tiles: frozenset[Tile]) -> _Bitboard | None:
     """`tiles` as a bitboard, or None when its bounding box holds more than
     `_PACK_BOX` cells and more than `_PACK_DENSITY` cells per tile.  The last
     set's board is kept, so a region flooded and corner-classified packs once."""
-    xs, ys = zip(*tiles)
+    cells = list(tiles)  # one walk of the set; the box comes from its distinct columns
+    xs, ys = set(map(itemgetter(0), cells)), set(map(itemgetter(1), cells))
     x0, y0 = min(xs), min(ys)
     width, height = max(xs) - x0 + 1, max(ys) - y0 + 1
     if width * height > max(_PACK_BOX, _PACK_DENSITY * len(tiles)):
@@ -135,7 +136,7 @@ def _packed(tiles: frozenset[Tile]) -> _Bitboard | None:
     # one ASCII digit per bit ("1" is 49), most significant first, for int(..., 2)
     digits = bytearray(b"0") * size
     top = size - 1 + y0 * stride + x0
-    for x, y in tiles:
+    for x, y in cells:
         digits[top - y * stride - x] = 49
     return _Bitboard(x0, y0, stride, int(digits, 2))
 
@@ -231,7 +232,9 @@ class _GridDistances:
         row, table, columns, cells, board = self.table[i], self.table, self.columns, self.cells, self.board
         stride, every = (board.stride, board.cells) if board else (0, 0)
         frontier, below, d = self.floods.get(i) or (self.starts[i], self.empty, 0)
-        while frontier:
+        for d in range(d, len(cells) + 1):  # a cell's depth is below the cell count
+            if not frontier:
+                break
             hit = frontier & targets
             if hit:
                 need -= need & hit
@@ -253,7 +256,8 @@ class _GridDistances:
                 # the east and north steps shifted down by stride + 1 are the south and west
                 step = (frontier << 1) | (frontier << stride)
                 frontier, below = (step | step >> (stride + 1)) & (every ^ below), frontier
-            d += 1
+        else:
+            raise AssertionError(f"grid BFS from source {i} ran past {len(cells)} levels")
         self.floods[i] = frontier, below, d
         if not frontier:  # the flood is over: what row i lacks is cut off
             for j in [j for j, e in enumerate(row) if e is None]:
@@ -262,10 +266,12 @@ class _GridDistances:
 
 def _connected(cells: AbstractSet[Tile]) -> bool:
     frontier, below, reached = {next(iter(cells))}, set(), 1
-    while frontier:
+    for _ in range(len(cells)):  # at most one level per cell
         frontier, below = _set_level(cells, frontier, below), frontier
+        if not frontier:
+            return reached == len(cells)
         reached += len(frontier)
-    return reached == len(cells)
+    raise AssertionError(f"flood ran past {len(cells)} levels")
 
 
 def _classify_corners(

@@ -36,7 +36,9 @@ the verifier's length check.
 
 A bond board in the serializer's own form (`model`, `start`, then the
 `tile`, `crystal` and `bond` blocks, LF endings, a final newline) is read in
-bulk; any other text is read line by line, the path that reports errors.
+bulk: each block's integers are converted by one `json.loads` call.  Any
+other text is read line by line, the path that reports errors, and so is a
+block that call refuses: a leading zero, or a field past the digit limit.
 A process keeps the last bond board parsed, keyed on its exact text, so a
 verify right after a solve reads the document once; a BondBoard is deeply
 immutable, so its callers can share it.  Tile boards are not kept: a
@@ -45,6 +47,7 @@ TileBoard's capacities are a dict its callers could change.
 
 from __future__ import annotations
 
+import json
 import re
 from functools import lru_cache
 
@@ -286,12 +289,14 @@ def _bulk_bond_board(text: str) -> tuple[dict[str, list], int] | None:
     cuts += [text.find("\nbond ", cuts[1] - 1) + 1, len(text)]
     if 0 in cuts:  # no crystal or no bond line
         return None
-    try:  # int() refuses a field past its digit limit
+    try:  # json refuses a leading zero, and both readers a field past the digit limit
         got = {"model": [head[1]], "start": [None if head[2] is None else (int(head[2]), int(head[3]))]}
         for key, lo, hi in zip(_OUT_OF_FORM, cuts, cuts[1:]):
             if _OUT_OF_FORM[key].search(text, lo - 1, hi):  # from the newline before the block
                 return None
-            fields = map(int, text[lo:hi].replace(key + " ", "").split())
+            # each line is `key a b\n`, so the block's fields read as one JSON list
+            csv = text[lo:hi].replace(key + " ", "").replace(" ", ",").replace("\n", ",")
+            fields = iter(json.loads(f"[{csv[:-1]}]"))
             got[key] = list(zip(fields, fields))
     except ValueError:
         return None

@@ -1071,6 +1071,21 @@ def test_solve_dcb_grid_spider_output_pinned(tmp_path, capsys):
     )
 
 
+def test_solve_dcb_grid_80x80_output_pinned(tmp_path, capsys):
+    # the 80x80 board CI solves and verifies: a large bitboard, read in bulk
+    code, text, _ = run(capsys, "gen", "bond-board", "--model", "grid", "--box", "80x80", "--max-v", "60", "--seed", "7")
+    assert code == 0 and text.count("\ntile ") == 4266
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cc2f2129ebf17511936d4c149cccbf10cb055110c297729f1586c0b68449fcd3"
+    )
+    code, out, _ = run(capsys, "solve", "dcb", doc(tmp_path, "g.bond", text))
+    assert code == 0
+    assert out.splitlines()[0] == "length 2827.0"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bb3e0e8adfc4180fbb56a09efe056386201de1166e05c237cc56c7790422aa48"
+    )
+
+
 # stdout of every gen, reduce and render kind, pinned by sha256; captured
 # before gen, reduce and render became table-driven
 

@@ -18,6 +18,8 @@ import time
 from collections import deque
 from itertools import chain
 
+import pytest
+
 from riftpuzzles import crystal_bonds, geometry
 from riftpuzzles.cli import main
 from riftpuzzles.crystal_bonds import (
@@ -130,6 +132,38 @@ def test_engine_matches_reference_on_seeded_sets():
         else:
             sparse += 1
     assert packed >= 100 and sparse >= 30
+
+
+def test_packed_sets_each_tile_bit_and_refuses_by_the_box_rule():
+    # the packer's single walk against an independent per-tile construction
+    checked = refused = 0
+    for _, tiles in chain(seeded_tile_sets(300), wide_scattered_sets(50)):
+        xs, ys = [x for x, _ in tiles], [y for _, y in tiles]
+        width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
+        board = _packed(tiles)
+        if width * height > max(geometry._PACK_BOX, _PACK_DENSITY * len(tiles)):
+            assert board is None
+            refused += 1
+            continue
+        assert board[:3] == (min(xs), min(ys), width + 1)
+        assert board.cells == sum(1 << board.index(t) for t in tiles)
+        checked += 1
+    assert checked >= 300 and refused >= 30
+
+
+def test_a_level_rule_that_steps_back_fails_fast(monkeypatch):
+    # a rule that forgets the level below lets the frontier step back and
+    # forth, so it never empties; both floods stop after one level per cell
+    def bouncing(cells, frontier, below):
+        return {(x + dx, y + dy) for x, y in frontier for dx, dy in geometry.ORTHO_STEPS} & cells
+
+    monkeypatch.setattr(geometry, "_set_level", bouncing)
+    tiles = frozenset({(x, 0) for x in range(100)} | {(0, y) for y in range(100)} | {(50, 50)})
+    assert not packable(tiles)  # the per-cell side, where _set_level steps
+    with pytest.raises(AssertionError, match="ran past 200 levels"):
+        _connected(tiles)
+    with pytest.raises(AssertionError, match="ran past 200 levels"):
+        _GridDistances(tiles, [(99, 0), (50, 50)]).fill(0)
 
 
 def test_dcb_sweep_boards_pack():

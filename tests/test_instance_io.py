@@ -147,6 +147,33 @@ def test_bond_board_out_of_form_read_line_by_line(text, want):
         assert parse("bond-board", text) == want
 
 
+ZERO_BOARD = "model grid\nstart 1 2\ntile 0 2\ntile 1 2\ncrystal 0 2\ncrystal 1 2\nbond 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, in_bulk",
+    [
+        (ZERO_BOARD.replace("tile 1 2", "tile 01 2"), False),
+        (ZERO_BOARD.replace("crystal 0 2", "crystal 0 02"), False),
+        (ZERO_BOARD.replace("bond 0 1", "bond 00 1"), False),
+        (ZERO_BOARD.replace("start 1 2", "start 01 2"), True),
+        (ZERO_BOARD.replace(" 0 2", " -0 2"), True),
+        (ZERO_BOARD.replace("bond 0 1", "bond -0 1"), True),
+    ],
+    ids=["tile-leading-zero", "crystal-leading-zero", "bond-leading-zero", "start-leading-zero", "minus-zero",
+         "bond-minus-zero"],
+)
+def test_zero_forms_read_as_the_line_reader_reads_them(monkeypatch, text, in_bulk):
+    # the bulk reader's JSON refuses a leading zero in a block, which the line
+    # reader's int() takes; -0 is 0 in both
+    instance_io._parse_bond_board.cache_clear()
+    assert (instance_io._bulk_bond_board(text) is not None) == in_bulk
+    value = parse("bond-board", text)
+    monkeypatch.setattr(instance_io, "_bulk_bond_board", lambda text: None)
+    instance_io._parse_bond_board.cache_clear()
+    assert parse("bond-board", text) == value == parse("bond-board", ZERO_BOARD)
+
+
 def test_bulk_reader_memory_stays_near_the_line_reader(monkeypatch):
     # a 64x64 board: a regex that validates a block by backtracking over a
     # repeated group takes nearly twice the line reader's memory
