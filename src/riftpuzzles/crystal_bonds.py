@@ -438,11 +438,13 @@ def brute_force_crystal_bonds(board: BondBoard) -> BondWalk:
     The walk is read back as each mask's first move in the links' order
     that meets the cost left.  No bonds cost 0 and build no metric.
     Independent of the rural-postman pipeline and of `decide_dcb`'s search;
-    used as the exactness oracle of both.
+    used as the exactness oracle of both.  Raises BudgetExhausted, before
+    building anything, when the entries the table can fill, 2^b times the
+    crystals the b bonds touch, pass `_SCAN_STATE_LIMIT`.
     """
     bonds = board.required_bonds
-    if len(bonds) > 8:
-        raise BudgetExhausted("exhaustive search is limited to 8 bonds")
+    if (touched := len({c for bond in bonds for c in bond})) << len(bonds) > _SCAN_STATE_LIMIT:
+        raise BudgetExhausted(f"over {_SCAN_STATE_LIMIT} table entries for {len(bonds)} bonds on {touched} crystals")
     if not bonds:
         return BondWalk((), 0.0)
     metric = crystal_metric(board)

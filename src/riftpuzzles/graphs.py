@@ -14,8 +14,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterator, TypeVar
 
 from .geometry import ORTHO_STEPS, _connected
@@ -23,12 +22,10 @@ from .geometry import ORTHO_STEPS, _connected
 Vertex = tuple[int, int]
 T = TypeVar("T")
 
-# subset-DP oracle refuses anything bigger than this
-DIRECTED_SEARCH_LIMIT = 16
-
 # grid Hamiltonicity gives up past this many frontier states at one vertex,
 # or past 20 times as many summed over its scan (about a second); the grid
-# enumeration and decide_dcb hold no more states than the scan does
+# enumeration, the directed subset DP, decide_dcb and the bond brute force
+# hold no more states than the scan does
 FRONTIER_STATE_LIMIT = 10_000
 _SCAN_STATE_LIMIT = 20 * FRONTIER_STATE_LIMIT
 
@@ -276,22 +273,24 @@ def has_directed_ham_path(d: Digraph) -> bool:
     Keeps, per path length, each set some path visits and the vertices it
     can end on; an empty layer ends the search, and at out-degree 2 (the
     package's digraphs) few of the 2^n sets are reached.  Two vertices with
-    no in-arc refute a path, and one is its only start.  Trusted reference:
-    exact for vertex_count <= DIRECTED_SEARCH_LIMIT, refuses larger instances.
+    no in-arc refute a path, before any table of n entries is built, and
+    one is its only start.  Trusted reference: exact, it raises
+    BudgetExhausted once the sets its layers hold, of every size so far,
+    pass `_SCAN_STATE_LIMIT`; the complete 16-vertex digraph holds 65,535.
     """
     n = d.vertex_count
-    if n > DIRECTED_SEARCH_LIMIT:
-        raise BudgetExhausted(f"{n} vertices exceeds the directed search limit {DIRECTED_SEARCH_LIMIT}")
+    entered = {t for _, t in d.arcs}
+    if n - len(entered) > 1:
+        return False
     succ_mask = [0] * n
     for s, t in d.arcs:
         succ_mask[s] |= 1 << t
-    entered = reduce(or_, succ_mask)
-    starts = [v for v in range(n) if not entered >> v & 1]
-    if len(starts) > 1:
-        return False
-    # layer[mask]: the vertices a path visiting exactly `mask` can end on
-    layer = {1 << v: 1 << v for v in starts or range(n)}
-    for _ in range(n - 1):
+    # the empty path ends on vertex n, which steps to the start, else to all
+    succ_mask.append(sum(1 << v for v in range(n) if v not in entered) or (1 << n) - 1)
+    # layer[mask]: the vertices a path visiting exactly `mask` can end on;
+    # room: the sets the budget still allows
+    layer, room = {0: 1 << n}, _SCAN_STATE_LIMIT
+    for size in range(1, n + 1):
         grown: dict[int, int] = {}
         for mask, ends in layer.items():
             while ends:
@@ -302,8 +301,11 @@ def has_directed_ham_path(d: Digraph) -> bool:
                     grown[mask | bit] = grown.get(mask | bit, 0) | bit
                     fresh ^= bit
                 ends ^= end
+            if len(grown) > room:
+                raise BudgetExhausted(f"over {_SCAN_STATE_LIMIT} vertex sets in all by size {size} of {n}")
         if not grown:
             return False
+        room -= len(grown)
         layer = grown
     return True
 

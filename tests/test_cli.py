@@ -425,27 +425,34 @@ def test_sweep_cb_oracle_reports_a_longer_referee_walk(capsys, monkeypatch, wors
     assert (code, out, err) == (2, "pass 0 fail 3\nfirst counterexample:\n" + first, "")
 
 
-# (command line, a call each item makes once, items begun, stderr): items
-# were checked before the give-up, yet no partial count is printed
+# (command line, a call each item makes once, items begun, stderr, the state
+# budget if not the default): items were checked before the give-up, yet no
+# partial count is printed
 # each names the item that gave up and the tally of the items before it
 GIVE_UPS = [
-    (("clock", "--count", "20", "--max-v", "20"), "evaluate_certificate", 16,
-     "gave up: item 16 (15 passed, 0 failed before it): 17 vertices exceeds the directed search limit 16\n"),
+    # the subset DPs of items 1-14 hold at most 37 sets; item 15's, on 16
+    # vertices, holds 128
+    (("clock", "--count", "20", "--max-v", "20"), "evaluate_certificate", 15,
+     "gave up: item 15 (14 passed, 0 failed before it): over 127 vertex sets in all by size 15 of 16\n", 127),
     # item 153, the 18-vertex path, reduces to 18 bonds: 2^18 bond masks
     (("dcb", "--box", "18x1", "--max-v", "18"), "has_ham_path_grid", 153,
-     "gave up: item 153 (152 passed, 0 failed before it): over 200000 bond masks for 18 bonds\n"),
+     "gave up: item 153 (152 passed, 0 failed before it): over 200000 bond masks for 18 bonds\n", None),
     (("clock", "--count", "5", "--budget", "3"), "evaluate_certificate", 2,
-     "gave up: item 2 (1 passed, 0 failed before it): no verdict within 3 nodes\n"),
+     "gave up: item 2 (1 passed, 0 failed before it): no verdict within 3 nodes\n", None),
     # the enumeration counts the box's one-cell sets before it builds any
     (("tile-trial", "--box", "1000000x1000000", "--max-v", "3"), "reduce_grid_to_tile_trial", 0,
-     "gave up: item 1 (0 passed, 0 failed before it): over 200000 connected sets in all by size 1 in box 1000000x1000000\n"),
+     "gave up: item 1 (0 passed, 0 failed before it): over 200000 connected sets in all by size 1 in box 1000000x1000000\n",
+     None),
 ]
 
 
-@pytest.mark.parametrize("argv,name,begun,err", GIVE_UPS, ids=["clock", "dcb", "clock-budget", "tile-trial"])
-def test_a_sweep_that_gives_up_prints_nothing_on_stdout(capsys, monkeypatch, argv, name, begun, err):
+@pytest.mark.parametrize("argv,name,begun,err,budget", GIVE_UPS, ids=["clock", "dcb", "clock-budget", "tile-trial"])
+def test_a_sweep_that_gives_up_prints_nothing_on_stdout(capsys, monkeypatch, argv, name, begun, err, budget):
     import riftpuzzles.cli as cli
+    from riftpuzzles import graphs
 
+    if budget is not None:
+        monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", budget)
     calls = []
     call = getattr(cli, name)
     monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a) or call(*a, **k))
@@ -629,13 +636,38 @@ def test_budget_applies_to_small_clocks(tmp_path, capsys):
     assert (code, out, err) == (3, "", "gave up: no verdict within 1 nodes\n")
 
 
-def test_solve_dcb_past_eight_bonds_gives_up(tmp_path, capsys):
-    # a forest of 9 bonds: the postman needs one tree, and the brute force
-    # refuses more than 8 bonds
-    code, board, _ = run(capsys, "gen", "bond-board", "--box", "6x6", "--max-v", "10", "--seed", "3")
-    assert code == 0 and board.count("\nbond ") == 9 and "\ntile 1 1\n" in board and "\ncrystal 1 1\n" not in board
-    path = doc(tmp_path, "forest.bond", board.replace("\nbond ", "\ncrystal 1 1\nbond ", 1))
-    assert run(capsys, "solve", "dcb", path) == (3, "", "gave up: exhaustive search is limited to 8 bonds\n")
+def reduced_board(tmp_path, capsys, grid):
+    # `reduce dcb`'s board, less its threshold line, and that threshold
+    code, out, _ = run(capsys, "reduce", "dcb", doc(tmp_path, "g.grid", grid))
+    threshold, board = out.split("\n", 1)
+    assert code == 0 and threshold.startswith("threshold ")
+    return doc(tmp_path, "g.bond", board), int(threshold.split()[1])
+
+
+def test_solve_dcb_threshold_past_eight_bonds(tmp_path, capsys):
+    # the full 3x3 grid's reduction: 9 bonds on 18 crystals, a table of
+    # 2^9 * 18 = 9,216 entries, within the state budget
+    code, grid, _ = run(capsys, "gen", "grid-graph", "--box", "3x3", "--max-v", "9", "--seed", "1")
+    assert code == 0 and len(grid.splitlines()) == 9
+    board, threshold = reduced_board(tmp_path, capsys, grid)
+    assert threshold == 170
+    code, walk, err = run(capsys, "solve", "dcb", board, "--threshold", "170")
+    assert (code, walk.splitlines()[0], err) == (0, "length 153.0", "")
+    assert walk.count("\nvisit ") == 18
+    assert run(capsys, "verify", "dcb", board, doc(tmp_path, "g.walk", walk)) == (0, "ok\n", "")
+
+
+def test_solve_dcb_past_the_table_budget_gives_up(tmp_path, capsys):
+    # the 13-vertex path's reduction: the postman needs one tree, and the
+    # brute force's table would fill 2^13 * 26 = 212,992 entries
+    board, _ = reduced_board(tmp_path, capsys, "".join(f"{x} 0\n" for x in range(13)))
+    assert run(capsys, "solve", "dcb", board) == (
+        3, "", "gave up: over 200000 table entries for 13 bonds on 26 crystals\n")
+
+
+def test_sweep_clock_past_sixteen_vertices(capsys):
+    # digraphs of 2 to 40 vertices: the subset DP holds at most 301 sets
+    assert run(capsys, "sweep", "clock", "--count", "100", "--max-v", "40", "--seed", "7") == (0, "pass 100 fail 0\n", "")
 
 
 def test_stdin_dash(tmp_path, capsys, monkeypatch):

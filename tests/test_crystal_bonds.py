@@ -750,11 +750,41 @@ def test_solve_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_brute_force_bond_limit():
-    board = gen_random_tree_board(3, box_w=6, box_h=6, r=10)
-    assert len(board.required_bonds) == 9
-    with pytest.raises(BudgetExhausted, match="limited to 8 bonds"):
+def test_brute_force_bond_limit(monkeypatch):
+    # the table fills 2^b entries per crystal the b bonds touch: the full 3x3
+    # grid's reduction, 9 bonds on 18 crystals, fills 9,216
+    square = GridGraph(frozenset((x, y) for x in range(3) for y in range(3)))
+    board, threshold = reduce_grid_to_dcb(square)
+    monkeypatch.setattr(crystal_bonds, "_SCAN_STATE_LIMIT", 9216)
+    walk = brute_force_crystal_bonds(board)
+    assert (walk.total_length, threshold) == (153, 170) and verify_bond_walk(board, walk).ok
+    monkeypatch.setattr(crystal_bonds, "_SCAN_STATE_LIMIT", 9215)
+    with pytest.raises(BudgetExhausted, match=r"^over 9215 table entries for 9 bonds on 18 crystals$"):
         brute_force_crystal_bonds(board)
+
+
+def test_decide_dcb_agrees_with_the_brute_force_past_eight_bonds():
+    # seeded grid graphs of 9 to 12 vertices, at the threshold and one either
+    # side; a 12-vertex graph's gadget, 13 bonds on 26 crystals, would fill
+    # 212,992 table entries, past the state budget
+    checked = Counter()
+    for seed in range(20):
+        g = GridGraph(gen_random_region(seed, 4, 4, 9 + seed % 4).tiles)
+        boards = [reduce_grid_to_dcb(g)]
+        if len(g) < 12:
+            boards.append(apply_start_gadget(boards[0][0], g)[:2])
+        for b, t in boards:
+            try:
+                opt = brute_force_crystal_bonds(b).total_length
+            except UnreachableCrystal:
+                opt = math.inf
+            for limit in (t - 1, t, t + 1):
+                want = opt - EPS <= limit
+                assert decide_dcb(b, limit) == want, (sorted(g.vertices), b.start, limit)
+                checked[len(b.required_bonds), want] += 1
+    # (bonds, verdict): 20 plain boards and 15 gadgets, three thresholds each
+    assert checked == {(9, True): 18, (10, False): 23, (10, True): 16, (11, False): 9, (11, True): 15,
+                       (12, False): 14, (12, True): 10}
 
 
 def test_decide_dcb_searches_up_to_the_state_budget():

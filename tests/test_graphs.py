@@ -490,10 +490,28 @@ def test_directed_ham_path_basics():
             assert has_directed_ham_path(d) == want, d
 
 
-def test_directed_ham_path_limit():
-    big = Digraph(17, tuple((i, (i + 1) % 17) for i in range(17)))
-    with pytest.raises(BudgetExhausted):
-        has_directed_ham_path(big)
+def test_directed_ham_path_limit(monkeypatch):
+    # the sets held, of every size so far, may not pass the state budget; the
+    # complete 10-vertex digraph holds every nonempty set: 10, 45, 120, ... 1
+    complete = Digraph(10, tuple((s, t) for s in range(10) for t in range(10) if s != t))
+    monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", 1023)
+    assert has_directed_ham_path(complete)
+    monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", 1022)
+    with pytest.raises(BudgetExhausted, match=r"^over 1022 vertex sets in all by size 10 of 10$"):
+        has_directed_ham_path(complete)
+    # a budget passed part way names the size whose layer passed it
+    monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", 55)
+    with pytest.raises(BudgetExhausted, match=r"^over 55 vertex sets in all by size 3 of 10$"):
+        has_directed_ham_path(complete)
+    # the one-vertex sets count too
+    monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", 9)
+    with pytest.raises(BudgetExhausted, match=r"^over 9 vertex sets in all by size 1 of 10$"):
+        has_directed_ham_path(complete)
+    # two vertices with no in-arc refute a path before n entries are built
+    assert not has_directed_ham_path(Digraph(2**53, ((0, 1),)))
+    # past the former 16-vertex limit: a 17-cycle holds 17 sets of each size
+    monkeypatch.setattr(graphs, "_SCAN_STATE_LIMIT", 17 * 17)
+    assert has_directed_ham_path(Digraph(17, tuple((i, (i + 1) % 17) for i in range(17))))
 
 
 def test_the_two_hamiltonian_referees_agree():
